@@ -10,10 +10,10 @@ seed, planner/controller :class:`~repro.core.create.ProtectionConfig` — and a
 * **deterministically** — every trial is a pure function of (system, task,
   seed, protections), so serial, parallel, and batched execution produce
   bit-identical canonical run tables;
-* **in parallel** — cells are distributed over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; workers rebuild systems
-  from the picklable factory keys of :mod:`repro.agents.registry` and cache
-  them per process (deployed systems are deliberately never pickled);
+* **in parallel** — cells are distributed over the process pool of a
+  :class:`CellPool`; workers rebuild systems from the picklable factory keys
+  of :mod:`repro.agents.registry` and cache them per process (deployed
+  systems are deliberately never pickled);
 * **in batches** — several cells ride in one worker task (``batch=`` knob,
   auto-tuned by default) so very short trials amortize process-pool IPC;
   batching groups cells without reordering or reseeding them — and cuts the
@@ -25,7 +25,7 @@ seed, planner/controller :class:`~repro.core.create.ProtectionConfig` — and a
   step.  The batched path is bit-identical to scalar execution (per-trial
   RNG streams stay independent), engages automatically for same-spec groups
   of two or more cells on planner-backed systems, and falls back to the
-  scalar cell-at-a-time path everywhere else; ``vector=False`` disables it;
+  scalar cell-at-a-time path everywhere else;
 * **streamed to disk** — with an output directory, completed rows are
   appended to ``<out>/<name>.csv`` *as they finish* (flushed per row), so a
   campaign killed mid-flight leaves a crash-safe partial table behind;
@@ -61,7 +61,7 @@ import socket
 import time
 from dataclasses import dataclass, is_dataclass, asdict, replace
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ..agents.executor import MissionExecutor
 from ..agents.jarvis import EmbodiedSystem
@@ -76,7 +76,8 @@ __all__ = ["TrialSpec", "CampaignResult", "CampaignRunner", "run_campaign",
            "CampaignProfile", "ProfileBucket", "collect_results",
            "protection_signature", "system_ref", "merge_overrides", "slugify",
            "SystemLike", "PlannedCampaign", "planning", "shard_scope",
-           "enumerate_cells", "pending_cells", "placeholder_record"]
+           "enumerate_cells", "pending_cells", "placeholder_record",
+           "CellPool"]
 
 #: Anything an experiment accepts as "the system under test".
 SystemLike = Union[str, EmbodiedSystem, MissionExecutor]
@@ -436,32 +437,14 @@ def _run_cell(cell: _Cell, executor: MissionExecutor) -> RunRecord:
                    fleet_size=cell.fleet, plan_cache=plan_cache)
 
 
-def _spec_groups(cells: Sequence[_Cell]) -> list[list[_Cell]]:
-    """Consecutive same-spec runs of a cell sequence, in order.
-
-    Cells of one group share (system, task, protections) — a spec key hashes
-    exactly those — and differ only in seed, which is the shape the
-    vectorized trial path batches.  Grouping never reorders cells.
-    """
-    groups: list[list[_Cell]] = []
-    for cell in cells:
-        if groups and groups[-1][0].spec_key == cell.spec_key:
-            groups[-1].append(cell)
-        else:
-            groups.append([cell])
-    return groups
-
-
 def _chunk_cells(cells: Sequence[_Cell], size: int) -> list[tuple[_Cell, ...]]:
-    """Split cells into pool-task chunks of at most ``size``, cut at spec
-    boundaries.
+    """Split cells into chunks of at most ``size``, cut at spec boundaries.
 
-    The flat ``cells[i:i+size]`` slicing this replaces ignored shape
-    homogeneity: a chunk could straddle two specs, splitting each spec's
-    run across workers and shrinking the same-spec groups the vectorized
-    trial path batches.  Cutting at spec boundaries keeps every chunk a
-    single vectorizable group; no cell is reordered or reseeded, so the
-    canonical table is unchanged.
+    The one chunking policy, for pool tasks and queue task files alike: a
+    chunk never straddles two specs, so it stays a single vectorizable
+    group — cells that share (system, task, protections) and differ only in
+    seed.  No cell is reordered or reseeded, so the canonical table is
+    unchanged.
     """
     chunks: list[tuple[_Cell, ...]] = []
     run: list[_Cell] = []
@@ -489,32 +472,29 @@ def _vectorizable(cells: Sequence[_Cell], executor: MissionExecutor) -> bool:
             and hasattr(executor, "run_trial_batch"))
 
 
-def _run_cell_batch(cells: Sequence[_Cell], executor: MissionExecutor) -> list[RunRecord]:
-    """Execute one same-spec group through the vectorized trial path.
+def _group_runs(cells: Sequence[_Cell],
+                executor: MissionExecutor) -> Iterator[list[RunRecord]]:
+    """Execute one same-spec group, yielding each lane group's or scalar
+    cell's rows as it finishes.
 
-    All lanes ride :meth:`MissionExecutor.run_trial_batch` — one cross-prompt
-    batched GEMM per decode step *and* per controller tick, per-trial RNG
-    streams independent — so the result columns are bit-identical to running
-    each cell through :func:`_run_cell`.  Wall time is attributed evenly
-    across the group.
-
-    ``fleet > 1`` specs additionally cut the group into co-stepped fleets of
-    ``fleet`` agents, stamped ``vector_path="fleet"``; a trailing single-agent
-    remainder runs scalar.  Result columns are unaffected — the fleet axis
-    only reshapes which lanes share a kernel pass.
+    Lane groups ride :meth:`MissionExecutor.run_trial_batch` (per-trial RNG
+    streams independent), so their rows are bit-identical to running each
+    cell through :func:`_run_cell`.  ``fleet > 1`` specs cut the group into
+    co-stepped fleets of ``fleet`` agents, stamped ``vector_path="fleet"``;
+    a trailing single-agent remainder runs scalar.
     """
-    first = cells[0]
-    if first.fleet > 1:
-        records = []
-        for lo in range(0, len(cells), first.fleet):
-            chunk = cells[lo:lo + first.fleet]
-            if len(chunk) == 1:
-                records.append(_run_cell(chunk[0], executor))
-            else:
-                records.extend(_run_lane_group(chunk, executor,
-                                               vector_path="fleet"))
-        return records
-    return _run_lane_group(cells, executor, vector_path="batched")
+    if not _vectorizable(cells, executor):
+        for cell in cells:
+            yield [_run_cell(cell, executor)]
+        return
+    fleet = cells[0].fleet
+    width, path = (fleet, "fleet") if fleet > 1 else (len(cells), "batched")
+    for lo in range(0, len(cells), width):
+        lanes = cells[lo:lo + width]
+        if len(lanes) == 1:
+            yield [_run_cell(lanes[0], executor)]
+        else:
+            yield _run_lane_group(lanes, executor, vector_path=path)
 
 
 def _run_lane_group(cells: Sequence[_Cell], executor: MissionExecutor,
@@ -565,7 +545,6 @@ def _publish_system_plans(systems: set[str]):
 
     if not weightplane.enabled():
         return None
-    weightplane.sweep_orphans()
     manifests: dict[str, dict[str, object]] = {}
     for key in sorted(systems):
         entry = _SHM_MANIFESTS.get(key)
@@ -588,14 +567,6 @@ def _publish_system_plans(systems: set[str]):
         if entry:
             manifests[key] = entry
     return manifests or None
-
-
-def _unpublish_system_plans() -> None:
-    """Parent-side teardown: destroy published segments, forget manifests."""
-    from ..quant import weightplane
-
-    _SHM_MANIFESTS.clear()
-    weightplane.unlink_all()
 
 
 def _adopt_shared_plans(key: str, system, shm_plans) -> None:
@@ -660,27 +631,145 @@ def _register_eviction_hook() -> None:
 _register_eviction_hook()
 
 
-def _pool_run_batch(cells: tuple[_Cell, ...], vector: bool = True,
-                    shm_plans: dict | None = None) -> list[RunRecord]:
-    """Worker entry point: run a batch of cells on this worker's cached systems.
+def _pool_run_batch(cells: tuple[_Cell, ...], shm_plans: dict | None = None,
+                    executor_for: Callable[[str], MissionExecutor] | None = None,
+                    sink: Callable[[list[RunRecord]], None] | None = None
+                    ) -> list[RunRecord]:
+    """The one cell dispatcher: run a chunk of cells in order, return its rows.
 
-    Cells arrive in campaign order and run in that order; every trial is
-    seeded by its own cell, so batch composition cannot change results — it
-    only amortizes the per-task pickle/IPC cost over ``len(cells)`` trials.
-    Same-spec runs within the batch additionally take the vectorized trial
-    path (see :func:`_run_cell_batch`) unless ``vector`` is off.
-    ``shm_plans`` carries the parent's weight-plane manifests (see
-    :func:`_publish_system_plans`); workers attach zero-copy instead of
-    holding private plan arrays, falling back silently when they can't.
+    Serial campaigns and ``jobs=1`` queue workers call it in process, and
+    :class:`CellPool` children run it as their task function.  Every trial
+    is seeded by its own cell, so chunk composition cannot change results.
+    ``shm_plans`` carries the parent's weight-plane manifests (workers
+    attach zero-copy, falling back silently when they can't);
+    ``executor_for`` replaces this process's cached registry executors (the
+    campaign's ``systems=`` overrides); ``sink`` receives each lane group's
+    or scalar cell's rows the moment they exist.
     """
-    records = []
-    for group in _spec_groups(cells):
-        executor = _worker_executor(group[0].system, shm_plans)
-        if vector and _vectorizable(group, executor):
-            records.extend(_run_cell_batch(group, executor))
-        else:
-            records.extend(_run_cell(cell, executor) for cell in group)
+    records: list[RunRecord] = []
+    for group in _chunk_cells(cells, len(cells)):  # same-spec groups
+        key = group[0].system
+        executor = (_worker_executor(key, shm_plans) if executor_for is None
+                    else executor_for(key))
+        for produced in _group_runs(group, executor):
+            if sink is not None:
+                sink(produced)
+            records.extend(produced)
     return records
+
+
+class CellPool:
+    """The one owner of chunk execution, for campaigns and queue workers.
+
+    ``jobs == 1`` runs each chunk through :func:`_pool_run_batch` on the
+    calling thread, so Ctrl-C stops a trial and trial time stays on that
+    thread.  ``jobs > 1`` runs chunks on a process pool, forked where the
+    platform allows so children inherit ``register_system`` factories and
+    the parent-built systems; the pool publishes each system's kernel plans
+    to the weight plane before its first chunk, and :meth:`close`
+    unpublishes them.  One failure policy: after a chunk raises, queued
+    chunks are cancelled, running ones finish, every finished chunk is
+    handed over, then the error is re-raised.
+    """
+
+    def __init__(self, jobs: int, systems: Iterable[str] = ()):
+        import multiprocessing
+        from ..quant import weightplane
+
+        self.jobs = jobs
+        self._running: dict[concurrent.futures.Future, object] = {}
+        self._systems: set[str] = set()
+        self._shm_plans = None
+        self._pool = None
+        # Reclaim segments whose SIGKILLed creator could not unlink them.
+        weightplane.sweep_orphans()
+        if jobs > 1:
+            try:
+                self._context = multiprocessing.get_context("fork")
+            except ValueError:
+                self._context = None
+            self._admit(set(systems))  # publish before the first fork
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, mp_context=self._context)
+
+    def __enter__(self) -> "CellPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    @property
+    def inflight(self) -> int:
+        """Chunks submitted and not yet handed back by :meth:`harvest`."""
+        return len(self._running)
+
+    def _admit(self, systems: set[str]) -> None:
+        """Publish the kernel plans of systems this pool has not seen yet."""
+        new = systems - self._systems
+        if not new:
+            return
+        if self._context is None:
+            from ..agents.registry import BUILTIN_SYSTEM_KEYS
+
+            custom = sorted(new - BUILTIN_SYSTEM_KEYS)
+            if custom:
+                raise ValueError(
+                    "process pools over custom-registered systems need the "
+                    "'fork' start method, which this platform lacks; run "
+                    "with jobs=1 for: " + ", ".join(custom))
+        self._systems |= new
+        self._shm_plans = _publish_system_plans(self._systems)
+
+    def submit(self, tag, cells: Sequence[_Cell]) -> None:
+        """Run one chunk; ``tag`` comes back with its rows from :meth:`harvest`."""
+        cells = tuple(cells)
+        if self._pool is None:
+            future: concurrent.futures.Future = concurrent.futures.Future()
+            try:
+                future.set_result(_pool_run_batch(cells))
+            except Exception as error:  # an interrupt is not a chunk failure
+                future.set_exception(error)
+        else:
+            self._admit({cell.system for cell in cells})
+            future = self._pool.submit(_pool_run_batch, cells, self._shm_plans)
+        self._running[future] = tag
+
+    def harvest(self, done: Callable[[object, list[RunRecord]], None],
+                failed: Callable[[object], None] | None = None) -> None:
+        """Hand each finished chunk to ``done(tag, rows)``, or to
+        ``failed(tag)`` if it raised; waits for at least one."""
+        ready, _ = concurrent.futures.wait(
+            self._running, return_when=concurrent.futures.FIRST_COMPLETED)
+        for future in ready:
+            error = self._hand_over(future, done, failed)
+            if error is not None:
+                if self._pool is not None:
+                    self._pool.shutdown(wait=True, cancel_futures=True)
+                for other in [f for f in self._running if not f.cancelled()]:
+                    self._hand_over(other, done, failed)
+                self._running.clear()
+                raise error
+
+    def _hand_over(self, future, done, failed) -> BaseException | None:
+        tag = self._running.pop(future)
+        try:
+            records = future.result()
+        except BaseException as error:
+            if failed is not None:
+                failed(tag)
+            return error
+        done(tag, records)
+        return None
+
+    def close(self) -> None:
+        """Shut the pool down, cancelling queued chunks, and destroy the
+        weight-plane segments it published."""
+        from ..quant import weightplane
+
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            _SHM_MANIFESTS.clear()
+            weightplane.unlink_all()
 
 
 # ----------------------------------------------------------------------
@@ -880,14 +969,6 @@ class CampaignRunner:
         never reorders or reseeds cells — and chunks are cut at spec
         boundaries so each worker task stays a single vectorizable group —
         so any value produces the same canonical table byte for byte.
-    vector:
-        When true (default), consecutive same-spec cells execute through the
-        batched trial path (:meth:`MissionExecutor.run_trial_batch`): their
-        planner prompts decode as one cross-prompt batched GEMM per step.
-        The batched path is bit-identical to scalar execution; ``False``
-        forces cell-at-a-time trials (useful for profiling comparisons —
-        the ``vector_path`` sidecar column records which path ran each
-        cell).
     shard:
         Execute only this static slice of the cell grid (see
         :mod:`repro.eval.shard`); ``None`` (default) inherits the ambient
@@ -900,8 +981,7 @@ class CampaignRunner:
 
     def __init__(self, jobs: int = 1, out: str | Path | None = None,
                  systems: Mapping[str, object] | None = None, resume: bool = True,
-                 batch: int | None = None, shard: Shard | None = None,
-                 vector: bool = True):
+                 batch: int | None = None, shard: Shard | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if batch is not None and batch < 1:
@@ -912,7 +992,6 @@ class CampaignRunner:
         self.resume = resume
         self.batch = batch
         self.shard = shard
-        self.vector = vector
         self._executors: dict[str, MissionExecutor] = {}
 
     # ------------------------------------------------------------------
@@ -928,14 +1007,6 @@ class CampaignRunner:
             self._executors[key] = executor
         return executor
 
-    def _can_parallelize(self, systems: set[str]) -> bool:
-        """Workers can only run systems they can rebuild from the registry;
-        ``systems`` overrides are in-process objects, so they force serial."""
-        from ..agents.registry import SYSTEM_FACTORIES
-
-        return all(key in SYSTEM_FACTORIES and key not in self.systems
-                   for key in systems)
-
     def _batch_size(self, num_cells: int) -> int:
         """Cells per worker task: explicit ``batch=``, else auto-tuned.
 
@@ -948,107 +1019,20 @@ class CampaignRunner:
             return self.batch
         return max(1, min(_MAX_AUTO_BATCH, num_cells // (self.jobs * 4)))
 
-    def _run_pool(self, cells: list[_Cell], cell_systems: set[str],
-                  sink: Callable[[RunRecord], None]) -> list[RunRecord]:
-        """Execute cells on a process pool, forking when possible.
-
-        Fork lets workers inherit ``register_system``-added factories and warm
-        caches; where fork is unavailable (spawn-only platforms), workers
-        re-import the registry and can only rebuild the built-in systems.
-
-        Cells are grouped into :meth:`_batch_size`-capped, spec-aligned
-        chunks (:func:`_chunk_cells`), one pool task per chunk; completed
-        chunks are handed to ``sink`` (the streaming writer) the moment they
-        finish, in completion order.
-        """
-        import multiprocessing
-
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            context = None
-            from ..agents.registry import BUILTIN_SYSTEM_KEYS
-
-            custom = sorted(cell_systems - BUILTIN_SYSTEM_KEYS)
-            if custom:
-                raise ValueError(
-                    "parallel campaigns over custom-registered systems need the "
-                    "'fork' start method, which this platform lacks; run with "
-                    "jobs=1 for: " + ", ".join(custom))
-        size = self._batch_size(len(cells))
-        batches = _chunk_cells(cells, size)
-        records: list[RunRecord] = []
-        consumed: set = set()
-
-        def drain(future) -> None:
-            for record in future.result():
-                sink(record)
-                records.append(record)
-            consumed.add(future)
-
-        # Publish the weight plane before the pool exists: fork-started
-        # workers then inherit the parent-built systems (copy-on-write) and
-        # attach the published plans zero-copy instead of each paying a
-        # private rebuild.  None — plane disabled or unavailable — falls
-        # back to per-process plans with identical results.
-        shm_plans = _publish_system_plans(cell_systems)
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=self.jobs,
-                                                      mp_context=context)
-        try:
-            futures = [pool.submit(_pool_run_batch, chunk, self.vector,
-                                   shm_plans)
-                       for chunk in batches]
-            failure: BaseException | None = None
-            for future in concurrent.futures.as_completed(futures):
-                try:
-                    drain(future)
-                except BaseException as exc:
-                    failure = exc
-                    break
-            if failure is not None:
-                # Don't waste workers on batches whose results would be
-                # discarded, but do stream every batch that already finished
-                # — those rows are valid and make the resume cheaper.
-                pool.shutdown(wait=True, cancel_futures=True)
-                for future in futures:
-                    if future in consumed or future.cancelled() or not future.done():
-                        continue
-                    try:
-                        drain(future)
-                    except BaseException:
-                        pass
-                raise failure
-        finally:
-            # cancel_futures also covers exceptions raised outside drain()
-            # (e.g. KeyboardInterrupt while blocked in as_completed): queued
-            # batches would otherwise run to completion just to be discarded.
-            # Harmless on the normal path, where every future is already done.
-            pool.shutdown(wait=True, cancel_futures=True)
-            # Parent-owned lifecycle: the segments die with the pool that
-            # attached them, keeping the /dev/shm namespace clean between
-            # campaigns (and after exceptions — this is the finally block).
-            _unpublish_system_plans()
-        return records
-
-    def _run_serial(self, cells: list[_Cell],
-                    sink: Callable[[RunRecord], None]) -> list[RunRecord]:
-        """Execute cells in-process, streaming each row as it completes.
-
-        Same-spec runs take the vectorized trial path when enabled; their
-        rows reach the sink together once the batch completes (the batch is
-        the unit of execution), scalar cells stream one by one as before.
-        """
-        records: list[RunRecord] = []
-        for group in _spec_groups(cells):
-            executor = self._executor_for(group[0].system)
-            if self.vector and _vectorizable(group, executor):
-                produced = _run_cell_batch(group, executor)
-            else:
-                produced = (_run_cell(cell, executor) for cell in group)
-            for record in produced:
-                sink(record)
-                records.append(record)
-        return records
+    def _execute(self, cells: list[_Cell], cell_systems: set[str],
+                 sink: Callable[[list[RunRecord]], None]) -> None:
+        """Run the pending cells, handing their rows to ``sink``: serially
+        as one chunk on this thread, else as :meth:`_batch_size`-capped,
+        spec-aligned chunks on a :class:`CellPool`, in completion order."""
+        if self.jobs == 1:
+            _pool_run_batch(tuple(cells), executor_for=self._executor_for,
+                            sink=sink)
+            return
+        with CellPool(self.jobs, cell_systems) as pool:
+            for chunk in _chunk_cells(cells, self._batch_size(len(cells))):
+                pool.submit(chunk, chunk)
+            while pool.inflight:
+                pool.harvest(lambda chunk, records: sink(records))
 
     # ------------------------------------------------------------------
     def run(self, specs: Sequence[TrialSpec], name: str = "campaign") -> CampaignResult:
@@ -1112,17 +1096,19 @@ class CampaignRunner:
 
         if cells:
             cell_systems = {cell.system for cell in cells}
-            parallel = self.jobs > 1 and self._can_parallelize(cell_systems)
-            if self.jobs > 1 and not parallel:
+            if self.jobs > 1:
+                # Workers can only run systems they can rebuild from the
+                # registry; ``systems`` overrides are in-process objects.
                 from ..agents.registry import SYSTEM_FACTORIES
 
                 blockers = sorted(key for key in cell_systems
                                   if key not in SYSTEM_FACTORIES
                                   or key in self.systems)
-                raise ValueError(
-                    "parallel campaigns require registry system keys "
-                    "(see repro.agents.registry); cannot parallelize over: "
-                    + ", ".join(blockers))
+                if blockers:
+                    raise ValueError(
+                        "parallel campaigns require registry system keys "
+                        "(see repro.agents.registry); cannot parallelize "
+                        "over: " + ", ".join(blockers))
             with contextlib.ExitStack() as stack:
                 writers: list[RunTableWriter] = []
                 # Profile sidecar first: if a crash lands between the two
@@ -1136,16 +1122,13 @@ class CampaignRunner:
                 if csv_path is not None:
                     writers.append(stack.enter_context(RunTableWriter(csv_path)))
 
-                def sink(record: RunRecord) -> None:
-                    for writer in writers:
-                        writer.write(record)
+                def sink(records: list[RunRecord]) -> None:
+                    for record in records:
+                        for writer in writers:
+                            writer.write(record)
+                        table.add(record)
 
-                if parallel:
-                    records = self._run_pool(cells, cell_systems, sink)
-                else:
-                    records = self._run_serial(cells, sink)
-            for record in records:
-                table.add(record)
+                self._execute(cells, cell_systems, sink)
 
         table = table.sorted({key: index for index, key in enumerate(keys)})
         if csv_path is not None:
@@ -1199,8 +1182,7 @@ def run_campaign(specs: Sequence[TrialSpec], jobs: int = 1,
                  out: str | Path | None = None, name: str = "campaign",
                  systems: Mapping[str, object] | None = None,
                  resume: bool = True, batch: int | None = None,
-                 shard: Shard | None = None, vector: bool = True) -> CampaignResult:
+                 shard: Shard | None = None) -> CampaignResult:
     """One-shot convenience wrapper around :class:`CampaignRunner`."""
     return CampaignRunner(jobs=jobs, out=out, systems=systems, resume=resume,
-                          batch=batch, shard=shard,
-                          vector=vector).run(specs, name=name)
+                          batch=batch, shard=shard).run(specs, name=name)

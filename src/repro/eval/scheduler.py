@@ -25,10 +25,10 @@ processes and hosts:
     :meth:`~repro.eval.runtable.RunTable.merge` deduplicates.
 
 :class:`WorkerDaemon`
-    The pull loop behind ``repro-create worker``: claim → execute (in
-    process or over a process pool) → stream rows to a per-worker run table
-    under ``results/<worker_id>/`` → complete → repeat, until the queue
-    drains.
+    The pull loop behind ``repro-create worker``: claim → execute the task
+    as one chunk on the campaign engine's ``CellPool`` → stream rows to a
+    per-worker run table under ``results/<worker_id>/`` → complete →
+    repeat, until the queue drains.
 
 :func:`merge_run_tables`
     The fault-tolerant combine step behind ``repro-create merge``: unions
@@ -43,6 +43,7 @@ workers or shards is byte-identical to the single-host serial table.**  See
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -57,9 +58,7 @@ from ..core.policies import VoltagePolicy
 from ..core.voltage_scaling import VoltageScalingConfig
 from ..faults.models import (ErrorModel, SingleBitErrorModel, UniformErrorModel,
                              VoltageErrorModel)
-from ..quant import weightplane
-from .campaign import (TrialSpec, _Cell, _pool_run_batch,
-                       _publish_system_plans, _unpublish_system_plans,
+from .campaign import (CellPool, TrialSpec, _Cell, _chunk_cells,
                        enumerate_cells, pending_cells)
 from .runtable import RunTable, RunTableWriter
 from .shard import cell_shard_index
@@ -355,7 +354,7 @@ def task_from_dict(data: Mapping, lease_path: Path) -> ClaimedTask:
             task=spec.task, seed=seed, trial_index=trial_index,
             planner_protection=spec.planner_protection,
             controller_protection=spec.controller_protection,
-            params=spec.params_json()))
+            params=spec.params_json(), fleet=spec.fleet))
     return ClaimedTask(task_id=data["task_id"], plan_name=data["plan"],
                        plan_hash=data["plan_hash"], lease_path=lease_path,
                        cells=cells)
@@ -438,18 +437,21 @@ class WorkQueue:
                 table: RunTable | None = None) -> EnqueueReport:
         """Publish a plan's cell grid as task files; idempotent.
 
-        Task ids are deterministic (``<plan_hash[:8]>-b<batch size>-<batch
-        index>``), so re-enqueueing the same plan with the same batch size
-        skips every batch that is already pending, leased, or done — a
-        planner crash or a repeated ``--queue`` invocation never duplicates
-        work.  The batch size is part of the id because the same index
-        covers *different cells* under a different size: re-enqueueing an
-        interrupted queue with a new ``batch`` therefore publishes fresh
-        (possibly overlapping) tasks — duplicated cells merge away, whereas
-        colliding ids would silently drop cells.  Passing ``table`` (e.g. a
-        previously merged result) additionally skips batches whose cells
-        are all present, which is how a grown campaign enqueues only its
-        new cells.
+        Tasks are cut like pool chunks (``_chunk_cells``): at most
+        ``batch`` cells, never straddling two specs, so each task stays one
+        vectorizable group.  Task ids are deterministic
+        (``<plan_hash[:8]>-s<batch size>-<chunk index>``), so re-enqueueing
+        the same plan with the same batch size skips every task that is
+        already pending, leased, or done — a planner crash or a repeated
+        ``--queue`` invocation never duplicates work.  The size is part of
+        the id because the same index covers *different cells* under a
+        different size (or under the flat slicing of older versions, which
+        tagged ids ``-b<size>``): re-enqueueing an interrupted queue with a
+        new ``batch`` therefore publishes fresh (possibly overlapping) tasks
+        — duplicated cells merge away, whereas colliding ids would silently
+        drop cells.  Passing ``table`` (e.g. a previously merged result)
+        additionally skips tasks whose cells are all present, which is how
+        a grown campaign enqueues only its new cells.
 
         Specs must name system keys every worker can rebuild: unknown keys
         are rejected here, and keys added via ``register_system`` only work
@@ -480,14 +482,13 @@ class WorkQueue:
 
         cells = plan.cells()
         size = self._task_batch(len(cells), batch)
-        prefix = f"{plan_hash[:8]}-b{size}"
+        prefix = f"{plan_hash[:8]}-s{size}"
         report = EnqueueReport(plan_name=plan.name, new_tasks=0,
                                skipped_tasks=0, satisfied_tasks=0,
                                enqueued_cells=0)
         spec_dicts = {spec.key(): spec_to_dict(spec) for spec in plan.specs}
-        for index in range(0, len(cells), size):
-            chunk = cells[index:index + size]
-            task_id = f"{prefix}-{index // size:05d}"
+        for index, chunk in enumerate(_chunk_cells(cells, size)):
+            task_id = f"{prefix}-{index:05d}"
             if any((directory / f"{task_id}.json").exists()
                    for directory in (self.tasks_dir, self.leases_dir,
                                      self.done_dir, self.failed_dir)):
@@ -497,13 +498,13 @@ class WorkQueue:
                                          for c in chunk):
                 report.satisfied_tasks += 1
                 continue
-            used_keys = sorted({c.spec_key for c in chunk})
+            key = chunk[0].spec_key
             _atomic_write_json(self.tasks_dir / f"{task_id}.json", {
                 "format": TASK_FORMAT,
                 "plan": plan.name,
                 "plan_hash": plan_hash,
                 "task_id": task_id,
-                "specs": {key: spec_dicts[key] for key in used_keys},
+                "specs": {key: spec_dicts[key]},
                 "cells": [[c.spec_key, c.seed, c.trial_index] for c in chunk],
             })
             report.new_tasks += 1
@@ -794,10 +795,11 @@ class WorkerDaemon:
     queue:
         The queue (or its root directory).
     jobs:
-        ``1`` executes claimed batches in-process (heartbeating between
-        cells); ``> 1`` holds up to ``jobs`` leases at once and runs each
-        batch as one task on a persistent process pool, heartbeating all
-        held leases every ``heartbeat_interval`` seconds.
+        Leases held at once.  Each claimed task runs as one chunk on the
+        campaign engine's :class:`~repro.eval.campaign.CellPool`: in
+        process with ``1``, on a process pool of ``jobs`` children
+        otherwise.  Either way a keeper thread heartbeats every held lease
+        each ``heartbeat_interval`` seconds, however long its chunk runs.
     wait:
         When the queue has no claimable task: ``False`` (default) exits as
         soon as this worker holds nothing — even if other workers' leases
@@ -847,6 +849,8 @@ class WorkerDaemon:
         self.retry_delay = retry_delay
         self._log = log or (lambda message: None)
         self._writers: dict[str, list[RunTableWriter]] = {}
+        self._held: dict[str, ClaimedTask] = {}  # leases the keeper renews
+        self._held_lock = threading.Lock()
         self._shutdown = False
 
     # ------------------------------------------------------------------
@@ -886,7 +890,9 @@ class WorkerDaemon:
             self._writers[plan_name] = writers
         return writers
 
-    def _write(self, task: ClaimedTask, records, stats: WorkerStats) -> None:
+    def _finish(self, task: ClaimedTask, records, stats: WorkerStats) -> None:
+        """Stream a finished task's rows, then move its lease to done (or
+        note it was lost)."""
         from dataclasses import replace
 
         backend = getattr(self.queue, "backend", "file")
@@ -905,9 +911,8 @@ class WorkerDaemon:
         stats.cells_executed += len(records)
         stats.rows_by_plan[task.plan_name] = (
             stats.rows_by_plan.get(task.plan_name, 0) + len(records))
-
-    def _settle(self, task: ClaimedTask, stats: WorkerStats) -> None:
-        """Rows are flushed; move the lease to done (or note it was lost)."""
+        with self._held_lock:
+            self._held.pop(task.task_id, None)
         if self._retrying(self.queue.complete, task):
             stats.tasks_completed += 1
             self._log(f"task {task.task_id}: {len(task.cells)} cells done")
@@ -916,38 +921,63 @@ class WorkerDaemon:
             self._log(f"task {task.task_id}: finished after lease "
                       "reclamation; rows kept (duplicates merge away)")
 
-    def _run_inline(self, task: ClaimedTask, stats: WorkerStats) -> None:
-        """jobs=1 path: execute cell by cell, heartbeating between cells."""
-        records = []
+    def _claim(self, stats: WorkerStats) -> ClaimedTask | None:
+        """Claim one task and hold its lease; None when nothing is claimable."""
+        task = self._retrying(self.queue.claim, self.worker_id,
+                              self.plan_affinity)
+        if task is None:
+            return None
+        stolen = (self.plan_affinity is not None
+                  and task.plan_name != self.plan_affinity)
+        if stolen:
+            stats.tasks_stolen += 1
+        self._log(f"task {task.task_id}: claimed ({len(task.cells)} cells, "
+                  f"plan {task.plan_name}"
+                  + (", stolen from deepest queue)" if stolen else ")"))
+        with self._held_lock:
+            self._held[task.task_id] = task
+        return task
+
+    def _park(self, task: ClaimedTask) -> None:
+        """Move a task whose chunk raised into failed/, so a deterministically
+        crashing task is not reclaimed and retried by (and then crashes)
+        every other worker in the fleet."""
+        with self._held_lock:
+            self._held.pop(task.task_id, None)
+        self.queue.fail(task)
+
+    @contextlib.contextmanager
+    def _lease_keeper(self):
+        """Heartbeat every held lease each ``heartbeat_interval`` seconds
+        from a small thread, however long the chunk holding it runs."""
+        stop = threading.Event()
+
+        def keep() -> None:
+            while not stop.wait(self.heartbeat_interval):
+                with self._held_lock:
+                    held = tuple(self._held.values())
+                try:
+                    if held:
+                        self._retrying(self.queue.heartbeat, held)
+                except Exception as error:  # the next beat retries
+                    self._log(f"heartbeat failed: {error!r}")
+
+        keeper = threading.Thread(target=keep, daemon=True,
+                                  name=f"lease-keeper-{self.worker_id}")
+        keeper.start()
         try:
-            for cell in task.cells:
-                records.extend(_pool_run_batch((cell,)))
-                self._retrying(self.queue.heartbeat, task)
-        except BaseException:
-            # Same contract as the pool path: park the task in failed/ so a
-            # deterministically crashing batch is not reclaimed and retried
-            # by (and then crashes) every other worker in the fleet.
-            self.queue.fail(task)
-            raise
-        self._write(task, records, stats)
-        self._settle(task, stats)
+            yield
+        finally:
+            stop.set()
+            keeper.join()
 
     # ------------------------------------------------------------------
     def run(self) -> WorkerStats:
         """Drain the queue; returns once there is nothing left to do."""
-        import concurrent.futures
-        import multiprocessing
         import signal
-        import threading
 
         stats = WorkerStats(worker_id=self.worker_id)
         started = time.perf_counter()
-        # A SIGKILLed daemon (or campaign parent) cannot unlink its shared
-        # weight-plane segments; reclaim any whose creator is gone before we
-        # start publishing our own.
-        weightplane.sweep_orphans()
-        pool = None
-        inflight: dict[concurrent.futures.Future, ClaimedTask] = {}
         claimed = 0
         previous_handler = None
         in_main_thread = threading.current_thread() is threading.main_thread()
@@ -956,80 +986,41 @@ class WorkerDaemon:
                                              self.request_shutdown)
         self._log(f"worker {self.worker_id} starting on {self.queue.root} "
                   f"(jobs={self.jobs}, lease_ttl={self.queue.lease_ttl:g}s)")
+
         try:
-            while True:
-                stats.leases_reclaimed += len(
-                    self._retrying(self.queue.reclaim_expired))
-                while (not self._shutdown
-                       and len(inflight) < self.jobs
-                       and (self.max_tasks is None or claimed < self.max_tasks)):
-                    task = self._retrying(self.queue.claim, self.worker_id,
-                                          self.plan_affinity)
-                    if task is None:
-                        break
-                    claimed += 1
-                    stolen = (self.plan_affinity is not None
-                              and task.plan_name != self.plan_affinity)
-                    if stolen:
-                        stats.tasks_stolen += 1
-                    self._log(f"task {task.task_id}: claimed "
-                              f"({len(task.cells)} cells, plan {task.plan_name}"
-                              + (", stolen from deepest queue)" if stolen
-                                 else ")"))
-                    if self.jobs == 1:
-                        self._run_inline(task, stats)
+            with self._lease_keeper(), CellPool(self.jobs) as pool:
+                while True:
+                    stats.leases_reclaimed += len(
+                        self._retrying(self.queue.reclaim_expired))
+                    while (not self._shutdown
+                           and pool.inflight < self.jobs
+                           and (self.max_tasks is None
+                                or claimed < self.max_tasks)
+                           and (task := self._claim(stats)) is not None):
+                        claimed += 1
+                        pool.submit(task, task.cells)
+                    if pool.inflight:
+                        pool.harvest(lambda task, records: self._finish(
+                            task, records, stats), self._park)
                         continue
-                    if pool is None:
-                        try:
-                            context = multiprocessing.get_context("fork")
-                        except ValueError:
-                            context = None
-                        pool = concurrent.futures.ProcessPoolExecutor(
-                            max_workers=self.jobs, mp_context=context)
-                    # Publish the task's kernel plans once in the daemon and
-                    # hand workers the manifests: pool children fork before
-                    # later tasks arrive, so the manifests must travel as task
-                    # arguments rather than by fork inheritance.  Repeated
-                    # publishes per system are cache hits.
-                    shm_plans = _publish_system_plans(
-                        {cell.system for cell in task.cells})
-                    inflight[pool.submit(_pool_run_batch, tuple(task.cells),
-                                         True, shm_plans)] = task
-                if inflight:
-                    done, _ = concurrent.futures.wait(
-                        inflight, timeout=self.heartbeat_interval,
-                        return_when=concurrent.futures.FIRST_COMPLETED)
-                    self._retrying(self.queue.heartbeat, list(inflight.values()))
-                    for future in done:
-                        task = inflight.pop(future)
-                        try:
-                            records = future.result()
-                        except BaseException:
-                            self.queue.fail(task)
-                            raise
-                        self._write(task, records, stats)
-                        self._settle(task, stats)
-                    continue
-                if self._shutdown:
-                    self._log(f"worker {self.worker_id}: shutdown requested; "
-                              "in-flight work settled, exiting cleanly")
-                    break
-                if self.max_tasks is not None and claimed >= self.max_tasks:
-                    break
-                if self.queue.pending_ids():
-                    continue  # lost a claim race; try again immediately
-                if not self.queue.lease_ids():
-                    break  # fully drained
-                if not self.wait:
-                    break  # others still hold leases; not our problem
-                time.sleep(self.poll_interval)
-        except BaseException:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            raise
+                    if self._shutdown:
+                        self._log(f"worker {self.worker_id}: shutdown "
+                                  "requested; in-flight work settled, "
+                                  "exiting cleanly")
+                        break
+                    if self.max_tasks is not None and claimed >= self.max_tasks:
+                        break
+                    if self.queue.pending_ids():
+                        continue  # lost a claim race; try again immediately
+                    if not self.queue.lease_ids():
+                        break  # fully drained
+                    if not self.wait:
+                        break  # others still hold leases; not our problem
+                    time.sleep(self.poll_interval)
         finally:
             if in_main_thread:
                 signal.signal(signal.SIGTERM, previous_handler)
+            self._held.clear()
             for writers in self._writers.values():
                 for writer in writers:
                     writer.close()
@@ -1039,13 +1030,6 @@ class WorkerDaemon:
             close = getattr(self.queue, "close", None)
             if close is not None:
                 close()
-            # Destroy the weight-plane segments this daemon published.  All
-            # in-flight work has settled (or the pool is being torn down), so
-            # no child is mid-attach; children that still hold mappings keep
-            # them until they exit.
-            _unpublish_system_plans()
-        if pool is not None:
-            pool.shutdown(wait=True)
         stats.wall_time_s = time.perf_counter() - started
         self._log(stats.format())
         return stats

@@ -251,20 +251,20 @@ class TestCampaignVectorPath:
         with open(path, newline="") as handle:
             return list(csv.DictReader(handle))
 
-    def test_vector_on_off_byte_identical(self, tmp_path):
+    def test_vector_on_off_byte_identical(self, tmp_path, scalar_reference):
         specs = self._specs()
         vec = run_campaign(specs, out=tmp_path / "vec", name="v")
-        scalar = run_campaign(specs, out=tmp_path / "scalar", name="v",
-                              vector=False)
-        assert vec.csv_path.read_bytes() == scalar.csv_path.read_bytes()
-        assert vec.json_path.read_bytes() == scalar.json_path.read_bytes()
+        scalar = scalar_reference(specs, tmp_path / "scalar", "v")
+        assert vec.csv_path.read_bytes() == \
+            (tmp_path / "scalar" / "v.csv").read_bytes()
+        assert vec.json_path.read_bytes() == \
+            (tmp_path / "scalar" / "v.json").read_bytes()
 
         vec_rows = self._profile_rows(tmp_path / "vec", "v")
         assert {(r["vector_path"], r["batch_size"]) for r in vec_rows} == \
             {("batched", "3")}
-        scalar_rows = self._profile_rows(tmp_path / "scalar", "v")
-        assert {(r["vector_path"], r["batch_size"]) for r in scalar_rows} == \
-            {("scalar", "1")}
+        assert {(r.vector_path, r.batch_size) for r in scalar} == \
+            {("scalar", 1)}
 
     def test_parallel_vectorized_byte_identical(self, tmp_path):
         specs = self._specs(2)

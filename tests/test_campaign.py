@@ -2,6 +2,8 @@
 profiling, and run-table round trips."""
 
 import dataclasses
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +264,32 @@ class TestStreaming:
                              out=tmp_path / "fresh", name="crash")
         assert fresh.csv_path.read_bytes() == csv_path.read_bytes()
 
+    def test_pool_failure_streams_finished_chunks_and_unpublishes(
+            self, tmp_path, monkeypatch):
+        """A jobs=2 campaign whose chunk raises streams every chunk that
+        finished, re-raises, and leaves no weight-plane segment behind."""
+        import repro.eval.campaign as campaign_module
+        from repro.quant import weightplane
+
+        original = campaign_module._run_lane_group
+
+        def crash_on_faulty(cells, executor, **kwargs):
+            if cells[0].condition == "faulty":
+                raise RuntimeError("injected chunk crash")
+            return original(cells, executor, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "_run_lane_group",
+                            crash_on_faulty)
+        with pytest.raises(RuntimeError, match="injected chunk crash"):
+            run_campaign(_specs(2), jobs=2, batch=2, out=tmp_path,
+                         name="boom")
+        for path in (tmp_path / "boom.csv", tmp_path / "profiles" / "boom.csv"):
+            streamed = RunTable.read_csv(path, strict=False)
+            assert sorted((r.condition, r.seed) for r in streamed) == \
+                [("clean", 0), ("clean", 1)]
+        prefix = f"{weightplane.SEGMENT_PREFIX}-{os.getpid()}-"
+        assert not list(Path("/dev/shm").glob(prefix + "*"))
+
     def test_truncated_final_row_is_dropped_and_reexecuted(self, tmp_path):
         specs = _specs(2)
         run_campaign(specs, out=tmp_path, name="torn")
@@ -338,25 +366,30 @@ class TestStreaming:
         assert [r.seed for r in table] == [0, 1, 2]
 
     def test_file_grows_while_campaign_runs(self, jarvis_executor, tmp_path, monkeypatch):
-        """Rows are on disk before later cells execute, not only at the end."""
+        """Rows are on disk before later cells execute, not only at the end:
+        each scalar cell's and each lane group's rows stream as it finishes."""
         import repro.eval.campaign as campaign_module
 
         csv_path = tmp_path / "grow.csv"
         sizes = []
-        original = campaign_module._run_cell
 
-        def spying_run_cell(cell, executor):
-            sizes.append(csv_path.stat().st_size if csv_path.exists() else 0)
-            return original(cell, executor)
+        def spy(name):
+            original = getattr(campaign_module, name)
 
-        monkeypatch.setattr(campaign_module, "_run_cell", spying_run_cell)
+            def spying(cells, executor, **kwargs):
+                sizes.append(csv_path.stat().st_size if csv_path.exists() else 0)
+                return original(cells, executor, **kwargs)
+
+            monkeypatch.setattr(campaign_module, name, spying)
+
+        spy("_run_cell")
+        spy("_run_lane_group")
         key, overrides = system_ref(jarvis_executor)
-        spec = TrialSpec(condition="clean", system=key, task="wooden", num_trials=3)
-        # vector=False pins the scalar path: the vectorized path executes the
-        # whole same-spec group as one unit, so rows land in a burst instead
-        # of one by one (and _run_cell is never called).
-        run_campaign([spec], systems=overrides, out=tmp_path, name="grow",
-                     vector=False)
+        # A one-cell spec runs scalar; the two-cell spec is one lane group.
+        specs = [TrialSpec(condition=f"c{index}", system=key, task="wooden",
+                           num_trials=trials, seed=10 * index)
+                 for index, trials in enumerate((1, 2, 1))]
+        run_campaign(specs, systems=overrides, out=tmp_path, name="grow")
         assert len(sizes) == 3
         assert sizes[1] > sizes[0] and sizes[2] > sizes[1]
 

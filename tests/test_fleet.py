@@ -167,29 +167,32 @@ class TestCampaignFleetPath:
         with open(out_dir / "profiles" / f"{name}.csv", newline="") as handle:
             return list(csv.DictReader(handle))
 
-    def test_fleet_campaign_byte_identical_to_scalar(self, tmp_path):
+    def test_fleet_campaign_byte_identical_to_scalar(self, tmp_path,
+                                                     scalar_reference):
         fleet = run_campaign(self._specs(fleet=4), out=tmp_path / "fleet",
                              name="f")
-        scalar = run_campaign(self._specs(fleet=1), out=tmp_path / "scalar",
-                              name="f", vector=False)
-        assert fleet.csv_path.read_bytes() == scalar.csv_path.read_bytes()
-        assert fleet.json_path.read_bytes() == scalar.json_path.read_bytes()
+        scalar = scalar_reference(self._specs(fleet=1), tmp_path / "scalar",
+                                  "f")
+        assert fleet.csv_path.read_bytes() == \
+            (tmp_path / "scalar" / "f.csv").read_bytes()
+        assert fleet.json_path.read_bytes() == \
+            (tmp_path / "scalar" / "f.json").read_bytes()
 
         rows = self._profile_rows(tmp_path / "fleet", "f")
         assert {(r["vector_path"], r["batch_size"], r["fleet_size"])
                 for r in rows} == {("fleet", "4", "4")}
-        scalar_rows = self._profile_rows(tmp_path / "scalar", "f")
-        assert {(r["vector_path"], r["fleet_size"]) for r in scalar_rows} == \
-            {("scalar", "1")}
+        assert {(r.vector_path, r.fleet_size) for r in scalar} == \
+            {("scalar", 1)}
 
-    def test_fleet_chunks_oversized_cells(self, tmp_path):
+    def test_fleet_chunks_oversized_cells(self, tmp_path, scalar_reference):
         """num_trials > fleet splits into fleet-sized groups, same bytes."""
         spec = TrialSpec(condition="c", system="jarvis", task="wooden",
                          num_trials=5, seed=0, fleet=2)
         fleet = run_campaign([spec], out=tmp_path / "fleet", name="f")
-        scalar = run_campaign([dataclasses.replace(spec, fleet=1)],
-                              out=tmp_path / "scalar", name="f", vector=False)
-        assert fleet.csv_path.read_bytes() == scalar.csv_path.read_bytes()
+        scalar_reference([dataclasses.replace(spec, fleet=1)],
+                         tmp_path / "scalar", "f")
+        assert fleet.csv_path.read_bytes() == \
+            (tmp_path / "scalar" / "f.csv").read_bytes()
         rows = self._profile_rows(tmp_path / "fleet", "f")
         # 5 trials at fleet=2 -> two fleet groups of 2 plus a scalar remainder.
         assert sorted((r["vector_path"], r["batch_size"]) for r in rows) == \

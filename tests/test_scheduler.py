@@ -12,6 +12,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from repro.eval import (
     TrialSpec,
     WorkQueue,
     WorkerDaemon,
-    WorkerStats,
     merge_run_tables,
     parse_shard,
     planning,
@@ -297,6 +297,22 @@ class TestWorkQueue:
             self._queue(tmp_path).enqueue(CampaignPlan(name="demo",
                                                        specs=[spec]))
 
+    def test_tasks_never_straddle_specs(self, tmp_path):
+        """Task files are cut like pool chunks: at most ``batch`` cells of
+        one spec, so each task stays one vectorizable group."""
+        queue = self._queue(tmp_path)
+        plan = CampaignPlan(name="demo", specs=_specs(4))
+        report = queue.enqueue(plan, batch=3)
+        assert report.new_tasks == 4 and report.enqueued_cells == 8
+        sizes = []
+        for path in sorted(queue.tasks_dir.glob("*.json")):
+            data = json.loads(path.read_text())
+            assert len(data["specs"]) == 1
+            assert {key for key, _, _ in data["cells"]} == set(data["specs"])
+            assert "-s3-" in data["task_id"]
+            sizes.append(len(data["cells"]))
+        assert sizes == [3, 1, 3, 1]
+
     def test_reenqueue_with_different_batch_never_drops_cells(self, tmp_path):
         """Batch size is part of the task id: after an interrupted enqueue,
         re-enqueueing with a different --batch must re-cover every cell
@@ -336,7 +352,7 @@ class TestWorkQueue:
 
     def test_claim_complete_lifecycle(self, tmp_path):
         queue = self._queue(tmp_path)
-        queue.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=4)
+        queue.enqueue(CampaignPlan(name="demo", specs=_specs(4)[:1]), batch=4)
         task = queue.claim("w1")
         assert task is not None and len(task.cells) == 4
         assert queue.counts() == {"pending": 0, "leased": 1, "done": 0,
@@ -353,8 +369,10 @@ class TestWorkQueue:
         queue = self._queue(tmp_path)
         specs = _specs(2)
         queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=8)
-        task = queue.claim("w1")
-        assert [(c.spec_key, c.seed) for c in task.cells] == \
+        cells = []
+        while (task := queue.claim("w1")) is not None:
+            cells.extend(task.cells)
+        assert [(c.spec_key, c.seed) for c in cells] == \
             [(c.spec_key, c.seed) for c in enumerate_cells(specs)]
 
     def test_expired_leases_are_reclaimed_once(self, tmp_path):
@@ -421,8 +439,9 @@ class TestWorkerDaemon:
         queue = WorkQueue(tmp_path / "q")
         queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=2)
         stats = WorkerDaemon(queue, jobs=1, worker_id="w1").run()
-        assert stats.tasks_completed == 3 and stats.cells_executed == 6
-        assert queue.counts() == {"pending": 0, "leased": 0, "done": 3,
+        # batch=2 cuts each 3-cell spec into tasks of 2 and 1 cells.
+        assert stats.tasks_completed == 4 and stats.cells_executed == 6
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 4,
                                   "failed": 0}
         merge_run_tables(tmp_path / "merged", [queue.root])
         assert (tmp_path / "merged" / "demo.csv").read_bytes() == \
@@ -475,25 +494,33 @@ class TestWorkerDaemon:
         assert (tmp_path / "merged" / "demo.csv").read_bytes() == \
             serial.csv_path.read_bytes()
 
-    def test_duplicate_rows_from_lease_loss_merge_away(self, tmp_path):
+    def test_duplicate_rows_from_lease_loss_merge_away(self, tmp_path,
+                                                       monkeypatch):
         """A slow worker finishing after reclamation leaves duplicate rows;
         they are byte-identical and must merge to the serial table."""
+        import repro.eval.campaign as campaign_module
+
         specs = _specs(2)
         serial = run_campaign(specs, out=tmp_path / "serial", name="demo")
         queue = WorkQueue(tmp_path / "q", lease_ttl=30)
         queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=4)
+        original = campaign_module._pool_run_batch
 
-        slow = WorkerDaemon(queue, worker_id="slow")
-        task = queue.claim("slow")
-        stale = time.time() - 1000
-        os.utime(task.lease_path, (stale, stale))
-        queue.reclaim_expired()  # lease expires while "slow" is executing
-        stats = WorkerStats(worker_id="slow")
-        slow._run_inline(task, stats)  # finishes anyway, streams its rows
-        assert stats.tasks_lost == 1
-        for writers in slow._writers.values():
-            for writer in writers:
-                writer.close()
+        def reclaimed_while_running(cells, *args, **kwargs):
+            # The lease expires while "slow" is executing, and another
+            # worker's scan re-queues it.
+            stale = time.time() - 1000
+            for task_id in queue.lease_ids():
+                os.utime(queue.leases_dir / f"{task_id}.json", (stale, stale))
+            assert WorkQueue(queue.root, lease_ttl=30).reclaim_expired()
+            return original(cells, *args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "_pool_run_batch",
+                            reclaimed_while_running)
+        slow = WorkerDaemon(queue, worker_id="slow", max_tasks=1,
+                            heartbeat_interval=60).run()
+        monkeypatch.undo()
+        assert slow.tasks_lost == 1  # finished anyway, streamed its rows
 
         healthy = WorkerDaemon(queue, worker_id="healthy").run()
         assert healthy.cells_executed == 4  # re-ran the reclaimed task
@@ -525,6 +552,88 @@ class TestWorkerDaemon:
         finally:
             SYSTEM_FACTORIES.pop("boom-system", None)
             SYSTEM_HAS_PREDICTOR.pop("boom-system", None)
+
+    def test_pool_failure_parks_task_and_settles_sibling(self, tmp_path,
+                                                         monkeypatch):
+        """A jobs=2 worker whose task crashes parks it in failed/, lets the
+        sibling task finish, settles it into done/, and leaves nothing
+        leased (the sibling's lease is not abandoned to the TTL)."""
+        import repro.eval.campaign as campaign_module
+
+        original = campaign_module._run_lane_group
+
+        def crash_on_faulty(cells, executor, **kwargs):
+            if cells[0].condition == "faulty":
+                raise RuntimeError("injected chunk crash")
+            return original(cells, executor, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "_run_lane_group",
+                            crash_on_faulty)
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=2)
+        with pytest.raises(RuntimeError, match="injected chunk crash"):
+            WorkerDaemon(queue, jobs=2, worker_id="w").run()
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 1,
+                                  "failed": 1}
+        rows = RunTable.read_csv(queue.result_dir("w") / "demo.csv")
+        assert sorted((r.condition, r.seed) for r in rows) == \
+            [("clean", 0), ("clean", 1)]
+
+    def test_keeper_renews_lease_of_long_inprocess_task(self, tmp_path,
+                                                        monkeypatch):
+        """jobs=1 runs the task on the calling thread; the lease keeper
+        still heartbeats it every interval, so a concurrent reclaimer
+        never steals it however long the task runs."""
+        import repro.eval.campaign as campaign_module
+
+        original = campaign_module._pool_run_batch
+
+        def slow(*args, **kwargs):
+            time.sleep(2.5)  # far longer than the lease TTL
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "_pool_run_batch", slow)
+        queue = WorkQueue(tmp_path / "q", lease_ttl=1.0)
+        queue.enqueue(CampaignPlan(name="demo", specs=_specs(1)[:1]), batch=1)
+        reclaimer = WorkQueue(queue.root, lease_ttl=1.0)
+        reclaimed: list[str] = []
+        stop = threading.Event()
+
+        def reclaim() -> None:
+            while not stop.wait(0.02):
+                reclaimed.extend(reclaimer.reclaim_expired())
+
+        thread = threading.Thread(target=reclaim)
+        thread.start()
+        try:
+            stats = WorkerDaemon(queue, jobs=1, worker_id="w",
+                                 heartbeat_interval=0.1).run()
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert reclaimed == []
+        assert stats.tasks_completed == 1 and stats.tasks_lost == 0
+
+    def test_keeper_races_settling_under_fast_thread_switches(self, tmp_path):
+        """The keeper snapshots held leases while the main thread claims and
+        settles them: with a switch every microsecond and a heartbeat every
+        millisecond, every task still settles exactly once."""
+        queue = WorkQueue(tmp_path / "q")
+        specs = [TrialSpec(condition=f"c{seed}", system="jarvis",
+                           task="wooden", num_trials=1, seed=seed)
+                 for seed in range(8)]
+        queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stats = WorkerDaemon(queue, jobs=1, worker_id="w",
+                                 heartbeat_interval=0.001).run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats.tasks_completed == 8 and stats.tasks_lost == 0
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 8,
+                                  "failed": 0}
 
     def test_worker_id_includes_host_and_pid(self, tmp_path):
         """Satellite fix: profile attribution must be unambiguous across

@@ -8,6 +8,7 @@ byte-identical to the single-host serial table, and every queue semantic
 identically whether a worker sits on the filesystem or behind a socket.
 """
 
+import csv
 import json
 import os
 import sys
@@ -140,7 +141,8 @@ class TestServiceProtocol:
             client._request("/api/no-such-thing")
 
     def test_claim_heartbeat_complete_lifecycle(self, service, client):
-        client.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=4)
+        client.enqueue(CampaignPlan(name="demo", specs=_specs(4)[:1]),
+                       batch=4)
         task = client.claim("w1")
         assert task is not None and len(task.cells) == 4
         assert client.counts() == {"pending": 0, "leased": 1, "done": 0,
@@ -154,12 +156,15 @@ class TestServiceProtocol:
     def test_claimed_task_rebuilds_exact_cells(self, service, client):
         specs = _specs(2)
         client.enqueue(CampaignPlan(name="demo", specs=specs), batch=8)
-        task = client.claim("w1")
-        assert [(c.spec_key, c.seed) for c in task.cells] == \
+        cells = []
+        while (task := client.claim("w1")) is not None:
+            cells.extend(task.cells)
+        assert [(c.spec_key, c.seed) for c in cells] == \
             [(c.spec_key, c.seed) for c in enumerate_cells(specs)]
 
     def test_fail_parks_the_task(self, service, client):
-        client.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=4)
+        client.enqueue(CampaignPlan(name="demo", specs=_specs(2)[:1]),
+                       batch=4)
         task = client.claim("w1")
         client.fail(task)
         assert client.counts() == {"pending": 0, "leased": 0, "done": 0,
@@ -226,6 +231,61 @@ class TestHttpWorkerByteIdentity:
         sidecar = RunTable.read_csv(
             service.queue.results_dir / "http-w" / "profiles" / "demo.csv")
         assert {record.queue_backend for record in sidecar} == {"http"}
+
+
+class TestOneEngine:
+    """Every execution path runs cells through the one campaign engine."""
+
+    @pytest.mark.parametrize("fleet", [1, 4])
+    def test_every_path_matches_serial(self, tmp_path, fleet):
+        """Serial, a jobs=2 pool, file-queue workers at jobs=1 and jobs=2
+        and an HTTP worker write byte-identical tables, and their sidecars
+        stamp the same execution path for the same chunk (the fleet axis
+        survives the queue's task files)."""
+        # BER 1e-4 flips a few hundred bits per trial yet lets missions
+        # finish, keeping six executions of the grid cheap.
+        specs = [TrialSpec(condition="clean", system="jarvis", task="wooden",
+                           num_trials=4, seed=0, fleet=fleet),
+                 TrialSpec(condition="faulty", system="jarvis", task="wooden",
+                           num_trials=4, seed=0, fleet=fleet,
+                           controller_protection=ProtectionConfig(
+                               error_model=UniformErrorModel(1e-4)),
+                           params=(("ber", "1e-4"),))]
+        plan = CampaignPlan(name="demo", specs=specs)
+        serial = run_campaign(specs, out=tmp_path / "serial", name="demo")
+        run_campaign(specs, jobs=2, batch=4, out=tmp_path / "pool",
+                     name="demo")
+        tables = {"pool": tmp_path / "pool"}
+        sidecars = {"serial": tmp_path / "serial" / "profiles",
+                    "pool": tmp_path / "pool" / "profiles"}
+        queues = {}
+        for jobs in (1, 2):
+            queue = WorkQueue(tmp_path / f"queue-{jobs}")
+            queue.enqueue(plan, batch=4)
+            WorkerDaemon(queue, jobs=jobs, worker_id="w").run()
+            queues[f"file-{jobs}"] = queue
+        with CampaignService(tmp_path / "http") as service:
+            client = QueueClient(service.url)
+            client.enqueue(plan, batch=4)
+            WorkerDaemon(client, worker_id="w").run()  # closes the client
+        queues["http"] = service.queue
+        for path, queue in queues.items():
+            tables[path] = tmp_path / "merged" / path
+            merge_run_tables(tables[path], [queue.root])
+            sidecars[path] = queue.results_dir / "w" / "profiles"
+
+        for path, directory in tables.items():
+            for suffix in (".csv", ".json"):
+                assert (directory / f"demo{suffix}").read_bytes() == \
+                    serial.csv_path.with_suffix(suffix).read_bytes(), path
+        expected = {("fleet", "4", "4")} if fleet > 1 else \
+            {("batched", "4", "1")}
+        for path, directory in sidecars.items():
+            with open(directory / "demo.csv", newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert len(rows) == 8, path
+            assert {(r["vector_path"], r["batch_size"], r["fleet_size"])
+                    for r in rows} == expected, path
 
 
 # ----------------------------------------------------------------------
@@ -305,8 +365,9 @@ class TestWorkStealing:
         client.enqueue(CampaignPlan(name="other", specs=_specs(1)), batch=2)
         daemon = WorkerDaemon(client, worker_id="w", plan_affinity="mine")
         stats = daemon.run()
-        assert stats.tasks_completed == 2  # 1 owned + 1 stolen
-        assert stats.tasks_stolen == 1
+        # "other" holds one task per spec: tasks never straddle specs.
+        assert stats.tasks_completed == 3  # 1 owned + 2 stolen
+        assert stats.tasks_stolen == 2
         assert stats.cells_executed == 3
 
 
@@ -324,19 +385,23 @@ class TestGracefulShutdown:
         assert queue.counts()["pending"] == 2  # nothing claimed or leaked
         assert queue.counts()["leased"] == 0
 
-    def test_sigterm_mid_drain_settles_inflight_and_stops(self, tmp_path):
+    def test_sigterm_mid_drain_settles_inflight_and_stops(self, tmp_path,
+                                                          monkeypatch):
         """A SIGTERM'd worker finishes the batch it holds, streams its rows,
         releases the lease into done/, and leaves the rest pending."""
+        import repro.eval.campaign as campaign_module
+
         queue = WorkQueue(tmp_path / "q")
         queue.enqueue(CampaignPlan(name="demo", specs=_specs(4)), batch=2)
         daemon = WorkerDaemon(queue, worker_id="w")
-        original = daemon._run_inline
+        original = campaign_module._pool_run_batch
 
-        def run_inline_then_sigterm(task, stats):
-            original(task, stats)
+        def sigterm_while_running(*args, **kwargs):
             daemon.request_shutdown()  # what the SIGTERM handler does
+            return original(*args, **kwargs)
 
-        daemon._run_inline = run_inline_then_sigterm
+        monkeypatch.setattr(campaign_module, "_pool_run_batch",
+                            sigterm_while_running)
         stats = daemon.run()
         assert stats.tasks_completed == 1
         counts = queue.counts()

@@ -21,9 +21,15 @@ single-host serial run writes:
 6. assert the ``/dev/shm`` namespace holds no ``repro-wp-*`` segments —
    neither the SIGKILL nor normal pool shutdown may leak the weight plane.
 
-Run from the repository root::
+For the ``fleet`` preset it also checks that every row the survivors ran
+stamps ``vector_path=fleet`` in their profile sidecars: queued fleet cells
+must take the same co-stepped path as a serial run.
+
+Run from the repository root; arguments after ``--`` go to ``campaign``::
 
     PYTHONPATH=src python tools/distributed_smoke.py
+    PYTHONPATH=src python tools/distributed_smoke.py --preset fleet \
+        --batch 16 -- --fleet-sizes 4 16 --bers 1e-4
 
 Exit status 0 means the invariant held and the reclaim path was exercised.
 """
@@ -31,6 +37,7 @@ Exit status 0 means the invariant held and the reclaim path was exercised.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import signal
 import subprocess
@@ -76,11 +83,15 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", default="repetitions")
     parser.add_argument("--trials", type=int, default=8)
+    parser.add_argument("--batch", type=int, default=1,
+                        help="cells per queued task (default: 1)")
     parser.add_argument("--lease-ttl", type=float, default=10.0,
                         help="survivor lease TTL: how long the victim's "
                              "orphaned lease takes to expire (default: 10)")
     parser.add_argument("--workdir", default=None,
                         help="working directory (default: a fresh tempdir)")
+    parser.add_argument("preset_args", nargs="*", metavar="-- ARG",
+                        help="extra 'campaign' arguments for the preset")
     args = parser.parse_args()
 
     work = Path(args.workdir or tempfile.mkdtemp(prefix="repro-distributed-"))
@@ -89,13 +100,15 @@ def main() -> int:
     print(f"distributed smoke test in {work} (preset {args.preset}, "
           f"{args.trials} trials)")
 
+    campaign = ("campaign", args.preset, "--trials", trials,
+                *args.preset_args)
     print("[1/6] serial reference run")
-    _checked("serial", _cli("campaign", args.preset, "--trials", trials,
-                            "--out", str(work / "serial")))
+    _checked("serial", _cli(*campaign, "--out", str(work / "serial")))
 
-    print("[2/6] enqueue into the work queue (one cell per task)")
-    out = _checked("enqueue", _cli("campaign", args.preset, "--trials", trials,
-                                   "--queue", str(queue), "--batch", "1"))
+    print(f"[2/6] enqueue into the work queue (up to {args.batch} cells "
+          "per task)")
+    out = _checked("enqueue", _cli(*campaign, "--queue", str(queue),
+                                   "--batch", str(args.batch)))
     print("   " + out.splitlines()[0])
 
     print("[3/6] start a victim worker (--jobs 2, publishes its weight "
@@ -145,6 +158,19 @@ def main() -> int:
               + "\n".join(outputs))
         return 1
     print("   queue drained; the victim's lease was reclaimed and re-run")
+    if args.preset == "fleet":
+        paths = sorted(queue.glob("results/survivor-*/profiles/*.csv"))
+        stamps = set()
+        for path in paths:
+            with path.open(newline="") as handle:
+                stamps.update(row["vector_path"]
+                              for row in csv.DictReader(handle))
+        if stamps != {"fleet"}:
+            print(f"FAIL: survivors' sidecars stamp vector_path "
+                  f"{sorted(stamps)}; queued fleet cells must run on the "
+                  "fleet path")
+            return 1
+        print("   survivors ran every queued fleet cell on the fleet path")
 
     print("[5/6] merge the worker tables and compare with the serial run")
     print("   " + _checked("merge", _cli(
