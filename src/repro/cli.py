@@ -324,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--confidence", type=float, default=0.95,
                         metavar="LEVEL",
                         help="confidence level of the intervals and "
-                             "significance flags (0.8, 0.9, 0.95, or 0.99; "
-                             "default: 0.95)")
+                             "significance flags (0.8, 0.9, 0.95, 0.99 or "
+                             "0.999; default: 0.95)")
 
     subparsers.add_parser("hardware", help="print the accelerator / LDO / model tables")
 

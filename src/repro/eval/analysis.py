@@ -65,6 +65,7 @@ Z_SCORES = {
     0.90: 1.6448536269514722,
     0.95: 1.959963984540054,
     0.99: 2.5758293035489004,
+    0.999: 3.2905267314919255,
 }
 
 

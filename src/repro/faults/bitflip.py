@@ -35,7 +35,8 @@ def flip_bits(values: np.ndarray, flat_indices: np.ndarray, bit_positions: np.nd
     ``flat_indices`` addresses elements of ``values`` viewed as a flat array;
     ``bit_positions`` gives the bit flipped in the corresponding element.  The
     same element may appear multiple times (multiple flipped bits); XOR makes
-    the operation order-independent.
+    the operation order-independent.  Returns a fresh array with every
+    element wrapped into the signed ``bits``-wide range.
     """
     flat_indices = np.asarray(flat_indices, dtype=np.int64)
     bit_positions = np.asarray(bit_positions, dtype=np.int64)
@@ -43,12 +44,21 @@ def flip_bits(values: np.ndarray, flat_indices: np.ndarray, bit_positions: np.nd
         raise ValueError("flat_indices and bit_positions must have the same shape")
     if flat_indices.size == 0:
         return np.asarray(values, dtype=np.int64).copy()
-    if np.any(bit_positions < 0) or np.any(bit_positions >= bits):
+    # One reduction per bounds check: viewed as uint64, a negative value is
+    # larger than any valid one.
+    if int(bit_positions.view(np.uint64).max()) >= bits:
         raise ValueError("bit position outside accumulator width")
 
-    out = to_unsigned(values, bits).ravel().copy()
-    if np.any(flat_indices < 0) or np.any(flat_indices >= out.size):
+    out = np.array(values, dtype=np.int64, order="C")
+    flat = out.reshape(-1)
+    if int(flat_indices.view(np.uint64).max()) >= flat.size:
         raise IndexError("element index out of range")
+    flat &= (1 << bits) - 1
     # XOR-accumulate the masks per element so repeated elements compose.
-    np.bitwise_xor.at(out, flat_indices, np.int64(1) << bit_positions)
-    return to_signed(out, bits).reshape(np.asarray(values).shape)
+    np.bitwise_xor.at(flat, flat_indices, np.left_shift(1, bit_positions))
+    # Sign-extend the unsigned pattern in place: (u ^ s) - s is u below the
+    # sign bit s and u - 2s from it on.
+    sign = 1 << (bits - 1)
+    flat ^= sign
+    flat -= sign
+    return out

@@ -14,6 +14,13 @@ the resilience curves respond to — comparable, the injector accepts an
 ``exposure_scale`` that multiplies the per-bit rates.  Benchmarks that quote
 paper BER values set it to the ratio of paper-model to surrogate GEMM output
 counts (see EXPERIMENTS.md); unit tests use the default of 1.0.
+
+Random stream
+-------------
+Per call, a targeted injector draws the flip count of every bit position
+(binomials in bit order), then the flipped element indices (one ``integers``
+call); an untargeted call draws nothing.  Run tables and golden fixtures pin
+this sequence, so any change to it is a new, versioned stream.
 """
 
 from __future__ import annotations
@@ -85,6 +92,10 @@ class ErrorInjector:
         self.target_components = list(target_components) if target_components else None
         self.enabled = enabled
         self.stats = InjectionStats()
+        # Rate plans of ``_plan_model`` at ``_plan_scale``, per accumulator width.
+        self._plan_model: ErrorModel | None = None
+        self._plan_scale = exposure_scale
+        self._plans: dict[int, tuple[np.ndarray, float | None, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     def reseed(self, rng: np.random.Generator) -> None:
@@ -114,38 +125,71 @@ class ErrorInjector:
             return self.target_components is None
         return any(fnmatch(component, pattern) for pattern in self.target_components)
 
+    def _rate_plan(self, accumulator_bits: int
+                   ) -> tuple[np.ndarray, float | None, np.ndarray]:
+        """``(rates, p, positions)`` of one accumulator width, built once.
+
+        ``rates`` are the clipped, exposure-scaled per-bit rates (read-only),
+        ``p`` their common value when every bit has the same rate (else
+        ``None``) and ``positions`` the bit indices.  Plans belong to the
+        current ``model`` object and ``exposure_scale``: assigning either (as
+        voltage scaling does with ``model``) rebuilds them on the next call.
+        """
+        model, scale = self.model, self.exposure_scale
+        if model is not self._plan_model or scale != self._plan_scale:
+            if scale < 0:
+                raise ValueError("exposure_scale must be non-negative")
+            self._plan_model, self._plan_scale = model, scale
+            self._plans = {}
+        plan = self._plans.get(accumulator_bits)
+        if plan is None:
+            rates = np.clip(model.bit_rates(accumulator_bits) * scale, 0.0, 1.0)
+            rates.flags.writeable = False
+            p = float(rates[0]) if np.all(rates == rates[0]) else None
+            plan = (rates, p, np.arange(rates.size, dtype=np.int64))
+            self._plans[accumulator_bits] = plan
+        return plan
+
     def effective_rates(self, spec: QuantSpec) -> np.ndarray:
-        rates = self.model.bit_rates(spec.accumulator_bits) * self.exposure_scale
-        return np.clip(rates, 0.0, 1.0)
+        """Per-bit flip probabilities after exposure scaling (read-only)."""
+        return self._rate_plan(spec.accumulator_bits)[0]
 
     def inject(self, accumulators: np.ndarray, spec: QuantSpec,
                component: str | None = None) -> np.ndarray:
         """Return a (possibly) corrupted copy of the accumulator tensor."""
-        self.stats.gemm_calls += 1
-        self.stats.elements_seen += int(accumulators.size)
+        stats = self.stats
+        stats.gemm_calls += 1
+        n_elements = accumulators.size
+        stats.elements_seen += n_elements
         if not self.targets(component):
             return accumulators
 
-        rates = self.effective_rates(spec)
-        n_elements = accumulators.size
-        # Sample the number of flips per bit position; skip work when nothing flips.
-        flip_counts = self.rng.binomial(n_elements, rates)
+        rates, p, positions = self._rate_plan(spec.accumulator_bits)
+        rng = self.rng
+        # Sample the number of flips per bit position; skip work when nothing
+        # flips.  With one common rate, the scalar-p call makes the same draws
+        # and leaves the same generator state as the per-bit array call, but
+        # skips numpy's validation of array arguments.
+        if p is None:
+            flip_counts = rng.binomial(n_elements, rates)
+        else:
+            flip_counts = rng.binomial(n_elements, p, size=positions.size)
         total_flips = int(flip_counts.sum())
         if total_flips == 0:
             return accumulators
 
         # One vectorized draw for every flip: element indices in a single call,
         # bit positions expanded from the per-bit counts.
-        indices = self.rng.integers(0, n_elements, size=total_flips)
-        bits = np.repeat(np.arange(flip_counts.size, dtype=np.int64), flip_counts)
-        corrupted = flip_bits(accumulators, indices, bits, bits=spec.accumulator_bits)
+        indices = rng.integers(0, n_elements, size=total_flips)
+        corrupted = flip_bits(accumulators, indices,
+                              np.repeat(positions, flip_counts),
+                              bits=spec.accumulator_bits)
 
-        self.stats.bits_flipped += total_flips
-        self.stats.elements_corrupted += int(np.unique(indices).size)
+        stats.bits_flipped += total_flips
+        stats.elements_corrupted += len(set(indices.tolist()))
         if component is not None:
-            self.stats.flips_per_component[component] = (
-                self.stats.flips_per_component.get(component, 0) + total_flips
-            )
+            per_component = stats.flips_per_component
+            per_component[component] = per_component.get(component, 0) + total_flips
         return corrupted
 
 

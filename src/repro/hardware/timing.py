@@ -62,11 +62,16 @@ class TimingModelConfig:
             raise ValueError("accumulator_bits must be positive")
 
 
+#: Per-bit rate vectors one model keeps memoized (per configuration and voltage).
+RATES_MEMO_SIZE = 256
+
+
 class TimingErrorModel:
     """Per-bit timing-error rates as a function of supply voltage."""
 
     def __init__(self, config: TimingModelConfig | None = None):
         self.config = config or TimingModelConfig()
+        self._rates_memo: dict[tuple[TimingModelConfig, float], np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Delay model
@@ -107,10 +112,23 @@ class TimingErrorModel:
         return float(np.clip(violation_probability + cfg.error_floor, 0.0, 1.0))
 
     def bit_error_rates(self, voltage: float) -> np.ndarray:
-        """Vector of per-bit error rates (index = accumulator bit position)."""
-        return np.array(
-            [self.bit_error_rate(bit, voltage) for bit in range(self.config.accumulator_bits)]
-        )
+        """Vector of per-bit error rates (index = accumulator bit position).
+
+        Memoized per configuration and voltage as a read-only array: voltage
+        scaling revisits a few LDO levels in every trial, and each vector
+        costs one ``norm.sf`` per bit.
+        """
+        memo = self._rates_memo
+        key = (self.config, voltage)
+        rates = memo.get(key)
+        if rates is None:
+            rates = np.array([self.bit_error_rate(bit, voltage)
+                              for bit in range(self.config.accumulator_bits)])
+            rates.flags.writeable = False
+            if len(memo) >= RATES_MEMO_SIZE:
+                del memo[next(iter(memo))]
+            memo[key] = rates
+        return rates
 
     def mean_bit_error_rate(self, voltage: float) -> float:
         """Aggregate BER (uniform average over bit positions)."""

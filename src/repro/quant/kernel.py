@@ -523,13 +523,7 @@ class KernelContext:
                 acc &= self._acc_mask
                 acc[acc >= self._acc_sign] -= self._acc_span
             if injector is not None:
-                flipped_before = injector.stats.bits_flipped
-                corrupted_before = injector.stats.elements_corrupted
-                acc = injector.inject(acc, self.spec, component=name)
-                self.counters.bits_flipped += (
-                    injector.stats.bits_flipped - flipped_before)
-                self.counters.elements_corrupted += (
-                    injector.stats.elements_corrupted - corrupted_before)
+                self._inject_stage(acc, name)
             if self.clamp is not None and entry.bound_acc is not None:
                 acc = self._clamp_stage(acc, entry.bound_acc, name)
             out = acc.astype(np.float64)
@@ -616,14 +610,7 @@ class KernelContext:
                 acc[acc >= self._acc_sign] -= self._acc_span
             for name, entry, lo, hi in fused.slices:
                 if injector is not None:
-                    flipped_before = injector.stats.bits_flipped
-                    corrupted_before = injector.stats.elements_corrupted
-                    acc[:, lo:hi] = injector.inject(acc[:, lo:hi], self.spec,
-                                                    component=name)
-                    self.counters.bits_flipped += (
-                        injector.stats.bits_flipped - flipped_before)
-                    self.counters.elements_corrupted += (
-                        injector.stats.elements_corrupted - corrupted_before)
+                    self._inject_stage(acc[:, lo:hi], name)
                 if self.clamp is not None and entry.bound_acc is not None:
                     acc[:, lo:hi] = self._clamp_stage(
                         acc[:, lo:hi], entry.bound_acc, name)
@@ -641,6 +628,24 @@ class KernelContext:
                 part = part.reshape(*x.shape[:-1], entry.out_features)
             parts.append(part)
         return tuple(parts)
+
+    def _inject_stage(self, acc: np.ndarray, name: str) -> None:
+        """Fault injection as a pipeline stage, in place on ``acc``.
+
+        ``acc`` may be a view into a stacked accumulator; the injector's
+        result is written back only when it returned a new array.  Tracks the
+        unified counters.
+        """
+        injector = self.injector
+        stats = injector.stats
+        flipped_before = stats.bits_flipped
+        corrupted_before = stats.elements_corrupted
+        corrupted = injector.inject(acc, self.spec, component=name)
+        if corrupted is not acc:
+            acc[...] = corrupted
+        self.counters.bits_flipped += stats.bits_flipped - flipped_before
+        self.counters.elements_corrupted += (
+            stats.elements_corrupted - corrupted_before)
 
     def _clamp_stage(self, acc: np.ndarray, bound: int, name: str) -> np.ndarray:
         """Anomaly clearance as a pipeline stage (tracks the unified counters)."""
@@ -769,15 +774,8 @@ class BatchedKernel:
                      lo: int, hi: int, entry: _KernelEntry, name: str,
                      is_int: bool) -> None:
         """Injection + clamp of one lane's row block, in place on the stack."""
-        injector = context.injector
-        if injector is not None and is_int:
-            flipped_before = injector.stats.bits_flipped
-            corrupted_before = injector.stats.elements_corrupted
-            acc[lo:hi] = injector.inject(acc[lo:hi], self.spec, component=name)
-            context.counters.bits_flipped += (
-                injector.stats.bits_flipped - flipped_before)
-            context.counters.elements_corrupted += (
-                injector.stats.elements_corrupted - corrupted_before)
+        if context.injector is not None and is_int:
+            context._inject_stage(acc[lo:hi], name)
         lane_entry = context._entries[name]
         if context.clamp is not None and lane_entry.bound_acc is not None:
             acc[lo:hi] = context._clamp_stage(acc[lo:hi], lane_entry.bound_acc,
@@ -855,16 +853,8 @@ class BatchedKernel:
         if self._hooked:
             for context, (lo, hi) in zip(self.contexts, bounds):
                 for name, entry, c0, c1 in fused.slices:
-                    injector = context.injector
-                    if injector is not None and is_int:
-                        flipped_before = injector.stats.bits_flipped
-                        corrupted_before = injector.stats.elements_corrupted
-                        acc[lo:hi, c0:c1] = injector.inject(
-                            acc[lo:hi, c0:c1], self.spec, component=name)
-                        context.counters.bits_flipped += (
-                            injector.stats.bits_flipped - flipped_before)
-                        context.counters.elements_corrupted += (
-                            injector.stats.elements_corrupted - corrupted_before)
+                    if context.injector is not None and is_int:
+                        context._inject_stage(acc[lo:hi, c0:c1], name)
                     lane_entry = context._entries[name]
                     if context.clamp is not None \
                             and lane_entry.bound_acc is not None:

@@ -199,6 +199,41 @@ class TestExecutor:
         assert len(set(result.controller_macs_by_voltage)) >= 1
         assert result.effective_voltage() < NOMINAL_VOLTAGE
 
+    def test_voltage_scaling_builds_each_rate_table_once(self, jarvis_system,
+                                                         monkeypatch):
+        """A VS trial evaluates norm.sf at most 24 times per distinct voltage,
+        and the memoized rate tables leave its result unchanged."""
+        from repro.hardware import timing
+
+        protection = ProtectionConfig(
+            anomaly_detection=True,
+            voltage_scaling=VoltageScalingConfig(policy=default_policy(),
+                                                 update_interval=1,
+                                                 entropy_source="oracle"))
+
+        def uncached_rates(model, voltage):
+            return np.array([model.bit_error_rate(bit, voltage)
+                             for bit in range(model.config.accumulator_bits)])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(timing.TimingErrorModel, "bit_error_rates",
+                          uncached_rates)
+            reference = jarvis_system.executor().run_trial(
+                "wooden", seed=9, controller_protection=protection)
+
+        calls = []
+        sf = timing.norm.sf
+        monkeypatch.setattr(timing.norm, "sf",
+                            lambda x: calls.append(x) or sf(x))
+        result = jarvis_system.executor().run_trial(
+            "wooden", seed=9, controller_protection=protection)
+        assert {**vars(result), "entropy_trace": None} == \
+            {**vars(reference), "entropy_trace": None}
+        assert vars(result.entropy_trace) == vars(reference.entropy_trace)
+        voltages = set(result.entropy_trace.voltages) | {NOMINAL_VOLTAGE}
+        assert result.controller_steps > 2 * len(voltages)
+        assert 0 < len(calls) <= 24 * len(voltages)
+
     def test_predictor_macs_charged_with_predictor_source(self, jarvis_executor):
         protection = ProtectionConfig(
             anomaly_detection=True,

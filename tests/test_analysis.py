@@ -499,11 +499,29 @@ class TestGoldenPack:
     def test_golden_manifest_hashes_verify(self):
         assert verify_pack(GOLDEN / "pack") == []
 
-    def test_golden_tool_check_passes(self):
+    @staticmethod
+    def _golden_tool():
         import importlib.util
 
         spec = importlib.util.spec_from_file_location(
             "golden_pack", REPO_ROOT / "tools" / "golden_pack.py")
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        assert module.check_pack() == 0
+        return module
+
+    def test_golden_tool_check_passes(self):
+        assert self._golden_tool().check_pack() == 0
+
+    def test_injected_sweep_reexecutes_byte_identical(self, tmp_path):
+        """Executed gate of the fault-injected path: the golden ``wr``
+        mini-campaign re-runs into tables byte-identical to the committed
+        ones (injection draws, flips and counts included)."""
+        from repro.cli import main
+
+        argv = dict(self._golden_tool().CAMPAIGNS)["wr"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        committed = sorted((GOLDEN / "sweep" / "wr").glob("*.csv"))
+        assert len(committed) == 2
+        for path in committed:
+            assert (tmp_path / path.name).read_bytes() == path.read_bytes(), \
+                path.name

@@ -76,6 +76,30 @@ class TestTimingModel:
         with pytest.raises(ValueError):
             TimingModelConfig(threshold_voltage=1.0)
 
+    def test_rate_memo_matches_direct_evaluation(self):
+        model = TimingErrorModel()
+        for voltage in (0.66, 0.74, 0.82, 0.74, 0.9):
+            rates = model.bit_error_rates(voltage)
+            np.testing.assert_array_equal(
+                rates, [model.bit_error_rate(bit, voltage) for bit in range(24)])
+            assert model.bit_error_rates(voltage) is rates
+            with pytest.raises(ValueError):
+                rates[0] = 0.5
+
+    def test_rate_memo_is_bounded_and_follows_config(self, monkeypatch):
+        from repro.hardware import timing
+
+        monkeypatch.setattr(timing, "RATES_MEMO_SIZE", 4)
+        model = TimingErrorModel()
+        for step in range(10):
+            model.bit_error_rates(0.6 + step * 1e-3)
+        assert len(model._rates_memo) == 4
+        before = model.bit_error_rates(0.75)
+        model.config = TimingModelConfig(delay_sigma=0.08)
+        after = model.bit_error_rates(0.75)
+        assert after[23] != before[23]
+        assert after[23] == model.bit_error_rate(23, 0.75)
+
 
 class TestSystolicArray:
     def test_peak_throughput(self):

@@ -6,9 +6,11 @@ the serial == parallel run-table invariant) and has two parts:
 
 * ``sweep/`` — canonical run tables of a fixed-seed mini-campaign (a
   4-trial ``repetitions`` preset and a 2-trial two-BER ``wr`` preset).
-  Committed because trial *execution* goes through numpy/BLAS GEMMs, whose
-  results are not guaranteed bit-identical across hosts — the tables pin
-  the inputs.
+  Trial execution is deterministic: ``tests/test_analysis.py``
+  (``TestGoldenPack.test_injected_sweep_reexecutes_byte_identical``)
+  re-executes the fault-injected ``wr`` preset and byte-compares both of
+  its tables with these.  The tables are committed so that the pack check
+  below needs no trial execution.
 * ``pack/`` — the publication pack built from ``sweep/``.  Pack building is
   pure parsing plus deterministic arithmetic (see
   :mod:`repro.eval.analysis`), so regenerating it from the committed tables
