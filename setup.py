@@ -19,6 +19,8 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24", "scipy>=1.10", "networkx>=3.0"],
+    install_requires=["numpy>=1.24"],
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis",
+                             "scipy>=1.10", "networkx>=3.0"]},
     entry_points={"console_scripts": ["repro-create = repro.cli:main"]},
 )

@@ -542,11 +542,6 @@ class MissionExecutor:
         """The deterministic "act" payload of one lane: entropy + distribution."""
         return action_entropy(logits), self._action_probs(logits)
 
-    def _select_action(self, logits: np.ndarray, rng: np.random.Generator) -> int:
-        """Sample an action from the (temperature-scaled) softmax of the logits."""
-        probs = self._action_probs(logits)
-        return int(rng.choice(probs.size, p=probs))
-
     # ------------------------------------------------------------------
     def run_trials(self, task_name: str, num_trials: int, seed: int = 0,
                    planner_protection: ProtectionConfig | None = None,

@@ -11,6 +11,7 @@ Hadamard weight rotation (WR), INT8 calibration and quantization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -25,14 +26,18 @@ from .controller import DeployedController
 from .executor import MissionExecutor
 from .planner import DeployedPlanner, extract_planner_weights
 from .zoo import (
+    checkpoint_path,
+    controller_spaces,
     get_controller_network,
     get_planner_network,
     get_predictor_network,
     registry_for_benchmark,
+    suite_for,
 )
 
 __all__ = ["EmbodiedSystem", "build_jarvis_system", "build_planner_platform",
-           "build_controller_platform", "build_scenario_system"]
+           "build_controller_platform", "build_scenario_system",
+           "clear_deployments"]
 
 
 @dataclass
@@ -69,24 +74,51 @@ class EmbodiedSystem:
         return self.suite.task_names
 
 
+#: This process's deployed planners and controllers, keyed by what
+#: determines a deployment: role, config name, rotation, quantization spec
+#: and checkpoint file.  Calibration is deterministic and nothing mutates a
+#: deployed model afterwards (``adopt_plan`` swaps in a hash-verified copy of
+#: the same plan), so systems that deploy the same model share one object:
+#: ``jarvis`` and ``jarvis-rotated`` calibrate their controller once.  The
+#: registry drops the table with its system cache.
+_DEPLOYMENTS: dict[tuple, DeployedPlanner | DeployedController] = {}
+
+
+def clear_deployments() -> None:
+    """Forget every shared deployment; the next build calibrates afresh."""
+    _DEPLOYMENTS.clear()
+
+
+def _deployed(role: str, name: str, rotate: bool, spec: QuantSpec,
+              deploy: Callable[[], DeployedPlanner | DeployedController]):
+    key = (role, name, rotate, spec, checkpoint_path(role, name))
+    model = _DEPLOYMENTS.get(key)
+    if model is None:
+        model = _DEPLOYMENTS[key] = deploy()
+    return model
+
+
 def _deploy_planner(name: str, rotate: bool, spec: QuantSpec) -> DeployedPlanner:
-    network, vocab = get_planner_network(name)
-    weights = extract_planner_weights(network)
-    if rotate:
-        rotation = rotation_matrix_for_dim(weights.dim, np.random.default_rng(weights.config.seed))
-        weights = weights.apply_rotation(rotation)
-    suite = SUITES[PLANNER_CONFIGS[name].benchmark]
-    return DeployedPlanner(weights, vocab, suite, spec=spec)
+    def deploy() -> DeployedPlanner:
+        network, vocab = get_planner_network(name)
+        weights = extract_planner_weights(network)
+        if rotate:
+            rotation = rotation_matrix_for_dim(
+                weights.dim, np.random.default_rng(weights.config.seed))
+            weights = weights.apply_rotation(rotation)
+        return DeployedPlanner(weights, vocab, suite_for(PLANNER_CONFIGS[name]),
+                               spec=spec)
+    return _deployed("planner", name, rotate, spec, deploy)
 
 
 def _deploy_controller(name: str, spec: QuantSpec) -> DeployedController:
-    network = get_controller_network(name)
-    benchmark = CONTROLLER_CONFIGS[name].benchmark
-    registry = registry_for_benchmark(benchmark)
-    calibration_suite = SUITES["minecraft"] if benchmark == "minecraft" \
-        else SUITES["manipulation"]
-    return DeployedController(network, spec=spec, calibration_suite=calibration_suite,
-                              calibration_registry=registry)
+    def deploy() -> DeployedController:
+        suite, registry, id_registry = controller_spaces(CONTROLLER_CONFIGS[name])
+        return DeployedController(get_controller_network(name), spec=spec,
+                                  calibration_suite=suite,
+                                  calibration_registry=registry,
+                                  id_registry=id_registry)
+    return _deployed("controller", name, False, spec, deploy)
 
 
 def build_jarvis_system(rotate_planner: bool = True, with_planner: bool = True,
@@ -129,28 +161,16 @@ def build_scenario_system(scenario: str, rotate_planner: bool = False,
             f"scenario {scenario!r} does not carry its own planner "
             f"vocabulary (mode {entry.vocabulary!r}); only 'scenario' "
             "entries build planner systems")
-    suite = entry.build()
-    registry = entry.registry
-    network, vocab = get_planner_network(scenario)
-    weights = extract_planner_weights(network)
-    if rotate_planner:
-        rotation = rotation_matrix_for_dim(
-            weights.dim, np.random.default_rng(weights.config.seed))
-        weights = weights.apply_rotation(rotation)
-    planner = DeployedPlanner(weights, vocab, suite, spec=spec)
-    controller = DeployedController(
-        get_controller_network(scenario), spec=spec,
-        calibration_suite=suite, calibration_registry=registry,
-        id_registry=registry)
+    planner = _deploy_planner(scenario, rotate_planner, spec)
     return EmbodiedSystem(
         name=f"jarvis-{scenario}" + ("-rotated" if rotate_planner else ""),
-        suite=suite,
-        registry=registry,
-        controller=controller,
+        suite=entry.build(),
+        registry=entry.registry,
+        controller=_deploy_controller(scenario, spec),
         planner=planner,
         predictor=None,
         planner_rotated=rotate_planner,
-        id_registry=registry,
+        id_registry=entry.registry,
     )
 
 

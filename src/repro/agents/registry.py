@@ -33,7 +33,10 @@ plus system variants beyond the paper's main configurations::
                                 fingerprinted vocabulary (docs/scenarios.md)
 
 ``register_system`` adds custom factories (e.g. for tests); ``get_system``
-builds lazily and caches one instance per key per process.
+builds lazily and caches one instance per key per process.  Keys that deploy
+the same model share it: ``jarvis``, ``jarvis-rotated`` and the other JARVIS
+variants with the same quantization spec hold one controller object,
+calibrated once per process (see ``repro.agents.jarvis``).
 
 Keys double as the ``system`` column of persistent run tables (see
 ``docs/runtable-schema.md``), so they must stay *stable across processes
@@ -60,6 +63,7 @@ from .jarvis import (
     build_jarvis_system,
     build_planner_platform,
     build_scenario_system,
+    clear_deployments,
 )
 
 __all__ = ["SYSTEM_FACTORIES", "BUILTIN_SYSTEM_KEYS", "SYSTEM_HAS_PREDICTOR",
@@ -196,11 +200,15 @@ def register_system(key: str, factory: Callable[[], EmbodiedSystem],
     entropy predictor, letting campaign planners (``--dry-run``, queue
     enqueueing) answer :func:`system_has_predictor` without building the
     system; leave ``None`` to have the first such query build and inspect.
+    Registering also drops the shared deployments (see
+    :func:`~repro.agents.jarvis.clear_deployments`), so the next build of any
+    key calibrates afresh.
     """
     if key in SYSTEM_FACTORIES and not overwrite:
         raise KeyError(f"system key {key!r} already registered")
     SYSTEM_FACTORIES[key] = factory
     _SYSTEM_CACHE.pop(key, None)
+    clear_deployments()
     SYSTEM_HAS_PREDICTOR.pop(key, None)
     if has_predictor is not None:
         SYSTEM_HAS_PREDICTOR[key] = has_predictor
@@ -248,9 +256,14 @@ def get_system(key: str) -> EmbodiedSystem:
 def clear_system_cache() -> None:
     """Drop all cached system instances (they will be rebuilt on next use).
 
+    The planners and controllers that built-in systems share per process
+    (:func:`~repro.agents.jarvis.clear_deployments`) are dropped too, so a
+    rebuild returns fresh objects.
+
     Fires the eviction hooks, so derived per-process caches — the campaign
     engine's worker executors, published weight-plane manifests — are
     invalidated in the same call instead of surviving with stale systems.
     """
     _SYSTEM_CACHE.clear()
+    clear_deployments()
     _notify_eviction(None)

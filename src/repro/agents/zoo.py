@@ -53,6 +53,9 @@ __all__ = [
     "cache_directory",
     "clear_cache",
     "registry_for_benchmark",
+    "suite_for",
+    "controller_spaces",
+    "checkpoint_path",
     "get_planner_network",
     "get_controller_network",
     "get_predictor_network",
@@ -136,7 +139,7 @@ def registry_for_benchmark(benchmark: str) -> SubtaskRegistry:
     return MANIPULATION_SUBTASKS
 
 
-def _suite_for(config) -> TaskSuite:
+def suite_for(config) -> TaskSuite:
     """The evaluation/training suite of a config's benchmark.
 
     Table-10 benchmarks resolve through ``SUITES``; generated scenarios
@@ -213,7 +216,7 @@ def get_planner_network(name: str = "jarvis", config: PlannerConfig | None = Non
     :class:`VocabularyMismatchError` on mismatch.
     """
     config = config or PLANNER_CONFIGS[name]
-    suite = suite if suite is not None else _suite_for(config)
+    suite = suite if suite is not None else suite_for(config)
     vocab = vocab or _vocabulary_for(config, suite)
     path = _planner_cache_path(config, vocab)
     if path.exists() and not retrain:
@@ -232,7 +235,7 @@ def get_planner_network(name: str = "jarvis", config: PlannerConfig | None = Non
 # ----------------------------------------------------------------------
 # Controller
 # ----------------------------------------------------------------------
-def _controller_spaces(config: ControllerConfig
+def controller_spaces(config: ControllerConfig
                        ) -> tuple[TaskSuite, SubtaskRegistry, SubtaskRegistry | None]:
     """(training suite, world registry, id registry) of a controller config.
 
@@ -305,7 +308,7 @@ def get_controller_network(name: str = "jarvis", config: ControllerConfig | None
     :class:`VocabularyMismatchError`.
     """
     config = config or CONTROLLER_CONFIGS[name]
-    suite, registry, id_registry = _controller_spaces(config)
+    suite, registry, id_registry = controller_spaces(config)
     path = _controller_cache_path(config, id_registry)
     if path.exists() and not retrain:
         _verify_controller_checkpoint(path, id_registry)
@@ -321,6 +324,22 @@ def get_controller_network(name: str = "jarvis", config: ControllerConfig | None
                 meta={"id_registry_fingerprint":
                       _registry_fingerprint(id_registry or ALL_SUBTASKS)})
     return network
+
+
+def checkpoint_path(role: str, name: str) -> Path:
+    """The file ``get_<role>_network(name)`` loads (or trains into).
+
+    ``role`` is ``"planner"`` or ``"controller"``.  The path carries the
+    cache directory, the config hash and the vocabulary or id-registry
+    fingerprint, so it identifies the weights without loading them.
+    """
+    if role == "planner":
+        config = PLANNER_CONFIGS[name]
+        return _planner_cache_path(config, _vocabulary_for(config, suite_for(config)))
+    if role == "controller":
+        config = CONTROLLER_CONFIGS[name]
+        return _controller_cache_path(config, controller_spaces(config)[2])
+    raise ValueError(f"unknown role {role!r}")
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .subtasks import MANIPULATION_SUBTASKS, MINECRAFT_SUBTASKS, SubtaskRegistry
@@ -48,8 +47,14 @@ class TaskSpec:
         """The final subtask, completion of which finishes the task."""
         return self.plan[-1]
 
-    def prerequisite_graph(self) -> nx.DiGraph:
-        """Linear dependency chain as a DAG (earlier subtask -> later subtask)."""
+    def prerequisite_graph(self) -> "networkx.DiGraph":
+        """Linear dependency chain as a DAG (earlier subtask -> later subtask).
+
+        Needs ``networkx``, which nothing else in the package uses, so it is
+        imported here rather than on every process's import path.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph()
         graph.add_nodes_from(self.plan)
         for earlier, later in zip(self.plan, self.plan[1:]):

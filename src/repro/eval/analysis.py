@@ -15,8 +15,8 @@ arithmetic:
 
 * means use :func:`math.fsum` (correctly-rounded sums);
 * the normal quantiles behind Wilson intervals and significance tests come
-  from the hardcoded :data:`Z_SCORES` table instead of ``scipy``'s ``ppf``
-  (whose low bits have drifted across scipy releases);
+  from the hardcoded :data:`~repro.eval.metrics.Z_SCORES` table instead of
+  ``scipy``'s ``ppf`` (whose low bits have drifted across scipy releases);
 * bootstrap resampling draws indices from a self-contained SplitMix64
   generator (:func:`_splitmix64`) rather than numpy's ``Generator``, whose
   stream stability across versions is not guaranteed;
@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from ..hardware.energy import DEFAULT_ENERGY_MODEL
+from .metrics import Z_SCORES, _z_score
 from .runtable import RunRecord, RunTable, _format_cell, is_run_table
 from .reporting import format_markdown_table
 
@@ -55,29 +56,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # Deterministic statistics core
 # ----------------------------------------------------------------------
-
-#: Two-sided standard-normal quantiles z such that P(|Z| <= z) = confidence.
-#: Hardcoded (to the shortest repr of the true double) so pack artifacts do
-#: not depend on the scipy version; ``tests/test_analysis.py`` cross-checks
-#: them against ``scipy.stats.norm.ppf``.
-Z_SCORES = {
-    0.80: 1.2815515655446004,
-    0.90: 1.6448536269514722,
-    0.95: 1.959963984540054,
-    0.99: 2.5758293035489004,
-    0.999: 3.2905267314919255,
-}
-
-
-def _z_score(confidence: float) -> float:
-    try:
-        return Z_SCORES[confidence]
-    except KeyError:
-        raise ValueError(
-            f"unsupported confidence {confidence!r}; pick one of "
-            f"{sorted(Z_SCORES)} (the z table is hardcoded so packs stay "
-            "byte-deterministic across scipy versions)") from None
-
 
 def wilson_interval(successes: int, trials: int,
                     confidence: float = 0.95) -> tuple[float, float]:

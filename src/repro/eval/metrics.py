@@ -5,13 +5,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from ..agents.executor import TrialResult
 from ..hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 
 __all__ = ["TrialSummary", "aggregate_rows", "summarize_trials", "confidence_interval",
-           "energy_savings_percent"]
+           "energy_savings_percent", "Z_SCORES"]
+
+#: Two-sided standard-normal quantiles z such that P(|Z| <= z) = confidence.
+#: Hardcoded (to the shortest repr of the true double) so no result depends
+#: on a statistics library or its version; ``tests/test_analysis.py``
+#: cross-checks them against ``scipy.stats.norm.ppf``.
+Z_SCORES = {
+    0.80: 1.2815515655446004,
+    0.90: 1.6448536269514722,
+    0.95: 1.959963984540054,
+    0.99: 2.5758293035489004,
+    0.999: 3.2905267314919255,
+}
+
+
+def _z_score(confidence: float) -> float:
+    try:
+        return Z_SCORES[confidence]
+    except KeyError:
+        raise ValueError(
+            f"unsupported confidence {confidence!r}; pick one of "
+            f"{sorted(Z_SCORES)} (the z table is hardcoded so packs stay "
+            "byte-deterministic across scipy versions)") from None
 
 
 @dataclass(frozen=True)
@@ -47,7 +68,7 @@ def confidence_interval(successes: int, trials: int, confidence: float = 0.95) -
     if trials <= 0:
         raise ValueError("trials must be positive")
     rate = successes / trials
-    z = scipy_stats.norm.ppf(0.5 + confidence / 2.0)
+    z = _z_score(confidence)
     return float(z * np.sqrt(max(rate * (1.0 - rate), 1e-12) / trials))
 
 

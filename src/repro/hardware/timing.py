@@ -14,6 +14,9 @@ regenerates the same *shape* with an analytical model:
 * the per-bit error probability is the tail probability of a Gaussian slack
   distribution, which produces the characteristic steep, monotone BER-vs-
   voltage curves reported in the paper and in prior silicon measurements.
+  The tail is :func:`_ndtr`, a scalar port of the Cephes ``ndtr`` that
+  ``scipy.special.ndtr`` (and so ``scipy.stats.norm.sf``) runs: its results
+  are bit-identical to scipy's and depend only on the C library's ``exp``.
 
 The resulting lookup table is what the rest of the system consumes: the
 error-injection framework (Sec. 3.2 / 6.1) and the voltage-scaling policies.
@@ -21,10 +24,10 @@ error-injection framework (Sec. 3.2 / 6.1) and the voltage-scaling policies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 __all__ = ["TimingModelConfig", "TimingErrorModel", "NOMINAL_VOLTAGE", "MIN_VOLTAGE"]
 
@@ -64,6 +67,85 @@ class TimingModelConfig:
 
 #: Per-bit rate vectors one model keeps memoized (per configuration and voltage).
 RATES_MEMO_SIZE = 256
+
+
+# ----------------------------------------------------------------------
+# Standard normal tail: Cephes ndtr, operation for operation
+# ----------------------------------------------------------------------
+# Rational-approximation coefficients of Cephes ``ndtr.c``, highest degree
+# first: ``_ERF_T/_ERF_U`` give erf on |x| < 1, ``_ERFC_P/_ERFC_Q`` erfc on
+# 1 <= x < 8 and ``_ERFC_R/_ERFC_S`` erfc on x >= 8.  The U, Q and S
+# denominators have an implicit leading 1 (see :func:`_p1evl`).
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3,
+          5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4,
+          4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
+           7.46321056442269912687E0, 4.86371970985681366614E1,
+           1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3,
+           5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1,
+           3.54937778887819891062E2, 9.75708501743205489753E2,
+           1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0,
+           5.01905042251180477414E0, 6.16021097993053585195E0,
+           7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0,
+           1.20489539808096656605E1, 1.70814450747565897222E1,
+           9.60896809063285878198E0, 3.36907645100081516050E0)
+#: ``log(DBL_MAX)``: Cephes returns erfc = 0 once ``-x*x`` falls below it.
+_MAXLOG = 7.09782712893383996843E2
+_SQRT1_2 = 0.70710678118654752440
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Horner evaluation of ``coef`` (highest degree first) at ``x``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple[float, ...]) -> float:
+    """:func:`_polevl` with an implicit leading coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF; ``_ndtr(-x)`` is ``scipy.stats.norm.sf(x)``.
+
+    The branches of Cephes ``ndtr`` and of the ``erf``/``erfc`` calls it
+    can reach, with the same operations in the same order, so every result
+    is bit-identical to ``scipy.special.ndtr``.  Scalar Python floats on
+    purpose: ``math.exp`` is the C library's ``exp``, which numpy's
+    vectorized ``exp`` is not, and ``0.5 * math.erfc(-a / sqrt(2))`` rounds
+    differently on about half of all inputs.
+    """
+    if a != a:
+        return math.nan
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < 1.0:
+        # erf(x) = x T(x^2) / U(x^2); Cephes's erf(x) = -erf(-x) for x < 0
+        # is the same double, since rounding is symmetric in sign.
+        erf = x * _polevl(x * x, _ERF_T) / _p1evl(x * x, _ERF_U)
+        return 0.5 + 0.5 * erf
+    exponent = -z * z
+    if exponent < -_MAXLOG:
+        erfc = 0.0
+    elif z < 8.0:
+        erfc = math.exp(exponent) * _polevl(z, _ERFC_P) / _p1evl(z, _ERFC_Q)
+    else:
+        erfc = math.exp(exponent) * _polevl(z, _ERFC_R) / _p1evl(z, _ERFC_S)
+    y = 0.5 * erfc
+    return 1.0 - y if x > 0.0 else y
 
 
 class TimingErrorModel:
@@ -108,15 +190,15 @@ class TimingErrorModel:
         delay = self.path_delay_ns(bit, voltage)
         sigma = max(cfg.delay_sigma * delay, 1e-9)
         slack = cfg.clock_period_ns - delay
-        violation_probability = float(norm.sf(slack / sigma))
-        return float(np.clip(violation_probability + cfg.error_floor, 0.0, 1.0))
+        violation_probability = _ndtr(-(slack / sigma))
+        return min(max(violation_probability + cfg.error_floor, 0.0), 1.0)
 
     def bit_error_rates(self, voltage: float) -> np.ndarray:
         """Vector of per-bit error rates (index = accumulator bit position).
 
         Memoized per configuration and voltage as a read-only array: voltage
         scaling revisits a few LDO levels in every trial, and each vector
-        costs one ``norm.sf`` per bit.
+        costs one normal-tail evaluation per bit.
         """
         memo = self._rates_memo
         key = (self.config, voltage)

@@ -75,8 +75,8 @@ class Calibrator:
         self._output_amax: dict[str, float] = {}
 
     def observe(self, name: str, inputs: np.ndarray, outputs: np.ndarray) -> None:
-        in_amax = float(np.max(np.abs(inputs))) if inputs.size else 0.0
-        out_amax = float(np.max(np.abs(outputs))) if outputs.size else 0.0
+        in_amax = float(np.abs(inputs).max()) if inputs.size else 0.0
+        out_amax = float(np.abs(outputs).max()) if outputs.size else 0.0
         self._input_amax[name] = max(self._input_amax.get(name, 0.0), in_amax)
         self._output_amax[name] = max(self._output_amax.get(name, 0.0), out_amax)
 

@@ -201,8 +201,8 @@ class TestExecutor:
 
     def test_voltage_scaling_builds_each_rate_table_once(self, jarvis_system,
                                                          monkeypatch):
-        """A VS trial evaluates norm.sf at most 24 times per distinct voltage,
-        and the memoized rate tables leave its result unchanged."""
+        """A VS trial evaluates the normal tail at most 24 times per distinct
+        voltage, and the memoized rate tables leave its result unchanged."""
         from repro.hardware import timing
 
         protection = ProtectionConfig(
@@ -222,9 +222,9 @@ class TestExecutor:
                 "wooden", seed=9, controller_protection=protection)
 
         calls = []
-        sf = timing.norm.sf
-        monkeypatch.setattr(timing.norm, "sf",
-                            lambda x: calls.append(x) or sf(x))
+        ndtr = timing._ndtr
+        monkeypatch.setattr(timing, "_ndtr",
+                            lambda x: calls.append(x) or ndtr(x))
         result = jarvis_system.executor().run_trial(
             "wooden", seed=9, controller_protection=protection)
         assert {**vars(result), "entropy_trace": None} == \

@@ -17,6 +17,9 @@ ships with:
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -513,13 +516,36 @@ class TestGoldenPack:
         assert self._golden_tool().check_pack() == 0
 
     def test_injected_sweep_reexecutes_byte_identical(self, tmp_path):
-        """Executed gate of the fault-injected path: the golden ``wr``
-        mini-campaign re-runs into tables byte-identical to the committed
-        ones (injection draws, flips and counts included)."""
-        from repro.cli import main
+        """Executed gate of the fault-injected path and of the runtime's
+        imports.  In a child interpreter where importing scipy or networkx
+        raises, the golden ``wr`` mini-campaign re-runs into tables
+        byte-identical to the committed ones (injection draws, flips and
+        counts included), a voltage-scaling trial runs (the golden presets
+        never touch the voltage model), and neither module gets loaded."""
+        argv = dict(self._golden_tool().CAMPAIGNS)["wr"] + ["--out", str(tmp_path)]
+        script = f"""
+import sys
+sys.modules["scipy"] = sys.modules["networkx"] = None
 
-        argv = dict(self._golden_tool().CAMPAIGNS)["wr"]
-        assert main(argv + ["--out", str(tmp_path)]) == 0
+from repro.agents.registry import get_system
+from repro.cli import main
+from repro.core import ProtectionConfig, VoltageScalingConfig, default_policy
+from repro.hardware import NOMINAL_VOLTAGE
+
+assert main({argv!r}) == 0
+protection = ProtectionConfig(voltage_scaling=VoltageScalingConfig(
+    policy=default_policy(), update_interval=1, entropy_source="oracle"))
+trial = get_system("jarvis").executor().run_trial(
+    "wooden", seed=9, controller_protection=protection)
+assert min(trial.entropy_trace.voltages) < NOMINAL_VOLTAGE
+loaded = sorted(name for name, module in sys.modules.items()
+                if name.split(".")[0] in ("scipy", "networkx") and module)
+assert not loaded, loaded
+"""
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        child = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr[-3000:]
         committed = sorted((GOLDEN / "sweep" / "wr").glob("*.csv"))
         assert len(committed) == 2
         for path in committed:

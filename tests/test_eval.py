@@ -55,6 +55,20 @@ class TestMetrics:
         with pytest.raises(ValueError):
             confidence_interval(1, 0)
 
+    def test_confidence_interval_reads_the_z_table(self):
+        from repro.eval.analysis import wilson_interval
+        from repro.eval.metrics import Z_SCORES
+
+        for confidence, z in Z_SCORES.items():
+            assert confidence_interval(30, 120, confidence) == \
+                z * np.sqrt(0.25 * 0.75 / 120)
+        # A level missing from the table fails like ``report --confidence``.
+        with pytest.raises(ValueError, match="unsupported confidence 0.97") as ours:
+            confidence_interval(5, 10, confidence=0.97)
+        with pytest.raises(ValueError) as report:
+            wilson_interval(5, 10, confidence=0.97)
+        assert str(ours.value) == str(report.value)
+
     def test_energy_savings_percent(self):
         assert energy_savings_percent(10.0, 6.0) == pytest.approx(40.0)
         with pytest.raises(ValueError):

@@ -101,6 +101,74 @@ class TestTimingModel:
         assert after[23] == model.bit_error_rate(23, 0.75)
 
 
+class TestVendoredNormalTail:
+    """``timing._ndtr`` against scipy, which is a test-only dependency.
+
+    Equality is of float64 bit patterns, so a last-ulp difference (or a
+    NaN of another sign) fails; the reference is scipy's vectorized ufunc.
+    """
+
+    @staticmethod
+    def _points() -> np.ndarray:
+        rng = np.random.default_rng(2024)
+        parts = [rng.uniform(-40.0, 40.0, 420_000), rng.normal(0.0, 3.0, 420_000),
+                 np.array([0.0, -0.0, np.inf, -np.inf, np.nan])]
+        # Branch points |x| / sqrt(2) = 1 and 8 (erf vs erfc, the two erfc
+        # approximations) and the underflow edge near 37.5, where the tail
+        # runs through the subnormals to zero.
+        for center in (np.sqrt(2.0), 8.0 * np.sqrt(2.0), 37.5):
+            for sign in (1.0, -1.0):
+                parts.append(sign * np.linspace(center - 0.02, center + 0.02,
+                                                20_001))
+                step = np.full(1000, sign * center)
+                parts.append(np.nextafter(step, np.inf)
+                             + np.arange(1000) * np.spacing(center))
+                parts.append(np.nextafter(step, -np.inf)
+                             - np.arange(1000) * np.spacing(center))
+        parts.append(np.linspace(36.0, 39.0, 40_001))
+        return np.concatenate(parts)
+
+    def test_bit_identical_to_scipy(self):
+        from scipy.special import ndtr
+        from scipy.stats import norm
+
+        from repro.hardware.timing import _ndtr
+
+        x = self._points()
+        assert x.size >= 1_000_000
+        ours = np.array([_ndtr(-value) for value in x.tolist()])
+        for reference in (ndtr(-x), norm.sf(x)):
+            differ = ours.view(np.uint64) != reference.view(np.uint64)
+            assert not differ.any(), x[differ][:5]
+        assert ours[np.isinf(x)].tolist() == [0.0, 1.0]
+        assert (ours[(x > 37.7) & np.isfinite(x)] == 0.0).all()
+
+    @pytest.mark.parametrize("accumulator_bits", [24, 16])
+    def test_rates_equal_the_scipy_model(self, accumulator_bits):
+        """``bit_error_rates`` at every mV from 0.600 to 0.900 V equals the
+        scipy-based ``bit_error_rate`` it replaced, bit for bit."""
+        from scipy.stats import norm
+
+        def scipy_rates(model, voltage):
+            cfg = model.config
+            slack_over_sigma = []
+            for bit in range(cfg.accumulator_bits):
+                delay = model.path_delay_ns(bit, voltage)
+                sigma = max(cfg.delay_sigma * delay, 1e-9)
+                slack = cfg.clock_period_ns - delay
+                slack_over_sigma.append(slack / sigma)
+            return np.clip(norm.sf(np.array(slack_over_sigma)) + cfg.error_floor,
+                           0.0, 1.0)
+
+        model = TimingErrorModel(TimingModelConfig(accumulator_bits=accumulator_bits))
+        for millivolts in range(600, 901):
+            voltage = millivolts / 1000
+            ours = model.bit_error_rates(voltage)
+            reference = scipy_rates(model, voltage)
+            assert ours.view(np.uint64).tolist() == \
+                reference.view(np.uint64).tolist(), voltage
+
+
 class TestSystolicArray:
     def test_peak_throughput(self):
         config = SystolicArrayConfig()

@@ -241,6 +241,69 @@ class TestRegistryEviction:
             campaign._WORKER_EXECUTORS.clear()
 
 
+class TestSharedDeployments:
+    """Registry keys that deploy the same model share one calibrated object."""
+
+    def test_variants_share_a_controller(self):
+        from repro.agents.registry import get_system
+
+        jarvis = get_system("jarvis")
+        assert jarvis.controller is get_system("jarvis-rotated").controller
+        assert jarvis.planner is not get_system("jarvis-rotated").planner
+        assert jarvis.planner is get_system("jarvis-nopredictor").planner
+        assert get_system("jarvis-navigation").controller is \
+            get_system("jarvis-navigation-rotated").controller
+        # A different QuantSpec is a different deployment.
+        assert get_system("jarvis-int4").controller is not jarvis.controller
+
+    def test_eviction_rebuilds_fresh_objects(self):
+        from repro.agents import build_jarvis_system, registry
+
+        def build():
+            return build_jarvis_system(rotate_planner=False)
+
+        before = registry.get_system("jarvis")
+        clear_system_cache()
+        after = registry.get_system("jarvis")
+        assert after.controller is not before.controller
+        assert after.planner is not before.planner
+        try:
+            registry.register_system("shared-deployment", build)
+            shared = registry.get_system("shared-deployment")
+            assert shared.controller is not after.controller
+            assert registry.get_system("jarvis-rotated").controller is \
+                shared.controller
+            registry.register_system("shared-deployment", build, overwrite=True)
+            fresh = registry.get_system("shared-deployment")
+            assert fresh.controller is not shared.controller
+            assert fresh.planner is not shared.planner
+        finally:
+            registry.SYSTEM_FACTORIES.pop("shared-deployment", None)
+            registry.SYSTEM_HAS_PREDICTOR.pop("shared-deployment", None)
+            registry._SYSTEM_CACHE.pop("shared-deployment", None)
+
+    def test_pool_publishes_one_controller_segment(self, tmp_path, monkeypatch):
+        specs = [TrialSpec(condition=key, system=key, task="wooden",
+                           num_trials=2, seed=0)
+                 for key in ("jarvis", "jarvis-rotated")]
+        published = []
+        publish = campaign._publish_system_plans
+        monkeypatch.setattr(campaign, "_publish_system_plans",
+                            lambda systems: published.append(publish(systems))
+                            or published[-1])
+        serial = run_campaign(specs, jobs=1, out=tmp_path / "serial", name="wp")
+        pool = run_campaign(specs, jobs=2, out=tmp_path / "pool", name="wp")
+        assert serial.csv_path.read_bytes() == pool.csv_path.read_bytes()
+        assert serial.json_path.read_bytes() == pool.json_path.read_bytes()
+        manifests = published[-1]
+        assert set(manifests) == {"jarvis", "jarvis-rotated"}
+        assert len({entry["controller"].segment
+                    for entry in manifests.values()}) == 1
+        assert len({entry["planner"].segment
+                    for entry in manifests.values()}) == 2
+        assert not _own_segments()
+
+
 class TestBatchedKernelMemo:
     def test_release_inputs_drops_stack_memo(self, deployed_planner, rng):
         contexts = [deployed_planner.kernel_context() for _ in range(2)]
