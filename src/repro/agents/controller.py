@@ -10,6 +10,8 @@ scaling exploits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..env.actions import NUM_ACTIONS
@@ -211,6 +213,7 @@ class DeployedController:
         self._plan: KernelPlan | None = None
         self._plan_shared = False
         self._clean_kernel: KernelContext | None = None
+        self._activation_probe: dict[str, np.ndarray] | None = None
         if calibration_samples is None:
             if calibration_suite is None or calibration_registry is None:
                 raise ValueError(
@@ -269,7 +272,7 @@ class DeployedController:
         q = q.reshape(seq, heads, head_dim).transpose(1, 0, 2)
         k = k.reshape(seq, heads, head_dim).transpose(1, 0, 2)
         v = v.reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
+        scores = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
         weights = softmax(scores, axis=-1)
         return (weights @ v).transpose(1, 0, 2).reshape(seq, dim)
 
@@ -288,28 +291,41 @@ class DeployedController:
         q = q.reshape(n, seq, heads, head_dim).transpose(0, 2, 1, 3)
         k = k.reshape(n, seq, heads, head_dim).transpose(0, 2, 1, 3)
         v = v.reshape(n, seq, heads, head_dim).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(head_dim)
+        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(head_dim)
         weights = softmax(scores, axis=-1)
         return (weights @ v).transpose(0, 2, 1, 3).reshape(n * seq, dim)
 
     def _forward(self, subtask_id: int, observation: np.ndarray, kernel) -> np.ndarray:
+        """One step's logits; ``kernel`` is a context or a :class:`FloatKernel`.
+
+        Q/K/V read one normalized input under one calibration scale, so they
+        run as one fused :meth:`~repro.quant.KernelContext.qgemm_multi`.
+        With :attr:`_activation_probe` set, the pre-norm residuals are
+        recorded there (:meth:`capture_activations`).
+        """
         cfg = self.config
         prompt = self.subtask_embed[subtask_id][None, :]
         obs_tokens = kernel.qgemm("obs_proj", observation[None, :]).reshape(
             cfg.num_obs_tokens, cfg.dim)
         x = np.concatenate([prompt, obs_tokens], axis=0)
+        probe = self._activation_probe
         for index in range(cfg.num_layers):
             prefix = f"layer{index}"
             norms = self._norms[index]
             h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            attn = self._attention(kernel.qgemm(f"{prefix}.q", h),
-                                   kernel.qgemm(f"{prefix}.k", h),
-                                   kernel.qgemm(f"{prefix}.v", h))
-            x = x + kernel.qgemm(f"{prefix}.o", attn)
+            q, k, v = kernel.qgemm_multi(
+                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h)
+            x = x + kernel.qgemm(f"{prefix}.o", self._attention(q, k, v))
+            if probe is not None:
+                probe[f"{prefix}.pre_mlp_norm"] = x.copy()
             h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
             x = x + kernel.qgemm(f"{prefix}.fc2", relu(kernel.qgemm(f"{prefix}.fc1", h2)))
+            if probe is not None:
+                probe[f"{prefix}.pre_attn_norm"] = x.copy()
         x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"], eps=_LN_EPS)
-        pooled = x.mean(axis=0, keepdims=True)
+        # ``x.mean(axis=0)``: the same reduction and divide, no wrapper.
+        pooled = np.add.reduce(x, axis=0, keepdims=True)
+        pooled /= x.shape[0]
         return kernel.qgemm("policy_head", pooled)[0]
 
     # ------------------------------------------------------------------
@@ -418,13 +434,13 @@ class DeployedController:
         injector RNG stream, and counters).  The lanes' activations are
         row-stacked — ``1 + num_obs_tokens`` rows each — so every projection
         runs as a single quantize + INT GEMM for the whole stack through
-        :class:`~repro.quant.BatchedKernel`, while attention and mean-pooling
-        (which mix rows) run per lane on the lane's row slice.  Per-lane
-        stages execute in the same component order as :meth:`act_logits`
-        (``obs_proj``, ``q``/``k``/``v``/``o``, ``fc1``/``fc2``,
-        ``policy_head``), so each lane's output — logits, counters, injected
-        flips — is bit-identical to its serial forward pass, and a fault
-        targeted at one lane never perturbs its siblings.
+        :class:`~repro.quant.BatchedKernel` (Q/K/V fused), and attention and
+        mean-pooling, which mix rows only within a lane, run over a lane axis.
+        Per-lane stages execute in the same component order as
+        :meth:`act_logits` (``obs_proj``, ``q``/``k``/``v``/``o``,
+        ``fc1``/``fc2``, ``policy_head``), so each lane's output — logits,
+        counters, injected flips — is bit-identical to its serial forward
+        pass, and a fault targeted at one lane never perturbs its siblings.
         """
         if len(requests) != len(contexts):
             raise ValueError("need one kernel context per request")
@@ -438,23 +454,20 @@ class DeployedController:
         seq = 1 + cfg.num_obs_tokens
         ones = [1] * n
         rows = [seq] * n
-        bounds = [(i * seq, (i + 1) * seq) for i in range(n)]
 
-        observations = np.stack([np.asarray(observation, dtype=np.float64)
-                                 for _, observation in requests])
-        obs_tokens = kernel.qgemm("obs_proj", observations, ones)
-        x = np.empty((n * seq, cfg.dim))
-        for i, (subtask_id, _) in enumerate(requests):
-            x[i * seq] = self.subtask_embed[subtask_id]
-            x[i * seq + 1:(i + 1) * seq] = obs_tokens[i].reshape(
-                cfg.num_obs_tokens, cfg.dim)
+        subtask_ids, observations = zip(*requests)
+        obs_tokens = kernel.qgemm(
+            "obs_proj", np.array(observations, dtype=np.float64), ones)
+        x = np.empty((n, seq, cfg.dim))
+        x[:, 0] = self.subtask_embed[list(subtask_ids)]
+        x[:, 1:] = obs_tokens.reshape(n, cfg.num_obs_tokens, cfg.dim)
+        x = x.reshape(n * seq, cfg.dim)
         for index in range(cfg.num_layers):
             prefix = f"layer{index}"
             norms = self._norms[index]
             h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            q = kernel.qgemm(f"{prefix}.q", h, rows)
-            k = kernel.qgemm(f"{prefix}.k", h, rows)
-            v = kernel.qgemm(f"{prefix}.v", h, rows)
+            q, k, v = kernel.qgemm_multi(
+                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h, rows)
             x = x + kernel.qgemm(f"{prefix}.o",
                                  self._attention_stack(q, k, v, n, seq), rows)
             h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
@@ -463,35 +476,25 @@ class DeployedController:
                                  rows)
         x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"],
                        eps=_LN_EPS)
-        pooled = np.stack([x[lo:hi].mean(axis=0) for lo, hi in bounds])
+        # Each lane's ``mean(axis=0)``: the sequence axis is reduced in the
+        # same order, then divided by the same count.
+        pooled = np.add.reduce(x.reshape(n, seq, cfg.dim), axis=1)
+        pooled /= seq
         logits = kernel.qgemm("policy_head", pooled, ones)
         kernel.release_inputs()
-        return [logits[i] for i in range(n)]
+        return list(logits)
 
     def capture_activations(self, subtask_id: int, observation: np.ndarray,
                             hooks: GemmHooks | None = None,
                             quantized: bool = True) -> dict[str, np.ndarray]:
         """Pre-normalization residual activations (for the Fig. 5 i-l study)."""
-        captured: dict[str, np.ndarray] = {}
-        kernel = self._kernel_for(hooks, quantized)
-        cfg = self.config
-        prompt = self.subtask_embed[subtask_id][None, :]
-        obs_tokens = kernel.qgemm("obs_proj", observation[None, :]).reshape(
-            cfg.num_obs_tokens, cfg.dim)
-        x = np.concatenate([prompt, obs_tokens], axis=0)
-        for index in range(cfg.num_layers):
-            prefix = f"layer{index}"
-            norms = self._norms[index]
-            h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            attn = self._attention(kernel.qgemm(f"{prefix}.q", h),
-                                   kernel.qgemm(f"{prefix}.k", h),
-                                   kernel.qgemm(f"{prefix}.v", h))
-            x = x + kernel.qgemm(f"{prefix}.o", attn)
-            captured[f"{prefix}.pre_mlp_norm"] = x.copy()
-            h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
-            x = x + kernel.qgemm(f"{prefix}.fc2", relu(kernel.qgemm(f"{prefix}.fc1", h2)))
-            captured[f"{prefix}.pre_attn_norm"] = x.copy()
-        return captured
+        self._activation_probe = {}
+        try:
+            self._forward(subtask_id, observation,
+                          self._kernel_for(hooks, quantized))
+            return dict(self._activation_probe)
+        finally:
+            self._activation_probe = None
 
     @property
     def macs_per_step(self) -> int:

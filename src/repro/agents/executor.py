@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.anomaly import AnomalyDetector
 from ..core.create import ProtectionConfig
-from ..core.entropy import EntropyTrace, action_entropy
+from ..core.entropy import EntropyTrace
 from ..core.predictor import EntropyPredictor
 from ..core.voltage_scaling import AdaptiveVoltageController
 from ..env.subtasks import ALL_SUBTASKS, SubtaskRegistry
@@ -38,7 +38,8 @@ from ..quant import GemmHooks
 from .controller import DeployedController
 from .planner import DeployedPlanner
 
-__all__ = ["TrialResult", "MissionExecutor", "build_protection_hooks"]
+__all__ = ["TrialResult", "MissionExecutor", "build_protection_hooks",
+           "choose_actions"]
 
 
 @dataclass
@@ -106,6 +107,41 @@ def build_protection_hooks(protection: ProtectionConfig, rng: np.random.Generato
     detector = AnomalyDetector() if protection.anomaly_detection else None
     hooks = GemmHooks(injector=injector, anomaly_clamp=detector)
     return hooks, injector, detector
+
+
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1`` for float64 ``p``.
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def choose_actions(probs: np.ndarray,
+                   rngs: list[np.random.Generator]) -> list[int]:
+    """``int(rng.choice(n, p=row))`` for each row of ``probs`` and its ``rng``.
+
+    Runs what ``numpy.random.Generator.choice`` runs for a 1-D ``p`` and no
+    ``size``, once per stack instead of once per row: its checks on ``p``
+    (NaN, negative entries, a sum further than ``sqrt(eps)`` from 1 — each
+    a ``ValueError`` with numpy's message), the cdf as ``cumsum`` divided by
+    its last entry, then one ``rng.random()`` per row and
+    ``searchsorted(u, side="right")``, which on a sorted row is the count of
+    entries ``<= u``.  Actions and generator states equal per-row ``choice``
+    calls (the sum check uses ``np.add.reduce`` where ``choice`` uses a Kahan
+    sum; the two differ by ulps, far inside the tolerance).
+    """
+    sums = np.add.reduce(probs, axis=1)
+    if not (np.maximum.reduce(np.abs(sums - 1.0)) <= _CHOICE_ATOL
+            and np.minimum.reduce(probs, axis=None) >= 0):
+        for row, total in zip(probs, sums):
+            if np.isnan(total):
+                raise ValueError("Probabilities contain NaN")
+            if (row < 0).any():
+                raise ValueError("Probabilities are not non-negative")
+            if abs(total - 1.0) > _CHOICE_ATOL:
+                raise ValueError("Probabilities do not sum to 1. See Notes "
+                                 "section of docstring for more information.")
+    cdf = np.cumsum(probs, axis=1)
+    cdf /= cdf[:, -1:]
+    uniform = np.array([rng.random() for rng in rngs])
+    return np.add.reduce(cdf <= uniform[:, None], axis=1).tolist()
 
 
 @dataclass
@@ -221,9 +257,9 @@ class MissionExecutor:
 
         RNG streams are derived from the seed exactly as they always were
         (trial / world / planner / controller at ``seed`` / ``+10k`` /
-        ``+20k`` / ``+30k``), so a trial prepared here and finished by
-        :meth:`_run_to_completion` is bit-identical to :meth:`run_trial`
-        regardless of how the initial plan decode is executed.
+        ``+20k`` / ``+30k``), so a trial prepared here is bit-identical to
+        :meth:`run_trial` regardless of how the initial plan decode is
+        executed.
         """
         planner_protection = planner_protection or ProtectionConfig()
         controller_protection = controller_protection or ProtectionConfig()
@@ -277,7 +313,7 @@ class MissionExecutor:
         plan_queue: deque[str] = deque(
             self._invoke_planner(setup.task, setup.world, setup.planner_kernel,
                                  setup.result, setup.planner_voltage))
-        return self._run_to_completion(setup, plan_queue)
+        return self._run_lanes([setup], [plan_queue])[0]
 
     def run_trial_batch(self, task_name: str, seeds: list[int],
                         planner_protection: ProtectionConfig | None = None,
@@ -337,20 +373,17 @@ class MissionExecutor:
         Yields ``("plan", task_name, progress)`` when the planner must be
         (re-)invoked and ``("act", subtask_token, observation)`` for every
         controller forward; the driver answers via ``send()`` with the
-        decoded plan / the ``(entropy, sampling distribution)`` of the
-        action logits (see :meth:`_act_response` — drivers compute the
-        deterministic logit post-processing so the batched driver can
-        vectorize it across lanes).  Everything else — world stepping,
-        voltage scaling, MAC and entropy accounting, action sampling with the
-        lane's own RNG, finalization — happens inside the generator, so any
-        driver that services the yields with bit-identical responses
-        (serial :meth:`_run_to_completion` or batched :meth:`_run_lanes`)
-        produces bit-identical :class:`TrialResult`\\ s: each lane's own call
-        order is fixed by the generator, and cross-lane interleaving touches
-        no lane-local state.
+        decoded plan / the ``(entropy, action)`` of the step, the action
+        sampled with the lane's own trial RNG (:meth:`_sample_actions`, so
+        the driver samples a whole stack of lanes at once).  Everything
+        else — world stepping, voltage scaling, MAC and entropy accounting,
+        finalization — happens inside the generator, so a driver that
+        services the yields with bit-identical responses produces
+        bit-identical :class:`TrialResult`\\ s: each lane's own call order
+        is fixed by the generator, and cross-lane interleaving touches no
+        lane-local state.
         """
         task = setup.task
-        rng = setup.rng
         world = setup.world
         controller_protection = setup.controller_protection
         planner_voltage = setup.planner_voltage
@@ -395,15 +428,14 @@ class MissionExecutor:
                 else:
                     voltage = controller_protection.static_voltage() or NOMINAL_VOLTAGE
 
-                entropy_value, probs = yield ("act", subtask_token,
-                                              world.observation())
+                entropy_value, action = yield ("act", subtask_token,
+                                               world.observation())
                 result.controller_steps += 1
                 result.controller_macs_by_voltage[voltage] = (
                     result.controller_macs_by_voltage.get(voltage, 0.0) + controller_macs)
                 result.entropy_trace.record(entropy_value,
                                             world.is_critical_step(), voltage)
 
-                action = int(rng.choice(probs.size, p=probs))
                 step = world.step(action)
                 if step.subtask_completed:
                     completed = True
@@ -440,45 +472,22 @@ class MissionExecutor:
             result.voltage_summary = vs_runtime.schedule_summary()
         return result
 
-    def _run_to_completion(self, setup: "_TrialSetup",
-                           plan_queue: deque[str]) -> TrialResult:
-        """Drive the world loop of one prepared trial until success or budget.
-
-        The serial driver of :meth:`_trial_steps`: every yielded request is
-        serviced inline against the trial's own kernel contexts.
-        """
-        lane = self._trial_steps(setup, plan_queue)
-        response = None
-        while True:
-            try:
-                request = lane.send(response)
-            except StopIteration:
-                return setup.result
-            if request[0] == "plan":
-                _, task_name, progress = request
-                response = self.planner.plan(
-                    task_name, progress, context=setup.planner_kernel,
-                    use_cache=self.planner_use_cache)
-            else:
-                _, subtask_token, observation = request
-                response = self._act_response(self.controller.act_logits(
-                    subtask_token, observation,
-                    context=setup.controller_kernel))
-
     def _run_lanes(self, setups: list["_TrialSetup"],
                    plan_queues: list[deque[str]]) -> list[TrialResult]:
         """Drive N prepared trials lock-step, batching cross-lane inference.
 
+        The one driver of :meth:`_trial_steps` (a single trial is one lane).
         On every tick, the pending requests of all live lanes are gathered
         and serviced as (at most) one batched planner decode
         (:meth:`DeployedPlanner.plan_batch`) plus one batched controller
         forward (:meth:`DeployedController.act_logits_batch`) — one quantize
         and one INT GEMM per projection for the whole group instead of one
-        dispatch per lane.  Lanes finish independently (StopIteration drops
-        them from the round), and single-lane rounds fall back to the serial
-        calls.  Responses are bit-identical to serial servicing, and each
-        lane's call order is fixed by its generator, so the results equal the
-        per-lane serial loop byte for byte — fault-free and under injection.
+        dispatch per lane — and the group's actions are sampled as one stack.
+        Lanes finish independently (StopIteration drops them from the round),
+        and single-lane rounds use the single-request calls.  Responses are
+        bit-identical to serial servicing, and each lane's call order is
+        fixed by its generator, so the results equal the per-lane serial loop
+        byte for byte — fault-free and under injection.
         """
         lanes = [self._trial_steps(setup, plan_queue)
                  for setup, plan_queue in zip(setups, plan_queues)]
@@ -511,36 +520,40 @@ class MissionExecutor:
             if len(act_lanes) == 1:
                 index, = act_lanes
                 _, subtask_token, observation = requests[index]
-                responses[index] = self._act_response(self.controller.act_logits(
+                logits = self.controller.act_logits(
                     subtask_token, observation,
-                    context=setups[index].controller_kernel))
+                    context=setups[index].controller_kernel)[None, :]
             elif act_lanes:
-                logits = self.controller.act_logits_batch(
+                logits = np.stack(self.controller.act_logits_batch(
                     [requests[i][1:] for i in act_lanes],
-                    contexts=[setups[i].controller_kernel for i in act_lanes])
-                stack = np.stack(logits)
-                entropies = _shannon_entropy(softmax(stack))
-                probs = self._action_probs(stack)
-                for j, index in enumerate(act_lanes):
-                    responses[index] = (float(entropies[j]), probs[j])
+                    contexts=[setups[i].controller_kernel for i in act_lanes]))
+            if act_lanes:
+                steps = self._sample_actions(
+                    logits, [setups[i].rng for i in act_lanes])
+                for index, step in zip(act_lanes, steps):
+                    responses[index] = step
             alive = pending
         return [setup.result for setup in setups]
 
-    def _action_probs(self, logits: np.ndarray) -> np.ndarray:
-        """Temperature-scaled sampling distribution of (stacked) logits.
+    def _sample_actions(self, logits: np.ndarray,
+                        rngs: list[np.random.Generator]
+                        ) -> list[tuple[float, int]]:
+        """``(entropy, action)`` of each row of stacked ``(lanes, actions)`` logits.
 
-        Every operation is elementwise or a last-axis reduction, so each row
-        of a stacked call equals the row's own 1-D call bit for bit — the
-        batched driver exploits exactly that.
+        The entropy is that of the raw logits' softmax
+        (:func:`~repro.core.entropy.action_entropy`).  The action is sampled
+        with the row's own generator from the temperature-scaled softmax,
+        NaN set to 0 and clipped to +-60, exactly as ``rng.choice`` draws it
+        (:func:`choose_actions`).  Every operation is elementwise or a
+        last-axis reduction, so each row equals its own 1-row call bit for
+        bit.
         """
-        scaled = np.asarray(logits, dtype=np.float64) / self.action_temperature
-        scaled = np.nan_to_num(scaled, nan=0.0, posinf=60.0, neginf=-60.0)
-        scaled = np.clip(scaled, -60.0, 60.0)
-        return softmax(scaled)
-
-    def _act_response(self, logits: np.ndarray) -> tuple[float, np.ndarray]:
-        """The deterministic "act" payload of one lane: entropy + distribution."""
-        return action_entropy(logits), self._action_probs(logits)
+        entropies = _shannon_entropy(softmax(logits)).tolist()
+        scaled = logits / self.action_temperature
+        scaled[np.isnan(scaled)] = 0.0
+        np.minimum(scaled, 60.0, out=scaled)
+        np.maximum(scaled, -60.0, out=scaled)
+        return list(zip(entropies, choose_actions(softmax(scaled), rngs)))
 
     # ------------------------------------------------------------------
     def run_trials(self, task_name: str, num_trials: int, seed: int = 0,

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..faults.injector import ErrorInjector
 from ..faults.models import ErrorModel
-from ..quant.qtypes import QuantSpec
+from ..quant.qtypes import QuantSpec, wrap_to_accumulator
 
 __all__ = ["DmrModel", "AbftModel", "ThUnderVoltInjector", "BaselineEnergyModel"]
 
@@ -89,12 +89,19 @@ class ThUnderVoltInjector(ErrorInjector):
         self.collateral_factor = collateral_factor
         self.elements_zeroed = 0
 
-    def inject(self, accumulators: np.ndarray, spec: QuantSpec,
-               component: str | None = None) -> np.ndarray:
+    def draw(self, accumulators: np.ndarray, spec: QuantSpec,
+             component: str | None = None
+             ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Draw the zeroed elements of one block (see :meth:`ErrorInjector.draw`).
+
+        A zeroed element comes back with its own wrapped value as XOR mask,
+        so applying the mask clears it; the kernel applies these flips
+        exactly like bit flips.
+        """
         self.stats.gemm_calls += 1
         self.stats.elements_seen += int(accumulators.size)
         if not self.targets(component):
-            return accumulators
+            return None
         rates = self.effective_rates(spec)
         n_elements = accumulators.size
         # Probability that an element has at least one flipped bit.
@@ -102,13 +109,12 @@ class ThUnderVoltInjector(ErrorInjector):
         p_zero = min(1.0, p_element * (1.0 + self.collateral_factor))
         num_zeroed = int(self.rng.binomial(n_elements, p_zero))
         if num_zeroed == 0:
-            return accumulators
+            return None
         indices = self.rng.choice(n_elements, size=num_zeroed, replace=False)
-        out = accumulators.copy().reshape(-1)
-        out[indices] = 0
         self.elements_zeroed += num_zeroed
         self.stats.elements_corrupted += num_zeroed
-        return out.reshape(accumulators.shape)
+        values = np.asarray(accumulators).reshape(-1)[indices]
+        return indices, wrap_to_accumulator(values, spec.accumulator_bits)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,7 @@ import hashlib
 import json
 import os
 import socket
+import sys
 import time
 from dataclasses import dataclass, is_dataclass, asdict, replace
 from pathlib import Path
@@ -658,6 +659,35 @@ def _pool_run_batch(cells: tuple[_Cell, ...], shm_plans: dict | None = None,
     return records
 
 
+#: ``prctl`` option: signal this process when the thread that forked it exits.
+_PR_SET_PDEATHSIG = 1
+
+
+def _pool_child_init(owner: int) -> None:
+    """Pool-child set-up: SIGTERM kills it, and it dies with its owner.
+
+    A forked child inherits its owner's signal handlers; under
+    :class:`~repro.eval.scheduler.WorkerDaemon`, whose SIGTERM handler only
+    requests a graceful shutdown, ``kill`` alone would not stop the child.
+    On Linux, ``PR_SET_PDEATHSIG`` has the kernel SIGKILL the child when the
+    thread that forked it exits (the pool forks from the thread of its first
+    :meth:`CellPool.submit`), a SIGKILLed owner included; the ``getppid``
+    re-check covers an owner that died before the call.
+    """
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if sys.platform.startswith("linux"):
+        import ctypes
+
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != owner:
+        os._exit(1)
+
+
 class CellPool:
     """The one owner of chunk execution, for campaigns and queue workers.
 
@@ -669,7 +699,9 @@ class CellPool:
     to the weight plane before its first chunk, and :meth:`close`
     unpublishes them.  One failure policy: after a chunk raises, queued
     chunks are cancelled, running ones finish, every finished chunk is
-    handed over, then the error is re-raised.
+    handed over, then the error is re-raised.  Pool children take the
+    default SIGTERM action and die with the pool's owner
+    (:func:`_pool_child_init`).
     """
 
     def __init__(self, jobs: int, systems: Iterable[str] = ()):
@@ -690,7 +722,8 @@ class CellPool:
                 self._context = None
             self._admit(set(systems))  # publish before the first fork
             self._pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, mp_context=self._context)
+                max_workers=jobs, mp_context=self._context,
+                initializer=_pool_child_init, initargs=(os.getpid(),))
 
     def __enter__(self) -> "CellPool":
         return self

@@ -1,9 +1,10 @@
 """Low-level bit-flip primitives on two's-complement accumulator values.
 
 The two's-complement reinterpretation helpers (``to_unsigned`` / ``to_signed``
-/ ``wrap_to_accumulator``) are owned by :mod:`repro.quant.qtypes` — the
-accumulator format they model lives at the quantization layer — and are
-re-exported here for backward compatibility.
+/ ``wrap_to_accumulator``) and the in-place flip scatter ``xor_flips`` are
+owned by :mod:`repro.quant.qtypes` — the accumulator format they model lives
+at the quantization layer, and the kernel runtime applies flips there — and
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from ..quant.qtypes import (
     to_signed,
     to_unsigned,
     wrap_to_accumulator,
+    xor_flips,
 )
 
-__all__ = ["to_unsigned", "to_signed", "flip_bit", "flip_bits", "wrap_to_accumulator"]
+__all__ = ["to_unsigned", "to_signed", "flip_bit", "flip_bits", "flip_masks",
+           "xor_flips", "wrap_to_accumulator"]
 
 
 def flip_bit(values: np.ndarray, bit: int, bits: int = ACCUMULATOR_BITS) -> np.ndarray:
@@ -62,3 +65,18 @@ def flip_bits(values: np.ndarray, flat_indices: np.ndarray, bit_positions: np.nd
     flat ^= sign
     flat -= sign
     return out
+
+
+def flip_masks(bit_positions: np.ndarray, bits: int = ACCUMULATOR_BITS) -> np.ndarray:
+    """XOR masks that flip ``bit_positions`` of sign-extended ``bits``-wide values.
+
+    The sign bit's mask is stored sign-extended (``-(1 << (bits - 1))``):
+    sign extension commutes with XOR, so XOR-ing these masks into an
+    in-range value leaves an in-range value and no re-wrap is needed.
+    Positions at or beyond the width get a mask outside the signed range,
+    which :func:`xor_flips` rejects.
+    """
+    bit_positions = np.asarray(bit_positions, dtype=np.int64)
+    masks = np.left_shift(1, np.minimum(bit_positions, bits))
+    masks[bit_positions == bits - 1] = -(1 << (bits - 1))
+    return masks

@@ -21,6 +21,14 @@ Per call, a targeted injector draws the flip count of every bit position
 (binomials in bit order), then the flipped element indices (one ``integers``
 call); an untargeted call draws nothing.  Run tables and golden fixtures pin
 this sequence, so any change to it is a new, versioned stream.
+
+Draw, then apply
+----------------
+:meth:`ErrorInjector.draw` makes one call's draws and stats updates and
+returns the flips as ``(flat_indices, xor_masks)`` instead of applying them.
+:meth:`~ErrorInjector.inject` is that draw applied to a wrapped copy; the
+kernel runtime draws for every lane and component of a stacked GEMM and
+applies all of them in one in-place scatter (:func:`xor_flips`).
 """
 
 from __future__ import annotations
@@ -31,7 +39,9 @@ from fnmatch import fnmatch
 import numpy as np
 
 from ..quant.qtypes import QuantSpec
-from .bitflip import flip_bits
+# ``flip_bits`` stays a name of this module: perfbench's tracer counts
+# flip calls by patching it here.
+from .bitflip import flip_bits, flip_masks, xor_flips  # noqa: F401
 from .models import ErrorModel
 
 __all__ = ["InjectionStats", "ErrorInjector", "PassthroughInjector"]
@@ -127,13 +137,14 @@ class ErrorInjector:
 
     def _rate_plan(self, accumulator_bits: int
                    ) -> tuple[np.ndarray, float | None, np.ndarray]:
-        """``(rates, p, positions)`` of one accumulator width, built once.
+        """``(rates, p, masks)`` of one accumulator width, built once.
 
         ``rates`` are the clipped, exposure-scaled per-bit rates (read-only),
         ``p`` their common value when every bit has the same rate (else
-        ``None``) and ``positions`` the bit indices.  Plans belong to the
-        current ``model`` object and ``exposure_scale``: assigning either (as
-        voltage scaling does with ``model``) rebuilds them on the next call.
+        ``None``) and ``masks`` the XOR mask of each bit position
+        (:func:`flip_masks`).  Plans belong to the current ``model`` object
+        and ``exposure_scale``: assigning either (as voltage scaling does with
+        ``model``) rebuilds them on the next call.
         """
         model, scale = self.model, self.exposure_scale
         if model is not self._plan_model or scale != self._plan_scale:
@@ -146,7 +157,9 @@ class ErrorInjector:
             rates = np.clip(model.bit_rates(accumulator_bits) * scale, 0.0, 1.0)
             rates.flags.writeable = False
             p = float(rates[0]) if np.all(rates == rates[0]) else None
-            plan = (rates, p, np.arange(rates.size, dtype=np.int64))
+            masks = flip_masks(np.arange(rates.size), accumulator_bits)
+            masks.flags.writeable = False
+            plan = (rates, p, masks)
             self._plans[accumulator_bits] = plan
         return plan
 
@@ -154,17 +167,26 @@ class ErrorInjector:
         """Per-bit flip probabilities after exposure scaling (read-only)."""
         return self._rate_plan(spec.accumulator_bits)[0]
 
-    def inject(self, accumulators: np.ndarray, spec: QuantSpec,
-               component: str | None = None) -> np.ndarray:
-        """Return a (possibly) corrupted copy of the accumulator tensor."""
+    def draw(self, accumulators: np.ndarray, spec: QuantSpec,
+             component: str | None = None
+             ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Draw one block's flips and count them, without applying them.
+
+        Makes exactly the random draws and stats updates of one
+        :meth:`inject` call.  Returns ``None`` when nothing flips, else
+        ``(flat_indices, masks)``: fresh int64 arrays the caller may modify.
+        XOR-ing ``masks[i]`` into the wrapped value of element
+        ``flat_indices[i]`` (C order of ``accumulators``) applies flip ``i``;
+        see :func:`xor_flips`.  Only the size of ``accumulators`` is read.
+        """
         stats = self.stats
         stats.gemm_calls += 1
         n_elements = accumulators.size
         stats.elements_seen += n_elements
         if not self.targets(component):
-            return accumulators
+            return None
 
-        rates, p, positions = self._rate_plan(spec.accumulator_bits)
+        rates, p, masks = self._rate_plan(spec.accumulator_bits)
         rng = self.rng
         # Sample the number of flips per bit position; skip work when nothing
         # flips.  With one common rate, the scalar-p call makes the same draws
@@ -173,24 +195,42 @@ class ErrorInjector:
         if p is None:
             flip_counts = rng.binomial(n_elements, rates)
         else:
-            flip_counts = rng.binomial(n_elements, p, size=positions.size)
+            flip_counts = rng.binomial(n_elements, p, size=masks.size)
         total_flips = int(flip_counts.sum())
         if total_flips == 0:
-            return accumulators
+            return None
 
         # One vectorized draw for every flip: element indices in a single call,
-        # bit positions expanded from the per-bit counts.
+        # bit masks expanded from the per-bit counts.
         indices = rng.integers(0, n_elements, size=total_flips)
-        corrupted = flip_bits(accumulators, indices,
-                              np.repeat(positions, flip_counts),
-                              bits=spec.accumulator_bits)
-
         stats.bits_flipped += total_flips
         stats.elements_corrupted += len(set(indices.tolist()))
         if component is not None:
             per_component = stats.flips_per_component
             per_component[component] = per_component.get(component, 0) + total_flips
-        return corrupted
+        return indices, masks.repeat(flip_counts)
+
+    def inject(self, accumulators: np.ndarray, spec: QuantSpec,
+               component: str | None = None) -> np.ndarray:
+        """Return a (possibly) corrupted copy of the accumulator tensor.
+
+        ``accumulators`` itself when nothing flips; otherwise a fresh int64
+        array with every element wrapped into the accumulator's signed range
+        and the drawn flips applied.
+        """
+        drawn = self.draw(accumulators, spec, component)
+        if drawn is None:
+            return accumulators
+        bits = spec.accumulator_bits
+        sign = 1 << (bits - 1)
+        out = np.array(accumulators, dtype=np.int64, order="C")
+        flat = out.reshape(-1)
+        # Wrap in place: keep the low bits, then sign-extend them.
+        flat &= 2 * sign - 1
+        flat ^= sign
+        flat -= sign
+        xor_flips(flat, *drawn, bits)
+        return out
 
 
 class PassthroughInjector(ErrorInjector):
@@ -200,9 +240,3 @@ class PassthroughInjector(ErrorInjector):
         from .models import UniformErrorModel
 
         super().__init__(UniformErrorModel(0.0), enabled=False)
-
-    def inject(self, accumulators: np.ndarray, spec: QuantSpec,
-               component: str | None = None) -> np.ndarray:
-        self.stats.gemm_calls += 1
-        self.stats.elements_seen += int(accumulators.size)
-        return accumulators

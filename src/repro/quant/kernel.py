@@ -34,9 +34,10 @@ column slicing):
 * **Fused component groups** (:meth:`KernelContext.qgemm_multi`) stack the
   weight matrices of components that read the same input under one shared
   calibration scale (Q/K/V, Gate/Up) column-wise and run them as one GEMM.
-  Injection, anomaly clearance, MAC attribution and dequantization still run
-  per component on the column slice, so a fault targeted at ``*.k`` lands
-  only in the K slice and every counter matches the unfused path bit for bit.
+  Injection draws, anomaly clearance, MAC attribution and dequantization
+  still run per component on the column slice (one scatter then applies
+  every slice's drawn flips), so a fault targeted at ``*.k`` lands only in
+  the K slice and every counter matches the unfused path bit for bit.
 * **Cross-prompt batching** (:class:`BatchedKernel`) row-stacks the inputs of
   N independent per-prompt :class:`KernelContext` objects and runs one GEMM
   for the whole batch, then applies each lane's injector / clamp / counters
@@ -67,7 +68,7 @@ import numpy as np
 from typing import Callable
 
 from .qgemm import GemmHooks, QuantizedLinear
-from .qtypes import INT8, QuantSpec
+from .qtypes import INT8, QuantSpec, xor_flips
 
 __all__ = ["KernelCounters", "KernelContext", "KernelPlan", "FloatKernel",
            "KVCache", "BatchedKernel"]
@@ -608,12 +609,9 @@ class KernelContext:
                 # so the whole-accumulator wrap changes no fused component.
                 acc &= self._acc_mask
                 acc[acc >= self._acc_sign] -= self._acc_span
-            for name, entry, lo, hi in fused.slices:
-                if injector is not None:
-                    self._inject_stage(acc[:, lo:hi], name)
-                if self.clamp is not None and entry.bound_acc is not None:
-                    acc[:, lo:hi] = self._clamp_stage(
-                        acc[:, lo:hi], entry.bound_acc, name)
+            if injector is not None or self.clamp is not None:
+                _hook_stages(acc, fused.slices, (self,), ((0, rows),),
+                             self.spec)
             out = acc.astype(np.float64)
             out *= fused.scale_row
 
@@ -630,22 +628,20 @@ class KernelContext:
         return tuple(parts)
 
     def _inject_stage(self, acc: np.ndarray, name: str) -> None:
-        """Fault injection as a pipeline stage, in place on ``acc``.
+        """Fault injection of one whole (contiguous) accumulator, in place.
 
-        ``acc`` may be a view into a stacked accumulator; the injector's
-        result is written back only when it returned a new array.  Tracks the
-        unified counters.
+        Draws the flips and applies them with one scatter (see
+        :func:`_hook_stages`); tracks the unified counters.
         """
         injector = self.injector
         stats = injector.stats
-        flipped_before = stats.bits_flipped
-        corrupted_before = stats.elements_corrupted
-        corrupted = injector.inject(acc, self.spec, component=name)
-        if corrupted is not acc:
-            acc[...] = corrupted
-        self.counters.bits_flipped += stats.bits_flipped - flipped_before
-        self.counters.elements_corrupted += (
-            stats.elements_corrupted - corrupted_before)
+        flipped, corrupted = stats.bits_flipped, stats.elements_corrupted
+        drawn = injector.draw(acc, self.spec, name)
+        if drawn is not None:
+            xor_flips(acc.reshape(-1), drawn[0], drawn[1], self._acc_bits)
+        counters = self.counters
+        counters.bits_flipped += stats.bits_flipped - flipped
+        counters.elements_corrupted += stats.elements_corrupted - corrupted
 
     def _clamp_stage(self, acc: np.ndarray, bound: int, name: str) -> np.ndarray:
         """Anomaly clearance as a pipeline stage (tracks the unified counters)."""
@@ -770,17 +766,6 @@ class BatchedKernel:
             acc[acc >= host._acc_sign] -= host._acc_span
         return acc, True
 
-    def _lane_stages(self, context: KernelContext, acc: np.ndarray,
-                     lo: int, hi: int, entry: _KernelEntry, name: str,
-                     is_int: bool) -> None:
-        """Injection + clamp of one lane's row block, in place on the stack."""
-        if context.injector is not None and is_int:
-            context._inject_stage(acc[lo:hi], name)
-        lane_entry = context._entries[name]
-        if context.clamp is not None and lane_entry.bound_acc is not None:
-            acc[lo:hi] = context._clamp_stage(acc[lo:hi], lane_entry.bound_acc,
-                                              name)
-
     def qgemm(self, name: str, x: np.ndarray, lane_rows: list[int],
               logical_rows: list[int] | None = None) -> np.ndarray:
         """One batched pipeline pass; returns the row-stacked float output."""
@@ -805,8 +790,8 @@ class BatchedKernel:
 
         acc, is_int = self._accumulate(entry, x)
         if self._hooked:
-            for context, (lo, hi) in zip(self.contexts, bounds):
-                self._lane_stages(context, acc, lo, hi, entry, name, is_int)
+            _hook_stages(acc, ((name, entry, 0, outs),), self.contexts, bounds,
+                         self.spec)
         out = acc.astype(np.float64) if is_int else acc
         out *= entry.combined_scale
         if entry.bias is not None:
@@ -851,15 +836,7 @@ class BatchedKernel:
 
         acc, is_int = self._accumulate(fused, x)
         if self._hooked:
-            for context, (lo, hi) in zip(self.contexts, bounds):
-                for name, entry, c0, c1 in fused.slices:
-                    if context.injector is not None and is_int:
-                        context._inject_stage(acc[lo:hi, c0:c1], name)
-                    lane_entry = context._entries[name]
-                    if context.clamp is not None \
-                            and lane_entry.bound_acc is not None:
-                        acc[lo:hi, c0:c1] = context._clamp_stage(
-                            acc[lo:hi, c0:c1], lane_entry.bound_acc, name)
+            _hook_stages(acc, fused.slices, self.contexts, bounds, self.spec)
         out = acc.astype(np.float64) if is_int else acc
         out *= fused.scale_row
         parts = []
@@ -869,6 +846,61 @@ class BatchedKernel:
                 part += entry.bias
             parts.append(part)
         return tuple(parts)
+
+
+def _hook_stages(acc: np.ndarray, slices, contexts, bounds,
+                 spec: QuantSpec) -> None:
+    """Injection, then anomaly clearance, of a stacked 2-D accumulator in place.
+
+    ``slices`` holds the ``(name, entry, c0, c1)`` column blocks of the
+    components and ``contexts`` / ``bounds`` each lane's context and
+    ``(lo, hi)`` row block.  Every lane draws its blocks' flips from its own
+    injector (:meth:`~repro.faults.ErrorInjector.draw`), lane by lane and in
+    component order — the call order of a per-block pipeline — and the
+    block-local indices are mapped into ``acc``.  One in-place scatter then
+    applies every flip, and clamps run per lane in lane order.  This equals
+    inject-then-clamp per block because the blocks are disjoint and a kernel
+    accumulator is always in range here (wrap-free, or already wrapped),
+    which is what :func:`~repro.quant.qtypes.xor_flips` needs.
+    """
+    stride = acc.shape[1]
+    indices: list[np.ndarray] = []
+    masks: list[np.ndarray] = []
+    for context, (lo, hi) in zip(contexts, bounds):
+        injector = context.injector
+        if injector is None:
+            continue
+        stats = injector.stats
+        flipped, corrupted = stats.bits_flipped, stats.elements_corrupted
+        multi_row = hi - lo > 1
+        for name, _, c0, c1 in slices:
+            drawn = injector.draw(acc[lo:hi, c0:c1], spec, name)
+            if drawn is None:
+                continue
+            local, mask = drawn
+            cols = c1 - c0
+            if multi_row and cols != stride:
+                local += local // cols * (stride - cols)
+            local += lo * stride + c0
+            indices.append(local)
+            masks.append(mask)
+        counters = context.counters
+        counters.bits_flipped += stats.bits_flipped - flipped
+        counters.elements_corrupted += stats.elements_corrupted - corrupted
+    if len(indices) == 1:
+        xor_flips(acc.reshape(-1), indices[0], masks[0], spec.accumulator_bits)
+    elif indices:
+        xor_flips(acc.reshape(-1), np.concatenate(indices),
+                  np.concatenate(masks), spec.accumulator_bits)
+    for context, (lo, hi) in zip(contexts, bounds):
+        if context.clamp is None:
+            continue
+        entries = context._entries
+        for name, _, c0, c1 in slices:
+            bound = entries[name].bound_acc
+            if bound is not None:
+                acc[lo:hi, c0:c1] = context._clamp_stage(
+                    acc[lo:hi, c0:c1], bound, name)
 
 
 class FloatKernel:

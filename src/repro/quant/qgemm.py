@@ -26,6 +26,10 @@ class _Injector(Protocol):  # pragma: no cover - typing helper
     def inject(self, accumulators: np.ndarray, spec: QuantSpec,
                component: str | None = None) -> np.ndarray: ...
 
+    def draw(self, accumulators: np.ndarray, spec: QuantSpec,
+             component: str | None = None
+             ) -> tuple[np.ndarray, np.ndarray] | None: ...
+
 
 @dataclass
 class GemmStats:
@@ -59,8 +63,10 @@ class GemmHooks:
     Attributes
     ----------
     injector:
-        Object with an ``inject(acc, spec, component)`` method (usually a
-        :class:`repro.faults.ErrorInjector`).  ``None`` means fault-free.
+        Object with ``inject(acc, spec, component)`` (this reference
+        pipeline) and ``draw(acc, spec, component)`` (the kernel runtime)
+        methods, usually a :class:`repro.faults.ErrorInjector`.  ``None``
+        means fault-free.
     anomaly_clamp:
         Callable ``(acc, bound_int, component) -> acc`` applied after
         injection (usually :class:`repro.core.anomaly.AnomalyDetector`).

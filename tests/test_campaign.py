@@ -505,3 +505,40 @@ class TestExperimentsThroughCampaigns:
                                  seed=0, out=tmp_path)
         assert first == again
         assert len(RunTable.read_csv(next(tmp_path.glob("*.csv")))) == 4
+
+
+def _pool_child_signals() -> tuple[int, int]:
+    """In a pool child: the SIGTERM disposition and the parent-death signal."""
+    import ctypes
+    import signal
+
+    handler = signal.getsignal(signal.SIGTERM)
+    death = ctypes.c_int(0)
+    if os.uname().sysname == "Linux":
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = [ctypes.c_int, ctypes.POINTER(ctypes.c_int),
+                          ctypes.c_ulong, ctypes.c_ulong, ctypes.c_ulong]
+        prctl.restype = ctypes.c_int
+        assert prctl(2, ctypes.byref(death), 0, 0, 0) == 0  # PR_GET_PDEATHSIG
+    return int(handler), death.value
+
+
+class TestPoolChildren:
+    def test_children_take_default_sigterm_and_die_with_owner(self):
+        import signal
+
+        from repro.eval.campaign import CellPool
+
+        def graceful(signum, frame):  # a WorkerDaemon-style handler
+            pass
+
+        previous = signal.signal(signal.SIGTERM, graceful)
+        try:
+            with CellPool(2) as pool:
+                handler, death = pool._pool.submit(
+                    _pool_child_signals).result(timeout=60)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+        assert handler == signal.SIG_DFL
+        if os.uname().sysname == "Linux":
+            assert death == signal.SIGKILL

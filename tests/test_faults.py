@@ -23,7 +23,7 @@ from repro.faults import (
     wrap_to_accumulator,
 )
 from repro.hardware import TimingErrorModel
-from repro.quant import INT8, QuantSpec
+from repro.quant import INT8, GemmHooks, QuantSpec
 
 #: The 16-bit accumulator of ``jarvis-int4-acc16``.
 ACC16 = QuantSpec(bits=4, accumulator_bits=16)
@@ -440,3 +440,38 @@ class TestFaultModelStatistics:
         corrupted = int(np.count_nonzero(flipped))
         low, high = wilson_interval(corrupted, n, 0.999)
         assert low <= 1.0 - np.prod(1.0 - rates) <= high
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["context", "batched"])
+    @pytest.mark.parametrize("use_cache", [True, False],
+                             ids=["kv-cached", "recompute"])
+    def test_exposure_invariant_through_the_kernel(self, deployed_planner,
+                                                   use_cache, batched):
+        """Corrupted per produced element, cached or not, serial or batched.
+
+        KV caching changes how many accumulator elements a decode produces,
+        never the chance that a produced element is corrupted: the kernel's
+        ``elements_corrupted / output_elements`` must sit inside the 99.9%
+        Wilson interval of ``expected_element_error_rate``.
+        """
+        planner = deployed_planner
+        model = UniformErrorModel(1e-3)
+        expected = ErrorInjector(model).expected_element_error_rate(planner.spec)
+        prompts = [(task, progress) for task in ("wooden", "stone", "iron", "seed")
+                   for progress in (0, 1)]
+        produced = corrupted = 0
+        seed = 0
+        while produced < 2 ** 20:
+            contexts = [planner.kernel_context(GemmHooks(injector=ErrorInjector(
+                model, rng=np.random.default_rng(seed + lane))))
+                for lane in range(len(prompts))]
+            seed += len(prompts)
+            if batched:
+                planner.plan_batch(prompts, contexts=contexts, use_cache=use_cache)
+            else:
+                for (task, progress), context in zip(prompts, contexts):
+                    planner.plan(task, progress, context=context,
+                                 use_cache=use_cache)
+            produced += sum(c.counters.output_elements for c in contexts)
+            corrupted += sum(c.counters.elements_corrupted for c in contexts)
+        low, high = wilson_interval(corrupted, produced, 0.999)
+        assert low <= expected <= high, (corrupted, produced, expected)

@@ -9,9 +9,10 @@ single-host serial run writes:
 2. enqueue the same preset into a fresh work queue (``--queue``);
 3. start a *victim* ``worker`` with ``--jobs 2`` (so its daemon publishes
    shared-memory weight-plane segments for its pool), wait (milliseconds)
-   until it holds a lease, and SIGKILL it — the lease is now orphaned with
-   a frozen heartbeat, and any published segments are orphaned in
-   ``/dev/shm``;
+   until it holds a lease and its pool has forked, and SIGKILL it — the
+   lease is now orphaned with a frozen heartbeat, and any published
+   segments are orphaned in ``/dev/shm``.  Every process the victim had
+   started (pool children, resource tracker) must be gone 5 s later;
 4. start two concurrent survivor workers with ``--wait`` and a short lease
    TTL; one of them reclaims the expired lease (their startup orphan sweep
    also reclaims the victim's dead segments), and together they drain the
@@ -72,6 +73,35 @@ def _checked(step: str, result: subprocess.CompletedProcess) -> str:
               f"{result.stdout}\n{result.stderr}")
         sys.exit(1)
     return result.stdout
+
+
+def _proc_stat(pid: int) -> list[str] | None:
+    """Fields of ``/proc/<pid>/stat`` after the command name, or None."""
+    try:
+        text = (Path("/proc") / str(pid) / "stat").read_text()
+    except OSError:
+        return None
+    return text.rsplit(")", 1)[1].split()  # the name may hold spaces
+
+
+def _descendants(pid: int) -> list[int]:
+    """Live descendants of ``pid``, from ``/proc`` (none where it is absent)."""
+    children: dict[int, list[int]] = {}
+    for entry in Path("/proc").glob("[0-9]*"):
+        fields = _proc_stat(int(entry.name))
+        if fields is not None and fields[0] != "Z":
+            children.setdefault(int(fields[1]), []).append(int(entry.name))
+    found, stack = [], [pid]
+    while stack:
+        for child in children.get(stack.pop(), []):
+            found.append(child)
+            stack.append(child)
+    return found
+
+
+def _alive(pid: int) -> bool:
+    fields = _proc_stat(pid)
+    return fields is not None and fields[0] != "Z"
 
 
 def _leases(queue: Path) -> list[Path]:
@@ -135,10 +165,25 @@ def main() -> int:
     while time.time() < publish_deadline and not _wp_segments():
         time.sleep(0.02)
     orphaned = _wp_segments()
+    # The pool forks its two children at its first submit, right after the
+    # publish; record every process the victim started before killing it.
+    fork_deadline = min(deadline, time.time() + 30)
+    while time.time() < fork_deadline and len(_descendants(victim.pid)) < 2:
+        time.sleep(0.02)
+    started = _descendants(victim.pid)
     os.kill(victim.pid, signal.SIGKILL)
     victim.wait()
     print(f"   killed pid {victim.pid} holding {[p.stem for p in held]}; "
           f"orphaned shm segments: {orphaned or 'none'}")
+    reap_deadline = time.time() + 5
+    while time.time() < reap_deadline and any(map(_alive, started)):
+        time.sleep(0.05)
+    survivors_of_kill = [pid for pid in started if _alive(pid)]
+    if survivors_of_kill:
+        print(f"FAIL: processes the victim started outlived it by 5 s: "
+              f"{survivors_of_kill} (of {started})")
+        return 1
+    print(f"   all {len(started)} processes the victim started died with it")
 
     print(f"[4/6] two concurrent survivors drain the queue "
           f"(lease TTL {args.lease_ttl:g}s)")
