@@ -162,7 +162,7 @@ def _legacy_plan(planner, task: str) -> list[int]:
             q = planner._quantized[f"{prefix}.q"](h, hooks=hooks)
             k = planner._quantized[f"{prefix}.k"](h, hooks=hooks)
             v = planner._quantized[f"{prefix}.v"](h, hooks=hooks)
-            attn = planner._attention(q, k, v)
+            attn = planner._attention_stack(q, k[None], v[None], 0)
             x2 = x + planner._quantized[f"{prefix}.o"](attn, hooks=hooks)
             h2 = rms_norm(x2, ones, eps=1e-6)
             gate = silu(planner._quantized[f"{prefix}.gate"](h2, hooks=hooks))

@@ -192,11 +192,14 @@ def controller_agreement(network: ControllerNetwork, suite: TaskSuite,
 class DeployedController:
     """INT8 controller inference with fault-injection / anomaly-clearance hooks.
 
-    Every environment step runs one forward pass; the rollout loop of
-    :class:`~repro.agents.executor.MissionExecutor` therefore builds one
-    fused kernel context (:meth:`kernel_context`) per trial and passes it to
-    :meth:`act_logits`, so pre-resolved scales and reusable accumulator
-    workspaces are shared across all steps of the trial.
+    Every environment step runs one forward pass, and every forward runs as
+    a stack of lanes — one lane per trial — through the fused kernel
+    runtime (:class:`~repro.quant.BatchedKernel`); a single step is a stack
+    of one.  The rollout loop of
+    :class:`~repro.agents.executor.MissionExecutor` builds one fused kernel
+    context (:meth:`kernel_context`) per trial and passes it to
+    :meth:`act_logits_batch`, so pre-resolved scales are shared across all
+    steps of the trial.
     """
 
     def __init__(self, network: ControllerNetwork, spec: QuantSpec = INT8,
@@ -212,7 +215,7 @@ class DeployedController:
         self._quantized: dict[str, QuantizedLinear] = {}
         self._plan: KernelPlan | None = None
         self._plan_shared = False
-        self._clean_kernel: KernelContext | None = None
+        self._clean_context: KernelContext | None = None
         self._activation_probe: dict[str, np.ndarray] | None = None
         if calibration_samples is None:
             if calibration_suite is None or calibration_registry is None:
@@ -260,30 +263,23 @@ class DeployedController:
             "gamma": network.transformer.final_norm.gamma.data.copy(),
             "beta": network.transformer.final_norm.beta.data.copy(),
         }
+        # Per layer: the Q/K/V group, o, fc1, fc2, the prefix.
+        self._layer_names = [
+            ((f"layer{i}.q", f"layer{i}.k", f"layer{i}.v"), f"layer{i}.o",
+             f"layer{i}.fc1", f"layer{i}.fc2", f"layer{i}")
+            for i in range(len(self._norms))]
 
     def component_names(self) -> list[str]:
         return list(self._float_weights)
 
     # ------------------------------------------------------------------
-    def _attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
-        seq, dim = q.shape
-        heads = self.config.num_heads
-        head_dim = dim // heads
-        q = q.reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        k = k.reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        v = v.reshape(seq, heads, head_dim).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / math.sqrt(head_dim)
-        weights = softmax(scores, axis=-1)
-        return (weights @ v).transpose(1, 0, 2).reshape(seq, dim)
-
     def _attention_stack(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
                          n: int, seq: int) -> np.ndarray:
-        """:meth:`_attention` over ``n`` row-stacked lanes in one pass.
+        """Bidirectional attention of ``n`` row-stacked lanes of ``seq`` rows.
 
         Lanes never mix: the lane axis is a pure batch axis of the stacked
         matmuls, so every 2-D GEMM slice, the score scaling, and the row-wise
-        softmax equal the per-lane computation bit for bit — the loop over
-        ``_attention`` calls is vectorized away, nothing else changes.
+        softmax equal a stack of one bit for bit.
         """
         dim = q.shape[-1]
         heads = self.config.num_heads
@@ -295,38 +291,56 @@ class DeployedController:
         weights = softmax(scores, axis=-1)
         return (weights @ v).transpose(0, 2, 1, 3).reshape(n * seq, dim)
 
-    def _forward(self, subtask_id: int, observation: np.ndarray, kernel) -> np.ndarray:
-        """One step's logits; ``kernel`` is a context or a :class:`FloatKernel`.
+    def _forward_stack(self, subtask_ids, observations: np.ndarray,
+                       kernel) -> np.ndarray:
+        """``(n, actions)`` logits of ``n`` lanes: the one controller forward.
 
-        Q/K/V read one normalized input under one calibration scale, so they
-        run as one fused :meth:`~repro.quant.KernelContext.qgemm_multi`.
-        With :attr:`_activation_probe` set, the pre-norm residuals are
-        recorded there (:meth:`capture_activations`).
+        ``subtask_ids`` holds one subtask id per lane and ``observations``
+        the ``(n, obs_dim)`` stack of their observations.  The lanes'
+        activations are row-stacked — ``1 + num_obs_tokens`` rows each — so
+        every projection runs as a single quantize + INT GEMM for the whole
+        stack through ``kernel`` (a :class:`~repro.quant.BatchedKernel`, or
+        a :class:`~repro.quant.FloatKernel` for calibration and float
+        reference), Q/K/V fused, and attention and mean-pooling, which mix
+        rows only within a lane, run over a lane axis.  Per-lane stages
+        execute in component order (``obs_proj``, ``q``/``k``/``v``/``o``,
+        ``fc1``/``fc2``, ``policy_head``), so each lane's output — logits,
+        counters, injected flips — equals a stack of one bit for bit, and a
+        fault targeted at one lane never perturbs its siblings.  With
+        :attr:`_activation_probe` set, the pre-norm residuals are recorded
+        there (:meth:`capture_activations`).
         """
         cfg = self.config
-        prompt = self.subtask_embed[subtask_id][None, :]
-        obs_tokens = kernel.qgemm("obs_proj", observation[None, :]).reshape(
-            cfg.num_obs_tokens, cfg.dim)
-        x = np.concatenate([prompt, obs_tokens], axis=0)
+        n = observations.shape[0]
+        seq = 1 + cfg.num_obs_tokens
+        ones = [1] * n
+        rows = [seq] * n
+        obs_tokens = kernel.qgemm("obs_proj", observations, ones)
+        x = np.empty((n, seq, cfg.dim))
+        x[:, 0] = self.subtask_embed.take(subtask_ids, axis=0)
+        x[:, 1:] = obs_tokens.reshape(n, cfg.num_obs_tokens, cfg.dim)
+        x = x.reshape(n * seq, cfg.dim)
         probe = self._activation_probe
-        for index in range(cfg.num_layers):
-            prefix = f"layer{index}"
-            norms = self._norms[index]
+        for norms, (qkv, o, fc1, fc2, prefix) in zip(self._norms,
+                                                     self._layer_names):
             h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            q, k, v = kernel.qgemm_multi(
-                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h)
-            x = x + kernel.qgemm(f"{prefix}.o", self._attention(q, k, v))
+            q, k, v = kernel.qgemm_multi(qkv, h, rows)
+            x = x + kernel.qgemm(o, self._attention_stack(q, k, v, n, seq), rows)
             if probe is not None:
                 probe[f"{prefix}.pre_mlp_norm"] = x.copy()
             h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
-            x = x + kernel.qgemm(f"{prefix}.fc2", relu(kernel.qgemm(f"{prefix}.fc1", h2)))
+            x = x + kernel.qgemm(fc2, relu(kernel.qgemm(fc1, h2, rows)), rows)
             if probe is not None:
                 probe[f"{prefix}.pre_attn_norm"] = x.copy()
-        x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"], eps=_LN_EPS)
-        # ``x.mean(axis=0)``: the same reduction and divide, no wrapper.
-        pooled = np.add.reduce(x, axis=0, keepdims=True)
-        pooled /= x.shape[0]
-        return kernel.qgemm("policy_head", pooled)[0]
+        x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"],
+                       eps=_LN_EPS)
+        # Each lane's ``mean(axis=0)``: the sequence axis is reduced in the
+        # same order, then divided by the same count.
+        pooled = np.add.reduce(x.reshape(n, seq, cfg.dim), axis=1)
+        pooled /= seq
+        logits = kernel.qgemm("policy_head", pooled, ones)
+        kernel.release_inputs()
+        return logits
 
     # ------------------------------------------------------------------
     # Kernel contexts
@@ -363,7 +377,7 @@ class DeployedController:
                 f"controller's checkpoint ({expected[:12]})")
         self._plan = plan
         self._plan_shared = plan.shared
-        self._clean_kernel = None
+        self._clean_context = None
 
     def plan_provenance(self) -> str:
         """Where trial contexts get their plan: ``shm``, ``hit`` or ``miss``."""
@@ -378,27 +392,35 @@ class DeployedController:
 
     def _kernel_for(self, hooks: GemmHooks | None, quantized: bool,
                     context: KernelContext | None = None):
+        """One lane's kernel: a context (caller-owned, shared hook-free, or
+        hook-built), or a float kernel when ``quantized`` is false."""
         if context is not None:
             return context
         if not quantized:
             return self._float_kernel()
         if hooks is None:
-            if self._clean_kernel is None:
-                self._clean_kernel = self.kernel_context()
-            return self._clean_kernel
+            if self._clean_context is None:
+                self._clean_context = self.kernel_context()
+            return self._clean_context
         return self.kernel_context(hooks)
 
     # ------------------------------------------------------------------
     def calibrate(self, subtask_ids: np.ndarray, observations: np.ndarray) -> None:
+        """Profile activations one sample per stack, then quantize.
+
+        A float GEMM over stacked rows may round differently from one over a
+        single sample's rows, so calibration keeps each sample its own stack.
+        """
         observer = Calibrator(self.spec)
         kernel = self._float_kernel(observer)
-        for subtask_id, observation in zip(subtask_ids, observations):
-            self._forward(int(subtask_id), observation, kernel)
+        for index in range(len(subtask_ids)):
+            self._forward_stack(subtask_ids[index:index + 1],
+                                observations[index:index + 1], kernel)
         self.calibrator = observer
         self._quantized = {}
         self._plan = None
         self._plan_shared = False
-        self._clean_kernel = None
+        self._clean_context = None
         for name, weight in self._float_weights.items():
             self._quantized[name] = QuantizedLinear(
                 name=name,
@@ -416,73 +438,31 @@ class DeployedController:
     def act_logits(self, subtask_id: int, observation: np.ndarray,
                    hooks: GemmHooks | None = None, quantized: bool = True,
                    context: KernelContext | None = None) -> np.ndarray:
-        """Action logits for one step.
+        """Action logits for one step: a stack of one lane.
 
         ``context`` short-circuits hook resolution: the rollout loop builds
         one :class:`~repro.quant.KernelContext` per trial and reuses it for
         every step.
         """
         kernel = self._kernel_for(hooks, quantized, context)
-        return self._forward(subtask_id, observation, kernel)
+        if isinstance(kernel, KernelContext):
+            kernel = kernel.kernel
+        return self._forward_stack([subtask_id], observation[None, :], kernel)[0]
 
     def act_logits_batch(self, requests: list[tuple[int, np.ndarray]],
                          contexts: list[KernelContext]) -> list[np.ndarray]:
-        """Action logits for N lanes as one batched kernel pass per projection.
+        """Action logits for N lanes as one stacked kernel pass per projection.
 
         ``requests`` holds one ``(subtask_id, observation)`` per lane and
         ``contexts`` the lane's own per-trial kernel context (its hooks,
-        injector RNG stream, and counters).  The lanes' activations are
-        row-stacked — ``1 + num_obs_tokens`` rows each — so every projection
-        runs as a single quantize + INT GEMM for the whole stack through
-        :class:`~repro.quant.BatchedKernel` (Q/K/V fused), and attention and
-        mean-pooling, which mix rows only within a lane, run over a lane axis.
-        Per-lane stages execute in the same component order as
-        :meth:`act_logits` (``obs_proj``, ``q``/``k``/``v``/``o``,
-        ``fc1``/``fc2``, ``policy_head``), so each lane's output — logits,
-        counters, injected flips — is bit-identical to its serial forward
-        pass, and a fault targeted at one lane never perturbs its siblings.
+        injector RNG stream, and counters); see :meth:`_forward_stack`.
         """
         if len(requests) != len(contexts):
             raise ValueError("need one kernel context per request")
-        if len(requests) == 1:
-            (subtask_id, observation), = requests
-            return [self.act_logits(subtask_id, observation,
-                                    context=contexts[0])]
-        kernel = BatchedKernel(list(contexts))
-        cfg = self.config
-        n = len(requests)
-        seq = 1 + cfg.num_obs_tokens
-        ones = [1] * n
-        rows = [seq] * n
-
         subtask_ids, observations = zip(*requests)
-        obs_tokens = kernel.qgemm(
-            "obs_proj", np.array(observations, dtype=np.float64), ones)
-        x = np.empty((n, seq, cfg.dim))
-        x[:, 0] = self.subtask_embed[list(subtask_ids)]
-        x[:, 1:] = obs_tokens.reshape(n, cfg.num_obs_tokens, cfg.dim)
-        x = x.reshape(n * seq, cfg.dim)
-        for index in range(cfg.num_layers):
-            prefix = f"layer{index}"
-            norms = self._norms[index]
-            h = layer_norm(x, norms["attn_gamma"], norms["attn_beta"], eps=_LN_EPS)
-            q, k, v = kernel.qgemm_multi(
-                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h, rows)
-            x = x + kernel.qgemm(f"{prefix}.o",
-                                 self._attention_stack(q, k, v, n, seq), rows)
-            h2 = layer_norm(x, norms["mlp_gamma"], norms["mlp_beta"], eps=_LN_EPS)
-            x = x + kernel.qgemm(f"{prefix}.fc2",
-                                 relu(kernel.qgemm(f"{prefix}.fc1", h2, rows)),
-                                 rows)
-        x = layer_norm(x, self.final_norm["gamma"], self.final_norm["beta"],
-                       eps=_LN_EPS)
-        # Each lane's ``mean(axis=0)``: the sequence axis is reduced in the
-        # same order, then divided by the same count.
-        pooled = np.add.reduce(x.reshape(n, seq, cfg.dim), axis=1)
-        pooled /= seq
-        logits = kernel.qgemm("policy_head", pooled, ones)
-        kernel.release_inputs()
-        return list(logits)
+        return list(self._forward_stack(
+            list(subtask_ids), np.array(observations, dtype=np.float64),
+            BatchedKernel.of(contexts)))
 
     def capture_activations(self, subtask_id: int, observation: np.ndarray,
                             hooks: GemmHooks | None = None,
@@ -490,8 +470,7 @@ class DeployedController:
         """Pre-normalization residual activations (for the Fig. 5 i-l study)."""
         self._activation_probe = {}
         try:
-            self._forward(subtask_id, observation,
-                          self._kernel_for(hooks, quantized))
+            self.act_logits(subtask_id, observation, hooks, quantized)
             return dict(self._activation_probe)
         finally:
             self._activation_probe = None

@@ -174,7 +174,6 @@ class MissionExecutor:
                  action_temperature: float = 1.0,
                  max_replans: int = 8,
                  invalid_token_penalty: int = 10,
-                 planner_use_cache: bool = True,
                  id_registry: SubtaskRegistry | None = None):
         self.controller = controller
         self.planner = planner
@@ -190,9 +189,6 @@ class MissionExecutor:
         self.action_temperature = action_temperature
         self.max_replans = max_replans
         self.invalid_token_penalty = invalid_token_penalty
-        #: Escape hatch: set False to decode plans with full-prefix recompute
-        #: instead of KV-cached incremental decoding.
-        self.planner_use_cache = planner_use_cache
 
     # ------------------------------------------------------------------
     def plan_cache_state(self) -> str:
@@ -224,20 +220,9 @@ class MissionExecutor:
     def _progress(self, world: EmbodiedWorld, task) -> int:
         return sum(1 for subtask in task.plan if subtask in world.inventory)
 
-    def _invoke_planner(self, task, world: EmbodiedWorld, context,
-                        result: TrialResult, voltage: float) -> list[str]:
-        progress = self._progress(world, task)
-        if self.planner is None:
-            # Ground-truth planning (controller-only studies).
-            return [subtask for subtask in task.plan[progress:]]
-        plan = self.planner.plan(task.name, progress, context=context,
-                                 use_cache=self.planner_use_cache)
-        self._account_plan(plan, result, voltage)
-        return plan
-
     def _account_plan(self, plan: list[str], result: TrialResult,
                       voltage: float) -> None:
-        """MAC/invocation accounting of one planner decode (serial or batched)."""
+        """MAC/invocation accounting of one planner decode."""
         result.planner_invocations += 1
         generated = len(plan) + 1  # +1 for the EOS decode step
         prompt_len = 4
@@ -257,9 +242,8 @@ class MissionExecutor:
 
         RNG streams are derived from the seed exactly as they always were
         (trial / world / planner / controller at ``seed`` / ``+10k`` /
-        ``+20k`` / ``+30k``), so a trial prepared here is bit-identical to
-        :meth:`run_trial` regardless of how the initial plan decode is
-        executed.
+        ``+20k`` / ``+30k``), so a trial is bit-identical whichever lanes
+        share its stacks.
         """
         planner_protection = planner_protection or ProtectionConfig()
         controller_protection = controller_protection or ProtectionConfig()
@@ -273,8 +257,8 @@ class MissionExecutor:
         controller_hooks, controller_injector, controller_detector = build_protection_hooks(
             controller_protection, np.random.default_rng(seed + 30_000), self.timing_model)
 
-        # One fused kernel context per model per trial: pre-resolved scales /
-        # bounds and reusable accumulator workspaces shared across all steps.
+        # One fused kernel context per model per trial: the trial's lane of
+        # every stack, with pre-resolved scales / bounds shared across steps.
         planner_kernel = self.planner.kernel_context(planner_hooks) \
             if self.planner is not None else None
         controller_kernel = self.controller.kernel_context(controller_hooks)
@@ -308,31 +292,21 @@ class MissionExecutor:
     def run_trial(self, task_name: str, seed: int = 0,
                   planner_protection: ProtectionConfig | None = None,
                   controller_protection: ProtectionConfig | None = None) -> TrialResult:
-        setup = self._prepare_trial(task_name, seed, planner_protection,
-                                    controller_protection)
-        plan_queue: deque[str] = deque(
-            self._invoke_planner(setup.task, setup.world, setup.planner_kernel,
-                                 setup.result, setup.planner_voltage))
-        return self._run_lanes([setup], [plan_queue])[0]
+        """Run one trial: a group of one (see :meth:`run_trial_group`)."""
+        return self.run_trial_group([(task_name, seed)],
+                                    planner_protection=planner_protection,
+                                    controller_protection=controller_protection)[0]
 
     def run_trial_batch(self, task_name: str, seeds: list[int],
                         planner_protection: ProtectionConfig | None = None,
                         controller_protection: ProtectionConfig | None = None
                         ) -> list[TrialResult]:
-        """Run one trial per seed, batching inference across the whole group.
+        """Run one trial per seed of one task as one lane group.
 
         Every trial of a (spec, task) cell group starts with the same prompt
         — the task at progress 0 — so the first planner invocation of all
-        trials runs as one cross-prompt batched decode through each trial's
-        own kernel context (:meth:`DeployedPlanner.plan_batch`).  The world
-        loops then advance in lock-step through :meth:`_run_lanes`: on every
-        simulation tick the group's pending controller forwards execute as
-        one row-stacked :class:`~repro.quant.BatchedKernel` pass
-        (:meth:`DeployedController.act_logits_batch`), and pending replans as
-        one batched decode.  RNG derivation, kernel hooks, and accounting are
-        identical to :meth:`run_trial`, and every batched call is
-        bit-identical to its serial counterpart, so results match
-        seed-for-seed byte for byte.
+        trials runs as one stacked decode through each trial's own kernel
+        context; see :meth:`run_trial_group`.
         """
         return self.run_trial_group([(task_name, seed) for seed in seeds],
                                     planner_protection=planner_protection,
@@ -342,29 +316,31 @@ class MissionExecutor:
                         planner_protection: ProtectionConfig | None = None,
                         controller_protection: ProtectionConfig | None = None
                         ) -> list[TrialResult]:
-        """Run one trial per ``(task_name, seed)`` pair with batched stepping.
+        """Run one trial per ``(task_name, seed)`` pair as lanes of one group.
 
-        The heterogeneous-task generalization of :meth:`run_trial_batch` —
-        the fleet runtime (:class:`~repro.agents.fleet.FleetExecutor`) runs
-        agents with round-robin task assignments, so lanes may decode
-        different prompts.  All lanes share every batched pass; results are
-        bit-identical to running each pair through :meth:`run_trial`.
+        Lanes may decode different prompts (the fleet runtime,
+        :class:`~repro.agents.fleet.FleetExecutor`, assigns tasks
+        round-robin).  The initial plans of all lanes decode as one stack
+        (:meth:`DeployedPlanner.plan_batch`), then the world loops advance in
+        lock-step through :meth:`_run_lanes`.  RNG derivation, kernel hooks
+        and accounting are per trial and every stacked call is bit-identical
+        to a stack of one, so each result equals running its pair alone,
+        byte for byte — a single trial is a group of one.
         """
-        if self.planner is None or len(trials) < 2:
-            return [self.run_trial(task_name, seed=seed,
-                                   planner_protection=planner_protection,
-                                   controller_protection=controller_protection)
-                    for task_name, seed in trials]
         setups = [self._prepare_trial(task_name, seed, planner_protection,
                                       controller_protection)
                   for task_name, seed in trials]
-        requests = [(setup.task.name, self._progress(setup.world, setup.task))
-                    for setup in setups]
-        plans = self.planner.plan_batch(
-            requests, contexts=[setup.planner_kernel for setup in setups],
-            use_cache=self.planner_use_cache)
-        for setup, plan in zip(setups, plans):
-            self._account_plan(plan, setup.result, setup.planner_voltage)
+        progress = [self._progress(setup.world, setup.task) for setup in setups]
+        if self.planner is None:
+            # Ground-truth planning (controller-only studies).
+            plans = [list(setup.task.plan[done:])
+                     for setup, done in zip(setups, progress)]
+        else:
+            plans = self.planner.plan_batch(
+                [(setup.task.name, done) for setup, done in zip(setups, progress)],
+                contexts=[setup.planner_kernel for setup in setups])
+            for setup, plan in zip(setups, plans):
+                self._account_plan(plan, setup.result, setup.planner_voltage)
         return self._run_lanes(setups, [deque(plan) for plan in plans])
 
     def _trial_steps(self, setup: "_TrialSetup", plan_queue: deque[str]):
@@ -474,20 +450,19 @@ class MissionExecutor:
 
     def _run_lanes(self, setups: list["_TrialSetup"],
                    plan_queues: list[deque[str]]) -> list[TrialResult]:
-        """Drive N prepared trials lock-step, batching cross-lane inference.
+        """Drive N prepared trials lock-step, stacking cross-lane inference.
 
         The one driver of :meth:`_trial_steps` (a single trial is one lane).
         On every tick, the pending requests of all live lanes are gathered
-        and serviced as (at most) one batched planner decode
-        (:meth:`DeployedPlanner.plan_batch`) plus one batched controller
+        and serviced as (at most) one stacked planner decode
+        (:meth:`DeployedPlanner.plan_batch`) plus one stacked controller
         forward (:meth:`DeployedController.act_logits_batch`) — one quantize
         and one INT GEMM per projection for the whole group instead of one
         dispatch per lane — and the group's actions are sampled as one stack.
-        Lanes finish independently (StopIteration drops them from the round),
-        and single-lane rounds use the single-request calls.  Responses are
-        bit-identical to serial servicing, and each lane's call order is
-        fixed by its generator, so the results equal the per-lane serial loop
-        byte for byte — fault-free and under injection.
+        Lanes finish independently (StopIteration drops them from the
+        round).  Responses are bit-identical to stacks of one, and each
+        lane's call order is fixed by its generator, so the results equal
+        the per-lane loop byte for byte — fault-free and under injection.
         """
         lanes = [self._trial_steps(setup, plan_queue)
                  for setup, plan_queue in zip(setups, plan_queues)]
@@ -504,30 +479,16 @@ class MissionExecutor:
                 pending.append(index)
             plan_lanes = [i for i in pending if requests[i][0] == "plan"]
             act_lanes = [i for i in pending if requests[i][0] == "act"]
-            if len(plan_lanes) == 1:
-                index, = plan_lanes
-                _, task_name, progress = requests[index]
-                responses[index] = self.planner.plan(
-                    task_name, progress, context=setups[index].planner_kernel,
-                    use_cache=self.planner_use_cache)
-            elif plan_lanes:
+            if plan_lanes:
                 plans = self.planner.plan_batch(
                     [requests[i][1:] for i in plan_lanes],
-                    contexts=[setups[i].planner_kernel for i in plan_lanes],
-                    use_cache=self.planner_use_cache)
+                    contexts=[setups[i].planner_kernel for i in plan_lanes])
                 for index, plan in zip(plan_lanes, plans):
                     responses[index] = plan
-            if len(act_lanes) == 1:
-                index, = act_lanes
-                _, subtask_token, observation = requests[index]
-                logits = self.controller.act_logits(
-                    subtask_token, observation,
-                    context=setups[index].controller_kernel)[None, :]
-            elif act_lanes:
+            if act_lanes:
                 logits = np.stack(self.controller.act_logits_batch(
                     [requests[i][1:] for i in act_lanes],
                     contexts=[setups[i].controller_kernel for i in act_lanes]))
-            if act_lanes:
                 steps = self._sample_actions(
                     logits, [setups[i].rng for i in act_lanes])
                 for index, step in zip(act_lanes, steps):

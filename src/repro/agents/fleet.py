@@ -13,8 +13,8 @@ world with subtasks spread across collaborating agents).
 Exactness contract
 ------------------
 Fleet-batched stepping is **bit-identical** to running each agent through
-its own serial :meth:`~repro.agents.executor.MissionExecutor.run_trial`
-loop, fault-free and under injection.  Three properties make that hold:
+its own :meth:`~repro.agents.executor.MissionExecutor.run_trial` (a group
+of one), fault-free and under injection.  Three properties make that hold:
 
 * the fleet GEMM stacks lanes along rows, and the float64 accumulator is
   exact for INT8 products, so each lane's rows equal its solo GEMM output;

@@ -18,7 +18,8 @@ Three stages mirror the real platform:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -290,68 +291,18 @@ def _unit_rms_norm(x: np.ndarray, gain: np.ndarray | None = None) -> np.ndarray:
     return rms_norm(x, np.ones(x.shape[-1]) if gain is None else gain, eps=_NORM_EPS)
 
 
-@dataclass
-class _DecodeLane:
-    """Per-prompt decoding state of one lane of a batched decode."""
-
-    tokens: list[int]
-    cache: KVCache
-    context: KernelContext
-    generated: list[int] = field(default_factory=list)
-    logits: list[np.ndarray] | None = None
-    done: bool = False
-
-
-class _BatchedKVMirror:
-    """Contiguous cross-lane mirror of the active lanes' K/V caches.
-
-    Batched attention wants each layer's cached K/V as one
-    ``(n_lanes, total, dim)`` block; stacking the per-lane caches anew every
-    step re-copies the whole prefix — O(L²) copying over a decode.  The
-    mirror keeps the same values in one preallocated buffer per projection
-    and appends only each step's new rows (O(L)).  The per-lane caches stay
-    the source of truth: the mirror is rebuilt (backfilled from them) when a
-    lane drops out at EOS, and the uncached / non-uniform-geometry paths
-    never consult it.  Values are bit-identical either way — the mirror
-    holds copies of exactly the rows the per-lane caches hold.
-    """
-
-    def __init__(self, lanes: list[_DecodeLane]):
-        layers, capacity, dim = lanes[0].cache._k.shape
-        n_lanes = len(lanes)
-        self._k = np.empty((layers, n_lanes, capacity, dim), dtype=np.float64)
-        self._v = np.empty((layers, n_lanes, capacity, dim), dtype=np.float64)
-        self.length = lanes[0].cache.length
-        for index, lane in enumerate(lanes):
-            self._k[:, index, :self.length] = lane.cache._k[:, :self.length]
-            self._v[:, index, :self.length] = lane.cache._v[:, :self.length]
-
-    def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Write all lanes' new rows (``(n_lanes, n_new, dim)``) at ``length:``."""
-        n_new = k_new.shape[1]
-        self._k[layer, :, self.length:self.length + n_new] = k_new
-        self._v[layer, :, self.length:self.length + n_new] = v_new
-
-    def advance(self, rows: int) -> None:
-        self.length += rows
-
-    def keys(self, layer: int, length: int) -> np.ndarray:
-        return self._k[layer, :, :length]
-
-    def values(self, layer: int, length: int) -> np.ndarray:
-        return self._v[layer, :, :length]
-
-
 class DeployedPlanner:
     """INT8 planner inference with fault-injection / anomaly-clearance hooks.
 
-    Decoding runs through the fused kernel runtime
-    (:class:`repro.quant.KernelContext`) and is **KV-cached** by default:
-    per-layer key/value projections are cached so each decode step executes
-    GEMMs only for the newly produced token (O(L) total work per plan instead
-    of O(L²) prefix recompute).  ``use_cache=False`` is the escape hatch that
-    restores full-prefix recompute; fault-free, both paths produce identical
-    tokens, logits, and (logical) MAC counts.
+    Every decode runs as a stack of lanes — one lane per prompt, stepping
+    together — through the fused kernel runtime
+    (:class:`repro.quant.BatchedKernel`); a single prompt is a stack of one.
+    Decoding is **KV-cached** by default: per-layer key/value projections
+    are cached so each decode step executes GEMMs only for the newly
+    produced tokens (O(L) total work per plan instead of O(L²) prefix
+    recompute).  ``use_cache=False`` restores full-prefix recompute;
+    fault-free, both paths produce identical tokens, logits, and (logical)
+    MAC counts.
     """
 
     def __init__(self, weights: PlannerWeights, vocab: PlannerVocabulary,
@@ -367,35 +318,42 @@ class DeployedPlanner:
         self._plan: KernelPlan | None = None
         self._plan_shared = False
         self._activation_probe: dict[str, np.ndarray] | None = None
-        self._clean_kernel: KernelContext | None = None
-        # Hook-free batched decoding reuses a pool of per-lane contexts
-        # (grown on demand) so lane counters stay independent without
-        # rebuilding contexts per plan_batch call.
+        # Hook-free decoding reuses a pool of per-lane contexts (grown on
+        # demand) so lane counters stay independent without rebuilding
+        # contexts per call.
         self._clean_lanes: list[KernelContext] = []
         self._norm_gain = np.ones(weights.config.dim)
         self._mask_cache: dict[tuple[int, int, int], np.ndarray] = {}
+        # Per layer: the Q/K/V group, o, the Gate/Up group, down, the prefix.
+        self._layer_names = [
+            ((f"layer{i}.q", f"layer{i}.k", f"layer{i}.v"), f"layer{i}.o",
+             (f"layer{i}.gate", f"layer{i}.up"), f"layer{i}.down", f"layer{i}")
+            for i in range(len(weights.layers))]
         if calibrate:
             self.calibrate()
 
     # ------------------------------------------------------------------
     # Forward pass (shared between float calibration and quantized inference)
     # ------------------------------------------------------------------
-    def _attention(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
-                   start: int = 0) -> np.ndarray:
-        """Causal attention of query rows ``start..`` over ``k``/``v`` rows.
+    def _attention_stack(self, q: np.ndarray, ks: np.ndarray, vs: np.ndarray,
+                         start: int) -> np.ndarray:
+        """Per-lane causal attention of new query rows over each lane's prefix.
 
-        ``q`` holds the new positions only; ``k`` and ``v`` hold the full
-        (cached + new) prefix.  ``start=0`` with ``q`` covering every row is
-        the classic full-sequence case.
+        ``q`` is the lane-major row stack of every lane's new positions
+        (``start..``); ``ks`` / ``vs`` are ``(lanes, total, dim)`` blocks of
+        the full (cached + new) prefix.  numpy's batched matmul runs one 2-D
+        GEMM per (lane, head) slice and every other op is elementwise or
+        row-wise, so lanes never mix: each lane's rows equal a stack of one.
         """
-        n_new, dim = q.shape
-        total = k.shape[0]
+        lanes, total = ks.shape[0], ks.shape[1]
+        n_new = q.shape[0] // lanes
+        dim = q.shape[1]
         heads = self.config.num_heads
         head_dim = dim // heads
-        q = q.reshape(n_new, heads, head_dim).transpose(1, 0, 2)
-        k = k.reshape(total, heads, head_dim).transpose(1, 0, 2)
-        v = v.reshape(total, heads, head_dim).transpose(1, 0, 2)
-        scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
+        q = q.reshape(lanes, n_new, heads, head_dim).transpose(0, 2, 1, 3)
+        k = ks.reshape(lanes, total, heads, head_dim).transpose(0, 2, 1, 3)
+        v = vs.reshape(lanes, total, heads, head_dim).transpose(0, 2, 1, 3)
+        scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(head_dim)
         mask = self._mask_cache.get((n_new, total, start))
         if mask is None:
             mask = np.where(
@@ -404,160 +362,50 @@ class DeployedPlanner:
             self._mask_cache[(n_new, total, start)] = mask
         weights = softmax(scores + mask, axis=-1)
         context = weights @ v
-        return context.transpose(1, 0, 2).reshape(n_new, dim)
+        return context.transpose(0, 2, 1, 3).reshape(lanes * n_new, dim)
 
-    def _forward_step(self, tokens: list[int], start: int, cache: KVCache,
-                      kernel) -> np.ndarray:
-        """Run the decoder over ``tokens[start:]``; return last-position logits.
+    def _forward_stack(self, tokens: np.ndarray, cache: KVCache,
+                       kernel) -> np.ndarray:
+        """One decoder step over a lane stack; returns ``(lanes, vocab)`` logits.
 
-        ``cache`` must hold the K/V projections of ``tokens[:start]``
-        (``start=0`` with an empty cache is a full forward).  ``kernel`` is a
-        :class:`~repro.quant.KernelContext` (quantized inference) or a
-        :class:`_FloatKernel` (calibration / float reference).  GEMM MACs are
-        recorded for the full logical context length, so accounting is
-        identical whether or not the prefix was cached.
+        ``tokens`` is ``(lanes, n_new)``: every lane's tokens at positions
+        ``cache.length..``, whose K/V the cache holds before them
+        (``cache.length == 0`` is a full forward).  The lanes' rows are
+        stacked into one activation matrix and every projection runs as one
+        stacked (and Q/K/V- / Gate/Up-fused) GEMM through ``kernel``, a
+        :class:`~repro.quant.BatchedKernel` or a
+        :class:`~repro.quant.FloatKernel` (calibration / float reference).
+        GEMM MACs are recorded for the full logical context length, so
+        accounting is identical whether or not the prefix was cached.  With
+        :attr:`_activation_probe` set, the pre-norm residuals are recorded
+        there (:meth:`capture_activations`).
         """
-        total = len(tokens)
-        n_new = total - start
-        x = self.weights.embed[np.asarray(tokens[start:], dtype=np.int64)]
+        lanes, n_new = tokens.shape
+        total = cache.length + n_new
+        x = self.weights.embed[tokens.reshape(-1)]
+        rows = [n_new] * lanes
+        logical = [total] * lanes
         probe = self._activation_probe
         gain = self._norm_gain
-        for index in range(len(self.weights.layers)):
-            prefix = f"layer{index}"
+        for index, (qkv, o, gate_up, down, prefix) in enumerate(self._layer_names):
             h = _unit_rms_norm(x, gain)
-            q, k, v = kernel.qgemm_multi(
-                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h,
-                logical_rows=total)
+            q, k, v = kernel.qgemm_multi(qkv, h, rows, logical)
             cache.append(index, k, v)
-            attn = self._attention(q, cache.keys(index, total),
-                                   cache.values(index, total), start)
-            x = x + kernel.qgemm(f"{prefix}.o", attn, logical_rows=total)
+            attn = self._attention_stack(q, cache.keys(index, total),
+                                         cache.values(index, total),
+                                         cache.length)
+            x = x + kernel.qgemm(o, attn, rows, logical)
             if probe is not None:
                 probe[f"{prefix}.pre_mlp_norm"] = x.copy()
             h2 = _unit_rms_norm(x, gain)
-            gate, up = kernel.qgemm_multi(
-                (f"{prefix}.gate", f"{prefix}.up"), h2, logical_rows=total)
-            x = x + kernel.qgemm(f"{prefix}.down", silu(gate) * up,
-                                 logical_rows=total)
+            gate, up = kernel.qgemm_multi(gate_up, h2, rows, logical)
+            x = x + kernel.qgemm(down, silu(gate) * up, rows, logical)
             if probe is not None:
                 probe[f"{prefix}.pre_attn_norm"] = x.copy()
         cache.advance(n_new)
         x = _unit_rms_norm(x, gain)
-        logits = kernel.qgemm("head", x[-1:], logical_rows=1)
-        return logits[0]
-
-    def _attention_batch(self, q: np.ndarray, ks: np.ndarray,
-                         vs: np.ndarray, start: int) -> np.ndarray:
-        """Per-lane causal attention over lanes sharing one (n_new, total, start).
-
-        ``q`` is the row-stacked query block of all lanes; ``ks`` / ``vs``
-        are ``(n_lanes, total, dim)`` blocks (a :class:`_BatchedKVMirror`
-        view or a stack of the per-lane caches).  numpy's batched matmul
-        runs one 2-D GEMM per (lane, head) slice — the same GEMMs the
-        per-lane :meth:`_attention` issues — and every other op is
-        elementwise, so the result is bit-identical to looping lanes (the
-        batched-decode tests assert this).
-        """
-        n_lanes, total = ks.shape[0], ks.shape[1]
-        n_new = q.shape[0] // n_lanes
-        dim = q.shape[1]
-        heads = self.config.num_heads
-        head_dim = dim // heads
-        q = q.reshape(n_lanes, n_new, heads, head_dim).transpose(0, 2, 1, 3)
-        k = ks.reshape(n_lanes, total, heads, head_dim).transpose(0, 2, 1, 3)
-        v = vs.reshape(n_lanes, total, heads, head_dim).transpose(0, 2, 1, 3)
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(head_dim)
-        mask = self._mask_cache.get((n_new, total, start))
-        if mask is None:
-            mask = np.where(
-                np.arange(total)[None, :] > start + np.arange(n_new)[:, None],
-                -1e9, 0.0)
-            self._mask_cache[(n_new, total, start)] = mask
-        weights = softmax(scores + mask, axis=-1)
-        context = weights @ v
-        return context.transpose(0, 2, 1, 3).reshape(n_lanes * n_new, dim)
-
-    def _forward_step_batch(self, lanes: list[_DecodeLane], starts: list[int],
-                            kernel: BatchedKernel,
-                            mirror: _BatchedKVMirror | None = None
-                            ) -> np.ndarray:
-        """One decoder step over several prompts; returns (n_lanes, vocab) logits.
-
-        The lanes' new-token rows are stacked into one activation matrix and
-        every projection runs as a single batched (and Q/K/V- / Gate/Up-fused)
-        GEMM through ``kernel``; K/V caches and attention stay per lane.  Row
-        slicing, normalization, and attention are all row-independent, so each
-        lane's logits are bit-identical to its serial :meth:`_forward_step`.
-        ``mirror`` (cached uniform decodes only) feeds attention the same K/V
-        values without re-stacking the per-lane caches each step.
-        """
-        totals = [len(lane.tokens) for lane in lanes]
-        n_news = [total - start for total, start in zip(totals, starts)]
-        bounds = []
-        offset = 0
-        for n_new in n_news:
-            bounds.append((offset, offset + n_new))
-            offset += n_new
-        if all(n_new == 1 for n_new in n_news):
-            # Steady state (one new token per lane): one fancy-index gather
-            # instead of a per-lane gather + concatenate.
-            x = self.weights.embed[[lane.tokens[-1] for lane in lanes]]
-        else:
-            x = np.concatenate([
-                self.weights.embed[np.asarray(lane.tokens[start:],
-                                              dtype=np.int64)]
-                for lane, start in zip(lanes, starts)])
-        gain = self._norm_gain
-        # Prompts share one length and lanes step together, so the geometry
-        # is uniform in practice; heterogeneous geometries (possible through
-        # direct calls) fall back to per-lane attention.
-        uniform = len(set(zip(n_news, totals, starts))) == 1
-        # The mirror's write position must line up with the lanes' caches;
-        # a stale mirror (left behind by a non-uniform step) is ignored.
-        use_mirror = mirror is not None and uniform and mirror.length == starts[0]
-        n_lanes = len(lanes)
-        for index in range(len(self.weights.layers)):
-            prefix = f"layer{index}"
-            h = _unit_rms_norm(x, gain)
-            q, k, v = kernel.qgemm_multi(
-                (f"{prefix}.q", f"{prefix}.k", f"{prefix}.v"), h, n_news,
-                logical_rows=totals)
-            for lane, (lo, hi) in zip(lanes, bounds):
-                lane.cache.append(index, k[lo:hi], v[lo:hi])
-            if use_mirror:
-                mirror.append(index, k.reshape(n_lanes, n_news[0], -1),
-                              v.reshape(n_lanes, n_news[0], -1))
-                attn = self._attention_batch(
-                    q, mirror.keys(index, totals[0]),
-                    mirror.values(index, totals[0]), starts[0])
-            elif uniform:
-                attn = self._attention_batch(
-                    q, np.stack([lane.cache.keys(index, total)
-                                 for lane, total in zip(lanes, totals)]),
-                    np.stack([lane.cache.values(index, total)
-                              for lane, total in zip(lanes, totals)]),
-                    starts[0])
-            else:
-                attn = np.concatenate([
-                    self._attention(q[lo:hi], lane.cache.keys(index, total),
-                                    lane.cache.values(index, total), start)
-                    for lane, (lo, hi), total, start
-                    in zip(lanes, bounds, totals, starts)])
-            x = x + kernel.qgemm(f"{prefix}.o", attn, n_news, logical_rows=totals)
-            h2 = _unit_rms_norm(x, gain)
-            gate, up = kernel.qgemm_multi(
-                (f"{prefix}.gate", f"{prefix}.up"), h2, n_news,
-                logical_rows=totals)
-            x = x + kernel.qgemm(f"{prefix}.down", silu(gate) * up, n_news,
-                                 logical_rows=totals)
-        for lane, n_new in zip(lanes, n_news):
-            lane.cache.advance(n_new)
-        if use_mirror:
-            mirror.advance(n_news[0])
-        x = _unit_rms_norm(x, gain)
-        last = x[[hi - 1 for _, hi in bounds]]
-        ones = [1] * len(lanes)
-        return kernel.qgemm("head", last, ones, logical_rows=ones)
+        ones = [1] * lanes
+        return kernel.qgemm("head", x[n_new - 1::n_new], ones, ones)
 
     def _float_weight(self, name: str) -> np.ndarray:
         if name == "head":
@@ -598,7 +446,6 @@ class DeployedPlanner:
                 f"planner's checkpoint ({expected[:12]})")
         self._plan = plan
         self._plan_shared = plan.shared
-        self._clean_kernel = None
         self._clean_lanes = []
 
     def plan_provenance(self) -> str:
@@ -612,111 +459,10 @@ class DeployedPlanner:
         """A fused kernel runtime over this planner's quantized layers."""
         return KernelContext(hooks=hooks, rng=rng, plan=self.kernel_plan())
 
-    def _kernel_for(self, hooks: GemmHooks | None, quantized: bool,
-                    context: KernelContext | None = None):
-        if context is not None:
-            return context
-        if not quantized:
-            return FloatKernel(self._float_weight)
-        if hooks is None:
-            # Hook-free inference shares one context (and its workspaces).
-            if self._clean_kernel is None:
-                self._clean_kernel = self.kernel_context()
-            return self._clean_kernel
-        return self.kernel_context(hooks)
-
-    def _new_cache(self, capacity: int) -> KVCache:
-        return KVCache(len(self.weights.layers), capacity, self.config.dim)
-
-    # ------------------------------------------------------------------
-    # Calibration / quantization
-    # ------------------------------------------------------------------
-    def calibrate(self) -> None:
-        """Profile activations over every (task, progress) prompt, then quantize.
-
-        Calibration decodes without the KV cache: the observer must see the
-        exact full-prefix tensors the reference pipeline produced, so the
-        profiled scales and anomaly bounds stay bit-identical across kernel
-        generations.
-        """
-        observer = Calibrator(self.spec)
-        kernel = FloatKernel(self._float_weight, observer=observer)
-        for task in self.suite.tasks():
-            for progress in range(len(task.plan)):
-                self._decode(task.name, progress, kernel, max_new_tokens=None,
-                             use_cache=False)
-        self.calibrator = observer
-        self._quantized = {}
-        self._plan = None
-        self._plan_shared = False
-        self._clean_kernel = None
-        self._clean_lanes = []
-        for name in self.weights.component_names():
-            self._quantized[name] = QuantizedLinear(
-                name=name,
-                weight=self._float_weight(name),
-                bias=None,
-                x_params=observer.input_params(name),
-                spec=self.spec,
-                output_bound=observer.output_bound(name),
-            )
-
-    def output_bounds(self) -> dict[str, float]:
-        """Profiled per-component anomaly bounds (float domain)."""
-        return {name: self.calibrator.output_bound(name)
-                for name in self.weights.component_names()}
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-    def _decode(self, task_name: str, progress: int, kernel,
-                max_new_tokens: int | None, use_cache: bool = True,
-                collect_logits: list[np.ndarray] | None = None) -> list[int]:
-        limit = max_new_tokens or self.config.max_plan_length + 1
-        tokens = list(self.vocab.encode_prompt(task_name, progress))
-        cache = self._new_cache(len(tokens) + limit)
-        generated: list[int] = []
-        for _ in range(limit):
-            if use_cache:
-                # Prefill on the first step, then one new token per step.
-                logits = self._forward_step(tokens, cache.length, cache, kernel)
-            else:
-                cache.reset()
-                logits = self._forward_step(tokens, 0, cache, kernel)
-            if collect_logits is not None:
-                collect_logits.append(np.asarray(logits, dtype=np.float64).copy())
-            next_token = int(np.argmax(logits))
-            generated.append(next_token)
-            tokens.append(next_token)
-            if next_token == self.vocab.eos:
-                break
-        return generated
-
-    def decode_tokens(self, task_name: str, progress: int = 0,
-                      hooks: GemmHooks | None = None, quantized: bool = True,
-                      use_cache: bool = True, collect_logits: bool = False,
-                      max_new_tokens: int | None = None,
-                      ) -> tuple[list[int], list[np.ndarray]]:
-        """Greedy-decode completion tokens (and optionally per-step logits).
-
-        This is the raw interface behind :meth:`plan`; the kernel equivalence
-        tests use it to compare cached and uncached decode token-by-token and
-        logit-by-logit.
-        """
-        kernel = self._kernel_for(hooks, quantized)
-        logits: list[np.ndarray] = []
-        tokens = self._decode(task_name, progress, kernel, max_new_tokens,
-                              use_cache=use_cache,
-                              collect_logits=logits if collect_logits else None)
-        return tokens, logits
-
-    # ------------------------------------------------------------------
-    # Cross-prompt batched decoding
-    # ------------------------------------------------------------------
-    def _batch_contexts(self, count: int,
-                        hooks: list[GemmHooks] | None,
-                        contexts: list[KernelContext] | None
-                        ) -> list[KernelContext]:
+    def _lane_contexts(self, count: int,
+                       hooks: list[GemmHooks | None] | None,
+                       contexts: list[KernelContext] | None
+                       ) -> list[KernelContext]:
         """Resolve one kernel context per lane (caller-owned, hook-built, or pooled)."""
         if contexts is not None:
             contexts = list(contexts)
@@ -737,6 +483,117 @@ class DeployedPlanner:
             self._clean_lanes.append(self.kernel_context())
         return self._clean_lanes[:count]
 
+    def _prompts(self, requests: list[tuple[str, int]]) -> np.ndarray:
+        """``(lanes, 4)`` prompt tokens, ``[BOS, TASK, PROGRESS, SEP]`` per lane."""
+        return np.array([self.vocab.encode_prompt(task_name, progress)
+                         for task_name, progress in requests], dtype=np.int64)
+
+    # ------------------------------------------------------------------
+    # Calibration / quantization
+    # ------------------------------------------------------------------
+    def calibrate(self) -> None:
+        """Profile activations over every (task, progress) prompt, then quantize.
+
+        Calibration decodes without the KV cache, one prompt per stack: the
+        observer must see the exact full-prefix tensors the reference
+        pipeline produced, so the profiled scales and anomaly bounds stay
+        bit-identical across kernel generations.
+        """
+        observer = Calibrator(self.spec)
+        kernel = FloatKernel(self._float_weight, observer=observer)
+        for task in self.suite.tasks():
+            for progress in range(len(task.plan)):
+                self._decode_stack([(task.name, progress)], kernel, None,
+                                   max_new_tokens=None, use_cache=False)
+        self.calibrator = observer
+        self._quantized = {}
+        self._plan = None
+        self._plan_shared = False
+        self._clean_lanes = []
+        for name in self.weights.component_names():
+            self._quantized[name] = QuantizedLinear(
+                name=name,
+                weight=self._float_weight(name),
+                bias=None,
+                x_params=observer.input_params(name),
+                spec=self.spec,
+                output_bound=observer.output_bound(name),
+            )
+
+    def output_bounds(self) -> dict[str, float]:
+        """Profiled per-component anomaly bounds (float domain)."""
+        return {name: self.calibrator.output_bound(name)
+                for name in self.weights.component_names()}
+
+    # ------------------------------------------------------------------
+    # Planning
+    # ------------------------------------------------------------------
+    def _decode_stack(self, requests: list[tuple[str, int]], kernel,
+                      contexts: list[KernelContext] | None,
+                      max_new_tokens: int | None, use_cache: bool = True,
+                      collect_logits: bool = False
+                      ) -> list[tuple[list[int], list[np.ndarray]]]:
+        """Greedy-decode a lane stack: the one decode driver.
+
+        Lanes step together — prompts share one length, so every step's
+        geometry is uniform — and a lane drops out of the stack when it
+        emits EOS: the cache compacts to the surviving lanes and the kernel
+        is rebuilt over their ``contexts`` (``None`` for a float kernel,
+        which has no lanes to drop).
+        """
+        limit = max_new_tokens or self.config.max_plan_length + 1
+        prompts = self._prompts(requests)
+        lanes, total = prompts.shape
+        seqs = np.empty((lanes, total + limit), dtype=np.int64)
+        seqs[:, :total] = prompts
+        cache = KVCache(len(self.weights.layers), total + limit,
+                        self.config.dim, lanes=lanes)
+        generated: list[list[int]] = [[] for _ in range(lanes)]
+        logits_of: list[list[np.ndarray]] = [[] for _ in range(lanes)]
+        live = list(range(lanes))
+        eos = self.vocab.eos
+        for _ in range(limit):
+            if not use_cache:
+                cache.reset()
+            logits = self._forward_stack(seqs[:, cache.length:total], cache,
+                                         kernel)
+            kernel.release_inputs()
+            chosen = np.argmax(logits, axis=1)
+            seqs[:, total] = chosen
+            total += 1
+            tokens = chosen.tolist()
+            for lane, token in zip(live, tokens):
+                generated[lane].append(token)
+            if collect_logits:
+                for lane, row in zip(live, logits):
+                    logits_of[lane].append(np.array(row, dtype=np.float64))
+            if eos in tokens:
+                keep = [i for i, token in enumerate(tokens) if token != eos]
+                if not keep:
+                    break
+                live = [live[i] for i in keep]
+                seqs = seqs[keep]
+                cache.compact(keep)
+                contexts = [contexts[i] for i in keep]
+                kernel = BatchedKernel.of(contexts)
+        return list(zip(generated, logits_of))
+
+    def decode_tokens(self, task_name: str, progress: int = 0,
+                      hooks: GemmHooks | None = None, quantized: bool = True,
+                      use_cache: bool = True, collect_logits: bool = False,
+                      max_new_tokens: int | None = None,
+                      ) -> tuple[list[int], list[np.ndarray]]:
+        """Greedy-decode completion tokens (and optionally per-step logits).
+
+        This is the raw interface behind :meth:`plan`, a stack of one; the
+        kernel equivalence tests use it to compare cached and uncached
+        decode token-by-token and logit-by-logit.
+        """
+        return self.decode_tokens_batch(
+            [(task_name, progress)], hooks=None if hooks is None else [hooks],
+            quantized=quantized, use_cache=use_cache,
+            collect_logits=collect_logits, max_new_tokens=max_new_tokens)[0]
+
     def decode_tokens_batch(self, requests: list[tuple[str, int]],
                             hooks: list[GemmHooks] | None = None,
                             quantized: bool = True, use_cache: bool = True,
@@ -744,76 +601,38 @@ class DeployedPlanner:
                             max_new_tokens: int | None = None,
                             contexts: list[KernelContext] | None = None,
                             ) -> list[tuple[list[int], list[np.ndarray]]]:
-        """Greedy-decode several ``(task_name, progress)`` prompts as one batch.
+        """Greedy-decode several ``(task_name, progress)`` prompts as one stack.
 
         All prompts step together through :class:`~repro.quant.BatchedKernel`
-        — one quantize + one stacked GEMM per projection per step — while KV
-        caches, fault-injection RNG streams, and counters stay per prompt
-        (``hooks`` / ``contexts`` supply one entry per prompt).  A prompt
-        drops out of the batch when it emits EOS.  Results are bit-identical
-        to calling :meth:`decode_tokens` per prompt — tokens, logits, and
-        counters, fault-free and under injection, cached or not (the batched
-        equivalence tests assert all of it).  ``quantized=False`` falls back
-        to serial float decoding.
+        — one quantize + one stacked GEMM per projection per step — while
+        fault-injection RNG streams and counters stay per prompt (``hooks`` /
+        ``contexts`` supply one entry per prompt) and the :class:`KVCache`
+        holds every lane.  A prompt drops out of the stack when it emits
+        EOS.  Results are bit-identical to decoding each prompt alone —
+        tokens, logits, and counters, fault-free and under injection, cached
+        or not (the batched equivalence tests assert all of it).
+        ``quantized=False`` decodes one prompt per stack: a float GEMM over
+        stacked rows may round differently from one over a single prompt's.
         """
         requests = list(requests)
         if not requests:
             return []
         if not quantized:
-            return [self.decode_tokens(task_name, progress, quantized=False,
-                                       use_cache=use_cache,
-                                       collect_logits=collect_logits,
-                                       max_new_tokens=max_new_tokens)
-                    for task_name, progress in requests]
-        lane_contexts = self._batch_contexts(len(requests), hooks, contexts)
-        limit = max_new_tokens or self.config.max_plan_length + 1
-        lanes = []
-        for (task_name, progress), context in zip(requests, lane_contexts):
-            tokens = list(self.vocab.encode_prompt(task_name, progress))
-            lanes.append(_DecodeLane(
-                tokens=tokens, cache=self._new_cache(len(tokens) + limit),
-                context=context, logits=[] if collect_logits else None))
-        kernel = None
-        mirror = None
-        kernel_lanes: list[_DecodeLane] = []
-        for _ in range(limit):
-            active = [lane for lane in lanes if not lane.done]
-            if not active:
-                break
-            if use_cache:
-                starts = [lane.cache.length for lane in active]
-            else:
-                for lane in active:
-                    lane.cache.reset()
-                starts = [0] * len(active)
-            # The batched kernel is stateless apart from its quantized-input
-            # memo, so reuse it (and the K/V mirror, rebuilt by backfilling
-            # from the lane caches) across steps until a lane drops at EOS.
-            if kernel is None or active != kernel_lanes:
-                kernel = BatchedKernel([lane.context for lane in active])
-                kernel_lanes = active
-                mirror = _BatchedKVMirror(active) if use_cache else None
-            logits = self._forward_step_batch(active, starts, kernel, mirror)
-            # Per-step memo release: the memo never hits across steps (each
-            # step stacks fresh activations) but would otherwise pin the last
-            # stack for the kernel's lifetime.
-            kernel.release_inputs()
-            for lane, row in zip(active, logits):
-                if lane.logits is not None:
-                    lane.logits.append(np.asarray(row, dtype=np.float64).copy())
-                next_token = int(np.argmax(row))
-                lane.generated.append(next_token)
-                lane.tokens.append(next_token)
-                if next_token == self.vocab.eos:
-                    lane.done = True
-        return [(lane.generated, lane.logits or []) for lane in lanes]
+            return [self._decode_stack([request], FloatKernel(self._float_weight),
+                                       None, max_new_tokens, use_cache,
+                                       collect_logits)[0]
+                    for request in requests]
+        lane_contexts = self._lane_contexts(len(requests), hooks, contexts)
+        return self._decode_stack(requests, BatchedKernel.of(lane_contexts),
+                                  lane_contexts, max_new_tokens, use_cache,
+                                  collect_logits)
 
     def plan_batch(self, requests: list[tuple[str, int]],
                    hooks: list[GemmHooks] | None = None,
                    quantized: bool = True, use_cache: bool = True,
                    contexts: list[KernelContext] | None = None
                    ) -> list[list[str]]:
-        """Batched :meth:`plan`: one subtask plan per ``(task, progress)`` prompt.
+        """One subtask plan per ``(task, progress)`` prompt, decoded as one stack.
 
         Bit-identical to per-prompt :meth:`plan` calls with the matching
         context/hooks — see :meth:`decode_tokens_batch`.
@@ -830,22 +649,30 @@ class DeployedPlanner:
              context: KernelContext | None = None) -> list[str]:
         """Produce a subtask plan for a task at the given completion progress.
 
-        ``use_cache`` selects KV-cached incremental decoding (the default) or
-        full-prefix recompute; ``context`` reuses a caller-owned kernel
-        context (e.g. one per trial) instead of building one per invocation.
+        A stack of one through :meth:`plan_batch`.  ``use_cache`` selects
+        KV-cached incremental decoding (the default) or full-prefix
+        recompute; ``context`` reuses a caller-owned kernel context (e.g.
+        one per trial) instead of building one per invocation.
         """
-        kernel = self._kernel_for(hooks, quantized, context)
-        generated = self._decode(task_name, progress, kernel, max_new_tokens=None,
-                                 use_cache=use_cache)
-        return self.vocab.decode_plan(generated)
+        return self.plan_batch(
+            [(task_name, progress)], hooks=None if hooks is None else [hooks],
+            quantized=quantized, use_cache=use_cache,
+            contexts=None if context is None else [context])[0]
 
     def logits(self, task_name: str, progress: int = 0,
                hooks: GemmHooks | None = None, quantized: bool = True) -> np.ndarray:
         """Logits of the first completion token (used by resilience probes)."""
-        kernel = self._kernel_for(hooks, quantized)
-        tokens = list(self.vocab.encode_prompt(task_name, progress))
-        cache = self._new_cache(len(tokens))
-        return self._forward_step(tokens, 0, cache, kernel)
+        if quantized:
+            kernel = self._lane_contexts(
+                1, None if hooks is None else [hooks], None)[0].kernel
+        else:
+            kernel = FloatKernel(self._float_weight)
+        prompt = self._prompts([(task_name, progress)])
+        cache = KVCache(len(self.weights.layers), prompt.shape[1],
+                        self.config.dim)
+        logits = self._forward_stack(prompt, cache, kernel)[0]
+        kernel.release_inputs()
+        return logits
 
     # ------------------------------------------------------------------
     # Introspection used by the characterization experiments
@@ -856,10 +683,7 @@ class DeployedPlanner:
         """Capture pre-normalization residual activations during one forward."""
         self._activation_probe = {}
         try:
-            kernel = self._kernel_for(hooks, quantized)
-            tokens = list(self.vocab.encode_prompt(task_name, progress))
-            cache = self._new_cache(len(tokens))
-            self._forward_step(tokens, 0, cache, kernel)
+            self.logits(task_name, progress, hooks=hooks, quantized=quantized)
             return dict(self._activation_probe)
         finally:
             self._activation_probe = None

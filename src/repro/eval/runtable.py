@@ -234,26 +234,31 @@ RESULT_COLUMNS: tuple[str, ...] = tuple(c for c in _FIELD_COLUMNS
 #: Full profile schema: result columns first, profile columns last.
 COLUMNS: tuple[str, ...] = RESULT_COLUMNS + PROFILE_COLUMNS
 
-#: Profile headers of earlier releases — before ``batch_size``/``vector_path``
-#: existed, before the derived columns existed, before ``queue_backend``
-#: existed, before ``fleet_size`` existed, and before ``plan_cache`` existed;
-#: still accepted on read so old sidecars keep loading (and being appended
-#: to) unchanged.
-_LEGACY_PROFILE_HEADERS: tuple[tuple[str, ...], ...] = (
-    RESULT_COLUMNS + ("wall_time_s", "worker_id"),
-    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path"),
-    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path",
-                      "macs_total", "flips_total", "energy_model_j"),
-    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path",
-                      "queue_backend",
-                      "macs_total", "flips_total", "energy_model_j"),
-    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path",
-                      "queue_backend", "fleet_size",
-                      "macs_total", "flips_total", "energy_model_j"),
-)
+def _is_header(header: tuple[str, ...]) -> bool:
+    """Whether ``header`` is a run-table header of this or an earlier release.
 
-_ACCEPTED_HEADERS: tuple[tuple[str, ...], ...] = (
-    RESULT_COLUMNS, COLUMNS) + _LEGACY_PROFILE_HEADERS
+    The rule: :data:`RESULT_COLUMNS`, then :data:`PROFILE_COLUMNS` in schema
+    order with any of them omitted.  It covers the canonical and profile
+    headers and every profile header of earlier releases (before
+    ``batch_size``/``vector_path``, the derived columns, ``queue_backend``,
+    ``fleet_size`` or ``plan_cache`` existed); columns a header lacks load
+    with their field defaults.  Unknown, duplicated or out-of-order columns
+    fail it.
+    """
+    count = len(RESULT_COLUMNS)
+    if tuple(header[:count]) != RESULT_COLUMNS:
+        return False
+    # ``in`` on an iterator consumes it up to the match, so each profile
+    # column must appear after the previous one, at most once.
+    remaining = iter(PROFILE_COLUMNS)
+    return all(name in remaining for name in header[count:])
+
+
+def _checked_header(path: Path, header: list[str]) -> tuple[str, ...]:
+    """``header`` as a tuple, or the ``ValueError`` of a foreign file."""
+    if not _is_header(header):
+        raise ValueError(f"unexpected run-table header in {path}: {header}")
+    return tuple(header)
 
 
 def _format_cell(name: str, value) -> str:
@@ -380,16 +385,22 @@ class RunTableWriter:
         self.path = Path(path)
         self.columns = _columns_for(profile)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
-        if not fresh:
-            fresh = self._truncate_torn_tail() == 0
+        data = self.path.read_bytes() if self.path.exists() else b""
+        # A partial final line left by a crash is cut off before appending:
+        # new rows would otherwise merge with the fragment, and the resumed
+        # campaign re-executes its cell (the row never parsed).  A file
+        # without one complete line (a torn header) starts afresh.
+        cut = len(data) if data.endswith(b"\n") else data.rfind(b"\n") + 1
+        fresh = cut == 0
         if not fresh:
             # Appending must match the file's existing header, which may be a
-            # legacy profile header from before batch_size/vector_path: adopt
-            # any recognized column set so resumed sidecars stay rectangular.
-            existing = self._existing_header()
-            if existing in _ACCEPTED_HEADERS:
-                self.columns = existing
+            # legacy profile header: adopt any run-table column set so resumed
+            # sidecars stay rectangular, and refuse a foreign file before
+            # touching it.
+            self.columns = _checked_header(self.path, self._existing_header())
+        if cut < len(data):
+            with self.path.open("rb+") as handle:
+                handle.truncate(cut)
         self._handle = self.path.open("a", newline="")
         self._writer = csv.writer(self._handle, lineterminator="\n")
         if fresh:
@@ -397,24 +408,9 @@ class RunTableWriter:
             self._handle.flush()
         self.rows_written = 0
 
-    def _existing_header(self) -> tuple[str, ...]:
+    def _existing_header(self) -> list[str]:
         with self.path.open(newline="") as handle:
-            return tuple(next(csv.reader(handle), ()))
-
-    def _truncate_torn_tail(self) -> int:
-        """Drop a partial final line left by a crash; return the new size.
-
-        Appending after a torn row would otherwise merge the fragment with
-        the first new row, corrupting both.  The resumed campaign re-executes
-        the torn cell (its row never parsed), so nothing is lost.
-        """
-        data = self.path.read_bytes()
-        if data.endswith(b"\n"):
-            return len(data)
-        cut = data.rfind(b"\n") + 1  # 0 when no newline at all (torn header)
-        with self.path.open("rb+") as handle:
-            handle.truncate(cut)
-        return cut
+            return next(csv.reader(handle), [])
 
     def write(self, record: RunRecord) -> None:
         """Append one row and flush it to the OS immediately."""
@@ -562,12 +558,12 @@ class RunTable:
         """Read a table written by :meth:`write_csv` or :class:`RunTableWriter`.
 
         Accepts the canonical (:data:`RESULT_COLUMNS`) header, the profile
-        (:data:`COLUMNS`) header, and the legacy profile headers of earlier
-        releases; columns a header lacks load with their field defaults.  With
-        ``strict=False``,
-        rows that are truncated or unparseable — e.g. the torn final line of
-        a campaign killed mid-write — are skipped instead of raising, which
-        is how interrupted streamed tables are resumed.
+        (:data:`COLUMNS`) header, and the profile headers of earlier releases
+        (see :func:`_is_header`); columns a header lacks load with their field
+        defaults.  With ``strict=False``, rows that are truncated or
+        unparseable — e.g. the torn final line of a campaign killed
+        mid-write — are skipped instead of raising, which is how interrupted
+        streamed tables are resumed.
         """
         path = Path(path)
         with path.open(newline="") as handle:
@@ -575,9 +571,7 @@ class RunTable:
             header = next(reader, None)
             if header is None:
                 return cls()
-            if tuple(header) not in _ACCEPTED_HEADERS:
-                raise ValueError(f"unexpected run-table header in {path}: {header}")
-            header = tuple(header)
+            header = _checked_header(path, header)
             records = []
             for row in reader:
                 if not row:
@@ -643,7 +637,7 @@ def is_run_table(path: str | Path) -> bool:
         return False
     try:
         with path.open(newline="") as handle:
-            header = tuple(next(csv.reader(handle), ()))
+            header = next(csv.reader(handle), [])
     except (OSError, UnicodeDecodeError, csv.Error):
         return False
-    return header in _ACCEPTED_HEADERS
+    return _is_header(header)

@@ -47,7 +47,7 @@ class MultiHeadAttention(Module):
     def stacked_qkv_weight(self) -> np.ndarray:
         """Column-stacked ``[Wq | Wk | Wv]`` float weights, ``(dim, 3*dim)``.
 
-        Deployment-side fused execution (``KernelContext.qgemm_multi``) runs
+        Deployment-side fused execution (``BatchedKernel.qgemm_multi``) runs
         Q/K/V as one GEMM over exactly this stacking; the projections remain
         distinct trainable modules so per-component injection targeting and
         MAC attribution keep working.  The result is a snapshot copy — this

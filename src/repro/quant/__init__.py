@@ -5,9 +5,10 @@ Two execution paths share one arithmetic definition:
 * :func:`quantized_matmul` / :class:`QuantizedLinear` — the per-call
   reference pipeline (quantize → INT GEMM → wrap → inject → clamp →
   dequantize);
-* :class:`KernelContext` — the fused runtime used by deployed agents: the
-  same pipeline with pre-resolved scales/bounds, preallocated accumulator
-  workspaces and unified :class:`KernelCounters`.
+* :class:`BatchedKernel` — the fused runtime used by deployed agents: the
+  same pipeline over a stack of lanes (one :class:`KernelContext` each, a
+  single call being a stack of one), with pre-resolved scales/bounds and
+  unified :class:`KernelCounters`.
 """
 
 from .qtypes import (

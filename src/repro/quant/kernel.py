@@ -5,57 +5,56 @@ paper's accelerator dataflow (quantize → INT GEMM → 24-bit wrap → injectio
 anomaly clearance → dequantize), but it pays per-call costs that dominate
 trial time at surrogate scale: scale/bound lookups through ``QuantParams``
 objects, fresh int64 accumulator allocations, and closure-based dispatch.
-:class:`KernelContext` is the same pipeline compiled into a long-lived
-runtime object:
+This module is the same pipeline compiled into long-lived runtime objects:
 
 * every registered :class:`~repro.quant.qgemm.QuantizedLinear` is flattened
   into a plain-attribute entry (inverse input scale, combined output scale,
-  integer anomaly bound, bias) resolved with a single dict lookup per call;
-* int64 accumulator workspaces are preallocated per output shape and reused
-  across calls (the dequantized float output is always a fresh array, so
-  callers can hold onto results safely);
-* injection and anomaly clearance run as in-pipeline stages on the shared
-  injector / detector objects, so their per-object stats keep working, while
-  the context additionally maintains one unified :class:`KernelCounters`
-  that energy/latency accounting can consume instead of reading
-  ``GemmStats`` + ``InjectionStats`` + ``AnomalyStats`` separately.
+  integer anomaly bound, bias) resolved with a single dict lookup per call,
+  and shared across trials through an immutable :class:`KernelPlan`;
+* a :class:`KernelContext` holds one lane's state — hooks, counters, plan;
+  injection and anomaly clearance run as in-pipeline stages on its shared
+  injector / detector objects, so their per-object stats keep working,
+  while the context additionally maintains one unified
+  :class:`KernelCounters` that energy/latency accounting can consume
+  instead of reading ``GemmStats`` + ``InjectionStats`` + ``AnomalyStats``
+  separately;
+* :class:`BatchedKernel` is the one body of the pipeline.  It runs a stack
+  of lanes — row-stacked activations of N contexts — as one quantize and
+  one GEMM, then applies each lane's stages to its own row slice.  A single
+  lane is a stack of one (:meth:`KernelContext.qgemm` is that entry).
 
-``qgemm`` results are bit-identical to ``quantized_matmul`` — the fused path
-changes bookkeeping, not arithmetic — which the kernel equivalence tests
-assert.
+Results are bit-identical to ``quantized_matmul`` — the fused path changes
+bookkeeping, not arithmetic — which the kernel equivalence tests assert.
 
-Batched execution
------------------
-Two further fusion levels build on the same exactness argument (a float64
-GEMM over integer-valued operands is exact below 2^52, and every per-element
-pipeline stage — wrap, injection, clamp, dequantize — commutes with row or
-column slicing):
+Stacking
+--------
+Two fusion levels rest on the same exactness argument (a float64 GEMM over
+integer-valued operands is exact below 2^52, and every per-element pipeline
+stage — wrap, injection, clamp, dequantize — commutes with row or column
+slicing):
 
-* **Fused component groups** (:meth:`KernelContext.qgemm_multi`) stack the
-  weight matrices of components that read the same input under one shared
-  calibration scale (Q/K/V, Gate/Up) column-wise and run them as one GEMM.
-  Injection draws, anomaly clearance, MAC attribution and dequantization
-  still run per component on the column slice (one scatter then applies
-  every slice's drawn flips), so a fault targeted at ``*.k`` lands only in
-  the K slice and every counter matches the unfused path bit for bit.
-* **Cross-prompt batching** (:class:`BatchedKernel`) row-stacks the inputs of
-  N independent per-prompt :class:`KernelContext` objects and runs one GEMM
-  for the whole batch, then applies each lane's injector / clamp / counters
-  to its own row slice.  Each lane keeps its own RNG stream and sees row
-  blocks of exactly the shapes its serial decode would produce, so batched
-  output is bit-identical to N serial decodes — fault-free and under
-  injection.
+* **Fused component groups** (``qgemm_multi``) stack the weight matrices of
+  components that read the same input under one shared calibration scale
+  (Q/K/V, Gate/Up) column-wise and run them as one GEMM.  Injection draws,
+  anomaly clearance, MAC attribution and dequantization still run per
+  component on the column slice (one scatter then applies every slice's
+  drawn flips), so a fault targeted at ``*.k`` lands only in the K slice
+  and every counter matches the unfused path bit for bit.
+* **Lane stacks** row-stack the inputs of N independent lanes.  Each lane
+  keeps its own RNG stream and sees row blocks of exactly the shapes a
+  stack of one would produce, so a stack of N is bit-identical to N stacks
+  of one — fault-free and under injection.
 
 Logical-row accounting
 ----------------------
 Incremental (KV-cached) decoding computes GEMMs only for new token rows, but
 energy / latency accounting must stay decode-strategy-invariant: the
-``logical_rows`` argument of :meth:`KernelContext.qgemm` records MACs for the
-full logical row count of the modelled dataflow while the arithmetic (and
-therefore the fault exposure of the *produced* accumulator elements) covers
-only the rows actually computed.  Cached and uncached decode thus report
-identical MAC counts, and injection keeps the expected number of corrupted
-elements per produced accumulator element unchanged.
+``logical_rows`` argument of ``qgemm`` records MACs for the full logical row
+count of the modelled dataflow while the arithmetic (and therefore the fault
+exposure of the *produced* accumulator elements) covers only the rows
+actually computed.  Cached and uncached decode thus report identical MAC
+counts, and injection keeps the expected number of corrupted elements per
+produced accumulator element unchanged.
 """
 
 from __future__ import annotations
@@ -347,7 +346,15 @@ class KernelPlan:
 
 
 class KernelContext:
-    """Owns pre-quantized weights, workspace buffers, and the fused pipeline.
+    """One lane's state of the fused pipeline: hooks, counters and the plan.
+
+    A context holds everything that belongs to one prompt or one trial —
+    its hooks (injector with its own RNG stream, anomaly clamp, stats), its
+    :class:`KernelCounters`, and the flattened layer entries it runs (shared
+    with a :class:`KernelPlan`, or registered privately).  The pipeline
+    itself runs in :class:`BatchedKernel`, over a stack of lanes;
+    :meth:`qgemm` and :meth:`qgemm_multi` are the one-lane entries, a stack
+    of one through the context's own kernel (:attr:`kernel`).
 
     Parameters
     ----------
@@ -389,11 +396,6 @@ class KernelContext:
         self.counters = KernelCounters()
         if rng is not None and self.injector is not None:
             self.injector.reseed(rng)
-        # Wrap constants of the accumulator format, resolved once.
-        self._acc_bits = spec.accumulator_bits
-        self._acc_mask = spec.accumulator_mask
-        self._acc_sign = 1 << (spec.accumulator_bits - 1)
-        self._acc_span = 1 << spec.accumulator_bits
         self._plan = plan
         if plan is not None:
             # Shared, read-only: entries and the fused-group memo alias the
@@ -404,14 +406,7 @@ class KernelContext:
         else:
             self._entries: dict[str, _KernelEntry] = {}
             self._fused_entries: dict[tuple[str, ...], _FusedEntry | None] = {}
-        self._workspaces: dict[tuple[int, int], np.ndarray] = {}
-        # Quantized-input reuse: components sharing one calibration scale
-        # (e.g. Q/K/V projections reading the same normalized residual) reuse
-        # the integer input computed by the first of them.  Holding a
-        # reference to the source array keeps its id() from being recycled.
-        self._qx_source: np.ndarray | None = None
-        self._qx_scale = 0.0
-        self._qx: np.ndarray | None = None
+        self._kernel: BatchedKernel | None = None
         if layers:
             self.register_all(layers)
 
@@ -447,95 +442,63 @@ class KernelContext:
     def reset(self, rng: np.random.Generator | None = None) -> None:
         """O(1) per-trial reset: counters and input memo, never plan state.
 
-        Workspaces are kept (reuse across trials is the point); when ``rng``
-        is given the injector is reseeded, mirroring construction.
+        When ``rng`` is given the injector is reseeded, mirroring
+        construction.
         """
         self.counters.reset()
-        self._qx_source = None
-        self._qx_scale = 0.0
-        self._qx = None
+        if self._kernel is not None:
+            self._kernel.release_inputs()
         if rng is not None and self.injector is not None:
             self.injector.reseed(rng)
 
     # ------------------------------------------------------------------
-    # Fused pipeline
+    # One-lane entries
     # ------------------------------------------------------------------
-    def _workspace(self, rows: int, cols: int) -> np.ndarray:
-        """Reusable int64 accumulator buffer for one output shape."""
-        buffer = self._workspaces.get((rows, cols))
-        if buffer is None:
-            buffer = np.empty((rows, cols), dtype=np.int64)
-            self._workspaces[(rows, cols)] = buffer
-        return buffer
-
-    def _quantize_input(self, entry: _KernelEntry, x: np.ndarray) -> np.ndarray:
-        """Integer-valued float input tensor, reused across equal-scale calls."""
-        if x is self._qx_source and entry.x_scale == self._qx_scale:
-            return self._qx
-        # Identical arithmetic to quantizer.quantize: scale, round, clip.
-        q = x / entry.x_scale
-        np.rint(q, out=q)
-        np.minimum(q, entry.qmax, out=q)
-        np.maximum(q, entry.qmin, out=q)
-        self._qx_source = x
-        self._qx_scale = entry.x_scale
-        self._qx = q
-        return q
+    @property
+    def kernel(self) -> "BatchedKernel":
+        """This context as a stack of one lane (built on first use, then kept)."""
+        if self._kernel is None:
+            self._kernel = BatchedKernel([self])
+        return self._kernel
 
     def qgemm(self, name: str, x: np.ndarray,
               logical_rows: int | None = None) -> np.ndarray:
         """Fused quantize → INT GEMM → wrap → inject → clamp → dequantize.
 
-        ``x`` is the float input (rows actually computed); ``logical_rows``
+        :meth:`BatchedKernel.qgemm` over a stack of one.  ``x`` is the float
+        input (rows actually computed, any leading shape); ``logical_rows``
         optionally overrides the row count used for MAC accounting (see the
         module docstring).  Returns a fresh float array, bit-identical to
         :func:`repro.quant.quantized_matmul` on the same operands.
         """
-        entry = self._entries[name]
-        x_q = self._quantize_input(entry, x)
-        rows = x_q.shape[0] if x_q.ndim == 2 else int(np.prod(x_q.shape[:-1]))
+        kernel = self._kernel or self.kernel
+        logical = None if logical_rows is None else (logical_rows,)
+        if x.ndim == 2:
+            return kernel.qgemm(name, x, (x.shape[0],), logical)
+        rows = x.reshape(-1, x.shape[-1])
+        out = kernel.qgemm(name, rows, (rows.shape[0],), logical)
+        return out.reshape(*x.shape[:-1], out.shape[-1])
 
-        macs = (logical_rows if logical_rows is not None else rows) \
-            * entry.in_features * entry.out_features
-        outputs = rows * entry.out_features
-        self.counters.record_gemm(name, macs, outputs)
-        if self.stats is not None:
-            self.stats.record(name, macs, outputs)
+    def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
+                    logical_rows: int | None = None) -> tuple[np.ndarray, ...]:
+        """Several components over one input as one stacked GEMM, one lane.
 
-        injector = self.injector
-        if entry.exact_float and entry.wrap_free and injector is None:
-            # Fault-free fast path: the BLAS GEMM over integer-valued floats
-            # is exact and wrapping is the identity, so the accumulator never
-            # needs to materialize as int64.
-            acc = x_q @ entry.weight_f
-            if self.clamp is not None and entry.bound_acc is not None:
-                acc = self._clamp_stage(acc, entry.bound_acc, name)
-            acc *= entry.combined_scale
-            out = acc
-        else:
-            if entry.exact_float:
-                acc = (x_q @ entry.weight_f).astype(np.int64)
-            else:
-                acc = self._workspace(rows, entry.out_features)
-                np.matmul(x_q.astype(np.int64).reshape(rows, entry.in_features),
-                          entry.weight_q, out=acc)
-            if not entry.wrap_free:
-                # Finite accumulator width, in place.
-                acc &= self._acc_mask
-                acc[acc >= self._acc_sign] -= self._acc_span
-            if injector is not None:
-                self._inject_stage(acc, name)
-            if self.clamp is not None and entry.bound_acc is not None:
-                acc = self._clamp_stage(acc, entry.bound_acc, name)
-            out = acc.astype(np.float64)
-            out *= entry.combined_scale
+        :meth:`BatchedKernel.qgemm_multi` over a stack of one: components
+        sharing the input scale (Q/K/V, Gate/Up) run as one column-stacked
+        GEMM, every per-component stage on its column slice in call order, so
+        results and counters equal separate :meth:`qgemm` calls bit for bit.
+        """
+        kernel = self._kernel or self.kernel
+        logical = None if logical_rows is None else (logical_rows,)
+        if x.ndim == 2:
+            return kernel.qgemm_multi(names, x, (x.shape[0],), logical)
+        rows = x.reshape(-1, x.shape[-1])
+        return tuple(part.reshape(*x.shape[:-1], part.shape[-1]) for part
+                     in kernel.qgemm_multi(names, rows, (rows.shape[0],), logical))
 
-        if entry.bias is not None:
-            out += entry.bias
-        if x.ndim != 2:
-            out = out.reshape(*x.shape[:-1], entry.out_features)
-        return out
-
+    # ------------------------------------------------------------------
+    # Lane stages
+    # ------------------------------------------------------------------
     def _fused(self, names: tuple[str, ...]) -> _FusedEntry | None:
         """Memoized column-stacked entry for a component group (None: unfusable)."""
         if names in self._fused_entries:
@@ -544,104 +507,6 @@ class KernelContext:
         fused = _FusedEntry(names, entries) if _FusedEntry.fusable(entries) else None
         self._fused_entries[names] = fused
         return fused
-
-    def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
-                    logical_rows: int | None = None) -> tuple[np.ndarray, ...]:
-        """Run several components over one input as a single stacked GEMM.
-
-        Components must share the input scale (Q/K/V and Gate/Up do by
-        construction — they read the same normalized residual); groups that
-        do not simply fall back to one :meth:`qgemm` per component.  Every
-        per-component stage — injection (RNG draws and targeting), anomaly
-        clearance, MAC/stat attribution, dequantization — runs on the
-        component's column slice in call order, so results and all counters
-        are bit-identical to separate :meth:`qgemm` calls.
-        """
-        if type(names) is not tuple:
-            names = tuple(names)
-        fused = self._fused_entries.get(names, _UNRESOLVED)
-        if fused is _UNRESOLVED:
-            fused = self._fused(names)
-        if fused is None:
-            return tuple(self.qgemm(name, x, logical_rows) for name in names)
-
-        x_q = self._quantize_input(fused, x)
-        if x_q.ndim != 2:
-            x_q = x_q.reshape(-1, fused.in_features)
-        rows = x_q.shape[0]
-        logical = logical_rows if logical_rows is not None else rows
-        # Inlined per-component record_gemm (same arithmetic, no per-slice
-        # method dispatch — the 1-row decode step is dispatch-bound).
-        counters = self.counters
-        counters.gemm_calls += len(fused.slices)
-        counters.macs += logical * fused.macs_per_row
-        counters.output_elements += rows * fused.out_features
-        per_component = counters.macs_per_component
-        stats = self.stats
-        for name, per_row, columns in fused.component_macs:
-            macs = logical * per_row
-            per_component[name] = per_component.get(name, 0) + macs
-            if stats is not None:
-                stats.record(name, macs, rows * columns)
-
-        injector = self.injector
-        if fused.exact_float and fused.wrap_free and injector is None:
-            acc = x_q @ fused.weight_f
-            if self.clamp is not None:
-                for name, entry, lo, hi in fused.slices:
-                    if entry.bound_acc is not None:
-                        acc[:, lo:hi] = self._clamp_stage(
-                            acc[:, lo:hi], entry.bound_acc, name)
-            if fused.uniform_scale is not None:
-                acc *= fused.uniform_scale
-            else:
-                acc *= fused.scale_row
-            out = acc
-        else:
-            if fused.exact_float:
-                acc = (x_q @ fused.weight_f).astype(np.int64)
-            else:
-                acc = self._workspace(rows, fused.out_features)
-                np.matmul(x_q.astype(np.int64).reshape(rows, fused.in_features),
-                          fused.weight_q, out=acc)
-            if not fused.wrap_free:
-                # Wrapping is the identity on any wrap-free component slice,
-                # so the whole-accumulator wrap changes no fused component.
-                acc &= self._acc_mask
-                acc[acc >= self._acc_sign] -= self._acc_span
-            if injector is not None or self.clamp is not None:
-                _hook_stages(acc, fused.slices, (self,), ((0, rows),),
-                             self.spec)
-            out = acc.astype(np.float64)
-            out *= fused.scale_row
-
-        if not fused.any_bias and x.ndim == 2:
-            return tuple(out[:, lo:hi] for _, _, lo, hi in fused.slices)
-        parts = []
-        for _, entry, lo, hi in fused.slices:
-            part = out[:, lo:hi]
-            if entry.bias is not None:
-                part += entry.bias
-            if x.ndim != 2:
-                part = part.reshape(*x.shape[:-1], entry.out_features)
-            parts.append(part)
-        return tuple(parts)
-
-    def _inject_stage(self, acc: np.ndarray, name: str) -> None:
-        """Fault injection of one whole (contiguous) accumulator, in place.
-
-        Draws the flips and applies them with one scatter (see
-        :func:`_hook_stages`); tracks the unified counters.
-        """
-        injector = self.injector
-        stats = injector.stats
-        flipped, corrupted = stats.bits_flipped, stats.elements_corrupted
-        drawn = injector.draw(acc, self.spec, name)
-        if drawn is not None:
-            xor_flips(acc.reshape(-1), drawn[0], drawn[1], self._acc_bits)
-        counters = self.counters
-        counters.bits_flipped += stats.bits_flipped - flipped
-        counters.elements_corrupted += stats.elements_corrupted - corrupted
 
     def _clamp_stage(self, acc: np.ndarray, bound: int, name: str) -> np.ndarray:
         """Anomaly clearance as a pipeline stage (tracks the unified counters)."""
@@ -653,23 +518,21 @@ class KernelContext:
                 clamp_stats.elements_clamped - clamped_before)
         return acc
 
-    def reset_counters(self) -> None:
-        self.counters.reset()
-
 
 class BatchedKernel:
-    """Cross-prompt batched execution over N per-prompt kernel contexts.
+    """The fused pipeline over a stack of lanes: the body of every quantized GEMM.
 
-    The batched planner decode row-stacks the activations of N prompts and
-    calls :meth:`qgemm` / :meth:`qgemm_multi` with ``lane_rows`` giving each
-    prompt's row count in the stack.  Quantization and the (IN)T GEMM run
+    A lane is one prompt's or one trial's rows, with its own
+    :class:`KernelContext`.  Callers row-stack the lanes' activations and
+    call :meth:`qgemm` / :meth:`qgemm_multi` with ``lane_rows`` giving each
+    lane's row count in the stack.  Quantization and the (IN)T GEMM run
     once for the whole stack; every per-lane stage — MAC/stat attribution,
     fault injection with the lane's own RNG stream, anomaly clearance —
-    runs on the lane's row slice through the lane's own
-    :class:`KernelContext`.  Each lane's injector therefore sees tensors of
-    exactly the shapes (and values) its serial decode would produce, in the
-    same call order, so batched execution is bit-identical to N serial
-    decodes, fault-free and under injection.
+    runs on the lane's row slice through the lane's own context.  Each
+    lane's injector therefore sees tensors of exactly the shapes (and
+    values) a stack of one would produce, in the same call order, so a
+    stack of N is bit-identical to N stacks of one, fault-free and under
+    injection.  A single lane skips the per-lane bookkeeping.
 
     All contexts must be registered over the same deployed model (same
     component names, scales, and quantization spec); lanes may differ in
@@ -689,9 +552,15 @@ class BatchedKernel:
         self.contexts = list(contexts)
         self.spec = host.spec
         self._host = host
+        # The lane of a stack of one, which skips the per-lane loops.
+        self._lane = host if len(self.contexts) == 1 else None
         self._qx_source: np.ndarray | None = None
         self._qx_scale = 0.0
         self._qx: np.ndarray | None = None
+        # Wrap constants of the accumulator format, resolved once.
+        self._acc_mask = host.spec.accumulator_mask
+        self._acc_sign = 1 << (host.spec.accumulator_bits - 1)
+        self._acc_span = 1 << host.spec.accumulator_bits
         # Hooks are fixed at context construction, so hoist the "does any
         # lane inject / clamp" checks out of the per-call hot path; when no
         # lane has hooks the per-lane stage loops are skipped entirely.
@@ -700,18 +569,12 @@ class BatchedKernel:
             c.clamp is not None for c in self.contexts)
         self._bounds_memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
-    def _quantize_input(self, entry, x: np.ndarray) -> np.ndarray:
-        """Stack-level quantized-input memo (same arithmetic as the contexts')."""
-        if x is self._qx_source and entry.x_scale == self._qx_scale:
-            return self._qx
-        q = x / entry.x_scale
-        np.rint(q, out=q)
-        np.minimum(q, entry.qmax, out=q)
-        np.maximum(q, entry.qmin, out=q)
-        self._qx_source = x
-        self._qx_scale = entry.x_scale
-        self._qx = q
-        return q
+    @classmethod
+    def of(cls, contexts: list[KernelContext]) -> "BatchedKernel":
+        """The kernel of a lane stack; a single lane reuses its context's own."""
+        if len(contexts) == 1:
+            return contexts[0].kernel
+        return cls(contexts)
 
     def release_inputs(self) -> None:
         """Drop the stack-level input memo (end of a decode / act step).
@@ -719,7 +582,7 @@ class BatchedKernel:
         The memo only ever hits *within* one step — each step stacks fresh
         lane activations, so ``x is self._qx_source`` cannot match across
         steps — but without an explicit release it pins the last stacked
-        input (and its quantized copy) for the kernel's lifetime.  Batched
+        input (and its quantized copy) for the kernel's lifetime.  Stack
         drivers call this once per step so long fleet missions don't grow
         resident memory with stale activation stacks.
         """
@@ -727,7 +590,8 @@ class BatchedKernel:
         self._qx_scale = 0.0
         self._qx = None
 
-    def _bounds(self, lane_rows: list[int], total: int) -> list[tuple[int, int]]:
+    def _bounds(self, lane_rows, total: int) -> list[tuple[int, int]]:
+        """Each lane's ``(lo, hi)`` row block (memoized per ``lane_rows``)."""
         key = tuple(lane_rows)
         bounds = self._bounds_memo.get(key)
         if bounds is not None:
@@ -735,6 +599,9 @@ class BatchedKernel:
                 raise ValueError(
                     f"lane_rows sum to {sum(key)}, stack has {total} rows")
             return bounds
+        if len(key) != len(self.contexts):
+            raise ValueError(
+                f"{len(key)} lane_rows for {len(self.contexts)} lanes")
         bounds = []
         offset = 0
         for rows in lane_rows:
@@ -748,97 +615,136 @@ class BatchedKernel:
     def _accumulate(self, entry, x: np.ndarray) -> tuple[np.ndarray, bool]:
         """Quantize + GEMM (+wrap) for the whole stack; returns (acc, is_int).
 
-        Lanes without an injector could stay in the float domain, but a
-        single integer accumulator for the whole stack keeps one GEMM per
-        call; the int64 and float paths dequantize to identical bits (the
-        accumulator is exact below 2^52 either way).
+        The quantized input is memoized on the identity of ``x`` (components
+        sharing one calibration scale, e.g. Q/K/V reading one normalized
+        residual, reuse it; holding ``x`` keeps its id() from being
+        recycled).  Lanes without an injector could stay in the float
+        domain, but a single integer accumulator for the whole stack keeps
+        one GEMM per call; the int64 and float paths dequantize to identical
+        bits (the accumulator is exact below 2^52 either way).
         """
-        x_q = self._quantize_input(entry, x)
+        if x is self._qx_source and entry.x_scale == self._qx_scale:
+            x_q = self._qx
+        else:
+            # Identical arithmetic to quantizer.quantize: scale, round, clip.
+            x_q = x / entry.x_scale
+            np.rint(x_q, out=x_q)
+            np.minimum(x_q, entry.qmax, out=x_q)
+            np.maximum(x_q, entry.qmin, out=x_q)
+            self._qx_source = x
+            self._qx_scale = entry.x_scale
+            self._qx = x_q
         if entry.exact_float and entry.wrap_free and not self._faulty:
+            # Fault-free fast path: the BLAS GEMM over integer-valued floats
+            # is exact and wrapping is the identity, so the accumulator never
+            # needs to materialize as int64.
             return x_q @ entry.weight_f, False
         if entry.exact_float:
             acc = (x_q @ entry.weight_f).astype(np.int64)
         else:
             acc = np.matmul(x_q.astype(np.int64), entry.weight_q)
         if not entry.wrap_free:
-            host = self._host
-            acc &= host._acc_mask
-            acc[acc >= host._acc_sign] -= host._acc_span
+            # Finite accumulator width, in place.
+            acc &= self._acc_mask
+            acc[acc >= self._acc_sign] -= self._acc_span
         return acc, True
 
-    def qgemm(self, name: str, x: np.ndarray, lane_rows: list[int],
-              logical_rows: list[int] | None = None) -> np.ndarray:
-        """One batched pipeline pass; returns the row-stacked float output."""
+    def qgemm(self, name: str, x: np.ndarray, lane_rows,
+              logical_rows=None) -> np.ndarray:
+        """One pipeline pass over the stack; returns the row-stacked float output."""
         entry = self._host._entries[name]
-        bounds = self._bounds(lane_rows, x.shape[0])
-        logical = logical_rows if logical_rows is not None else lane_rows
         elems = entry.in_features * entry.out_features
         outs = entry.out_features
-        for context, (lo, hi), lrows in zip(self.contexts, bounds, logical):
-            macs = lrows * elems
-            outputs = (hi - lo) * outs
-            # Inlined ``counters.record_gemm`` (same arithmetic) — see
-            # :meth:`qgemm_multi`.
-            counters = context.counters
+        # Inlined ``counters.record_gemm`` (same arithmetic) per lane: the
+        # recording is the hottest pure-Python code of a stacked step, and a
+        # single lane skips the bounds memo and the loop.
+        lane = self._lane
+        if lane is not None:
+            rows = x.shape[0]
+            if len(lane_rows) != 1 or lane_rows[0] != rows:
+                raise ValueError(f"lane_rows {list(lane_rows)} do not cover "
+                                 f"a one-lane stack of {rows} rows")
+            bounds = None
+            macs = (rows if logical_rows is None else logical_rows[0]) * elems
+            counters = lane.counters
             counters.gemm_calls += 1
             counters.macs += macs
-            counters.output_elements += outputs
-            counters.macs_per_component[name] = (
-                counters.macs_per_component.get(name, 0) + macs)
-            if context.stats is not None:
-                context.stats.record(name, macs, outputs)
+            counters.output_elements += rows * outs
+            per_component = counters.macs_per_component
+            per_component[name] = per_component.get(name, 0) + macs
+            if lane.stats is not None:
+                lane.stats.record(name, macs, rows * outs)
+        else:
+            bounds = self._bounds(lane_rows, x.shape[0])
+            for context, rows, lrows in zip(self.contexts, lane_rows,
+                                            logical_rows or lane_rows):
+                macs = lrows * elems
+                counters = context.counters
+                counters.gemm_calls += 1
+                counters.macs += macs
+                counters.output_elements += rows * outs
+                per_component = counters.macs_per_component
+                per_component[name] = per_component.get(name, 0) + macs
+                if context.stats is not None:
+                    context.stats.record(name, macs, rows * outs)
 
         acc, is_int = self._accumulate(entry, x)
         if self._hooked:
-            _hook_stages(acc, ((name, entry, 0, outs),), self.contexts, bounds,
-                         self.spec)
+            _hook_stages(acc, ((name, entry, 0, outs),), self.contexts,
+                         bounds or ((0, x.shape[0]),), self.spec)
         out = acc.astype(np.float64) if is_int else acc
         out *= entry.combined_scale
         if entry.bias is not None:
             out += entry.bias
         return out
 
-    def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
-                    lane_rows: list[int],
-                    logical_rows: list[int] | None = None
-                    ) -> tuple[np.ndarray, ...]:
-        """Batched + component-fused pass; returns row-stacked per-component outputs.
+    def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray, lane_rows,
+                    logical_rows=None) -> tuple[np.ndarray, ...]:
+        """Stacked + component-fused pass; returns row-stacked per-component outputs.
 
-        Per lane, per-component stages run in component call order (the order
-        a lane's serial fused decode uses), keeping every lane's RNG stream
-        bit-identical to its serial execution.
+        Components must share the input scale (Q/K/V and Gate/Up do by
+        construction — they read the same normalized residual); groups that
+        do not fall back to one :meth:`qgemm` per component.  Per lane,
+        per-component stages — injection (RNG draws and targeting), anomaly
+        clearance, MAC/stat attribution — run on the component's column
+        slice in component call order, so results and all counters equal
+        separate :meth:`qgemm` calls bit for bit.
         """
-        names = tuple(names)
-        fused = self._host._fused(names)
+        if type(names) is not tuple:
+            names = tuple(names)
+        host = self._host
+        fused = host._fused_entries.get(names, _UNRESOLVED)
+        if fused is _UNRESOLVED:
+            fused = host._fused(names)
         if fused is None:
             return tuple(self.qgemm(name, x, lane_rows, logical_rows)
                          for name in names)
-        bounds = self._bounds(lane_rows, x.shape[0])
-        logical = logical_rows if logical_rows is not None else lane_rows
-        sizes = [(name, entry.in_features * entry.out_features,
-                  entry.out_features) for name, entry, _, _ in fused.slices]
-        for context, (lo, hi), lrows in zip(self.contexts, bounds, logical):
-            counters = context.counters
-            stats = context.stats
-            rows = hi - lo
-            # Inlined ``counters.record_gemm`` (same arithmetic): the
-            # per-lane × per-component recording is the hottest pure-Python
-            # loop of the batched decode step.
-            per_component = counters.macs_per_component
-            counters.gemm_calls += len(sizes)
-            for name, elems, outs in sizes:
-                macs = lrows * elems
-                counters.macs += macs
-                counters.output_elements += rows * outs
-                per_component[name] = per_component.get(name, 0) + macs
-                if stats is not None:
-                    stats.record(name, macs, rows * outs)
+        lane = self._lane
+        if lane is not None:
+            rows = x.shape[0]
+            if len(lane_rows) != 1 or lane_rows[0] != rows:
+                raise ValueError(f"lane_rows {list(lane_rows)} do not cover "
+                                 f"a one-lane stack of {rows} rows")
+            bounds = None
+            _record_group(lane, fused, rows if logical_rows is None
+                          else logical_rows[0], rows)
+        else:
+            bounds = self._bounds(lane_rows, x.shape[0])
+            for context, rows, lrows in zip(self.contexts, lane_rows,
+                                            logical_rows or lane_rows):
+                _record_group(context, fused, lrows, rows)
 
         acc, is_int = self._accumulate(fused, x)
         if self._hooked:
-            _hook_stages(acc, fused.slices, self.contexts, bounds, self.spec)
+            _hook_stages(acc, fused.slices, self.contexts,
+                         bounds or ((0, x.shape[0]),), self.spec)
         out = acc.astype(np.float64) if is_int else acc
-        out *= fused.scale_row
+        if fused.uniform_scale is not None:
+            out *= fused.uniform_scale
+        else:
+            out *= fused.scale_row
+        if not fused.any_bias:
+            return tuple(out[:, c0:c1] for _, _, c0, c1 in fused.slices)
         parts = []
         for _, entry, c0, c1 in fused.slices:
             part = out[:, c0:c1]
@@ -846,6 +752,26 @@ class BatchedKernel:
                 part += entry.bias
             parts.append(part)
         return tuple(parts)
+
+
+def _record_group(context: KernelContext, fused: _FusedEntry, logical: int,
+                  rows: int) -> None:
+    """One lane's counters and stats of a fused group GEMM (per component).
+
+    The arithmetic of one ``counters.record_gemm`` per component, inlined:
+    per-lane recording is the hottest pure-Python loop of a stacked step.
+    """
+    counters = context.counters
+    counters.gemm_calls += len(fused.slices)
+    counters.macs += logical * fused.macs_per_row
+    counters.output_elements += rows * fused.out_features
+    per_component = counters.macs_per_component
+    stats = context.stats
+    for name, per_row, columns in fused.component_macs:
+        macs = logical * per_row
+        per_component[name] = per_component.get(name, 0) + macs
+        if stats is not None:
+            stats.record(name, macs, rows * columns)
 
 
 def _hook_stages(acc: np.ndarray, slices, contexts, bounds,
@@ -904,15 +830,15 @@ def _hook_stages(acc: np.ndarray, slices, contexts, bounds,
 
 
 class FloatKernel:
-    """Float-path adapter exposing the kernel ``qgemm`` interface.
+    """Float-path adapter exposing the :class:`BatchedKernel` interface.
 
     Deployed agents use it for calibration (with an ``observer``) and for
     float reference inference, so one forward-pass implementation serves
     both precision domains.  ``weight`` maps a component name to its float
     weight matrix; ``bias`` (optional) maps a name to a bias vector or
-    ``None``.  ``logical_rows`` is accepted for interface parity with
-    :meth:`KernelContext.qgemm` and ignored — there is no integer dataflow
-    to account.
+    ``None``.  ``lane_rows`` and ``logical_rows`` are accepted for interface
+    parity and ignored: there is no integer dataflow to account, and every
+    row is computed by the same float GEMM.
     """
 
     def __init__(self, weight: Callable[[str], np.ndarray],
@@ -922,8 +848,8 @@ class FloatKernel:
         self._bias = bias
         self._observer = observer
 
-    def qgemm(self, name: str, x: np.ndarray,
-              logical_rows: int | None = None) -> np.ndarray:
+    def qgemm(self, name: str, x: np.ndarray, lane_rows=None,
+              logical_rows=None) -> np.ndarray:
         out = x @ self._weight(name)
         if self._bias is not None:
             bias = self._bias(name)
@@ -934,44 +860,60 @@ class FloatKernel:
         return out
 
     def qgemm_multi(self, names: tuple[str, ...], x: np.ndarray,
-                    logical_rows: int | None = None) -> tuple[np.ndarray, ...]:
+                    lane_rows=None, logical_rows=None
+                    ) -> tuple[np.ndarray, ...]:
         """Per-component float GEMMs in call order (no fusion in the float path).
 
         Calibration must observe each component's input/output exactly as the
         reference pipeline produced them, so the float kernel never stacks.
         """
-        return tuple(self.qgemm(name, x, logical_rows) for name in names)
+        return tuple(self.qgemm(name, x) for name in names)
+
+    def release_inputs(self) -> None:
+        """Nothing to release: the float path keeps no input memo."""
 
 
 class KVCache:
-    """Preallocated per-layer K/V cache for incremental decoding.
+    """Preallocated K/V store of a lane stack for incremental decoding.
 
-    One contiguous ``(num_layers, capacity, dim)`` buffer per projection;
-    :meth:`append` writes the rows of the newest tokens, and :meth:`keys` /
-    :meth:`values` return views of the valid prefix.  ``length`` is the
-    number of cached positions (shared by all layers).
+    One contiguous ``(num_layers, lanes, capacity, dim)`` buffer per
+    projection.  :meth:`append` writes the rows of every lane's newest
+    tokens, :meth:`keys` / :meth:`values` return ``(lanes, length, dim)``
+    views of the valid prefix, and :meth:`compact` drops finished lanes.
+    ``length`` is the number of cached positions, shared by all layers and
+    lanes (lanes step together); ``lanes`` is the number of live lanes.
     """
 
-    def __init__(self, num_layers: int, capacity: int, dim: int):
-        if num_layers < 1 or capacity < 1 or dim < 1:
-            raise ValueError("num_layers, capacity and dim must be positive")
+    def __init__(self, num_layers: int, capacity: int, dim: int,
+                 lanes: int = 1):
+        if num_layers < 1 or capacity < 1 or dim < 1 or lanes < 1:
+            raise ValueError(
+                "num_layers, capacity, dim and lanes must be positive")
         self.capacity = capacity
-        self._k = np.empty((num_layers, capacity, dim), dtype=np.float64)
-        self._v = np.empty((num_layers, capacity, dim), dtype=np.float64)
+        self.lanes = lanes
+        self._k = np.empty((num_layers, lanes, capacity, dim), dtype=np.float64)
+        self._v = np.empty((num_layers, lanes, capacity, dim), dtype=np.float64)
         self.length = 0
 
     def append(self, layer: int, k_new: np.ndarray, v_new: np.ndarray) -> None:
-        """Write the K/V rows of the newest tokens at positions ``length:``.
+        """Write every lane's newest K/V rows at positions ``length:``.
 
-        ``length`` itself only moves on :meth:`advance` (called once per
-        decode step, after every layer has appended its rows).
+        ``k_new`` / ``v_new`` are lane-major row stacks, ``(lanes * n_new,
+        dim)``: the layout of a stacked GEMM's output.  ``length`` itself
+        only moves on :meth:`advance` (called once per decode step, after
+        every layer has appended its rows).
         """
-        rows = k_new.shape[0]
+        lanes = self.lanes
+        rows = k_new.shape[0] // lanes
+        if rows * lanes != k_new.shape[0]:
+            raise ValueError(
+                f"{k_new.shape[0]} rows do not split over {lanes} lanes")
         if self.length + rows > self.capacity:
             raise ValueError(
                 f"KV cache overflow: {self.length} + {rows} > {self.capacity}")
-        self._k[layer, self.length:self.length + rows] = k_new
-        self._v[layer, self.length:self.length + rows] = v_new
+        end = self.length + rows
+        self._k[layer, :lanes, self.length:end] = k_new.reshape(lanes, rows, -1)
+        self._v[layer, :lanes, self.length:end] = v_new.reshape(lanes, rows, -1)
 
     def advance(self, rows: int) -> None:
         """Commit ``rows`` appended positions (all layers must have appended)."""
@@ -979,12 +921,27 @@ class KVCache:
             raise ValueError("cannot advance past the cache capacity")
         self.length += rows
 
+    def compact(self, keep) -> None:
+        """Keep only the lanes at indices ``keep`` (in that order).
+
+        Used when lanes finish at different steps: each surviving lane's
+        cached rows move to its new position, so views stay one contiguous
+        lane block.
+        """
+        keep = list(keep)
+        if not keep or any(not 0 <= lane < self.lanes for lane in keep):
+            raise ValueError(f"cannot keep lanes {keep} of {self.lanes}")
+        length = self.length
+        self._k[:, :len(keep), :length] = self._k[:, keep, :length]
+        self._v[:, :len(keep), :length] = self._v[:, keep, :length]
+        self.lanes = len(keep)
+
     def reset(self) -> None:
         """Forget all cached positions (buffers are reused, not reallocated)."""
         self.length = 0
 
     def keys(self, layer: int, length: int) -> np.ndarray:
-        return self._k[layer, :length]
+        return self._k[layer, :self.lanes, :length]
 
     def values(self, layer: int, length: int) -> np.ndarray:
-        return self._v[layer, :length]
+        return self._v[layer, :self.lanes, :length]

@@ -38,6 +38,22 @@ from repro.eval.runtable import (COLUMNS, DERIVED_PROFILE_COLUMNS,
                                  RunTableWriter, is_run_table)
 from repro.hardware.energy import DEFAULT_ENERGY_MODEL, EnergyModel
 
+#: Profile-sidecar headers earlier releases wrote: before batch_size and
+#: vector_path, before the derived columns, before queue_backend, before
+#: fleet_size, and before plan_cache.
+LEGACY_PROFILE_HEADERS = (
+    RESULT_COLUMNS + ("wall_time_s", "worker_id"),
+    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path"),
+    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path",
+                      "macs_total", "flips_total", "energy_model_j"),
+    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path",
+                      "queue_backend", "macs_total", "flips_total",
+                      "energy_model_j"),
+    RESULT_COLUMNS + ("wall_time_s", "worker_id", "batch_size", "vector_path",
+                      "queue_backend", "fleet_size", "macs_total",
+                      "flips_total", "energy_model_j"),
+)
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = REPO_ROOT / "tests" / "data" / "golden"
 
@@ -217,18 +233,57 @@ class TestDerivedSidecarColumns:
             [r.result_payload() for r in records]
 
     def test_legacy_sidecar_header_still_appends(self, tmp_path):
-        """A pre-derived-columns sidecar keeps its header when appended to."""
-        legacy_header = RESULT_COLUMNS + ("wall_time_s", "worker_id",
-                                          "batch_size", "vector_path")
-        path = tmp_path / "legacy.csv"
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(legacy_header)
-        with RunTableWriter(path, profile=True) as writer:
-            assert writer.columns == legacy_header
-            writer.write(make_record())
-        table = RunTable.read_csv(path)
-        assert len(table) == 1
+        """Every earlier release's sidecar reads, and keeps its header when
+        appended to."""
+        for index, legacy_header in enumerate(LEGACY_PROFILE_HEADERS):
+            path = tmp_path / f"legacy{index}.csv"
+            path.write_text(",".join(legacy_header) + "\n")
+            records = [make_record(seed=1), make_record(seed=2)]
+            for count, record in enumerate(records, start=1):
+                with RunTableWriter(path, profile=True) as writer:
+                    assert writer.columns == legacy_header
+                    writer.write(record)
+                assert is_run_table(path)
+                with path.open(newline="") as handle:
+                    assert tuple(next(csv.reader(handle))) == legacy_header
+                assert [r.result_payload() for r in RunTable.read_csv(path)] \
+                    == [r.result_payload() for r in records[:count]]
+
+    @pytest.mark.parametrize("header", [
+        RESULT_COLUMNS + ("wall_time_s", "bogus"),
+        RESULT_COLUMNS + ("worker_id", "wall_time_s"),
+        RESULT_COLUMNS + ("wall_time_s", "wall_time_s"),
+        RESULT_COLUMNS[1:],
+        RESULT_COLUMNS[:1] + RESULT_COLUMNS[2:] + RESULT_COLUMNS[1:2],
+        COLUMNS + ("plan_cache",),
+        ("a", "b", "c"),
+    ], ids=["unknown", "out-of-order", "duplicated", "missing-result",
+            "result-order", "trailing-duplicate", "foreign"])
+    def test_unrecognized_headers_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(header) + "\n")
+        assert not is_run_table(path)
+        with pytest.raises(ValueError, match="unexpected run-table header"):
+            RunTable.read_csv(path)
+
+    def test_header_rule_accepts_every_profile_subsequence(self, tmp_path):
+        """The canonical, full and any in-order subset of profile columns."""
+        for header in (RESULT_COLUMNS, COLUMNS, RESULT_COLUMNS + ("plan_cache",),
+                       RESULT_COLUMNS + PROFILE_COLUMNS[::2]):
+            path = tmp_path / "ok.csv"
+            path.write_text(",".join(header) + "\n")
+            assert is_run_table(path)
+            assert len(RunTable.read_csv(path)) == 0
+
+    def test_writer_refuses_a_foreign_header(self, tmp_path):
+        """Nothing is appended (or truncated) under a header that is not a
+        run table's."""
+        for content in (b"a,b,c\n1,2,3\n", b"a,b,c\n1,2"):
+            path = tmp_path / "foreign.csv"
+            path.write_bytes(content)
+            with pytest.raises(ValueError, match="unexpected run-table header"):
+                RunTableWriter(path, profile=True)
+            assert path.read_bytes() == content
 
     def test_json_mirror_roundtrip(self, tmp_path):
         records = [make_record(seed=s) for s in range(2)]

@@ -19,6 +19,7 @@ from repro.faults import ErrorInjector, SingleBitErrorModel, UniformErrorModel
 from repro.hardware import EnergyModel, TimingErrorModel
 from repro.nn.functional import rms_norm, silu
 from repro.quant import (
+    BatchedKernel,
     GemmHooks,
     GemmStats,
     INT4,
@@ -117,6 +118,21 @@ class TestKernelContextEquivalence:
         np.testing.assert_array_equal(first, second)
 
 
+class TestLaneRows:
+    def test_lane_rows_must_cover_the_stack(self, rng):
+        layer, x = _layer(rng)
+        single = KernelContext({layer.name: layer}).kernel
+        stacked = BatchedKernel([KernelContext({layer.name: layer})
+                                 for _ in range(2)])
+        for kernel, bad in ((single, [4]), (single, [5, 0]), (single, []),
+                            (stacked, [2, 2]), (stacked, [5]),
+                            (stacked, [2, 2, 1])):
+            with pytest.raises(ValueError, match="lane_rows"):
+                kernel.qgemm(layer.name, x, bad)
+        np.testing.assert_array_equal(single.qgemm(layer.name, x, [5]),
+                                      stacked.qgemm(layer.name, x, [2, 3]))
+
+
 class TestKernelCounters:
     def test_unified_interface_feeds_energy_and_timing(self, rng):
         layer, x = _layer(rng)
@@ -155,8 +171,8 @@ class TestKVCache:
         cache.append(1, k + 1, k + 11)
         cache.advance(2)
         assert cache.length == 2
-        np.testing.assert_array_equal(cache.keys(0, 2), k)
-        np.testing.assert_array_equal(cache.values(1, 2), k + 11)
+        np.testing.assert_array_equal(cache.keys(0, 2), k[None])
+        np.testing.assert_array_equal(cache.values(1, 2), (k + 11)[None])
 
     def test_overflow_rejected(self):
         cache = KVCache(num_layers=1, capacity=2, dim=3)
@@ -174,6 +190,115 @@ class TestKVCache:
         cache.append(0, np.zeros((1, 3)), np.zeros((1, 3)))
         cache.advance(1)
         assert cache.length == 1
+
+    def test_lane_axis_holds_each_lanes_rows(self):
+        cache = KVCache(num_layers=2, capacity=4, dim=3, lanes=3)
+        # Lane-major row stack: lane 0's two rows, then lane 1's, lane 2's.
+        k = np.arange(18.0).reshape(6, 3)
+        for layer in range(2):
+            cache.append(layer, k + layer, -k - layer)
+        cache.advance(2)
+        assert cache.keys(1, 2).shape == (3, 2, 3)
+        np.testing.assert_array_equal(cache.keys(1, 2), (k + 1).reshape(3, 2, 3))
+        np.testing.assert_array_equal(cache.values(0, 2), (-k).reshape(3, 2, 3))
+
+    def test_compaction_keeps_surviving_lanes_rows(self):
+        """Lanes finishing at different steps leave the others' rows intact."""
+        dim = 2
+        cache = KVCache(num_layers=2, capacity=5, dim=dim, lanes=4)
+        expected = {lane: [] for lane in range(4)}
+        live = [0, 1, 2, 3]
+        # Prefill two rows per lane, then one row per step; lane 2 finishes
+        # after the prefill, lanes 0 and 3 two steps later, lane 1 last.
+        for step, (rows, finished) in enumerate(
+                [(2, {2}), (1, set()), (1, {0, 3}), (1, set())]):
+            block = np.stack([np.full((rows, dim), 10.0 * lane + step)
+                              for lane in live]).reshape(-1, dim)
+            for layer in range(2):
+                cache.append(layer, block + layer, block - layer)
+            cache.advance(rows)
+            for lane in live:
+                expected[lane].extend([10.0 * lane + step] * rows)
+            keep = [i for i, lane in enumerate(live) if lane not in finished]
+            if len(keep) < len(live):
+                cache.compact(keep)
+                live = [live[i] for i in keep]
+            assert cache.lanes == len(live)
+            for layer in range(2):
+                keys = cache.keys(layer, cache.length)
+                values = cache.values(layer, cache.length)
+                assert keys.shape == (len(live), cache.length, dim)
+                for index, lane in enumerate(live):
+                    column = np.asarray(expected[lane])[:, None]
+                    np.testing.assert_array_equal(
+                        keys[index], np.broadcast_to(column + layer, (cache.length, dim)))
+                    np.testing.assert_array_equal(
+                        values[index], np.broadcast_to(column - layer, (cache.length, dim)))
+        assert live == [1]
+
+    def test_overflow_and_bad_lanes_rejected_with_lanes(self):
+        cache = KVCache(num_layers=1, capacity=2, dim=3, lanes=2)
+        cache.append(0, np.zeros((4, 3)), np.zeros((4, 3)))
+        cache.advance(2)
+        with pytest.raises(ValueError, match="overflow"):
+            cache.append(0, np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            cache.advance(1)
+        cache.compact([1])
+        with pytest.raises(ValueError, match="overflow"):
+            cache.append(0, np.zeros((1, 3)), np.zeros((1, 3)))
+        cache.reset()
+        with pytest.raises(ValueError, match="split"):
+            KVCache(num_layers=1, capacity=4, dim=3, lanes=2).append(
+                0, np.zeros((3, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError):
+            cache.compact([1])
+        with pytest.raises(ValueError):
+            cache.compact([])
+        with pytest.raises(ValueError):
+            KVCache(num_layers=1, capacity=2, dim=3, lanes=0)
+
+
+# ----------------------------------------------------------------------
+# Calibration pins
+# ----------------------------------------------------------------------
+#: ``kernel_plan().content_hash`` (SHA-256 over scales, bounds and weights)
+#: of each system's planner and controller.  Calibration drives the float
+#: forward passes, so a change that moves any profiled scale or anomaly
+#: bound by one ulp fails here even when no golden table row changes.
+PLAN_HASHES = {
+    "jarvis": (
+        "3692360b8fd301bcb69a4a1e2974159fb1a487035c3c98c1ba85f976a61d5b5f",
+        "b1004e4b160c685385ab4786e28d0fbaa7d439436e6c40cd4a0298273c549b9f"),
+    "jarvis-rotated": (
+        "bf2899378ad11a2e000ec5bacb21f3a94c79e5a7b4cb49b6f22842157b41e5a2",
+        "b1004e4b160c685385ab4786e28d0fbaa7d439436e6c40cd4a0298273c549b9f"),
+    "jarvis-navigation": (
+        "326f9cf84984e5444d6c1601ad9aaed2efde1759d8bedee1c94473225b75af69",
+        "f3923d338e369fefd155e0994548af4a7195b15bbd35f7ce7c6a3f0e56cdcf1f"),
+    "jarvis-assembly": (
+        "de3e1e27e1acd104a600e88f2aeb980d2dc5b4db97fde631e67ba06c70e18841",
+        "06952a6f93419848dbb82569da13828f0191181e2771330f104788ecef537c58"),
+    "jarvis-int4": (
+        "7889ba4f516c5a68ac37aca094724276f61e043cec53f9bad9856126eef242fe",
+        "c68575415bf096aa15483bfd6e7c95a5fbfbf691d49e3db282bb9585298e279e"),
+    "jarvis-acc20": (
+        "5adfe8395bc97e0331eb644d4c5c580835880c587de9d1e1302d739cd439128c",
+        "d789717ba76630139c65f5ed090bdd0a516284694cd72522b65471c276eca45e"),
+    "jarvis-int4-acc16": (
+        "7c03f40f0a15aab5f74ed1e54deebf27076df161e0e38988a5a1ed7daf33dc70",
+        "992d820294a93357efca241b3c9b30ece9f66e753d0df52e8eb23bbb5d1bab0f"),
+}
+
+
+class TestCalibrationPins:
+    @pytest.mark.parametrize("key", sorted(PLAN_HASHES))
+    def test_plan_hashes_pinned(self, key):
+        from repro.agents.registry import get_system
+
+        system = get_system(key)
+        assert (system.planner.kernel_plan().content_hash,
+                system.controller.kernel_plan().content_hash) == PLAN_HASHES[key]
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +341,7 @@ class TestCachedDecodeEquivalence:
                     q = planner._quantized[f"{prefix}.q"](h, hooks=hooks)
                     k = planner._quantized[f"{prefix}.k"](h, hooks=hooks)
                     v = planner._quantized[f"{prefix}.v"](h, hooks=hooks)
-                    attn = planner._attention(q, k, v)
+                    attn = planner._attention_stack(q, k[None], v[None], 0)
                     x2 = x + planner._quantized[f"{prefix}.o"](attn, hooks=hooks)
                     h2 = rms_norm(x2, ones, eps=1e-6)
                     gate = silu(planner._quantized[f"{prefix}.gate"](h2, hooks=hooks))
@@ -263,12 +388,6 @@ class TestCachedDecodeEquivalence:
         assert rates[True] == pytest.approx(expected, rel=0.25)
         assert rates[False] == pytest.approx(expected, rel=0.25)
         assert rates[True] == pytest.approx(rates[False], rel=0.25)
-
-    def test_executor_escape_hatch(self, jarvis_system):
-        executor = jarvis_system.executor(planner_use_cache=False)
-        result = executor.run_trial("wooden", seed=0)
-        assert result.success
-        assert result.planner_invocations >= 1
 
     def test_plan_api_escape_hatch(self, deployed_planner):
         cached = deployed_planner.plan("wooden", 0, use_cache=True)

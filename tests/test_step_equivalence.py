@@ -210,18 +210,17 @@ class TestBatchedInjection:
         layers = _layers(spec, seed % 1000)
         x = np.random.default_rng(seed).normal(size=(sum(lane_rows), 24)) * 2.0
 
-        def run(stages, inject_stage):
+        def run(stages):
             contexts = _lane_contexts(layers, spec, kinds, clamps,
                                       _MODELS[model], scale, targets, seed)
             with pytest.MonkeyPatch.context() as patch:
                 if stages is not None:
                     patch.setattr(kernel_module, "_hook_stages", stages)
-                    patch.setattr(KernelContext, "_inject_stage", inject_stage)
                 outputs = _run_steps(contexts, fused, x, lane_rows)
             return outputs, contexts
 
-        new, new_contexts = run(None, None)
-        old, old_contexts = run(_old_hook_stages, _old_inject_stage)
+        new, new_contexts = run(None)
+        old, old_contexts = run(_old_hook_stages)
         for got, expected in zip(new, old):
             np.testing.assert_array_equal(got, expected)
         for got, expected in zip(new_contexts, old_contexts):
@@ -484,9 +483,9 @@ class TestBatchedControllerStep:
                 norms = controller._norms[index]
                 h = _layer_norm_formula(x, norms["attn_gamma"], norms["attn_beta"],
                                         eps=_LN_EPS)
-                attn = controller._attention(kernel.qgemm(f"{prefix}.q", h),
-                                             kernel.qgemm(f"{prefix}.k", h),
-                                             kernel.qgemm(f"{prefix}.v", h))
+                attn = controller._attention_stack(
+                    kernel.qgemm(f"{prefix}.q", h), kernel.qgemm(f"{prefix}.k", h),
+                    kernel.qgemm(f"{prefix}.v", h), 1, x.shape[0])
                 x = x + kernel.qgemm(f"{prefix}.o", attn)
                 captured[f"{prefix}.pre_mlp_norm"] = x.copy()
                 h2 = _layer_norm_formula(x, norms["mlp_gamma"], norms["mlp_beta"],
