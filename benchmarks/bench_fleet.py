@@ -1,10 +1,10 @@
 """Fleet runtime: cross-agent batched stepping vs per-agent serial loops.
 
-Like ``bench_kernels.py`` this is a plain script so CI can gate on it
-directly::
+Like ``bench_kernels.py`` this is a plain script that measures and writes
+JSON::
 
     PYTHONPATH=src python benchmarks/bench_fleet.py            # full run
-    PYTHONPATH=src python benchmarks/bench_fleet.py --smoke    # CI gate
+    PYTHONPATH=src python benchmarks/bench_fleet.py --smoke    # CI run
 
 It runs the same multi-agent navigation mission twice per fleet size —
 once as N independent ``run_trial`` loops (the pre-fleet execution model)
@@ -13,13 +13,11 @@ every agent's pending planner-decode and controller-forward call per tick
 into single row-stacked :class:`BatchedKernel` passes — and writes the
 agent-steps/s of both paths to ``BENCH_fleet.json``.
 
-The gate: batched stepping at fleet size :data:`GATED_FLEET_SIZE` must
-reach :data:`FLEET_STEPPING_TARGET` (3x) the serial agent-steps/s, in
-smoke and full runs alike.  The two paths are asserted bit-identical
-before any timing happens (fault-free and under per-agent injection), so
-the speedup can never be bought with a behavioural drift.
-``tools/check_fleet_bench.py`` re-checks the committed baseline against
-the same floor and diffs fresh CI runs against it.
+The two paths are asserted bit-identical before any timing happens
+(fault-free and under per-agent injection), so the speedup can never be
+bought with a behavioural drift; that is the only check that fails this
+script.  ``tools/check_bench.py`` holds the written speedups to the bound
+and regression tolerance of its ``fleet`` gate.
 """
 
 from __future__ import annotations
@@ -42,20 +40,11 @@ from repro.faults.models import UniformErrorModel  # noqa: E402
 
 from common import best_of_five as _time  # noqa: E402
 
-#: Required speedup of fleet-batched stepping over the per-agent serial
-#: loop at :data:`GATED_FLEET_SIZE`, measured in agent-steps/s.  One
-#: quantize + one INT GEMM per layer for the whole fleet has to beat N
-#: per-agent passes by a wide margin or the fleet runtime is not earning
-#: its complexity.
-FLEET_STEPPING_TARGET = 3.0
-
 #: Fleet sizes measured (agents stepping against one shared world suite).
 FLEET_SIZES = (4, 16)
 
-#: The fleet size the :data:`FLEET_STEPPING_TARGET` gate applies to.
-GATED_FLEET_SIZE = 16
-
-#: Per-agent bit-error rate of the injected measurement arm.
+#: Per-agent bit-error rate of the injected measurement arm, which runs the
+#: largest fleet.
 INJECTED_BER = 1e-3
 
 
@@ -116,8 +105,7 @@ def bench_fleet_size(fleet: FleetExecutor, size: int, reps: int,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="fast CI mode: one call per timing round "
-                             "(same gates)")
+                        help="fast CI mode: one call per timing round")
     parser.add_argument("--reps", type=int, default=None,
                         help="calls per best-of-five round (default: 3, "
                              "smoke: 1)")
@@ -132,8 +120,9 @@ def main(argv: list[str] | None = None) -> int:
 
     by_fleet = {str(size): bench_fleet_size(fleet, size, reps)
                 for size in FLEET_SIZES}
+    injected_size = max(FLEET_SIZES)
     injected = bench_fleet_size(
-        fleet, GATED_FLEET_SIZE, reps,
+        fleet, injected_size, reps,
         protection=ProtectionConfig(error_model=UniformErrorModel(INJECTED_BER)))
     results = {
         "benchmark": "fleet-runtime",
@@ -147,8 +136,6 @@ def main(argv: list[str] | None = None) -> int:
         "fleet_sizes": list(FLEET_SIZES),
         "by_fleet": by_fleet,
         "injected": injected,
-        "gated_fleet_size": GATED_FLEET_SIZE,
-        "gated_speedup": by_fleet[str(GATED_FLEET_SIZE)]["speedup"],
     }
 
     out_path = Path(args.out)
@@ -159,22 +146,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fleet={size:<3d} {entry['serial_steps_per_s']:8.0f} steps/s "
               f"serial -> {entry['batched_steps_per_s']:8.0f} steps/s "
               f"batched ({entry['speedup']:.2f}x)")
-    print(f"fleet={GATED_FLEET_SIZE:<3d} "
+    print(f"fleet={injected_size:<3d} "
           f"{injected['batched_steps_per_s']:8.0f} steps/s batched under "
           f"BER {INJECTED_BER:g} ({injected['speedup']:.2f}x, "
-          f"{injected['missions_completed']}/{GATED_FLEET_SIZE} missions)")
+          f"{injected['missions_completed']}/{injected_size} missions)")
     print(f"results written to {out_path}")
-
-    failures = []
-    gated = results["gated_speedup"]
-    if gated < FLEET_STEPPING_TARGET:
-        failures.append(
-            f"fleet-batched stepping at fleet={GATED_FLEET_SIZE} "
-            f"({gated:.2f}x) is below the {FLEET_STEPPING_TARGET:.1f}x "
-            f"FLEET_STEPPING_TARGET")
-    for failure in failures:
-        print(f"GATE FAILED: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

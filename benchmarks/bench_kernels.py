@@ -1,10 +1,10 @@
 """Micro-benchmark of the fused kernel runtime and KV-cached decoding.
 
 Unlike the ``bench_fig*`` targets (which reproduce paper figures through
-pytest-benchmark), this is a plain script so CI can gate on it directly::
+pytest-benchmark), this is a plain script that measures and writes JSON::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full run
-    PYTHONPATH=src python benchmarks/bench_kernels.py --smoke    # CI gate
+    PYTHONPATH=src python benchmarks/bench_kernels.py --smoke    # CI run
 
 It measures six things and writes them to ``BENCH_kernels.json``:
 
@@ -27,11 +27,11 @@ It measures six things and writes them to ``BENCH_kernels.json``:
    :class:`KernelPlan` cache vs rebuilding every ``_KernelEntry`` from the
    quantized layers, as shipped before the plan/context split.
 
-Exit status is non-zero when a gate fails: cached decode must never be
-slower than uncached, batched decode at batch=8 must hit its ≥2x floor,
-and plan-backed trial setup must hit its ≥2x floor (smoke and full runs);
-the full run additionally checks the ≥3x speedup of cached decode over the
-legacy path.
+Each fast path is asserted bit-identical to its reference before it is
+timed, so a speedup can never be bought with a behavioural drift; that is
+the only check that fails this script.  ``tools/check_bench.py`` holds the
+written speedups to the bounds and regression tolerance of its ``kernels``
+gate.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ from common import best_of_five as _time  # noqa: E402
 
 FIG16_TASKS = ["wooden", "stone", "charcoal", "chicken", "coal", "iron",
                "wool", "seed"]
-
-#: Required speedup of cached fused decode over the legacy path (full runs).
-DECODE_SPEEDUP_TARGET = 3.0
-
-#: Required speedup of batch=8 batched decode over 8 serial decodes (all runs).
-BATCHED_DECODE_TARGET = 2.0
-
-#: Required speedup of the stacked Q/K/V GEMM over three split projections
-#: (all runs).  A fused path that loses to split is a regression by
-#: definition — fusion exists only to beat per-call dispatch.
-FUSED_QKV_TARGET = 1.0
-
-#: Required speedup of plan-backed trial setup over rebuilding kernel
-#: entries from the quantized layers (all runs).
-PLAN_REUSE_TARGET = 2.0
 
 #: Cross-prompt batch sizes measured by the ``batched_decode`` section.
 BATCH_SIZES = (1, 4, 8, 16)
@@ -232,7 +217,6 @@ def bench_batched_decode(planner, reps: int) -> dict:
     return {
         "batch_sizes": list(BATCH_SIZES),
         "by_batch": by_batch,
-        "batch8_speedup": by_batch["8"]["speedup"],
     }
 
 
@@ -297,8 +281,8 @@ def bench_plan_reuse(planner, controller, reps: int) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="fast CI mode: fewer reps, gate only on "
-                             "cached-not-slower-than-uncached")
+                        help="fast CI mode: fewer reps (the gate skips "
+                             "the cached-vs-legacy decode floor)")
     parser.add_argument("--reps", type=int, default=None,
                         help="repetitions per measurement (default: 30, "
                              "smoke: 5)")
@@ -340,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
           f"split projections ({results['fused_qkv']['fused_us']:.1f} us/call)")
     print(f"fig16 decode:     legacy {decode['legacy_ms']:.2f} ms -> "
           f"cached {decode['fused_cached_ms']:.2f} ms "
-          f"({decode['cached_vs_legacy_speedup']:.2f}x)")
+          f"({decode['cached_vs_legacy_speedup']:.2f}x; "
+          f"{decode['cached_vs_uncached_speedup']:.2f}x vs uncached)")
     for size in BATCH_SIZES:
         entry = batched["by_batch"][str(size)]
         print(f"batched decode:   batch={size:<2d} "
@@ -354,33 +339,7 @@ def main(argv: list[str] | None = None) -> int:
           f"({plan_reuse['rebuild_us']:.1f} us rebuild -> "
           f"{plan_reuse['plan_us']:.1f} us plan-backed)")
     print(f"results written to {out_path}")
-
-    failures = []
-    if decode["cached_vs_uncached_speedup"] < 1.0:
-        failures.append(
-            f"cached decode is slower than uncached "
-            f"({decode['fused_cached_ms']:.2f} ms vs "
-            f"{decode['fused_uncached_ms']:.2f} ms)")
-    if results["fused_qkv"]["speedup"] < FUSED_QKV_TARGET:
-        failures.append(
-            f"fused QKV ({results['fused_qkv']['speedup']:.2f}x) is slower "
-            f"than three split projections ({FUSED_QKV_TARGET:.1f}x floor)")
-    if batched["batch8_speedup"] < BATCHED_DECODE_TARGET:
-        failures.append(
-            f"batched decode speedup at batch=8 "
-            f"({batched['batch8_speedup']:.2f}x) is below the "
-            f"{BATCHED_DECODE_TARGET:.1f}x target")
-    if plan_reuse["speedup"] < PLAN_REUSE_TARGET:
-        failures.append(
-            f"plan-backed trial setup ({plan_reuse['speedup']:.2f}x) is "
-            f"below the {PLAN_REUSE_TARGET:.1f}x target")
-    if not args.smoke and decode["cached_vs_legacy_speedup"] < DECODE_SPEEDUP_TARGET:
-        failures.append(
-            f"cached decode speedup {decode['cached_vs_legacy_speedup']:.2f}x "
-            f"is below the {DECODE_SPEEDUP_TARGET:.1f}x target")
-    for failure in failures:
-        print(f"GATE FAILED: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return 0
 
 
 if __name__ == "__main__":

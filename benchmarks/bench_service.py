@@ -8,12 +8,12 @@ heartbeat -> stream rows -> complete).  Results land in
 ``BENCH_service.json``::
 
     PYTHONPATH=src python benchmarks/bench_service.py            # full run
-    PYTHONPATH=src python benchmarks/bench_service.py --smoke    # CI gate
+    PYTHONPATH=src python benchmarks/bench_service.py --smoke    # CI run
 
-The gate: sustained lease-report round trips per second must reach
-:data:`ROUND_TRIP_TARGET` (500/s) and no worker may see a transport error.
-``tools/check_service_bench.py`` re-checks the committed baseline against
-the same floor and diffs fresh CI runs against it.
+The script fails only on a broken run, one that drained fewer round trips
+than it enqueued tasks.  ``tools/check_bench.py`` holds the written
+throughput, p95 latency and transport errors to the bounds and regression
+tolerance of its ``service`` gate.
 """
 
 from __future__ import annotations
@@ -34,17 +34,6 @@ from load_service import run_load, synthetic_plan  # noqa: E402
 from repro.eval.service import CampaignService, QueueClient  # noqa: E402
 
 from common import best_of_five  # noqa: E402
-
-#: Required sustained lease-report round trips per second.  One round trip
-#: is four HTTP requests plus four queue state transitions; 500/s of them
-#: keeps the service comfortably ahead of any realistic worker fleet (a
-#: real task takes seconds of trial simulation per lease).
-ROUND_TRIP_TARGET = 500.0
-
-#: Maximum tolerated p95 round-trip latency, milliseconds.  Latency is the
-#: autoscaler's signal quality: depth polls and lease settles must stay
-#: cheap even while a fleet is streaming rows.
-ROUND_TRIP_P95_MS_LIMIT = 50.0
 
 
 def bench_round_trips(cells: int, workers: int, batch: int = 1) -> dict:
@@ -70,7 +59,7 @@ def bench_round_trips(cells: int, workers: int, batch: int = 1) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
-                        help="smaller backlog for CI (same gates)")
+                        help="smaller backlog for CI")
     parser.add_argument("--workers", type=int, default=4,
                         help="concurrent synthetic workers (default: 4 — "
                              "the in-process sweet spot; more fleets "
@@ -88,7 +77,6 @@ def main(argv: list[str] | None = None) -> int:
         "python": platform.python_version(),
         "machine": platform.machine(),
         "smoke": args.smoke,
-        "round_trip_target_per_s": ROUND_TRIP_TARGET,
         "service": stats,
     }
 
@@ -97,8 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     p95 = stats["latency_ms"]["round_trip"]["p95"]
     print(f"  round trips : {stats['round_trips']} in "
           f"{stats['elapsed_s']:.2f}s -> "
-          f"{stats['round_trips_per_s']:.0f}/s "
-          f"(target {ROUND_TRIP_TARGET:.0f}/s)")
+          f"{stats['round_trips_per_s']:.0f}/s")
     print(f"  requests    : {stats['requests_per_s']:.0f}/s, "
           f"rows {stats['rows_per_s']:.0f}/s")
     print(f"  latency     : round-trip p50 "
@@ -106,27 +93,14 @@ def main(argv: list[str] | None = None) -> int:
           f"p95 {p95:.2f}ms, "
           f"p99 {stats['latency_ms']['round_trip']['p99']:.2f}ms")
     print(f"  depth poll  : {stats['depth_poll_ms']:.2f}ms best-of-five")
-    print(f"  wrote {out}")
-
-    failures = []
     if stats["errors"]:
-        failures.append(f"{len(stats['errors'])} worker transport error(s): "
-                        f"{stats['errors'][:3]}")
+        print(f"  errors      : {len(stats['errors'])} worker transport "
+              f"error(s): {stats['errors'][:3]}")
+    print(f"  wrote {out}")
     if stats["round_trips"] != stats["tasks"]:
-        failures.append(f"drained {stats['round_trips']} of "
-                        f"{stats['tasks']} tasks")
-    if stats["round_trips_per_s"] < ROUND_TRIP_TARGET:
-        failures.append(
-            f"sustained {stats['round_trips_per_s']:.0f} round trips/s is "
-            f"below the {ROUND_TRIP_TARGET:.0f}/s ROUND_TRIP_TARGET")
-    if p95 > ROUND_TRIP_P95_MS_LIMIT:
-        failures.append(f"round-trip p95 {p95:.2f}ms exceeds the "
-                        f"{ROUND_TRIP_P95_MS_LIMIT:.0f}ms limit")
-    for failure in failures:
-        print(f"GATE FAILED: {failure}")
-    if failures:
+        print(f"broken run: drained {stats['round_trips']} of "
+              f"{stats['tasks']} tasks")
         return 1
-    print("gates passed")
     return 0
 
 

@@ -94,6 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError("must be >= 1")
         return value
 
+    def fleet_size(text: str) -> int:
+        from .agents.fleet import MAX_FLEET_SIZE
+
+        value = int(text)
+        if not 1 <= value <= MAX_FLEET_SIZE:
+            raise argparse.ArgumentTypeError(f"must be in 1..{MAX_FLEET_SIZE}")
+        return value
+
     def add_engine_args(sub):
         sub.add_argument("--jobs", type=positive_int, default=1,
                          help="worker processes for trial execution (default: 1)")
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--bers", type=float, nargs="+", default=[1e-4, 1e-3, 3e-3])
     campaign.add_argument("--trials", type=positive_int, default=8)
     campaign.add_argument("--seed", type=int, default=0)
-    campaign.add_argument("--fleet-sizes", type=positive_int, nargs="+",
+    campaign.add_argument("--fleet-sizes", type=fleet_size, nargs="+",
                           default=[1, 4, 16], metavar="N",
                           help="fleet sizes for the 'fleet' preset: agents "
                                "co-stepped through one batched kernel pass "
@@ -412,31 +420,34 @@ def _run_characterize(args) -> int:
 
 
 #: Which of the shared campaign options each preset actually consumes.
+#: ``fleet`` runs one mission per agent, so its trial counts come from
+#: ``--fleet-sizes``, which no other preset reads.
 _PRESET_USED_OPTIONS = {
-    "ad-planner": {"task", "bers"},
-    "ad-controller": {"task", "bers"},
-    "wr": {"task", "bers"},
-    "vs": {"task"},
-    "interval": {"task"},
-    "overall": {"task", "tasks"},
-    "baselines": {"task"},
-    "repetitions": {"task", "bers"},
-    "quantization": {"task", "bers"},
-    "kitchen": {"tasks"},
-    "navigation": {"tasks", "bers"},
-    "assembly": {"tasks", "bers"},
-    "fleet": {"task", "bers"},
-    "paper": {"task", "tasks", "bers"},
+    "ad-planner": {"task", "bers", "trials"},
+    "ad-controller": {"task", "bers", "trials"},
+    "wr": {"task", "bers", "trials"},
+    "vs": {"task", "trials"},
+    "interval": {"task", "trials"},
+    "overall": {"task", "tasks", "trials"},
+    "baselines": {"task", "trials"},
+    "repetitions": {"task", "bers", "trials"},
+    "quantization": {"task", "bers", "trials"},
+    "kitchen": {"tasks", "trials"},
+    "navigation": {"tasks", "bers", "trials"},
+    "assembly": {"tasks", "bers", "trials"},
+    "fleet": {"task", "bers", "fleet_sizes"},
+    "paper": {"task", "tasks", "bers", "trials"},
 }
 
 
 def _warn_ignored_options(args) -> None:
     """Tell the user when a flag they set does not apply to the chosen preset."""
-    defaults = {"task": "wooden", "tasks": None, "bers": [1e-4, 1e-3, 3e-3]}
+    defaults = build_parser().parse_args(["campaign", args.preset])
     used = _PRESET_USED_OPTIONS[args.preset]
-    for option, default in defaults.items():
-        if option not in used and getattr(args, option) != default:
-            print(f"note: --{option} is not used by the {args.preset!r} preset; ignoring it")
+    for option in ("task", "tasks", "bers", "trials", "fleet_sizes"):
+        if option not in used and getattr(args, option) != getattr(defaults, option):
+            flag = "--" + option.replace("_", "-")
+            print(f"note: {flag} is not used by the {args.preset!r} preset; ignoring it")
 
 
 # ----------------------------------------------------------------------

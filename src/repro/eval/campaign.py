@@ -65,6 +65,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 from ..agents.executor import MissionExecutor
+from ..agents.fleet import MAX_FLEET_SIZE
 from ..agents.jarvis import EmbodiedSystem
 from ..core.create import ProtectionConfig
 from ..core.voltage_scaling import VoltageScalingConfig
@@ -86,6 +87,16 @@ SystemLike = Union[str, EmbodiedSystem, MissionExecutor]
 #: Largest batch the auto-tuner will pick; keeps streaming granular even for
 #: huge campaigns (a batch only reaches the parent — and the disk — whole).
 _MAX_AUTO_BATCH = 32
+
+
+def _auto_batch(num_cells: int, jobs: int) -> int:
+    """Cells per pool task or queue task file when no ``batch`` is given.
+
+    Targets about four batches per worker — enough slack for load balancing
+    when cell durations vary — and caps the batch at :data:`_MAX_AUTO_BATCH`
+    so results keep streaming to disk at a reasonable cadence.
+    """
+    return max(1, min(_MAX_AUTO_BATCH, num_cells // (4 * jobs)))
 
 
 def slugify(text: str) -> str:
@@ -179,8 +190,8 @@ class TrialSpec:
             raise ValueError("condition label must be non-empty")
         if self.num_trials <= 0:
             raise ValueError("num_trials must be positive")
-        if not 1 <= self.fleet <= 1000:
-            raise ValueError("fleet size must be in 1..1000")
+        if not 1 <= self.fleet <= MAX_FLEET_SIZE:
+            raise ValueError(f"fleet size must be in 1..{MAX_FLEET_SIZE}")
 
     def seeds(self) -> range:
         """The seeds of this spec's cells, one per trial."""
@@ -1041,16 +1052,10 @@ class CampaignRunner:
         return executor
 
     def _batch_size(self, num_cells: int) -> int:
-        """Cells per worker task: explicit ``batch=``, else auto-tuned.
-
-        The auto-tuner targets about four batches per worker — enough slack
-        for load balancing when cell durations vary — and caps the batch at
-        :data:`_MAX_AUTO_BATCH` so results keep streaming to disk at a
-        reasonable cadence (a batch reaches the parent only when whole).
-        """
+        """Cells per worker task: explicit ``batch=``, else :func:`_auto_batch`."""
         if self.batch is not None:
             return self.batch
-        return max(1, min(_MAX_AUTO_BATCH, num_cells // (self.jobs * 4)))
+        return _auto_batch(num_cells, self.jobs)
 
     def _execute(self, cells: list[_Cell], cell_systems: set[str],
                  sink: Callable[[list[RunRecord]], None]) -> None:

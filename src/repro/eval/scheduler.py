@@ -58,8 +58,8 @@ from ..core.policies import VoltagePolicy
 from ..core.voltage_scaling import VoltageScalingConfig
 from ..faults.models import (ErrorModel, SingleBitErrorModel, UniformErrorModel,
                              VoltageErrorModel)
-from .campaign import (CellPool, TrialSpec, _Cell, _chunk_cells,
-                       enumerate_cells, pending_cells)
+from .campaign import (CellPool, TrialSpec, _auto_batch, _Cell,
+                       _chunk_cells, enumerate_cells, pending_cells)
 from .runtable import RunTable, RunTableWriter
 from .shard import cell_shard_index
 
@@ -426,12 +426,13 @@ class WorkQueue:
 
     # -- planner side --------------------------------------------------
     def _task_batch(self, total_cells: int, batch: int | None) -> int:
-        """Cells per task file: explicit, else ~16+ tasks for load balancing."""
+        """Cells per task file: explicit, else :func:`_auto_batch` planned
+        for four workers (~16+ tasks), since a queue cannot know its fleet."""
         if batch is not None:
             if batch < 1:
                 raise ValueError("batch must be >= 1")
             return batch
-        return max(1, min(32, total_cells // 16))
+        return _auto_batch(total_cells, jobs=4)
 
     def enqueue(self, plan: CampaignPlan, batch: int | None = None,
                 table: RunTable | None = None) -> EnqueueReport:

@@ -415,6 +415,22 @@ class TestBatching:
         assert runner._batch_size(10_000) == 32  # capped for streaming cadence
         assert CampaignRunner(jobs=4, batch=7)._batch_size(10_000) == 7
 
+    def test_pools_and_queues_share_one_auto_tuner(self, tmp_path):
+        """Pool chunks keep ~4 batches per worker, and queue task files plan
+        for four workers: every chunk size and task id stays as it was."""
+        from repro.eval.scheduler import WorkQueue
+
+        queue = WorkQueue(tmp_path / "q")
+        runners = [CampaignRunner(jobs=jobs) for jobs in range(1, 9)]
+        for cells in range(5001):
+            assert queue._task_batch(cells, None) == max(1, min(32, cells // 16))
+            for runner in runners:
+                assert runner._batch_size(cells) == max(
+                    1, min(32, cells // (4 * runner.jobs)))
+        assert queue._task_batch(10_000, 7) == 7
+        with pytest.raises(ValueError, match="batch"):
+            queue._task_batch(10, 0)
+
 
 class TestProfile:
     def test_profile_columns_round_trip_csv_and_json(self, jarvis_executor, tmp_path):

@@ -173,6 +173,31 @@ class TestDistributedCli:
         assert code == 0
         assert "shard 1/2:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("preset, flags, note", [
+        ("fleet", ["--trials", "3"], "--trials"),
+        ("repetitions", ["--fleet-sizes", "4"], "--fleet-sizes"),
+        ("vs", ["--bers", "1e-3"], "--bers"),
+    ])
+    def test_dry_run_notes_an_ignored_option(self, preset, flags, note, capsys):
+        assert main(["campaign", preset, *flags, "--dry-run"]) == 0
+        assert (f"note: {note} is not used by the {preset!r} preset"
+                in capsys.readouterr().out)
+
+    def test_dry_run_takes_fleet_sizes_without_a_note(self, capsys):
+        assert main(["campaign", "fleet", "--fleet-sizes", "4",
+                     "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert "note:" not in out and "fleet=4/ber=0.001: 4 cells" in out
+
+    @pytest.mark.parametrize("size", ["0", "2000"])
+    def test_out_of_range_fleet_size_is_a_usage_error(self, size, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "fleet", "--fleet-sizes", "4", size,
+                  "--dry-run"])
+        assert exit_info.value.code == 2
+        assert ("argument --fleet-sizes: must be in 1..1000"
+                in capsys.readouterr().err)
+
     def test_shard_requires_out(self, capsys):
         assert main(["campaign", "repetitions", "--shard", "1/2"]) == 2
         assert "--shard needs --out" in capsys.readouterr().out

@@ -1,9 +1,10 @@
 """The documentation suite must stay consistent with the code.
 
 Runs the same checks as the CI ``docs`` job (``tools/check_docs.py``):
-internal links in ``README.md`` and ``docs/*.md`` resolve, and the campaign
+internal links in ``README.md`` and ``docs/*.md`` resolve, the campaign
 presets documented there match ``repro.cli.CAMPAIGN_PRESETS`` and the
-``campaign --help`` output.
+``campaign --help`` output, and the benchmark bounds the prose quotes match
+the gate in ``tools/check_bench.py``.
 """
 
 import importlib.util
@@ -37,6 +38,33 @@ def test_campaign_presets_documented_and_listed_in_help():
     errors: list[str] = []
     checker.check_presets(errors)
     assert errors == []
+
+
+def test_bench_bounds_quoted_in_docs():
+    checker = _load_checker()
+    errors: list[str] = []
+    checker.check_bench_floors(errors)
+    assert errors == []
+
+
+def test_bench_bound_checker_catches_drift(tmp_path, monkeypatch):
+    """A quote that disagrees with the gate, or a bound no prose quotes,
+    must fail the check."""
+    checker = _load_checker()
+    (tmp_path / "docs").mkdir()
+    for source in checker.markdown_files():
+        text = (source.read_text()
+                .replace("2x batched-decode", "4x batched-decode")
+                .replace("fleet-stepping", "fleet stepping"))
+        (tmp_path / source.relative_to(REPO_ROOT)).write_text(text)
+    monkeypatch.setattr(checker, "REPO_ROOT", tmp_path)
+    errors: list[str] = []
+    checker.check_bench_floors(errors)
+    assert any("'4x batched-decode'" in error
+               and "batched_decode.by_batch.8.speedup to 2" in error
+               for error in errors), errors
+    assert any("no markdown file quotes the by_fleet.16.speedup bound" in error
+               for error in errors), errors
 
 
 def test_runtable_schema_documents_every_column():

@@ -8,13 +8,11 @@ Verifies that the prose and the code cannot drift apart silently:
    the README and ``docs/campaigns.md`` preset tables, every preset those
    tables document exists in ``repro.cli.CAMPAIGN_PRESETS``, and every
    ``CAMPAIGN_PRESETS`` entry is documented in both places;
-3. every benchmark floor the prose quotes matches its gate constant —
-   kernel speedups (``Nx decode-speedup``, ``Nx batched-decode``) against
-   ``benchmarks/bench_kernels.py`` via ``tools/check_bench.py``, and the
-   campaign-service gates (``N/s round-trip floor``, ``Nms round-trip
-   p95``) against ``benchmarks/bench_service.py`` via
-   ``tools/check_service_bench.py`` — the single sources of truth the CI
-   ``kernels`` and ``service`` jobs enforce;
+3. every benchmark bound the prose quotes (``Nx decode-speedup``,
+   ``Nx batched-decode``, ``Nx plan-reuse``, ``Nx fleet-stepping``,
+   ``N/s round-trip floor``, ``Nms round-trip p95``) matches its value in
+   ``GATES`` of ``tools/check_bench.py`` — the one table the CI
+   ``kernels``, ``fleet`` and ``service`` jobs enforce;
 4. the report-column table in ``docs/campaigns.md`` documents exactly the
    figure columns ``repro.eval.analysis.SUMMARY_COLUMNS`` emits, and every
    profile sidecar column (``repro.eval.runtable.PROFILE_COLUMNS``,
@@ -137,81 +135,38 @@ def check_presets(errors: list[str]) -> None:
                           f"documented preset {preset!r}")
 
 
-#: Prose floor quotations, e.g. "the 3x decode-speedup target" or "the 2x
-#: batched-decode floor"; group 1 is the quoted multiplier.
-_FLOOR_QUOTES = {
-    "DECODE_SPEEDUP_TARGET": re.compile(r"(\d+(?:\.\d+)?)x decode-speedup"),
-    "BATCHED_DECODE_TARGET": re.compile(r"(\d+(?:\.\d+)?)x batched-decode"),
-    "PLAN_REUSE_TARGET": re.compile(r"(\d+(?:\.\d+)?)x plan-reuse"),
-}
-
-
-#: Prose quotations of the campaign-service gates, e.g. "the 500/s
-#: round-trip floor" / "the 50ms round-trip p95 limit"; group 1 is the
-#: quoted number.  ``\s+`` tolerates a line wrap inside the phrase.
-_SERVICE_FLOOR_QUOTES = {
-    "ROUND_TRIP_TARGET":
-        re.compile(r"(\d+(?:\.\d+)?)/s\s+round-trip\s+floor"),
-    "ROUND_TRIP_P95_MS_LIMIT":
-        re.compile(r"(\d+(?:\.\d+)?)ms\s+round-trip\s+p95"),
-}
-
-
-#: Prose quotations of the fleet-runtime gate, e.g. "the 3x fleet-stepping
-#: floor"; group 1 is the quoted multiplier.
-_FLEET_FLOOR_QUOTES = {
-    "FLEET_STEPPING_TARGET":
-        re.compile(r"(\d+(?:\.\d+)?)x\s+fleet-stepping"),
-}
-
-
-def _check_floor_quotes(errors: list[str], floors: dict[str, float],
-                        quotes: dict[str, "re.Pattern[str]"],
-                        constants_file: str, unit: str) -> None:
-    """Every prose quote of a gate floor must match its constant — and at
-    least one markdown file must quote each floor, so every CI gate keeps a
-    prose counterpart."""
-    for name, pattern in quotes.items():
-        quoted = 0
-        for source in markdown_files():
-            rel = source.relative_to(REPO_ROOT)
-            for match in pattern.finditer(source.read_text()):
-                quoted += 1
-                if float(match.group(1)) != floors[name]:
-                    errors.append(
-                        f"{rel}: quotes a {match.group(1)}{unit} floor but "
-                        f"{constants_file} sets {name} = {floors[name]:g}")
-        if not quoted:
-            errors.append(
-                f"no markdown file quotes the {name} floor "
-                f"({floors[name]:g}{unit}) — document it so the CI gate "
-                "has a prose counterpart")
-
-
 def check_bench_floors(errors: list[str]) -> None:
-    """Floors quoted in the prose must match the benchmark gate constants.
+    """Bounds quoted in the prose must match the benchmark gate.
 
-    The kernel constants live in ``benchmarks/bench_kernels.py`` (parsed by
-    ``tools/check_bench.py``), the campaign-service constants in
-    ``benchmarks/bench_service.py`` (parsed by
-    ``tools/check_service_bench.py``), the fleet-runtime constant in
-    ``benchmarks/bench_fleet.py`` (parsed by
-    ``tools/check_fleet_bench.py``); any markdown sentence quoting a
-    floor — and at least one must, per floor — has to agree with them.
+    Every bound of ``tools/check_bench.py``'s ``GATES`` that names a prose
+    pattern (e.g. "the 2x batched-decode floor") must be quoted in at least
+    one markdown file, so every CI bound keeps a prose counterpart, and
+    every quote must give the bound's value.
     """
-    sys.path.insert(0, str(REPO_ROOT / "tools"))
+    sys.path.insert(0, str(Path(__file__).resolve().parent))
     try:
-        from check_bench import bench_floors
-        from check_fleet_bench import fleet_floors
-        from check_service_bench import service_floors
+        from check_bench import GATES
     finally:
         sys.path.pop(0)
-    _check_floor_quotes(errors, bench_floors(), _FLOOR_QUOTES,
-                        "benchmarks/bench_kernels.py", "x")
-    _check_floor_quotes(errors, service_floors(), _SERVICE_FLOOR_QUOTES,
-                        "benchmarks/bench_service.py", "")
-    _check_floor_quotes(errors, fleet_floors(), _FLEET_FLOOR_QUOTES,
-                        "benchmarks/bench_fleet.py", "x")
+    for gate in GATES.values():
+        for bound in gate.bounds:
+            if bound.prose is None:
+                continue
+            quoted = 0
+            for source in markdown_files():
+                rel = source.relative_to(REPO_ROOT)
+                for match in re.finditer(bound.prose, source.read_text()):
+                    quoted += 1
+                    if float(match.group(1)) != bound.value:
+                        errors.append(
+                            f"{rel}: quotes {match.group(0)!r} but "
+                            f"tools/check_bench.py holds {bound.path} to "
+                            f"{bound.value:g}")
+            if not quoted:
+                errors.append(
+                    f"no markdown file quotes the {bound.path} bound "
+                    f"({bound.value:g}) — document it so the CI gate has a "
+                    "prose counterpart")
 
 
 #: Code spans inside the first cell of a ``| Column | ...`` table row.
