@@ -22,6 +22,7 @@ from ..env.world import EmbodiedWorld, WorldConfig
 from ..nn import Embedding, GptTransformer, Linear, Module, Tensor, no_grad
 from ..nn.functional import layer_norm, relu, softmax
 from ..quant import (
+    CALIBRATION_STACK_LANES,
     BatchedKernel,
     Calibrator,
     FloatKernel,
@@ -406,16 +407,21 @@ class DeployedController:
 
     # ------------------------------------------------------------------
     def calibrate(self, subtask_ids: np.ndarray, observations: np.ndarray) -> None:
-        """Profile activations one sample per stack, then quantize.
+        """Profile activations in float lane stacks, then quantize.
 
-        A float GEMM over stacked rows may round differently from one over a
-        single sample's rows, so calibration keeps each sample its own stack.
+        The samples run in sample order, at most
+        :data:`~repro.quant.CALIBRATION_STACK_LANES` per stack.  A
+        :class:`~repro.quant.FloatKernel` lane stack computes each sample's
+        tensors bit for bit as that sample alone (row-stacking them into one
+        float GEMM would not), so the profiled scales and anomaly bounds
+        equal one-sample calibration's.
         """
         observer = Calibrator(self.spec)
         kernel = self._float_kernel(observer)
-        for index in range(len(subtask_ids)):
-            self._forward_stack(subtask_ids[index:index + 1],
-                                observations[index:index + 1], kernel)
+        for start in range(0, len(subtask_ids), CALIBRATION_STACK_LANES):
+            stop = start + CALIBRATION_STACK_LANES
+            self._forward_stack(subtask_ids[start:stop],
+                                observations[start:stop], kernel)
         self.calibrator = observer
         self._quantized = {}
         self._plan = None

@@ -28,6 +28,7 @@ from ..env.tasks import TaskSuite
 from ..nn import Embedding, Linear, LlamaTransformer, Module, Tensor, no_grad
 from ..nn.functional import rms_norm, silu, softmax
 from ..quant import (
+    CALIBRATION_STACK_LANES,
     BatchedKernel,
     Calibrator,
     FloatKernel,
@@ -494,17 +495,22 @@ class DeployedPlanner:
     def calibrate(self) -> None:
         """Profile activations over every (task, progress) prompt, then quantize.
 
-        Calibration decodes without the KV cache, one prompt per stack: the
-        observer must see the exact full-prefix tensors the reference
-        pipeline produced, so the profiled scales and anomaly bounds stay
-        bit-identical across kernel generations.
+        Calibration decodes without the KV cache, the prompts in suite order
+        and in float lane stacks of at most
+        :data:`~repro.quant.CALIBRATION_STACK_LANES`: the observer must see
+        the exact full-prefix tensors the reference pipeline produced, and a
+        :class:`~repro.quant.FloatKernel` lane stack computes each prompt's
+        tensors bit for bit as that prompt alone, so the profiled scales and
+        anomaly bounds stay bit-identical across kernel generations.
         """
         observer = Calibrator(self.spec)
         kernel = FloatKernel(self._float_weight, observer=observer)
-        for task in self.suite.tasks():
-            for progress in range(len(task.plan)):
-                self._decode_stack([(task.name, progress)], kernel, None,
-                                   max_new_tokens=None, use_cache=False)
+        prompts = [(task.name, progress) for task in self.suite.tasks()
+                   for progress in range(len(task.plan))]
+        for start in range(0, len(prompts), CALIBRATION_STACK_LANES):
+            self._decode_stack(prompts[start:start + CALIBRATION_STACK_LANES],
+                               kernel, None, max_new_tokens=None,
+                               use_cache=False)
         self.calibrator = observer
         self._quantized = {}
         self._plan = None
@@ -537,9 +543,10 @@ class DeployedPlanner:
 
         Lanes step together — prompts share one length, so every step's
         geometry is uniform — and a lane drops out of the stack when it
-        emits EOS: the cache compacts to the surviving lanes and the kernel
-        is rebuilt over their ``contexts`` (``None`` for a float kernel,
-        which has no lanes to drop).
+        emits EOS: the cache compacts to the surviving lanes, and a quantized
+        kernel is rebuilt over their ``contexts``.  A float kernel
+        (``contexts`` is ``None``) keeps no per-lane state, so it runs the
+        surviving lanes as it is.
         """
         limit = max_new_tokens or self.config.max_plan_length + 1
         prompts = self._prompts(requests)
@@ -574,8 +581,9 @@ class DeployedPlanner:
                 live = [live[i] for i in keep]
                 seqs = seqs[keep]
                 cache.compact(keep)
-                contexts = [contexts[i] for i in keep]
-                kernel = BatchedKernel.of(contexts)
+                if contexts is not None:
+                    contexts = [contexts[i] for i in keep]
+                    kernel = BatchedKernel.of(contexts)
         return list(zip(generated, logits_of))
 
     def decode_tokens(self, task_name: str, progress: int = 0,
@@ -611,17 +619,17 @@ class DeployedPlanner:
         EOS.  Results are bit-identical to decoding each prompt alone —
         tokens, logits, and counters, fault-free and under injection, cached
         or not (the batched equivalence tests assert all of it).
-        ``quantized=False`` decodes one prompt per stack: a float GEMM over
-        stacked rows may round differently from one over a single prompt's.
+        ``quantized=False`` decodes the prompts as one float lane stack
+        (:class:`~repro.quant.FloatKernel`), bit-identical to decoding each
+        prompt alone in float.
         """
         requests = list(requests)
         if not requests:
             return []
         if not quantized:
-            return [self._decode_stack([request], FloatKernel(self._float_weight),
-                                       None, max_new_tokens, use_cache,
-                                       collect_logits)[0]
-                    for request in requests]
+            return self._decode_stack(requests, FloatKernel(self._float_weight),
+                                      None, max_new_tokens, use_cache,
+                                      collect_logits)
         lane_contexts = self._lane_contexts(len(requests), hooks, contexts)
         return self._decode_stack(requests, BatchedKernel.of(lane_contexts),
                                   lane_contexts, max_new_tokens, use_cache,

@@ -170,6 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "co-stepped through one batched kernel pass "
                                "per tick (default: 1 4 16)")
     add_engine_args(campaign)
+    # Checks that depend on the chosen preset run after parsing and report
+    # through this subcommand's own usage line.
+    campaign.set_defaults(campaign_parser=campaign)
     campaign.add_argument("--dry-run", action="store_true",
                           help="print the planned (condition, seed) cell "
                                "counts per campaign — and per shard with "
@@ -440,12 +443,55 @@ _PRESET_USED_OPTIONS = {
 }
 
 
+#: The suite each preset runs, where it is not the Table-10 ``minecraft``
+#: suite of the ``jarvis`` systems: a registered suite or a catalog
+#: scenario.  The preset runners and the ``--task`` / ``--tasks`` check
+#: both read it.
+_PRESET_SUITES = {"kitchen": "kitchen", "navigation": "navigation",
+                  "assembly": "assembly", "fleet": "navigation"}
+
+
+def _preset_suite(preset: str):
+    """The :class:`~repro.env.tasks.TaskSuite` whose tasks ``preset`` runs."""
+    from .env.scenarios import CATALOG
+    from .env.tasks import SUITES
+
+    name = _PRESET_SUITES.get(preset, "minecraft")
+    return SUITES[name] if name in SUITES else CATALOG.build(name)
+
+
+def _check_campaign_tasks(args) -> None:
+    """Make a ``--task`` / ``--tasks`` name outside the preset's suite a usage error.
+
+    Runs before anything is planned or built.  An option the preset does
+    not use is only noted (:func:`_warn_ignored_options`), and the default
+    ``--task`` stands for the preset's own default task.
+    """
+    parser = args.campaign_parser
+    used = _PRESET_USED_OPTIONS[args.preset]
+    given = []
+    if "task" in used and args.task != parser.get_default("task"):
+        given.append(("--task", [args.task]))
+    if "tasks" in used and args.tasks:
+        given.append(("--tasks", args.tasks))
+    if not given:
+        return
+    suite = _preset_suite(args.preset)
+    for flag, tasks in given:
+        unknown = [task for task in tasks if task not in suite]
+        if unknown:
+            parser.error(
+                f"argument {flag}: unknown task {', '.join(map(repr, unknown))} "
+                f"for the {args.preset!r} preset; the {suite.name} suite has: "
+                f"{', '.join(suite.task_names)}")
+
+
 def _warn_ignored_options(args) -> None:
     """Tell the user when a flag they set does not apply to the chosen preset."""
-    defaults = build_parser().parse_args(["campaign", args.preset])
+    parser = args.campaign_parser
     used = _PRESET_USED_OPTIONS[args.preset]
     for option in ("task", "tasks", "bers", "trials", "fleet_sizes"):
-        if option not in used and getattr(args, option) != getattr(defaults, option):
+        if option not in used and getattr(args, option) != parser.get_default(option):
             flag = "--" + option.replace("_", "-")
             print(f"note: {flag} is not used by the {args.preset!r} preset; ignoring it")
 
@@ -564,10 +610,9 @@ def _preset_quantization(args, engine) -> None:
 def _preset_kitchen(args, engine) -> None:
     """Kitchen-rearrangement controller suite (scenario diversity, no figure)."""
     from .core import CreateConfig
-    from .env import KITCHEN_SUITE
     from .eval import experiments, format_table
 
-    tasks = args.tasks or KITCHEN_SUITE.task_names
+    tasks = args.tasks or _preset_suite(args.preset).task_names
     voltage = 0.75
     configs = {
         "unprotected": CreateConfig(ad=False, wr=False, controller_voltage=voltage),
@@ -593,7 +638,7 @@ def _preset_scenario(args, engine) -> None:
     from .env.scenarios import CATALOG
     from .eval import experiments, format_table
 
-    scenario = args.preset
+    scenario = _PRESET_SUITES[args.preset]
     results = experiments.scenario_resilience(scenario, list(args.bers),
                                               tasks=args.tasks,
                                               num_trials=args.trials,
@@ -618,6 +663,7 @@ def _preset_fleet(args, engine) -> None:
     task = None if args.task == "wooden" else args.task
     results = experiments.fleet_resilience(fleet_sizes=list(args.fleet_sizes),
                                            bers=list(args.bers), task=task,
+                                           scenario=_PRESET_SUITES[args.preset],
                                            seed=args.seed, **engine)
     rows = []
     for fleet_size, points in results.items():
@@ -686,6 +732,7 @@ def _run_paper(args) -> int:
 
 
 def _run_campaign(args) -> int:
+    _check_campaign_tasks(args)
     _warn_ignored_options(args)
     if args.dry_run or args.queue is not None or args.shard is not None:
         return _run_scheduled_campaign(args)

@@ -22,8 +22,8 @@ from .qtypes import (
 )
 from .quantizer import Calibrator, QuantParams, compute_scale, dequantize, quantize
 from .qgemm import GemmHooks, GemmStats, QuantizedLinear, quantized_matmul
-from .kernel import (BatchedKernel, FloatKernel, KernelContext, KernelCounters,
-                     KernelPlan, KVCache)
+from .kernel import (CALIBRATION_STACK_LANES, BatchedKernel, FloatKernel,
+                     KernelContext, KernelCounters, KernelPlan, KVCache)
 
 __all__ = [
     "ACCUMULATOR_BITS",
@@ -48,4 +48,5 @@ __all__ = [
     "FloatKernel",
     "KVCache",
     "BatchedKernel",
+    "CALIBRATION_STACK_LANES",
 ]

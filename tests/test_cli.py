@@ -198,6 +198,33 @@ class TestDistributedCli:
         assert ("argument --fleet-sizes: must be in 1..1000"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("preset, flags, suite_task", [
+        ("fleet", ["--task", "foo"], "route-lab-cor-vau-1k"),
+        ("navigation", ["--tasks", "route-lab-cor-vau-1k", "foo"],
+         "route-atr-cel-cor-2k"),
+        ("repetitions", ["--task", "foo"], "wooden"),
+    ])
+    def test_unknown_task_is_a_usage_error(self, preset, flags, suite_task,
+                                           capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", preset, *flags, "--dry-run"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing was planned
+        assert (f"argument {flags[0]}: unknown task 'foo' for the {preset!r} "
+                "preset" in captured.err)
+        assert suite_task in captured.err
+
+    @pytest.mark.parametrize("preset, flags, cells", [
+        ("fleet", ["--task", "route-lab-cor-vau-1k"],
+         "fleet=4/ber=0.001: 4 cells"),
+        ("repetitions", [], "total 8 cells"),
+    ])
+    def test_suite_and_default_tasks_plan(self, preset, flags, cells, capsys):
+        assert main(["campaign", preset, *flags, "--dry-run"]) == 0
+        out = capsys.readouterr().out
+        assert cells in out and "note:" not in out
+
     def test_shard_requires_out(self, capsys):
         assert main(["campaign", "repetitions", "--shard", "1/2"]) == 2
         assert "--shard needs --out" in capsys.readouterr().out

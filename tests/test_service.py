@@ -30,8 +30,8 @@ from repro.eval import (
 )
 from repro.eval.campaign import enumerate_cells
 from repro.eval.runtable import RunTable
-from repro.eval.service import (AutoScaler, CampaignService, QueueClient,
-                                ServiceError)
+from repro.eval.service import (_SERVE_POLL_S, AutoScaler, CampaignService,
+                                QueueClient, ServiceError)
 from repro.faults.models import UniformErrorModel
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
@@ -114,6 +114,28 @@ class TestServiceProtocol:
         client.close()
         assert client._connections == []
         assert all(conn.sock is None for conn in connections)
+
+    def test_serve_loops_poll_for_shutdown_often(self, tmp_path, monkeypatch):
+        """``close()`` waits for the serve loop's next shutdown poll, so both
+        serve paths poll every ``_SERVE_POLL_S``: at socketserver's default
+        of 0.5 s, closing a just-started idle service took half a second."""
+        polls = []
+        serve_forever = ThreadingHTTPServer.serve_forever
+
+        def spy(server, poll_interval=0.5):
+            polls.append(poll_interval)
+            serve_forever(server, poll_interval)
+
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", spy)
+        CampaignService(tmp_path / "started").start().close()
+        service = CampaignService(tmp_path / "served")
+        thread = threading.Thread(target=service.serve_forever)
+        thread.start()
+        service.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert polls == [_SERVE_POLL_S, _SERVE_POLL_S]
+        assert _SERVE_POLL_S <= 0.1
 
     def test_closed_client_reconnects_lazily(self, service, client):
         client.counts()

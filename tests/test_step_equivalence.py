@@ -496,8 +496,12 @@ class TestBatchedControllerStep:
             return captured
 
         for quantized in (True, False):
-            former = former_capture(controller._kernel_for(
-                hooks() if quantized else None, quantized))
+            kernel = controller._kernel_for(hooks() if quantized else None,
+                                            quantized)
+            if not quantized:  # a float kernel takes each call as one lane
+                float_qgemm = kernel.qgemm
+                kernel.qgemm = lambda name, x: float_qgemm(name, x, (len(x),))
+            former = former_capture(kernel)
             captured = controller.capture_activations(
                 3, observation, hooks=hooks() if quantized else None,
                 quantized=quantized)
