@@ -15,13 +15,6 @@ many (condition, seed) cells per worker task (unset = auto-tuned), e.g.::
     REPRO_BENCH_TRIALS=100 REPRO_BENCH_JOBS=8 REPRO_BENCH_BATCH=16 \
       PYTHONPATH=src python -m pytest benchmarks/bench_fig16_overall.py -q
 
-Benchmarks can also be spread over several hosts: ``REPRO_BENCH_SHARD=i/N``
-restricts every campaign to the i-th static slice of its (condition, seed)
-cell grid (see ``repro.eval.shard``).  The per-process numbers each shard
-prints are then partial — persist the shard run tables by also pointing the
-experiments at an output directory and combine them with ``repro-create
-merge`` to recover the full-grid tables.
-
 Systems are referenced by their registry keys (see
 :mod:`repro.agents.registry`) so campaign workers can rebuild them; the
 ``jarvis_plain()``-style helpers return the per-process cached instances for
@@ -74,19 +67,6 @@ def num_batch(default: int | None = None) -> int | None:
     if not value or int(value) < 1:
         return default
     return int(value)
-
-
-def bench_shard():
-    """The static shard selected by ``REPRO_BENCH_SHARD=i/N``, or ``None``.
-
-    ``benchmarks/conftest.py`` wraps every benchmark in the corresponding
-    :func:`repro.eval.shard_scope`, so all campaign-driven experiments
-    execute only the shard's cells.
-    """
-    from repro.eval.shard import parse_shard
-
-    value = os.environ.get("REPRO_BENCH_SHARD")
-    return parse_shard(value) if value else None
 
 
 def engine_kwargs(**overrides) -> dict:

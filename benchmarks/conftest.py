@@ -1,29 +1,6 @@
-"""Make the benchmark directory importable and keep output readable."""
+"""Make the benchmark directory importable."""
 
 import sys
 from pathlib import Path
 
-import pytest
-
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-
-
-@pytest.fixture(autouse=True)
-def _bench_shard_scope():
-    """Honor ``REPRO_BENCH_SHARD=i/N``: run only that slice of each campaign.
-
-    Lets the benchmark suite be spread across hosts (one shard each).  The
-    aggregates a sharded benchmark prints are computed over placeholder rows
-    for the other shards' cells, so a notice is emitted; merge the persisted
-    shard run tables with ``repro-create merge`` for the real numbers.
-    """
-    from common import bench_shard
-    from repro.eval.campaign import shard_scope
-
-    shard = bench_shard()
-    if shard is not None:
-        print(f"\n[REPRO_BENCH_SHARD] executing shard {shard} of each "
-              "campaign; printed aggregates are partial — merge the shard "
-              "run tables with 'repro-create merge' for full results")
-    with shard_scope(shard):
-        yield

@@ -53,27 +53,323 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 __all__ = ["build_parser", "main", "CAMPAIGN_PRESETS", "PAPER_PRESET_CHAIN"]
 
-#: Presets of the ``campaign`` subcommand and the figure/table they regenerate.
+# ----------------------------------------------------------------------
+# Campaign presets: one row per figure/table, plus the chained paper sweep
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Preset:
+    """One ``campaign`` preset: a row of :data:`CAMPAIGN_PRESETS`.
+
+    ``plans(args, suite)`` declares the campaign plans the preset runs from
+    the parsed options and the row's own ``suite``, building nothing;
+    ``report(args, suite, results)`` prints the figure table from the
+    finished results of those plans, in plan order.  ``options`` names the
+    shared options the preset reads; the task check and the ignored-option
+    notes read it.
+    """
+
+    figure: str
+    options: tuple[str, ...]
+    plans: Callable[[argparse.Namespace, str], list] | None = None
+    report: Callable[[argparse.Namespace, str, list], None] | None = None
+    suite: str = "minecraft"
+
+
+def _suite(name: str):
+    """The :class:`~repro.env.tasks.TaskSuite` called ``name``: a registered
+    suite or a catalog scenario."""
+    from .env.scenarios import CATALOG
+    from .env.tasks import SUITES
+
+    return SUITES[name] if name in SUITES else CATALOG.build(name)
+
+
+def _ad_plans(target: str, args, suite: str) -> list:
+    from .eval import experiments
+
+    return experiments.ad_evaluation_plans("jarvis", args.task, list(args.bers),
+                                           target, num_trials=args.trials,
+                                           seed=args.seed)
+
+
+def _wr_plans(args, suite: str) -> list:
+    from .eval import experiments
+
+    return experiments.wr_evaluation_plans("jarvis", "jarvis-rotated", args.task,
+                                           list(args.bers), num_trials=args.trials,
+                                           seed=args.seed)
+
+
+def _sweeps_report(what: str, args, suite: str, results: list) -> None:
+    from .eval import experiments, format_sweep
+
+    print(format_sweep(experiments.sweep_summaries(results), "success_rate",
+                       title=f"{what}: success rate on {args.task!r}"))
+
+
+def _vs_plans(args, suite: str) -> list:
+    from .eval import experiments
+
+    return experiments.vs_evaluation_plans("jarvis", args.task,
+                                           num_trials=args.trials, seed=args.seed)
+
+
+def _vs_report(args, suite: str, results: list) -> None:
+    from .eval import experiments, format_table
+
+    rows = [[e.policy.name, e.success_rate, e.effective_voltage,
+             e.summary.mean_energy_j * 1e3]
+            for e in experiments.vs_evaluation_summary(results)]
+    print(format_table(["policy", "success rate", "effective V", "energy (mJ)"],
+                       rows, title=f"voltage-scaling policies on {args.task!r}"))
+
+
+def _interval_plans(args, suite: str) -> list:
+    from .eval import experiments
+
+    return experiments.interval_sweep_plans("jarvis", args.task,
+                                            num_trials=args.trials, seed=args.seed)
+
+
+def _interval_report(args, suite: str, results: list) -> None:
+    from .eval import experiments, format_table
+
+    rows = [[interval, s.success_rate, s.effective_voltage]
+            for interval, s in experiments.interval_sweep_summary(results).items()]
+    print(format_table(["update interval", "success rate", "effective V"], rows,
+                       title=f"VS update-interval sensitivity on {args.task!r}"))
+
+
+def _overall_plans(args, suite: str) -> list:
+    from .core import CreateConfig, default_policy
+    from .eval import experiments
+
+    tasks = args.tasks or ([args.task] if args.task != "wooden"
+                           else ["wooden", "stone", "chicken", "seed"])
+    configs = {
+        "unprotected": CreateConfig(ad=False, wr=False),
+        "AD": CreateConfig(ad=True, wr=False),
+        "AD+WR": CreateConfig(ad=True, wr=True),
+        "AD+WR+VS": CreateConfig(ad=True, wr=True, vs_policy=default_policy()),
+    }
+    systems = {"unprotected": "jarvis", "AD": "jarvis",
+               "AD+WR": "jarvis-rotated", "AD+WR+VS": "jarvis-rotated"}
+    return experiments.overall_evaluation_plans(systems, tasks, configs,
+                                                num_trials=args.trials,
+                                                seed=args.seed)
+
+
+#: Controller supply voltage of the ``kitchen`` preset's two arms.
+_KITCHEN_VOLTAGE = 0.75
+
+
+def _kitchen_plans(args, suite: str) -> list:
+    """Kitchen-rearrangement controller suite (scenario diversity, no figure)."""
+    from .core import CreateConfig
+    from .eval import experiments
+
+    configs = {
+        "unprotected": CreateConfig(ad=False, wr=False,
+                                    controller_voltage=_KITCHEN_VOLTAGE),
+        "AD": CreateConfig(ad=True, wr=False, controller_voltage=_KITCHEN_VOLTAGE),
+    }
+    systems = dict.fromkeys(configs, "controller-rt1-kitchen")
+    return experiments.overall_evaluation_plans(
+        systems, args.tasks or _suite(suite).task_names, configs,
+        num_trials=args.trials, seed=args.seed)
+
+
+def _overall_report(title: str, args, suite: str, results: list) -> None:
+    """Success rate per task and configuration, then mean energy."""
+    from .eval import experiments, format_table
+
+    overall = experiments.overall_evaluation_summary(results)
+    labels = list(overall)
+    tasks = list(overall[labels[0]].per_task)
+    rows = [[task] + [overall[label].per_task[task].success_rate
+                      for label in labels] for task in tasks]
+    rows.append(["mean energy (mJ)"] + [overall[label].mean_energy() * 1e3
+                                        for label in labels])
+    print(format_table(["task"] + labels, rows, title=title))
+
+
+def _baselines_plans(args, suite: str) -> list:
+    from .eval import experiments
+
+    return experiments.baseline_comparison_plans("jarvis", "jarvis-rotated",
+                                                 args.task, num_trials=args.trials,
+                                                 seed=args.seed)
+
+
+def _baselines_report(args, suite: str, results: list) -> None:
+    from .eval import experiments, format_table
+
+    arms = experiments.baseline_comparison_summary(results)
+    voltages = sorted(arms["create"], reverse=True)
+    rows = [[v] + [arms[arm][v]["success_rate"] for arm in arms] for v in voltages]
+    print(format_table(["voltage (V)"] + list(arms), rows,
+                       title=f"baseline comparison on {args.task!r} (success rate)"))
+
+
+def _repetition_counts(args) -> list[int]:
+    return sorted({max(1, args.trials // 4), max(1, args.trials // 2), args.trials})
+
+
+def _repetitions_plans(args, suite: str) -> list:
+    from .eval import experiments
+
+    return experiments.repetition_study_plans("jarvis", args.task, args.bers[0],
+                                              _repetition_counts(args),
+                                              seed=args.seed)
+
+
+def _repetitions_report(args, suite: str, results: list) -> None:
+    from .eval import experiments, format_table
+
+    rates = experiments.repetition_study_summary(results, _repetition_counts(args))
+    print(format_table(["repetitions", "success rate"], list(rates.items()),
+                       title=f"repetition study on {args.task!r} "
+                             f"(BER {args.bers[0]:.0e})"))
+
+
+def _quantization_plans(args, suite: str) -> list:
+    from .eval import experiments
+
+    return experiments.quantization_study_plans(None, args.task, list(args.bers),
+                                                num_trials=args.trials,
+                                                seed=args.seed)
+
+
+def _quantization_report(args, suite: str, results: list) -> None:
+    from .eval import experiments, format_table
+
+    rates = experiments.quantization_study_summary(results)
+    labels = list(rates)
+    rows = [[f"{ber:.0e}"] + [rates[label][ber] for label in labels]
+            for ber in args.bers]
+    print(format_table(["planner BER"] + labels, rows,
+                       title=f"quantization study on {args.task!r}"))
+
+
+def _scenario_plans(args, suite: str) -> list:
+    """AD/WR planner-resilience battery on the generated catalog scenario."""
+    from .eval import experiments
+
+    return experiments.scenario_resilience_plans(suite, list(args.bers),
+                                                 tasks=args.tasks,
+                                                 num_trials=args.trials,
+                                                 seed=args.seed)
+
+
+def _scenario_report(args, suite: str, results: list) -> None:
+    from .env.scenarios import CATALOG
+    from .eval import experiments, format_table
+
+    sweeps = experiments.scenario_resilience_summary(results)
+    arms = list(sweeps)
+    tasks = list(sweeps[arms[0]])
+    rows = []
+    for index, ber in enumerate(args.bers):
+        rows.append([f"{ber:.0e}"] + [
+            float(np.mean([sweeps[arm][task].points[index].summary.success_rate
+                           for task in tasks])) for arm in arms])
+    print(format_table(["planner BER"] + arms, rows,
+                       title=f"{suite} scenario ({len(tasks)} task(s), "
+                             f"suite {CATALOG.get(suite).fingerprint}): success rate"))
+
+
+def _fleet_plans(args, suite: str) -> list:
+    """Fleet runtime: missions completed under per-agent BER."""
+    from .eval import experiments
+
+    return experiments.fleet_resilience_plans(
+        fleet_sizes=list(args.fleet_sizes), bers=list(args.bers),
+        task=None if args.task == "wooden" else args.task, scenario=suite,
+        seed=args.seed)
+
+
+def _fleet_report(args, suite: str, results: list) -> None:
+    from .eval import experiments, format_table
+
+    rows = []
+    for fleet_size, points in experiments.fleet_resilience_summary(results).items():
+        for point in points:
+            rows.append([fleet_size, f"{point.ber:.0e}" if point.ber else "0",
+                         point.missions_completed, point.mission_success_rate])
+    print(format_table(["fleet size", "per-agent BER", "missions completed",
+                        "success rate"], rows,
+                       title="fleet missions under per-agent BER "
+                             "(cross-agent batched stepping)"))
+
+
+_TASK_BERS_TRIALS = ("task", "bers", "trials")
+
+#: The ``campaign`` presets, one row each, keyed by preset name.
+#: ``fleet`` runs one mission per agent, so its trial counts come from
+#: ``--fleet-sizes``, which no other preset reads.  ``paper`` declares no
+#: plans of its own: it runs the presets of :data:`PAPER_PRESET_CHAIN`.
 CAMPAIGN_PRESETS = {
-    "ad-planner": "anomaly detection on the planner (Fig. 13a)",
-    "ad-controller": "anomaly detection on the controller (Fig. 13b)",
-    "wr": "weight rotation on the planner (Fig. 13c/e)",
-    "vs": "voltage-scaling policies vs. constant baselines (Fig. 13d/f)",
-    "interval": "voltage-update-interval sensitivity (Fig. 15)",
-    "overall": "overall evaluation of the CREATE configurations (Fig. 16a)",
-    "baselines": "CREATE vs. DMR / ThUnderVolt / ABFT (Fig. 20)",
-    "repetitions": "success rate vs. repetition count (Table 5)",
-    "quantization": "INT8 vs. INT4 planner robustness (Table 6)",
-    "kitchen": "kitchen-rearrangement controller suite (beyond the paper)",
-    "navigation": "AD/WR planner battery on the generated navigation scenario",
-    "assembly": "AD/WR planner battery on the generated assembly scenario",
-    "fleet": "multi-agent fleet missions under per-agent BER (beyond the paper)",
-    "paper": "chain every paper preset into one resumable full-paper sweep",
+    "ad-planner": Preset(
+        "anomaly detection on the planner (Fig. 13a)", _TASK_BERS_TRIALS,
+        plans=partial(_ad_plans, "planner"),
+        report=partial(_sweeps_report, "AD on the planner")),
+    "ad-controller": Preset(
+        "anomaly detection on the controller (Fig. 13b)", _TASK_BERS_TRIALS,
+        plans=partial(_ad_plans, "controller"),
+        report=partial(_sweeps_report, "AD on the controller")),
+    "wr": Preset(
+        "weight rotation on the planner (Fig. 13c/e)", _TASK_BERS_TRIALS,
+        plans=_wr_plans, report=partial(_sweeps_report, "WR on the planner")),
+    "vs": Preset(
+        "voltage-scaling policies vs. constant baselines (Fig. 13d/f)",
+        ("task", "trials"), plans=_vs_plans, report=_vs_report),
+    "interval": Preset(
+        "voltage-update-interval sensitivity (Fig. 15)", ("task", "trials"),
+        plans=_interval_plans, report=_interval_report),
+    "overall": Preset(
+        "overall evaluation of the CREATE configurations (Fig. 16a)",
+        ("task", "tasks", "trials"), plans=_overall_plans,
+        report=partial(_overall_report, "overall evaluation (Fig. 16a)")),
+    "baselines": Preset(
+        "CREATE vs. DMR / ThUnderVolt / ABFT (Fig. 20)", ("task", "trials"),
+        plans=_baselines_plans, report=_baselines_report),
+    "repetitions": Preset(
+        "success rate vs. repetition count (Table 5)", _TASK_BERS_TRIALS,
+        plans=_repetitions_plans, report=_repetitions_report),
+    "quantization": Preset(
+        "INT8 vs. INT4 planner robustness (Table 6)", _TASK_BERS_TRIALS,
+        plans=_quantization_plans, report=_quantization_report),
+    "kitchen": Preset(
+        "kitchen-rearrangement controller suite (beyond the paper)",
+        ("tasks", "trials"), plans=_kitchen_plans,
+        report=partial(_overall_report,
+                       f"kitchen-rearrangement suite at {_KITCHEN_VOLTAGE} V "
+                       "(controller-rt1-kitchen)"),
+        suite="kitchen"),
+    "navigation": Preset(
+        "AD/WR planner battery on the generated navigation scenario",
+        ("tasks", "bers", "trials"), plans=_scenario_plans,
+        report=_scenario_report, suite="navigation"),
+    "assembly": Preset(
+        "AD/WR planner battery on the generated assembly scenario",
+        ("tasks", "bers", "trials"), plans=_scenario_plans,
+        report=_scenario_report, suite="assembly"),
+    "fleet": Preset(
+        "multi-agent fleet missions under per-agent BER (beyond the paper)",
+        ("task", "bers", "fleet_sizes"), plans=_fleet_plans,
+        report=_fleet_report, suite="navigation"),
+    "paper": Preset(
+        "chain every paper preset into one resumable full-paper sweep",
+        ("task", "tasks", "bers", "trials")),
 }
 
 #: Order in which ``campaign paper`` chains the single-figure presets.
@@ -154,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "missing (condition, seed) cells.  The 'paper' preset "
                     "chains every other preset into one resumable sweep "
                     "directory.",
-        epilog="presets: " + "; ".join(f"{name} = {desc}"
-                                       for name, desc in sorted(CAMPAIGN_PRESETS.items())))
+        epilog="presets: " + "; ".join(f"{name} = {CAMPAIGN_PRESETS[name].figure}"
+                                       for name in sorted(CAMPAIGN_PRESETS)))
     campaign.add_argument("preset", choices=sorted(CAMPAIGN_PRESETS),
                           help="which experiment campaign to run")
     campaign.add_argument("--task", default="wooden", help="task name (default: wooden)")
@@ -422,61 +718,23 @@ def _run_characterize(args) -> int:
     return 0
 
 
-#: Which of the shared campaign options each preset actually consumes.
-#: ``fleet`` runs one mission per agent, so its trial counts come from
-#: ``--fleet-sizes``, which no other preset reads.
-_PRESET_USED_OPTIONS = {
-    "ad-planner": {"task", "bers", "trials"},
-    "ad-controller": {"task", "bers", "trials"},
-    "wr": {"task", "bers", "trials"},
-    "vs": {"task", "trials"},
-    "interval": {"task", "trials"},
-    "overall": {"task", "tasks", "trials"},
-    "baselines": {"task", "trials"},
-    "repetitions": {"task", "bers", "trials"},
-    "quantization": {"task", "bers", "trials"},
-    "kitchen": {"tasks", "trials"},
-    "navigation": {"tasks", "bers", "trials"},
-    "assembly": {"tasks", "bers", "trials"},
-    "fleet": {"task", "bers", "fleet_sizes"},
-    "paper": {"task", "tasks", "bers", "trials"},
-}
-
-
-#: The suite each preset runs, where it is not the Table-10 ``minecraft``
-#: suite of the ``jarvis`` systems: a registered suite or a catalog
-#: scenario.  The preset runners and the ``--task`` / ``--tasks`` check
-#: both read it.
-_PRESET_SUITES = {"kitchen": "kitchen", "navigation": "navigation",
-                  "assembly": "assembly", "fleet": "navigation"}
-
-
-def _preset_suite(preset: str):
-    """The :class:`~repro.env.tasks.TaskSuite` whose tasks ``preset`` runs."""
-    from .env.scenarios import CATALOG
-    from .env.tasks import SUITES
-
-    name = _PRESET_SUITES.get(preset, "minecraft")
-    return SUITES[name] if name in SUITES else CATALOG.build(name)
-
-
 def _check_campaign_tasks(args) -> None:
     """Make a ``--task`` / ``--tasks`` name outside the preset's suite a usage error.
 
-    Runs before anything is planned or built.  An option the preset does
+    Runs before anything is declared or built.  An option the preset does
     not use is only noted (:func:`_warn_ignored_options`), and the default
     ``--task`` stands for the preset's own default task.
     """
     parser = args.campaign_parser
-    used = _PRESET_USED_OPTIONS[args.preset]
+    row = CAMPAIGN_PRESETS[args.preset]
     given = []
-    if "task" in used and args.task != parser.get_default("task"):
+    if "task" in row.options and args.task != parser.get_default("task"):
         given.append(("--task", [args.task]))
-    if "tasks" in used and args.tasks:
+    if "tasks" in row.options and args.tasks:
         given.append(("--tasks", args.tasks))
     if not given:
         return
-    suite = _preset_suite(args.preset)
+    suite = _suite(row.suite)
     for flag, tasks in given:
         unknown = [task for task in tasks if task not in suite]
         if unknown:
@@ -489,242 +747,78 @@ def _check_campaign_tasks(args) -> None:
 def _warn_ignored_options(args) -> None:
     """Tell the user when a flag they set does not apply to the chosen preset."""
     parser = args.campaign_parser
-    used = _PRESET_USED_OPTIONS[args.preset]
+    used = CAMPAIGN_PRESETS[args.preset].options
     for option in ("task", "tasks", "bers", "trials", "fleet_sizes"):
         if option not in used and getattr(args, option) != parser.get_default(option):
             flag = "--" + option.replace("_", "-")
             print(f"note: {flag} is not used by the {args.preset!r} preset; ignoring it")
 
 
-# ----------------------------------------------------------------------
-# Campaign presets (one runner per figure/table, plus the chained paper sweep)
-# ----------------------------------------------------------------------
-def _preset_ad(args, engine) -> None:
-    from .eval import experiments, format_sweep
+def _preset_runs(args) -> list[tuple[str, Preset, Path | None]]:
+    """(name, row, out directory) of each preset one invocation runs.
 
-    target = args.preset.removeprefix("ad-")
-    sweeps = experiments.ad_evaluation("jarvis", args.task, list(args.bers),
-                                       target=target, num_trials=args.trials,
-                                       seed=args.seed, **engine)
-    print(format_sweep(sweeps, "success_rate",
-                       title=f"AD on the {target}: success rate on {args.task!r}"))
-
-
-def _preset_wr(args, engine) -> None:
-    from .eval import experiments, format_sweep
-
-    sweeps = experiments.wr_evaluation("jarvis", "jarvis-rotated", args.task,
-                                       list(args.bers), num_trials=args.trials,
-                                       seed=args.seed, **engine)
-    print(format_sweep(sweeps, "success_rate",
-                       title=f"WR on the planner: success rate on {args.task!r}"))
+    ``paper`` expands to its chain, each preset in its own subdirectory of
+    ``--out`` (so run-table names can never collide), and every path —
+    execution, ``--dry-run``, ``--queue`` and ``--shard`` — uses that same
+    layout, so a queued or sharded paper sweep lands in (and resumes from)
+    the directories of a single-host one.
+    """
+    out = Path(args.out) if args.out is not None else None
+    if args.preset != "paper":
+        return [(args.preset, CAMPAIGN_PRESETS[args.preset], out)]
+    return [(name, CAMPAIGN_PRESETS[name], out / name if out is not None else None)
+            for name in PAPER_PRESET_CHAIN]
 
 
-def _preset_vs(args, engine) -> None:
-    from .eval import experiments, format_table
-
-    evaluations = experiments.vs_evaluation("jarvis", args.task,
-                                            num_trials=args.trials,
-                                            seed=args.seed, **engine)
-    rows = [[e.policy.name, e.success_rate, e.effective_voltage,
-             e.summary.mean_energy_j * 1e3] for e in evaluations]
-    print(format_table(["policy", "success rate", "effective V", "energy (mJ)"],
-                       rows, title=f"voltage-scaling policies on {args.task!r}"))
+def _declared_plans(args):
+    """Yield (preset name, out directory, plan) for every campaign one
+    invocation declares, in execution order."""
+    for name, row, out in _preset_runs(args):
+        for plan in row.plans(args, row.suite):
+            yield name, out, plan
 
 
-def _preset_interval(args, engine) -> None:
-    from .eval import experiments, format_table
+def _resume_table(out: Path | None, plan):
+    """The run table ``plan``'s campaign resumes from under ``out``, or an
+    empty one."""
+    from .eval.runtable import RunTable
 
-    summaries = experiments.interval_sweep("jarvis", args.task,
-                                           num_trials=args.trials,
-                                           seed=args.seed, **engine)
-    rows = [[interval, s.success_rate, s.effective_voltage]
-            for interval, s in summaries.items()]
-    print(format_table(["update interval", "success rate", "effective V"], rows,
-                       title=f"VS update-interval sensitivity on {args.task!r}"))
-
-
-def _preset_overall(args, engine) -> None:
-    from .core import CreateConfig, default_policy
-    from .eval import experiments, format_table
-
-    tasks = args.tasks or ([args.task] if args.task != "wooden"
-                           else ["wooden", "stone", "chicken", "seed"])
-    configs = {
-        "unprotected": CreateConfig(ad=False, wr=False),
-        "AD": CreateConfig(ad=True, wr=False),
-        "AD+WR": CreateConfig(ad=True, wr=True),
-        "AD+WR+VS": CreateConfig(ad=True, wr=True, vs_policy=default_policy()),
-    }
-    systems = {"unprotected": "jarvis", "AD": "jarvis",
-               "AD+WR": "jarvis-rotated", "AD+WR+VS": "jarvis-rotated"}
-    results = experiments.overall_evaluation(systems, tasks, configs,
-                                             num_trials=args.trials,
-                                             seed=args.seed, **engine)
-    rows = [[task] + [results[label].per_task[task].success_rate
-                      for label in configs] for task in tasks]
-    rows.append(["mean energy (mJ)"] + [results[label].mean_energy() * 1e3
-                                        for label in configs])
-    print(format_table(["task"] + list(configs), rows,
-                       title="overall evaluation (Fig. 16a)"))
+    csv_path = out / f"{plan.name}.csv" if out is not None else None
+    if csv_path is None or not csv_path.exists():
+        return RunTable()
+    return RunTable.read_csv(csv_path, strict=False)
 
 
-def _preset_baselines(args, engine) -> None:
-    from .eval import experiments, format_table
+def _run_preset(args, row: Preset, out: Path | None) -> list:
+    """Run one preset's declared plans into ``out`` and print its figure."""
+    from .eval.campaign import run_plans
 
-    results = experiments.baseline_comparison("jarvis", "jarvis-rotated", args.task,
-                                              num_trials=args.trials,
-                                              seed=args.seed, **engine)
-    voltages = sorted(results["create"], reverse=True)
-    rows = [[v] + [results[arm][v]["success_rate"] for arm in results]
-            for v in voltages]
-    print(format_table(["voltage (V)"] + list(results), rows,
-                       title=f"baseline comparison on {args.task!r} (success rate)"))
-
-
-def _preset_repetitions(args, engine) -> None:
-    from .eval import experiments, format_table
-
-    counts = sorted({max(1, args.trials // 4), max(1, args.trials // 2), args.trials})
-    rates = experiments.repetition_study("jarvis", args.task, ber=args.bers[0],
-                                         repetition_counts=counts,
-                                         seed=args.seed, **engine)
-    print(format_table(["repetitions", "success rate"], list(rates.items()),
-                       title=f"repetition study on {args.task!r} "
-                             f"(BER {args.bers[0]:.0e})"))
-
-
-def _preset_quantization(args, engine) -> None:
-    from .eval import experiments, format_table
-
-    results = experiments.quantization_study(None, args.task, list(args.bers),
-                                             num_trials=args.trials,
-                                             seed=args.seed, **engine)
-    labels = list(results)
-    rows = [[f"{ber:.0e}"] + [results[label][ber] for label in labels]
-            for ber in args.bers]
-    print(format_table(["planner BER"] + labels, rows,
-                       title=f"quantization study on {args.task!r}"))
-
-
-def _preset_kitchen(args, engine) -> None:
-    """Kitchen-rearrangement controller suite (scenario diversity, no figure)."""
-    from .core import CreateConfig
-    from .eval import experiments, format_table
-
-    tasks = args.tasks or _preset_suite(args.preset).task_names
-    voltage = 0.75
-    configs = {
-        "unprotected": CreateConfig(ad=False, wr=False, controller_voltage=voltage),
-        "AD": CreateConfig(ad=True, wr=False, controller_voltage=voltage),
-    }
-    systems = {label: "controller-rt1-kitchen" for label in configs}
-    results = experiments.overall_evaluation(systems, tasks, configs,
-                                             num_trials=args.trials,
-                                             seed=args.seed, **engine)
-    rows = [[task] + [results[label].per_task[task].success_rate
-                      for label in configs] for task in tasks]
-    rows.append(["mean energy (mJ)"] + [results[label].mean_energy() * 1e3
-                                        for label in configs])
-    print(format_table(["task"] + list(configs), rows,
-                       title=f"kitchen-rearrangement suite at {voltage} V "
-                             "(controller-rt1-kitchen)"))
-
-
-def _preset_scenario(args, engine) -> None:
-    """AD/WR planner-resilience battery on a generated catalog scenario."""
-    import numpy as np
-
-    from .env.scenarios import CATALOG
-    from .eval import experiments, format_table
-
-    scenario = _PRESET_SUITES[args.preset]
-    results = experiments.scenario_resilience(scenario, list(args.bers),
-                                              tasks=args.tasks,
-                                              num_trials=args.trials,
-                                              seed=args.seed, **engine)
-    arms = list(results)
-    tasks = list(next(iter(results.values())))
-    rows = []
-    for index, ber in enumerate(args.bers):
-        rows.append([f"{ber:.0e}"] + [
-            float(np.mean([results[arm][task].points[index].summary.success_rate
-                           for task in tasks])) for arm in arms])
-    fingerprint = CATALOG.get(scenario).fingerprint
-    print(format_table(["planner BER"] + arms, rows,
-                       title=f"{scenario} scenario ({len(tasks)} task(s), "
-                             f"suite {fingerprint}): success rate"))
-
-
-def _preset_fleet(args, engine) -> None:
-    """Fleet runtime: missions completed under per-agent BER."""
-    from .eval import experiments, format_table
-
-    task = None if args.task == "wooden" else args.task
-    results = experiments.fleet_resilience(fleet_sizes=list(args.fleet_sizes),
-                                           bers=list(args.bers), task=task,
-                                           scenario=_PRESET_SUITES[args.preset],
-                                           seed=args.seed, **engine)
-    rows = []
-    for fleet_size, points in results.items():
-        for point in points:
-            rows.append([fleet_size, f"{point.ber:.0e}" if point.ber else "0",
-                         point.missions_completed, point.mission_success_rate])
-    print(format_table(["fleet size", "per-agent BER", "missions completed",
-                        "success rate"], rows,
-                       title="fleet missions under per-agent BER "
-                             "(cross-agent batched stepping)"))
-
-
-#: Preset name -> ``runner(args, engine_kwargs)`` printing its figure/table.
-_PRESET_RUNNERS = {
-    "ad-planner": _preset_ad,
-    "ad-controller": _preset_ad,
-    "wr": _preset_wr,
-    "vs": _preset_vs,
-    "interval": _preset_interval,
-    "overall": _preset_overall,
-    "baselines": _preset_baselines,
-    "repetitions": _preset_repetitions,
-    "quantization": _preset_quantization,
-    "kitchen": _preset_kitchen,
-    "navigation": _preset_scenario,
-    "assembly": _preset_scenario,
-    "fleet": _preset_fleet,
-}
+    results = run_plans(row.plans(args, row.suite), jobs=args.jobs, out=out,
+                        batch=args.batch)
+    row.report(args, row.suite, results)
+    return results
 
 
 def _run_paper(args) -> int:
     """Chain every single-figure preset into one resumable full-paper sweep.
 
-    Each preset runs in its own subdirectory of ``--out`` (so run-table names
-    can never collide) and through the same streaming/resumable engine, which
+    Each preset runs through the same streaming/resumable engine, which
     makes the whole sweep interruptible: re-running the identical command
     picks up exactly where the previous run stopped.
     """
-    from pathlib import Path
-
-    from .eval.campaign import collect_results
-
+    runs = _preset_runs(args)
     total_executed = total_rows = 0
-    for index, preset in enumerate(PAPER_PRESET_CHAIN, start=1):
-        sub = argparse.Namespace(**vars(args))
-        sub.preset = preset
-        engine = _engine_kwargs(args)
-        if args.out is not None:
-            engine["out"] = str(Path(args.out) / preset)
-        print(f"[paper {index}/{len(PAPER_PRESET_CHAIN)}] {preset}: "
-              f"{CAMPAIGN_PRESETS[preset]}")
-        with collect_results() as results:
-            _PRESET_RUNNERS[preset](sub, engine)
+    for index, (name, row, out) in enumerate(runs, start=1):
+        print(f"[paper {index}/{len(runs)}] {name}: {row.figure}")
+        results = _run_preset(args, row, out)
         executed = sum(r.executed_trials for r in results)
         rows = sum(len(r.table) for r in results)
         total_executed += executed
         total_rows += rows
-        print(f"[paper {index}/{len(PAPER_PRESET_CHAIN)}] {preset}: "
+        print(f"[paper {index}/{len(runs)}] {name}: "
               f"{executed} new trials, {rows} total rows\n")
     print(f"paper sweep complete: {total_executed} new trials, "
-          f"{total_rows} run-table rows across {len(PAPER_PRESET_CHAIN)} presets")
+          f"{total_rows} run-table rows across {len(runs)} presets")
     if args.out is not None:
         print(f"run tables written under {args.out} (one subdirectory per preset); "
               "re-run the same command to resume after an interruption")
@@ -738,7 +832,8 @@ def _run_campaign(args) -> int:
         return _run_scheduled_campaign(args)
     if args.preset == "paper":
         return _run_paper(args)
-    _PRESET_RUNNERS[args.preset](args, _engine_kwargs(args))
+    [(_, row, out)] = _preset_runs(args)
+    _run_preset(args, row, out)
     if args.out is not None:
         print(f"run tables written under {args.out}")
     return 0
@@ -747,46 +842,6 @@ def _run_campaign(args) -> int:
 # ----------------------------------------------------------------------
 # Distributed scheduling (--dry-run / --queue / --shard, worker, merge)
 # ----------------------------------------------------------------------
-def _scheduled_presets(args) -> list[tuple[str, dict]]:
-    """The (preset, engine kwargs) pairs one invocation covers.
-
-    ``paper`` expands to its whole chain with the same per-preset output
-    subdirectories a direct ``campaign paper --out`` run would use, so a
-    queued or sharded paper sweep lands in (and resumes from) the same
-    layout as a single-host one.
-    """
-    from pathlib import Path
-
-    if args.preset != "paper":
-        return [(args.preset, _engine_kwargs(args))]
-    pairs = []
-    for preset in PAPER_PRESET_CHAIN:
-        engine = _engine_kwargs(args)
-        if args.out is not None:
-            engine["out"] = str(Path(args.out) / preset)
-        pairs.append((preset, engine))
-    return pairs
-
-
-def _capture_plans(preset: str, args, engine: dict):
-    """Run one preset in plan-capture mode and return its campaign plans.
-
-    The preset's experiment code runs unmodified but executes no trials
-    (see :func:`repro.eval.campaign.planning`); whatever it prints is
-    computed from placeholder rows, so its stdout is swallowed.
-    """
-    import contextlib
-    import io
-
-    from .eval.campaign import planning
-
-    sub = argparse.Namespace(**vars(args))
-    sub.preset = preset
-    with planning() as plans, contextlib.redirect_stdout(io.StringIO()):
-        _PRESET_RUNNERS[preset](sub, engine)
-    return plans
-
-
 def _run_scheduled_campaign(args) -> int:
     from .eval.shard import parse_shard
 
@@ -814,60 +869,49 @@ def _run_scheduled_campaign(args) -> int:
 
 def _campaign_dry_run(args, shard) -> int:
     campaigns = total = pending_total = 0
-    for preset, engine in _scheduled_presets(args):
-        for planned in _capture_plans(preset, args, engine):
-            campaigns += 1
-            where = f" (out {planned.out})" if planned.out is not None else ""
-            print(f"[{preset}] campaign {planned.name}{where}:")
-            for spec in planned.specs:
-                print(f"  {spec.condition}: {spec.num_trials} cells")
-            print(f"  total {planned.total_cells} cells, "
-                  f"{len(planned.pending)} pending "
-                  f"({planned.existing_rows} already in the run table)")
-            if shard is not None:
-                mine, _ = shard.split(planned.pending)
-                print(f"  shard {shard}: {len(mine)} of "
-                      f"{len(planned.pending)} pending cells")
-            total += planned.total_cells
-            pending_total += len(planned.pending)
+    for preset, out, plan in _declared_plans(args):
+        table = _resume_table(out, plan)
+        pending = plan.pending(table)
+        campaigns += 1
+        where = f" (out {out})" if out is not None else ""
+        print(f"[{preset}] campaign {plan.name}{where}:")
+        for condition, cells in plan.counts():
+            print(f"  {condition}: {cells} cells")
+        print(f"  total {plan.total_cells} cells, {len(pending)} pending "
+              f"({len(table)} already in the run table)")
+        if shard is not None:
+            mine, _ = shard.split(pending)
+            print(f"  shard {shard}: {len(mine)} of {len(pending)} pending cells")
+        total += plan.total_cells
+        pending_total += len(pending)
     print(f"dry run: {campaigns} campaign(s), {total} cells, "
           f"{pending_total} pending; nothing was trained or executed")
     return 0
 
 
 def _campaign_enqueue(args) -> int:
-    from pathlib import Path
-
-    from .eval.runtable import RunTable
-    from .eval.scheduler import CampaignPlan, WorkQueue
+    from .eval.scheduler import WorkQueue
 
     queue = WorkQueue(args.queue)
     new_tasks = new_cells = 0
-    for preset, engine in _scheduled_presets(args):
-        for planned in _capture_plans(preset, args, engine):
-            try:
-                plan = CampaignPlan(name=planned.name, specs=planned.specs)
-                table = None
-                if planned.out is not None:
-                    csv_path = Path(planned.out) / f"{planned.name}.csv"
-                    if csv_path.exists():
-                        table = RunTable.read_csv(csv_path, strict=False)
-                report = queue.enqueue(plan, batch=args.batch, table=table)
-            except ValueError as exc:
-                print(f"error: cannot enqueue campaign "
-                      f"{planned.name!r}: {exc}")
-                return 2
-            notes = []
-            if report.skipped_tasks:
-                notes.append(f"{report.skipped_tasks} already queued/done")
-            if report.satisfied_tasks:
-                notes.append(f"{report.satisfied_tasks} satisfied by the "
-                             "existing run table")
-            print(f"[{preset}] {planned.name}: {report.new_tasks} task files, "
-                  f"{report.enqueued_cells} cells"
-                  + (f" ({'; '.join(notes)})" if notes else ""))
-            new_tasks += report.new_tasks
-            new_cells += report.enqueued_cells
+    for preset, out, plan in _declared_plans(args):
+        try:
+            report = queue.enqueue(plan, batch=args.batch,
+                                   table=_resume_table(out, plan))
+        except ValueError as exc:
+            print(f"error: cannot enqueue campaign {plan.name!r}: {exc}")
+            return 2
+        notes = []
+        if report.skipped_tasks:
+            notes.append(f"{report.skipped_tasks} already queued/done")
+        if report.satisfied_tasks:
+            notes.append(f"{report.satisfied_tasks} satisfied by the "
+                         "existing run table")
+        print(f"[{preset}] {plan.name}: {report.new_tasks} task files, "
+              f"{report.enqueued_cells} cells"
+              + (f" ({'; '.join(notes)})" if notes else ""))
+        new_tasks += report.new_tasks
+        new_cells += report.enqueued_cells
     counts = queue.counts()
     print(f"queue {queue.root}: enqueued {new_tasks} tasks / {new_cells} "
           f"cells; now {counts['pending']} pending, {counts['leased']} "
@@ -879,25 +923,25 @@ def _campaign_enqueue(args) -> int:
 
 
 def _campaign_shard_run(args, shard) -> int:
-    import contextlib
-    import io
+    """Execute this shard's cells of every declared campaign; print counts.
 
-    from .eval.campaign import collect_results, shard_scope
+    The cells of other shards are counted from the shard split of each
+    campaign's pending cells: the resumed table may hold rows outside the
+    current grid, so its size says nothing about them.
+    """
+    from .eval.campaign import run_campaign
 
     executed = rows = foreign = 0
-    for preset, engine in _scheduled_presets(args):
-        sub = argparse.Namespace(**vars(args))
-        sub.preset = preset
-        with collect_results() as results, shard_scope(shard), \
-                contextlib.redirect_stdout(io.StringIO()):
-            _PRESET_RUNNERS[preset](sub, engine)
-        for result in results:
-            executed += result.executed_trials
-            foreign += result.placeholder_trials
-            rows += len(result.table) - result.placeholder_trials
-            print(f"[{preset}] {result.csv_path}: "
-                  f"{result.executed_trials} cells executed, "
-                  f"{len(result.table) - result.placeholder_trials} rows held")
+    for preset, out, plan in _declared_plans(args):
+        _, others = shard.split(plan.pending(_resume_table(out, plan)))
+        result = run_campaign(plan.specs, jobs=args.jobs, out=out, name=plan.name,
+                              batch=args.batch, shard=shard)
+        executed += result.executed_trials
+        rows += len(result.table)
+        foreign += len(others)
+        print(f"[{preset}] {result.csv_path}: "
+              f"{result.executed_trials} cells executed, "
+              f"{len(result.table)} rows held")
     print(f"shard {shard}: executed {executed} new cells, {rows} rows "
           f"persisted; {foreign} cells belong to other shards")
     print("run every shard, then combine the tables with: "

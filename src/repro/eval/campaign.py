@@ -75,11 +75,9 @@ from .runtable import (RunRecord, RunTable, RunTableWriter, record_from_trial,
 from .shard import Shard
 
 __all__ = ["TrialSpec", "CampaignResult", "CampaignRunner", "run_campaign",
-           "CampaignProfile", "ProfileBucket", "collect_results",
+           "run_plans", "CampaignProfile", "ProfileBucket", "collect_results",
            "protection_signature", "system_ref", "merge_overrides", "slugify",
-           "SystemLike", "PlannedCampaign", "planning", "shard_scope",
-           "enumerate_cells", "pending_cells", "placeholder_record",
-           "CellPool"]
+           "SystemLike", "enumerate_cells", "pending_cells", "CellPool"]
 
 #: Anything an experiment accepts as "the system under test".
 SystemLike = Union[str, EmbodiedSystem, MissionExecutor]
@@ -303,108 +301,6 @@ def pending_cells(specs: Sequence[TrialSpec], table: RunTable) -> list[_Cell]:
     """The cells of the grid not yet present in ``table`` (resume filter)."""
     return [cell for cell in enumerate_cells(specs)
             if not table.has(cell.spec_key, cell.seed)]
-
-
-def placeholder_record(cell: _Cell) -> RunRecord:
-    """A synthetic row standing in for a cell this process did not execute.
-
-    Plan-capture mode and shard execution return campaign results whose
-    tables cover the full grid so downstream aggregation code (summaries,
-    sweep printers) keeps working; cells owned by other shards / not yet
-    executed are filled with these neutral rows.  Placeholders are **never
-    written to disk** — persisted tables contain only measured cells — and
-    are recognizable by ``worker_id == "placeholder"``.
-    """
-    return RunRecord(
-        spec_key=cell.spec_key, condition=cell.condition, system=cell.system,
-        task=cell.task, seed=cell.seed, trial_index=cell.trial_index,
-        success=False, steps=0, planner_invocations=0, controller_steps=0,
-        energy_j=0.0, effective_voltage=0.0, planner_bits_flipped=0,
-        controller_bits_flipped=0, planner_elements_clamped=0,
-        controller_elements_clamped=0, mean_entropy=float("nan"),
-        entropy_records=0, planner_macs="{}", controller_macs="{}",
-        predictor_macs="{}", params=cell.params, worker_id="placeholder")
-
-
-# ----------------------------------------------------------------------
-# Plan capture and shard scope (the distributed-scheduling hooks)
-# ----------------------------------------------------------------------
-@dataclass
-class PlannedCampaign:
-    """One campaign captured by :func:`planning` instead of being executed.
-
-    ``pending`` holds the cells a normal run would have executed (the grid
-    minus rows resumed from ``out``); ``existing_rows`` counts the resumed
-    rows.  The scheduler turns these into queue tasks or dry-run reports.
-    """
-
-    name: str
-    specs: list[TrialSpec]
-    out: Path | None
-    pending: list[_Cell]
-    existing_rows: int
-
-    @property
-    def total_cells(self) -> int:
-        return sum(spec.num_trials for spec in self.specs)
-
-
-_PLAN_SINKS: list[list[PlannedCampaign]] = []
-
-
-@contextlib.contextmanager
-def planning() -> Iterator[list[PlannedCampaign]]:
-    """Capture campaign plans instead of executing trials.
-
-    Inside the block, :meth:`CampaignRunner.run` enumerates each campaign's
-    cells (respecting resume against ``out``), records a
-    :class:`PlannedCampaign` in the yielded list, and returns a result built
-    from placeholder rows — executing nothing, training nothing, and writing
-    nothing to disk.  This is how ``repro-create campaign --dry-run`` counts
-    cells and how ``--queue`` enqueues work without running it: the preset's
-    experiment code runs unmodified, only the engine underneath is swapped.
-
-    The numbers in any aggregate the experiment computes inside the block
-    are placeholder garbage; callers must discard them (the CLI suppresses
-    the preset's printing in plan mode).  Adaptive experiments that branch
-    on trial *results* (e.g. ``minimum_voltage_search``) cannot be planned
-    meaningfully — their later campaigns would be planned from placeholder
-    outcomes.
-    """
-    sink: list[PlannedCampaign] = []
-    _PLAN_SINKS.append(sink)
-    try:
-        yield sink
-    finally:
-        _PLAN_SINKS[:] = [s for s in _PLAN_SINKS if s is not sink]
-
-
-_SHARD_STACK: list[Shard] = []
-
-
-@contextlib.contextmanager
-def shard_scope(shard: Shard | None) -> Iterator[None]:
-    """Restrict campaigns inside the block to one static shard of their grid.
-
-    Every :meth:`CampaignRunner.run` call in the block executes only the
-    cells ``shard`` owns (see :mod:`repro.eval.shard`); the persisted table
-    holds just those cells, and the in-memory result is padded with
-    placeholder rows so aggregation code does not crash (its numbers are
-    only meaningful once all shard tables are merged).  ``shard=None`` is a
-    no-op, so callers can pass an optional shard through unconditionally.
-    """
-    if shard is None:
-        yield
-        return
-    _SHARD_STACK.append(shard)
-    try:
-        yield
-    finally:
-        _SHARD_STACK[:] = [s for s in _SHARD_STACK if s is not shard]
-
-
-def _active_shard() -> Shard | None:
-    return _SHARD_STACK[-1] if _SHARD_STACK else None
 
 
 def _worker_id() -> str:
@@ -880,7 +776,7 @@ def _profile_records(records: Sequence[RunRecord]) -> CampaignProfile:
 
 
 # ----------------------------------------------------------------------
-# Result collection (used by chained presets, e.g. the full-paper sweep)
+# Result collection (for scripts that chain experiments)
 # ----------------------------------------------------------------------
 _RESULT_SINKS: list[list["CampaignResult"]] = []
 
@@ -890,9 +786,9 @@ def collect_results() -> Iterator[list["CampaignResult"]]:
     """Collect every :class:`CampaignResult` produced inside the block.
 
     Experiment helpers return figure-level aggregates and drop the underlying
-    :class:`CampaignResult`; chained drivers (the CLI's ``campaign paper``
-    preset, scripts looping over experiments) use this to observe how many
-    cells actually executed::
+    :class:`CampaignResult`; scripts looping over experiments (and the
+    benchmark harness) use this to observe how many cells actually
+    executed::
 
         with collect_results() as results:
             experiments.interval_sweep("jarvis", "wooden", out=out)
@@ -919,7 +815,9 @@ class CampaignResult:
 
     ``executed_trials`` counts the cells executed by *this* run (resumed
     cells are excluded); ``csv_path``/``json_path`` point at the canonical
-    persisted table when the campaign ran with an output directory.
+    persisted table when the campaign ran with an output directory.  A
+    shard run's table holds only the rows that shard holds, so its
+    conditions summarize only once the shard tables are merged.
     """
 
     specs: list[TrialSpec]
@@ -928,11 +826,6 @@ class CampaignResult:
     csv_path: Path | None = None
     json_path: Path | None = None
     profile_path: Path | None = None
-    #: Cells represented by synthetic placeholder rows (plan mode, or cells
-    #: owned by other shards of a ``shard_scope`` run).  Non-zero means the
-    #: aggregates computed from this result are partial/meaningless until
-    #: the shard tables are merged.
-    placeholder_trials: int = 0
 
     def _spec(self, condition: str) -> TrialSpec:
         for spec in self.specs:
@@ -1015,12 +908,10 @@ class CampaignRunner:
         so any value produces the same canonical table byte for byte.
     shard:
         Execute only this static slice of the cell grid (see
-        :mod:`repro.eval.shard`); ``None`` (default) inherits the ambient
-        :func:`shard_scope` if one is active, else runs everything.  Cells
-        owned by other shards appear as placeholder rows in the returned
-        result and are never written to disk; a plan file is saved under
-        ``<out>/plans/`` so ``repro-create merge`` can restore the canonical
-        row order across shard tables.
+        :mod:`repro.eval.shard`); ``None`` (default) runs everything.  The
+        returned table holds only the rows the shard holds, and a plan file
+        is saved under ``<out>/plans/`` so ``repro-create merge`` can
+        restore the canonical row order across shard tables.
     """
 
     def __init__(self, jobs: int = 1, out: str | Path | None = None,
@@ -1081,12 +972,7 @@ class CampaignRunner:
         both are rewritten in canonical order on completion.  During the run
         the CSV receives completed rows in completion order — the file grows
         while the campaign executes, and an interrupted run resumes from it.
-
-        Under an active :func:`planning` block the run only *plans*: it
-        records the pending cells and returns a placeholder-row result
-        without executing or writing anything.  Under a shard (constructor
-        argument or ambient :func:`shard_scope`) it executes and persists
-        only the shard's cells.
+        With a ``shard`` it executes and persists only the shard's cells.
         """
         specs = list(specs)
         if not specs:
@@ -1095,7 +981,6 @@ class CampaignRunner:
         if len(set(conditions)) != len(conditions):
             raise ValueError("condition labels must be unique within a campaign")
 
-        planning_mode = bool(_PLAN_SINKS)
         csv_path = self.out / f"{name}.csv" if self.out is not None else None
         json_path = self.out / f"{name}.json" if self.out is not None else None
         profile_path = (self.out / "profiles" / f"{name}.csv"
@@ -1104,8 +989,6 @@ class CampaignRunner:
         if csv_path is not None and csv_path.exists():
             if self.resume:
                 table = RunTable.read_csv(csv_path, strict=False)
-            elif planning_mode:
-                pass  # plan resume=False as a full re-run, but touch nothing
             else:
                 # Forced re-execution must not append after stale rows: a
                 # crash before the completion rewrite would otherwise leave
@@ -1118,19 +1001,8 @@ class CampaignRunner:
 
         keys = [spec.key() for spec in specs]
         cells = pending_cells(specs, table)
-
-        if planning_mode:
-            planned = PlannedCampaign(name=name, specs=specs, out=self.out,
-                                      pending=cells, existing_rows=len(table))
-            for sink in _PLAN_SINKS:
-                sink.append(planned)
-            return self._finalize(specs, keys, table, executed=0,
-                                  placeholders=cells)
-
-        shard = self.shard if self.shard is not None else _active_shard()
-        foreign: list[_Cell] = []
-        if shard is not None:
-            cells, foreign = shard.split(cells)
+        if self.shard is not None:
+            cells = self.shard.filter(cells)
 
         if cells:
             cell_systems = {cell.system for cell in cells}
@@ -1173,11 +1045,14 @@ class CampaignRunner:
             table.write_csv(csv_path)
         if json_path is not None:
             table.write_json(json_path)
-        if shard is not None and self.out is not None:
+        if self.shard is not None and self.out is not None:
             self._save_plan(specs, name)
-        return self._finalize(specs, keys, table, executed=len(cells),
-                              placeholders=foreign, csv_path=csv_path,
-                              json_path=json_path, profile_path=profile_path)
+        result = CampaignResult(specs=specs, table=table,
+                                executed_trials=len(cells), csv_path=csv_path,
+                                json_path=json_path, profile_path=profile_path)
+        for sink_list in _RESULT_SINKS:
+            sink_list.append(result)
+        return result
 
     def _save_plan(self, specs: list[TrialSpec], name: str) -> None:
         """Persist the campaign plan beside a shard's partial table.
@@ -1195,26 +1070,6 @@ class CampaignRunner:
         except ValueError:
             pass
 
-    def _finalize(self, specs: list[TrialSpec], keys: list[str], table: RunTable,
-                  executed: int, placeholders: Sequence[_Cell],
-                  csv_path: Path | None = None, json_path: Path | None = None,
-                  profile_path: Path | None = None) -> CampaignResult:
-        """Assemble the result: pad unexecuted cells, notify collect sinks."""
-        result_table = table
-        if placeholders:
-            result_table = RunTable(table)
-            for cell in placeholders:
-                result_table.add(placeholder_record(cell))
-            result_table = result_table.sorted(
-                {key: index for index, key in enumerate(keys)})
-        result = CampaignResult(specs=specs, table=result_table,
-                                executed_trials=executed, csv_path=csv_path,
-                                json_path=json_path, profile_path=profile_path,
-                                placeholder_trials=len(placeholders))
-        for sink_list in _RESULT_SINKS:
-            sink_list.append(result)
-        return result
-
 
 def run_campaign(specs: Sequence[TrialSpec], jobs: int = 1,
                  out: str | Path | None = None, name: str = "campaign",
@@ -1224,3 +1079,15 @@ def run_campaign(specs: Sequence[TrialSpec], jobs: int = 1,
     """One-shot convenience wrapper around :class:`CampaignRunner`."""
     return CampaignRunner(jobs=jobs, out=out, systems=systems, resume=resume,
                           batch=batch, shard=shard).run(specs, name=name)
+
+
+def run_plans(plans: Iterable, jobs: int = 1, out: str | Path | None = None,
+              systems: Mapping[str, object] | None = None,
+              batch: int | None = None) -> list[CampaignResult]:
+    """Run declared campaign plans in order, one :func:`run_campaign` each.
+
+    A plan is anything with a ``name`` and ``specs`` — an experiment's
+    declaration returns :class:`~repro.eval.scheduler.CampaignPlan` s.
+    """
+    return [run_campaign(plan.specs, jobs=jobs, out=out, name=plan.name,
+                         systems=systems, batch=batch) for plan in plans]

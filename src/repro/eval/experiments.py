@@ -13,11 +13,21 @@ worker task to amortize IPC for short trials, and ``out`` persists (and
 streams) the run table so repeated invocations only execute missing cells.
 Systems may be passed as registry keys (see :mod:`repro.agents.registry`),
 live :class:`~repro.agents.EmbodiedSystem` objects, or executors.
+
+Each experiment a ``repro-create campaign`` preset runs also has a
+declaration, ``<experiment>_plans``, returning its
+:class:`~repro.eval.scheduler.CampaignPlan` s without building or training
+a system, and a summary, ``<experiment>_summary`` (``sweep_summaries`` for
+the AD and WR sweeps), reading its finished
+:class:`~repro.eval.campaign.CampaignResult` s back into what
+``<experiment>`` returns; ``<experiment>`` runs each declared plan as one
+campaign and returns the summary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -32,10 +42,11 @@ from ..hardware.accelerator import Accelerator
 from ..hardware.energy import BatteryModel, EnergyModel
 from ..hardware.timing import NOMINAL_VOLTAGE, TimingErrorModel
 from ..quant import INT4, INT8, QuantSpec
-from .campaign import (CampaignRunner, SystemLike, TrialSpec, merge_overrides,
-                       run_campaign, slugify, system_ref)
+from .campaign import (CampaignResult, CampaignRunner, SystemLike, TrialSpec,
+                       merge_overrides, run_campaign, run_plans, slugify, system_ref)
 from .metrics import TrialSummary, energy_savings_percent
-from .resilience import SweepPoint, SweepResult, ber_sweep
+from .resilience import SweepPoint, SweepResult, ber_sweep_plans, ber_sweep_summary
+from .scheduler import CampaignPlan
 
 __all__ = [
     "motivation_curves",
@@ -43,23 +54,42 @@ __all__ = [
     "gemm_output_profile",
     "rotation_study",
     "ad_evaluation",
+    "ad_evaluation_plans",
     "wr_evaluation",
+    "wr_evaluation_plans",
+    "sweep_summaries",
     "scenario_resilience",
+    "scenario_resilience_plans",
+    "scenario_resilience_summary",
     "FleetSweepPoint",
     "fleet_resilience",
+    "fleet_resilience_plans",
+    "fleet_resilience_summary",
     "PolicyEvaluation",
     "vs_evaluation",
+    "vs_evaluation_plans",
+    "vs_evaluation_summary",
     "interval_sweep",
+    "interval_sweep_plans",
+    "interval_sweep_summary",
     "OverallResult",
     "overall_evaluation",
+    "overall_evaluation_plans",
+    "overall_evaluation_summary",
     "minimum_voltage_search",
     "cross_platform_planner_eval",
     "cross_platform_controller_eval",
     "chip_energy_breakdown",
     "error_model_comparison",
     "baseline_comparison",
+    "baseline_comparison_plans",
+    "baseline_comparison_summary",
     "repetition_study",
+    "repetition_study_plans",
+    "repetition_study_summary",
     "quantization_study",
+    "quantization_study_plans",
+    "quantization_study_summary",
     "hardware_report",
     "model_table",
 ]
@@ -134,22 +164,48 @@ def rotation_study(plain_system: EmbodiedSystem, rotated_system: EmbodiedSystem,
 # ----------------------------------------------------------------------
 # Fig. 13a-c: AD and WR evaluation
 # ----------------------------------------------------------------------
+def ad_evaluation_plans(system: SystemLike, task: str, bers: list[float],
+                        target: str, num_trials: int = 16, seed: int = 0,
+                        exposure_scale: float = 1.0) -> list[CampaignPlan]:
+    """Declare :func:`ad_evaluation`: the BER sweep without, then with, AD."""
+    return [plan for ad, label in ((False, "without AD"), (True, "with AD"))
+            for plan in ber_sweep_plans(system, task, bers, target=target,
+                                        num_trials=num_trials, seed=seed,
+                                        anomaly_detection=ad,
+                                        exposure_scale=exposure_scale, label=label)]
+
+
+def sweep_summaries(results: Sequence[CampaignResult]) -> dict[str, SweepResult]:
+    """Read :func:`ad_evaluation` or :func:`wr_evaluation` back: one sweep per
+    campaign, keyed by its label in snake case (``"with AD"`` -> ``"with_ad"``)."""
+    sweeps = [ber_sweep_summary([result]) for result in results]
+    return {sweep.label.lower().replace(" ", "_"): sweep for sweep in sweeps}
+
+
 def ad_evaluation(system: SystemLike, task: str, bers: list[float],
                   target: str, num_trials: int = 16, seed: int = 0,
                   exposure_scale: float = 1.0, jobs: int = 1,
                   out: str | None = None,
                   batch: int | None = None) -> dict[str, SweepResult]:
     """Success/steps vs. BER with and without anomaly detection (Fig. 13a/b)."""
-    return {
-        "without_ad": ber_sweep(system, task, bers, target=target, num_trials=num_trials,
-                                seed=seed, anomaly_detection=False,
-                                exposure_scale=exposure_scale, label="without AD",
-                                jobs=jobs, out=out, batch=batch),
-        "with_ad": ber_sweep(system, task, bers, target=target, num_trials=num_trials,
-                             seed=seed, anomaly_detection=True,
-                             exposure_scale=exposure_scale, label="with AD",
-                             jobs=jobs, out=out, batch=batch),
-    }
+    plans = ad_evaluation_plans(system, task, bers, target, num_trials, seed,
+                                exposure_scale)
+    return sweep_summaries(run_plans(plans, jobs=jobs, out=out, batch=batch,
+                                     systems=system_ref(system)[1]))
+
+
+def wr_evaluation_plans(plain_system: SystemLike, rotated_system: SystemLike,
+                        task: str, bers: list[float], num_trials: int = 16,
+                        seed: int = 0, anomaly_detection: bool = False,
+                        exposure_scale: float = 1.0) -> list[CampaignPlan]:
+    """Declare :func:`wr_evaluation`: the planner BER sweep on the plain, then
+    the rotated, system."""
+    return [plan for system, label in ((plain_system, "without WR"),
+                                       (rotated_system, "with WR"))
+            for plan in ber_sweep_plans(system, task, bers, target="planner",
+                                        num_trials=num_trials, seed=seed,
+                                        anomaly_detection=anomaly_detection,
+                                        exposure_scale=exposure_scale, label=label)]
 
 
 def wr_evaluation(plain_system: SystemLike, rotated_system: SystemLike,
@@ -157,24 +213,72 @@ def wr_evaluation(plain_system: SystemLike, rotated_system: SystemLike,
                   anomaly_detection: bool = False, exposure_scale: float = 1.0,
                   jobs: int = 1, out: str | None = None,
                   batch: int | None = None) -> dict[str, SweepResult]:
-    """Planner success vs. BER with and without weight rotation (Fig. 13c/e)."""
-    return {
-        "without_wr": ber_sweep(plain_system, task, bers, target="planner",
-                                num_trials=num_trials, seed=seed,
-                                anomaly_detection=anomaly_detection,
-                                exposure_scale=exposure_scale, label="without WR",
-                                jobs=jobs, out=out, batch=batch),
-        "with_wr": ber_sweep(rotated_system, task, bers, target="planner",
-                             num_trials=num_trials, seed=seed,
-                             anomaly_detection=anomaly_detection,
-                             exposure_scale=exposure_scale, label="with WR",
-                             jobs=jobs, out=out, batch=batch),
-    }
+    """Planner success vs. BER with and without weight rotation (Fig. 13c/e).
+
+    Each sweep runs with only its own system's in-process overrides, so two
+    live executors (which share a pseudo-key) never collide.
+    """
+    plans = wr_evaluation_plans(plain_system, rotated_system, task, bers,
+                                num_trials, seed, anomaly_detection, exposure_scale)
+    return sweep_summaries([
+        run_campaign(plan.specs, jobs=jobs, out=out, name=plan.name, batch=batch,
+                     systems=system_ref(system)[1])
+        for plan, system in zip(plans, (plain_system, rotated_system))])
 
 
 # ----------------------------------------------------------------------
 # Catalog scenarios: planner-resilience battery beyond Table 10
 # ----------------------------------------------------------------------
+def scenario_resilience_plans(scenario: str, bers: list[float],
+                              tasks: list[str] | None = None,
+                              num_trials: int = 8, seed: int = 0,
+                              exposure_scale: float = 1.0) -> list[CampaignPlan]:
+    """Declare :func:`scenario_resilience`'s one campaign: arm x task x BER."""
+    from ..env.scenarios import CATALOG
+
+    suite = CATALOG.build(scenario)
+    tasks = list(tasks) if tasks else suite.task_names[:2]
+    for task in tasks:
+        if task not in suite:
+            raise KeyError(f"unknown task {task!r} in scenario {scenario!r}; "
+                           f"generated tasks: {', '.join(suite.task_names)}")
+    arms = {
+        "unprotected": (f"jarvis-{scenario}", False),
+        "AD": (f"jarvis-{scenario}", True),
+        "WR": (f"jarvis-{scenario}-rotated", False),
+        "AD+WR": (f"jarvis-{scenario}-rotated", True),
+    }
+    specs: list[TrialSpec] = []
+    for label, (key, anomaly_detection) in arms.items():
+        for task in tasks:
+            for ber in bers:
+                protection = ProtectionConfig(
+                    error_model=UniformErrorModel(float(ber)),
+                    anomaly_detection=anomaly_detection,
+                    exposure_scale=exposure_scale)
+                specs.append(TrialSpec(
+                    condition=f"{label}/{task}/ber={float(ber)!r}", system=key,
+                    task=task, num_trials=num_trials, seed=seed,
+                    planner_protection=protection,
+                    params=(("arm", label), ("task", task),
+                            ("ber", repr(float(ber))))))
+    return [CampaignPlan(name=slugify(f"scenario-{scenario}"), specs=specs)]
+
+
+def scenario_resilience_summary(results: Sequence[CampaignResult]
+                                ) -> dict[str, dict[str, SweepResult]]:
+    """Read a finished :func:`scenario_resilience` campaign back."""
+    [result] = results
+    sweeps: dict[str, dict[str, SweepResult]] = {}
+    for spec in result.specs:
+        params = dict(spec.params)
+        sweep = sweeps.setdefault(params["arm"], {}).setdefault(
+            spec.task, SweepResult(label=params["arm"], task=spec.task))
+        sweep.points.append(SweepPoint(ber=float(params["ber"]),
+                                       summary=result.summary(spec.condition)))
+    return sweeps
+
+
 def scenario_resilience(scenario: str, bers: list[float],
                         tasks: list[str] | None = None,
                         num_trials: int = 8, seed: int = 0,
@@ -191,50 +295,10 @@ def scenario_resilience(scenario: str, bers: list[float],
     Returns ``{arm: {task: SweepResult}}``; like every campaign this is
     shardable, queueable, and resumable through ``jobs``/``out``/``batch``.
     """
-    from ..env.scenarios import CATALOG
-
-    suite = CATALOG.build(scenario)
-    tasks = list(tasks) if tasks else suite.task_names[:2]
-    for task in tasks:
-        if task not in suite:
-            raise KeyError(f"unknown task {task!r} in scenario {scenario!r}; "
-                           f"generated tasks: {', '.join(suite.task_names)}")
-    arms = {
-        "unprotected": (f"jarvis-{scenario}", False),
-        "AD": (f"jarvis-{scenario}", True),
-        "WR": (f"jarvis-{scenario}-rotated", False),
-        "AD+WR": (f"jarvis-{scenario}-rotated", True),
-    }
-    specs: list[TrialSpec] = []
-    conditions: dict[tuple[str, str, float], str] = {}
-    for label, (key, anomaly_detection) in arms.items():
-        for task in tasks:
-            for ber in bers:
-                protection = ProtectionConfig(
-                    error_model=UniformErrorModel(float(ber)),
-                    anomaly_detection=anomaly_detection,
-                    exposure_scale=exposure_scale)
-                condition = f"{label}/{task}/ber={float(ber)!r}"
-                conditions[(label, task, float(ber))] = condition
-                specs.append(TrialSpec(
-                    condition=condition, system=key, task=task,
-                    num_trials=num_trials, seed=seed,
-                    planner_protection=protection,
-                    params=(("arm", label), ("task", task),
-                            ("ber", repr(float(ber))))))
-    campaign = run_campaign(specs, jobs=jobs, out=out, batch=batch,
-                            name=slugify(f"scenario-{scenario}"))
-    results: dict[str, dict[str, SweepResult]] = {}
-    for label in arms:
-        results[label] = {}
-        for task in tasks:
-            sweep = SweepResult(label=label, task=task)
-            for ber in bers:
-                sweep.points.append(SweepPoint(
-                    ber=float(ber),
-                    summary=campaign.summary(conditions[(label, task, float(ber))])))
-            results[label][task] = sweep
-    return results
+    plans = scenario_resilience_plans(scenario, bers, tasks, num_trials, seed,
+                                      exposure_scale)
+    return scenario_resilience_summary(run_plans(plans, jobs=jobs, out=out,
+                                                 batch=batch))
 
 
 # ----------------------------------------------------------------------
@@ -258,6 +322,52 @@ class FleetSweepPoint:
         return self.summary.success_rate
 
 
+def fleet_resilience_plans(fleet_sizes: list[int] | None = None,
+                           bers: list[float] | None = None,
+                           task: str | None = None,
+                           scenario: str = "navigation",
+                           seed: int = 0, exposure_scale: float = 1.0
+                           ) -> list[CampaignPlan]:
+    """Declare :func:`fleet_resilience`'s one campaign: fleet size x BER."""
+    from ..env.scenarios import CATALOG
+
+    fleet_sizes = list(fleet_sizes) if fleet_sizes else [1, 4, 16]
+    bers = list(bers) if bers is not None else [0.0, 1e-4, 1e-3]
+    suite = CATALOG.build(scenario)
+    task = task or suite.task_names[0]
+    if task not in suite:
+        raise KeyError(f"unknown task {task!r} in scenario {scenario!r}; "
+                       f"generated tasks: {', '.join(suite.task_names)}")
+    specs: list[TrialSpec] = []
+    for fleet_size in fleet_sizes:
+        for ber in bers:
+            protection = ProtectionConfig(
+                error_model=UniformErrorModel(float(ber)),
+                exposure_scale=exposure_scale) if ber else None
+            specs.append(TrialSpec(
+                condition=f"fleet={fleet_size}/ber={float(ber)!r}",
+                system=f"jarvis-{scenario}", task=task,
+                num_trials=fleet_size, seed=seed,
+                planner_protection=protection,
+                controller_protection=protection,
+                params=(("fleet", str(fleet_size)), ("task", task),
+                        ("ber", repr(float(ber)))),
+                fleet=fleet_size))
+    return [CampaignPlan(name=slugify(f"fleet-{scenario}"), specs=specs)]
+
+
+def fleet_resilience_summary(results: Sequence[CampaignResult]
+                             ) -> dict[int, list[FleetSweepPoint]]:
+    """Read a finished :func:`fleet_resilience` campaign back."""
+    [result] = results
+    points: dict[int, list[FleetSweepPoint]] = {}
+    for spec in result.specs:
+        points.setdefault(spec.fleet, []).append(FleetSweepPoint(
+            fleet_size=spec.fleet, ber=float(dict(spec.params)["ber"]),
+            summary=result.summary(spec.condition)))
+    return points
+
+
 def fleet_resilience(fleet_sizes: list[int] | None = None,
                      bers: list[float] | None = None,
                      task: str | None = None,
@@ -279,42 +389,10 @@ def fleet_resilience(fleet_sizes: list[int] | None = None,
     table resumable across fleet sizes.  Returns
     ``{fleet_size: [FleetSweepPoint per BER]}``.
     """
-    from ..env.scenarios import CATALOG
-
-    fleet_sizes = list(fleet_sizes) if fleet_sizes else [1, 4, 16]
-    bers = list(bers) if bers is not None else [0.0, 1e-4, 1e-3]
-    suite = CATALOG.build(scenario)
-    task = task or suite.task_names[0]
-    if task not in suite:
-        raise KeyError(f"unknown task {task!r} in scenario {scenario!r}; "
-                       f"generated tasks: {', '.join(suite.task_names)}")
-    specs: list[TrialSpec] = []
-    conditions: dict[tuple[int, float], str] = {}
-    for fleet_size in fleet_sizes:
-        for ber in bers:
-            protection = ProtectionConfig(
-                error_model=UniformErrorModel(float(ber)),
-                exposure_scale=exposure_scale) if ber else None
-            condition = f"fleet={fleet_size}/ber={float(ber)!r}"
-            conditions[(fleet_size, float(ber))] = condition
-            specs.append(TrialSpec(
-                condition=condition, system=f"jarvis-{scenario}", task=task,
-                num_trials=fleet_size, seed=seed,
-                planner_protection=protection,
-                controller_protection=protection,
-                params=(("fleet", str(fleet_size)), ("task", task),
-                        ("ber", repr(float(ber)))),
-                fleet=fleet_size))
-    campaign = run_campaign(specs, jobs=jobs, out=out, batch=batch,
-                            name=slugify(f"fleet-{scenario}"))
-    results: dict[int, list[FleetSweepPoint]] = {}
-    for fleet_size in fleet_sizes:
-        results[fleet_size] = [
-            FleetSweepPoint(fleet_size=fleet_size, ber=float(ber),
-                            summary=campaign.summary(
-                                conditions[(fleet_size, float(ber))]))
-            for ber in bers]
-    return results
+    plans = fleet_resilience_plans(fleet_sizes, bers, task, scenario, seed,
+                                   exposure_scale)
+    return fleet_resilience_summary(run_plans(plans, jobs=jobs, out=out,
+                                              batch=batch))
 
 
 # ----------------------------------------------------------------------
@@ -340,7 +418,7 @@ def _has_predictor(system: SystemLike) -> bool:
     """Whether the system under test ships an entropy predictor.
 
     Registry keys are answered from the registry's declared trait table so
-    that *planning* a campaign (``--dry-run``, queue enqueueing) never has
+    that *declaring* a campaign (``--dry-run``, queue enqueueing) never has
     to build — and potentially train — the system just to pick the VS
     entropy source.
     """
@@ -349,6 +427,55 @@ def _has_predictor(system: SystemLike) -> bool:
 
         return system_has_predictor(system)
     return system.predictor is not None
+
+
+def vs_evaluation_plans(system: SystemLike, task: str,
+                        policies: list[VoltagePolicy] | None = None,
+                        constant_voltages: list[float] | None = None,
+                        num_trials: int = 12, seed: int = 0,
+                        anomaly_detection: bool = True,
+                        update_interval: int = 5,
+                        entropy_source: str = "predictor") -> list[CampaignPlan]:
+    """Declare :func:`vs_evaluation`'s one campaign: constant arms, then policies."""
+    policies = policies if policies is not None else list(REFERENCE_POLICIES.values())
+    constant_voltages = constant_voltages if constant_voltages is not None \
+        else [0.82, 0.80, 0.78, 0.76, 0.74]
+    all_policies = [ConstantVoltagePolicy(v) for v in constant_voltages] + list(policies)
+    key = system_ref(system)[0]
+    source = entropy_source if _has_predictor(system) else "oracle"
+    specs: list[TrialSpec] = []
+    for policy in all_policies:
+        if isinstance(policy, ConstantVoltagePolicy):
+            protection = ProtectionConfig(voltage=policy.voltages[0],
+                                          anomaly_detection=anomaly_detection)
+        else:
+            protection = ProtectionConfig(
+                anomaly_detection=anomaly_detection,
+                voltage_scaling=VoltageScalingConfig(policy=policy,
+                                                     update_interval=update_interval,
+                                                     entropy_source=source))
+        specs.append(TrialSpec(condition=policy.name, system=key, task=task,
+                               num_trials=num_trials, seed=seed,
+                               controller_protection=protection,
+                               params=(("policy", policy.name),)))
+    return [CampaignPlan(name=slugify(f"vs-evaluation-{task}"), specs=specs)]
+
+
+def vs_evaluation_summary(results: Sequence[CampaignResult]) -> list[PolicyEvaluation]:
+    """Read a finished :func:`vs_evaluation` campaign back, one arm per spec.
+
+    A constant arm's policy is rebuilt from its voltage and name; an
+    adaptive arm's is the one its spec carries.
+    """
+    [result] = results
+    evaluations = []
+    for spec in result.specs:
+        protection = spec.controller_protection
+        policy = (protection.voltage_scaling.policy if protection.voltage_scaling
+                  else ConstantVoltagePolicy(protection.voltage, name=spec.condition))
+        evaluations.append(PolicyEvaluation(policy=policy,
+                                            summary=result.summary(spec.condition)))
+    return evaluations
 
 
 def vs_evaluation(system: SystemLike, task: str,
@@ -361,42 +488,21 @@ def vs_evaluation(system: SystemLike, task: str,
                   jobs: int = 1, out: str | None = None,
                   batch: int | None = None) -> list[PolicyEvaluation]:
     """Evaluate adaptive policies against constant-voltage baselines (Fig. 13d/f)."""
-    key, overrides = system_ref(system)
-    policies = policies if policies is not None else list(REFERENCE_POLICIES.values())
-    constant_voltages = constant_voltages if constant_voltages is not None \
-        else [0.82, 0.80, 0.78, 0.76, 0.74]
-    all_policies = [ConstantVoltagePolicy(v) for v in constant_voltages] + list(policies)
-    has_predictor = _has_predictor(system)
-    specs: list[TrialSpec] = []
-    for policy in all_policies:
-        if isinstance(policy, ConstantVoltagePolicy):
-            protection = ProtectionConfig(voltage=policy.voltages[0],
-                                          anomaly_detection=anomaly_detection)
-        else:
-            source = entropy_source if has_predictor else "oracle"
-            protection = ProtectionConfig(
-                anomaly_detection=anomaly_detection,
-                voltage_scaling=VoltageScalingConfig(policy=policy,
-                                                     update_interval=update_interval,
-                                                     entropy_source=source))
-        specs.append(TrialSpec(condition=policy.name, system=key, task=task,
-                               num_trials=num_trials, seed=seed,
-                               controller_protection=protection,
-                               params=(("policy", policy.name),)))
-    campaign = run_campaign(specs, jobs=jobs, out=out, systems=overrides, batch=batch,
-                            name=slugify(f"vs-evaluation-{task}"))
-    return [PolicyEvaluation(policy=policy, summary=campaign.summary(spec.condition))
-            for policy, spec in zip(all_policies, specs)]
+    plans = vs_evaluation_plans(system, task, policies, constant_voltages,
+                                num_trials, seed, anomaly_detection,
+                                update_interval, entropy_source)
+    return vs_evaluation_summary(run_plans(plans, jobs=jobs, out=out, batch=batch,
+                                           systems=system_ref(system)[1]))
 
 
-def interval_sweep(system: SystemLike, task: str, intervals: list[int] | None = None,
-                   policy: VoltagePolicy | None = None, num_trials: int = 10,
-                   seed: int = 0, jobs: int = 1, out: str | None = None,
-                   batch: int | None = None) -> dict[int, TrialSummary]:
-    """Voltage-update-interval sensitivity (Fig. 15)."""
-    key, overrides = system_ref(system)
+def interval_sweep_plans(system: SystemLike, task: str,
+                         intervals: list[int] | None = None,
+                         policy: VoltagePolicy | None = None, num_trials: int = 10,
+                         seed: int = 0) -> list[CampaignPlan]:
+    """Declare :func:`interval_sweep`'s one campaign: a spec per interval."""
     intervals = intervals or [1, 5, 10, 20]
     policy = policy or REFERENCE_POLICIES["C"]
+    key = system_ref(system)[0]
     source = "predictor" if _has_predictor(system) else "oracle"
     specs = [TrialSpec(
         condition=f"interval={interval}", system=key, task=task,
@@ -407,10 +513,24 @@ def interval_sweep(system: SystemLike, task: str, intervals: list[int] | None = 
                                                  entropy_source=source)),
         params=(("interval", str(interval)),))
         for interval in intervals]
-    campaign = run_campaign(specs, jobs=jobs, out=out, systems=overrides, batch=batch,
-                            name=slugify(f"interval-sweep-{task}"))
-    return {interval: campaign.summary(spec.condition)
-            for interval, spec in zip(intervals, specs)}
+    return [CampaignPlan(name=slugify(f"interval-sweep-{task}"), specs=specs)]
+
+
+def interval_sweep_summary(results: Sequence[CampaignResult]) -> dict[int, TrialSummary]:
+    """Read a finished :func:`interval_sweep` campaign back."""
+    [result] = results
+    return {int(dict(spec.params)["interval"]): result.summary(spec.condition)
+            for spec in result.specs}
+
+
+def interval_sweep(system: SystemLike, task: str, intervals: list[int] | None = None,
+                   policy: VoltagePolicy | None = None, num_trials: int = 10,
+                   seed: int = 0, jobs: int = 1, out: str | None = None,
+                   batch: int | None = None) -> dict[int, TrialSummary]:
+    """Voltage-update-interval sensitivity (Fig. 15)."""
+    plans = interval_sweep_plans(system, task, intervals, policy, num_trials, seed)
+    return interval_sweep_summary(run_plans(plans, jobs=jobs, out=out, batch=batch,
+                                            systems=system_ref(system)[1]))
 
 
 def policy_search_evaluation(system: EmbodiedSystem, task: str,
@@ -457,6 +577,36 @@ def _config_protections(has_predictor: bool, config: CreateConfig
     return planner_prot, controller_prot
 
 
+def overall_evaluation_plans(systems: dict[str, SystemLike], tasks: list[str],
+                             configs: dict[str, CreateConfig], num_trials: int = 10,
+                             seed: int = 0) -> list[CampaignPlan]:
+    """Declare :func:`overall_evaluation`'s one campaign: configuration x task."""
+    specs: list[TrialSpec] = []
+    for label, config in configs.items():
+        system = systems[label]
+        planner_prot, controller_prot = _config_protections(_has_predictor(system), config)
+        for task in tasks:
+            specs.append(TrialSpec(condition=f"{label}/{task}",
+                                   system=system_ref(system)[0], task=task,
+                                   num_trials=num_trials, seed=seed,
+                                   planner_protection=planner_prot,
+                                   controller_protection=controller_prot,
+                                   params=(("config", label), ("task", task))))
+    return [CampaignPlan(name="overall-evaluation", specs=specs)]
+
+
+def overall_evaluation_summary(results: Sequence[CampaignResult]
+                               ) -> dict[str, OverallResult]:
+    """Read a finished :func:`overall_evaluation` campaign back."""
+    [result] = results
+    overall: dict[str, OverallResult] = {}
+    for spec in result.specs:
+        label = dict(spec.params)["config"]
+        overall.setdefault(label, OverallResult(label=label)).per_task[spec.task] = \
+            result.summary(spec.condition)
+    return overall
+
+
 def overall_evaluation(systems: dict[str, SystemLike], tasks: list[str],
                        configs: dict[str, CreateConfig], num_trials: int = 10,
                        seed: int = 0, jobs: int = 1, out: str | None = None,
@@ -467,31 +617,12 @@ def overall_evaluation(systems: dict[str, SystemLike], tasks: list[str],
     configurations need the rotated planner); ``configs`` maps the same labels
     to the CREATE configuration.
     """
-    specs: list[TrialSpec] = []
+    plans = overall_evaluation_plans(systems, tasks, configs, num_trials, seed)
     overrides: dict[str, object] = {}
-    conditions: dict[tuple[str, str], str] = {}
-    for label, config in configs.items():
-        system = systems[label]
-        key, system_overrides = system_ref(system)
-        merge_overrides(overrides, system_overrides)
-        planner_prot, controller_prot = _config_protections(_has_predictor(system), config)
-        for task in tasks:
-            condition = f"{label}/{task}"
-            conditions[(label, task)] = condition
-            specs.append(TrialSpec(condition=condition, system=key, task=task,
-                                   num_trials=num_trials, seed=seed,
-                                   planner_protection=planner_prot,
-                                   controller_protection=controller_prot,
-                                   params=(("config", label), ("task", task))))
-    campaign = run_campaign(specs, jobs=jobs, out=out, systems=overrides, batch=batch,
-                            name="overall-evaluation")
-    results: dict[str, OverallResult] = {}
     for label in configs:
-        overall = OverallResult(label=label)
-        for task in tasks:
-            overall.per_task[task] = campaign.summary(conditions[(label, task)])
-        results[label] = overall
-    return results
+        merge_overrides(overrides, system_ref(systems[label])[1])
+    return overall_evaluation_summary(run_plans(plans, jobs=jobs, out=out,
+                                                batch=batch, systems=overrides))
 
 
 def minimum_voltage_search(system: SystemLike, task: str, config: CreateConfig,
@@ -713,19 +844,14 @@ def error_model_comparison(system: SystemLike, task: str, target: str,
 # ----------------------------------------------------------------------
 # Fig. 20: comparison with existing techniques
 # ----------------------------------------------------------------------
-def baseline_comparison(plain_system: SystemLike, rotated_system: SystemLike,
-                        task: str, voltages: list[float] | None = None,
-                        num_trials: int = 8, seed: int = 0, jobs: int = 1,
-                        out: str | None = None, batch: int | None = None
-                        ) -> dict[str, dict[float, dict]]:
-    """CREATE vs. DMR / ThUnderVolt / ABFT: success and energy across voltages."""
+def baseline_comparison_plans(plain_system: SystemLike, rotated_system: SystemLike,
+                              task: str, voltages: list[float] | None = None,
+                              num_trials: int = 8, seed: int = 0) -> list[CampaignPlan]:
+    """Declare :func:`baseline_comparison`'s one campaign: the clean run, then
+    the CREATE and ThUnderVolt arms per voltage."""
     voltages = voltages or [0.85, 0.80, 0.775, 0.75]
-    timing = TimingErrorModel()
-    energy_model = EnergyModel()
-    dmr, abft = DmrModel(), AbftModel()
-    plain_key, plain_overrides = system_ref(plain_system, hint="plain")
-    rot_key, rot_overrides = system_ref(rotated_system, hint="rotated")
-
+    plain_key = system_ref(plain_system, hint="plain")[0]
+    rot_key = system_ref(rotated_system, hint="rotated")[0]
     specs: list[TrialSpec] = [TrialSpec(condition="clean", system=plain_key, task=task,
                                         num_trials=num_trials, seed=seed,
                                         params=(("arm", "clean"),))]
@@ -742,19 +868,28 @@ def baseline_comparison(plain_system: SystemLike, rotated_system: SystemLike,
             num_trials=num_trials, seed=seed,
             planner_protection=tv_protection, controller_protection=tv_protection,
             params=(("arm", "thundervolt"), ("voltage", repr(float(voltage))))))
-    campaign = run_campaign(specs, jobs=jobs, out=out, batch=batch,
-                            systems=merge_overrides(dict(plain_overrides), rot_overrides),
-                            name=slugify(f"baseline-comparison-{task}"))
+    return [CampaignPlan(name=slugify(f"baseline-comparison-{task}"), specs=specs)]
 
-    clean_summary = campaign.summary("clean")
-    results: dict[str, dict[float, dict]] = {"create": {}, "dmr": {}, "thundervolt": {}, "abft": {}}
+
+def baseline_comparison_summary(results: Sequence[CampaignResult]
+                                ) -> dict[str, dict[float, dict]]:
+    """Read a finished :func:`baseline_comparison` campaign back, modelling
+    DMR and ABFT from its clean run."""
+    [result] = results
+    timing = TimingErrorModel()
+    energy_model = EnergyModel()
+    dmr, abft = DmrModel(), AbftModel()
+    clean_summary = result.summary("clean")
+    voltages = [float(dict(spec.params)["voltage"]) for spec in result.specs
+                if dict(spec.params)["arm"] == "create"]
+    arms: dict[str, dict[float, dict]] = {"create": {}, "dmr": {}, "thundervolt": {}, "abft": {}}
     for voltage in voltages:
         rates = timing.bit_error_rates(voltage)
         element_rate = float(1.0 - np.prod(1.0 - rates))
 
         # CREATE: AD+WR planner, AD controller, both at the candidate voltage.
-        summary = campaign.summary(f"create/v={float(voltage)!r}")
-        results["create"][voltage] = {
+        summary = result.summary(f"create/v={voltage!r}")
+        arms["create"][voltage] = {
             "success_rate": summary.success_rate,
             "energy_j": summary.mean_energy_j * 1.0024,
         }
@@ -762,47 +897,110 @@ def baseline_comparison(plain_system: SystemLike, rotated_system: SystemLike,
         # DMR / ABFT: reliability preserved (errors corrected), energy multiplied.
         base_energy = clean_summary.mean_energy_j * energy_model.voltage_scale(voltage) \
             / energy_model.voltage_scale(NOMINAL_VOLTAGE)
-        results["dmr"][voltage] = {
+        arms["dmr"][voltage] = {
             "success_rate": clean_summary.success_rate,
             "energy_j": base_energy * dmr.energy_multiplier(element_rate),
         }
         abft_success = clean_summary.success_rate if abft.corrects_errors(element_rate) \
             else 0.0
-        results["abft"][voltage] = {
+        arms["abft"][voltage] = {
             "success_rate": abft_success,
             "energy_j": base_energy * abft.energy_multiplier(element_rate),
         }
 
         # ThUnderVolt: skip-on-error behaviour simulated with its injector.
-        tv_summary = campaign.summary(f"thundervolt/v={float(voltage)!r}")
-        results["thundervolt"][voltage] = {
+        tv_summary = result.summary(f"thundervolt/v={voltage!r}")
+        arms["thundervolt"][voltage] = {
             "success_rate": tv_summary.success_rate,
             "energy_j": tv_summary.mean_energy_j * 1.05,
         }
-    return results
+    return arms
+
+
+def baseline_comparison(plain_system: SystemLike, rotated_system: SystemLike,
+                        task: str, voltages: list[float] | None = None,
+                        num_trials: int = 8, seed: int = 0, jobs: int = 1,
+                        out: str | None = None, batch: int | None = None
+                        ) -> dict[str, dict[float, dict]]:
+    """CREATE vs. DMR / ThUnderVolt / ABFT: success and energy across voltages."""
+    plans = baseline_comparison_plans(plain_system, rotated_system, task, voltages,
+                                      num_trials, seed)
+    overrides = merge_overrides(dict(system_ref(plain_system, hint="plain")[1]),
+                                system_ref(rotated_system, hint="rotated")[1])
+    return baseline_comparison_summary(run_plans(plans, jobs=jobs, out=out,
+                                                 batch=batch, systems=overrides))
 
 
 # ----------------------------------------------------------------------
 # Table 5 / Table 6
 # ----------------------------------------------------------------------
+def repetition_study_plans(system: SystemLike, task: str, ber: float,
+                           repetition_counts: list[int], seed: int = 0
+                           ) -> list[CampaignPlan]:
+    """Declare :func:`repetition_study`'s one campaign: the largest count's seeds."""
+    spec = TrialSpec(
+        condition=f"repetitions/ber={float(ber)!r}", system=system_ref(system)[0],
+        task=task, num_trials=max(repetition_counts), seed=seed,
+        controller_protection=ProtectionConfig(error_model=UniformErrorModel(ber)),
+        params=(("ber", repr(float(ber))),))
+    return [CampaignPlan(name=slugify(f"repetition-study-{task}"), specs=[spec])]
+
+
+def repetition_study_summary(results: Sequence[CampaignResult],
+                             repetition_counts: list[int]) -> dict[int, float]:
+    """Success rate over each count's first trials of a finished campaign."""
+    [result] = results
+    records = result.records(result.specs[0].condition)
+    return {count: float(np.mean([r.success for r in records[:count]]))
+            for count in repetition_counts}
+
+
 def repetition_study(system: SystemLike, task: str, ber: float,
                      repetition_counts: list[int] | None = None,
                      seed: int = 0, jobs: int = 1, out: str | None = None,
                      batch: int | None = None) -> dict[int, float]:
     """Measured success rate as the number of repetitions grows (Table 5)."""
     repetition_counts = repetition_counts or [20, 40, 60, 80, 100]
-    max_count = max(repetition_counts)
-    key, overrides = system_ref(system)
-    spec = TrialSpec(
-        condition=f"repetitions/ber={float(ber)!r}", system=key, task=task,
-        num_trials=max_count, seed=seed,
-        controller_protection=ProtectionConfig(error_model=UniformErrorModel(ber)),
-        params=(("ber", repr(float(ber))),))
-    campaign = run_campaign([spec], jobs=jobs, out=out, systems=overrides, batch=batch,
-                            name=slugify(f"repetition-study-{task}"))
-    records = campaign.records(spec.condition)
-    return {count: float(np.mean([r.success for r in records[:count]]))
-            for count in repetition_counts}
+    plans = repetition_study_plans(system, task, ber, repetition_counts, seed)
+    return repetition_study_summary(
+        run_plans(plans, jobs=jobs, out=out, batch=batch,
+                  systems=system_ref(system)[1]), repetition_counts)
+
+
+def quantization_study_plans(systems: dict[str, SystemLike] | None = None,
+                             task: str = "stone", bers: list[float] | None = None,
+                             num_trials: int = 10, seed: int = 0) -> list[CampaignPlan]:
+    """Declare :func:`quantization_study`'s one campaign: label x BER.
+
+    ``systems`` maps a quantization label to a system or registry key;
+    ``None`` means the built-in ``jarvis-rotated`` / ``jarvis-rotated-int4``.
+    """
+    if systems is None:
+        systems = {str(INT8): "jarvis-rotated", str(INT4): "jarvis-rotated-int4"}
+    bers = bers if bers is not None else [1e-4, 1e-3, 3e-3]
+    specs: list[TrialSpec] = []
+    for label, system in systems.items():
+        key = system_ref(system, hint=slugify(label))[0]
+        for ber in bers:
+            protection = ProtectionConfig(error_model=UniformErrorModel(ber),
+                                          anomaly_detection=True)
+            specs.append(TrialSpec(
+                condition=f"{label}/ber={float(ber)!r}", system=key, task=task,
+                num_trials=num_trials, seed=seed, planner_protection=protection,
+                params=(("quant", label), ("ber", repr(float(ber))))))
+    return [CampaignPlan(name=slugify(f"quantization-study-{task}"), specs=specs)]
+
+
+def quantization_study_summary(results: Sequence[CampaignResult]
+                               ) -> dict[str, dict[float, float]]:
+    """Read a finished :func:`quantization_study` campaign back."""
+    [result] = results
+    rates: dict[str, dict[float, float]] = {}
+    for spec in result.specs:
+        params = dict(spec.params)
+        rates.setdefault(params["quant"], {})[float(params["ber"])] = \
+            result.summary(spec.condition).success_rate
+    return rates
 
 
 def quantization_study(systems=None, task: str = "stone", bers: list[float] | None = None,
@@ -816,34 +1014,14 @@ def quantization_study(systems=None, task: str = "stone", bers: list[float] | No
     rotated system for a :class:`~repro.quant.QuantSpec`, or ``None`` for the
     built-in registry variants (``jarvis-rotated`` / ``jarvis-rotated-int4``).
     """
-    bers = bers if bers is not None else [1e-4, 1e-3, 3e-3]
-    if systems is None:
-        system_map: dict[str, SystemLike] = {str(INT8): "jarvis-rotated",
-                                             str(INT4): "jarvis-rotated-int4"}
-    elif callable(systems):
-        system_map = {str(spec): systems(spec) for spec in (INT8, INT4)}
-    else:
-        system_map = dict(systems)
-
-    specs: list[TrialSpec] = []
+    if callable(systems):
+        systems = {str(spec): systems(spec) for spec in (INT8, INT4)}
+    plans = quantization_study_plans(systems, task, bers, num_trials, seed)
     overrides: dict[str, object] = {}
-    for label, system in system_map.items():
-        key, system_overrides = system_ref(system, hint=slugify(label))
-        merge_overrides(overrides, system_overrides)
-        for ber in bers:
-            protection = ProtectionConfig(error_model=UniformErrorModel(ber),
-                                          anomaly_detection=True)
-            specs.append(TrialSpec(
-                condition=f"{label}/ber={float(ber)!r}", system=key, task=task,
-                num_trials=num_trials, seed=seed, planner_protection=protection,
-                params=(("quant", label), ("ber", repr(float(ber))))))
-    campaign = run_campaign(specs, jobs=jobs, out=out, systems=overrides, batch=batch,
-                            name=slugify(f"quantization-study-{task}"))
-    results: dict[str, dict[float, float]] = {}
-    for label in system_map:
-        results[label] = {ber: campaign.summary(f"{label}/ber={float(ber)!r}").success_rate
-                          for ber in bers}
-    return results
+    for label, system in (systems or {}).items():
+        merge_overrides(overrides, system_ref(system, hint=slugify(label))[1])
+    return quantization_study_summary(run_plans(plans, jobs=jobs, out=out,
+                                                batch=batch, systems=overrides))
 
 
 # ----------------------------------------------------------------------

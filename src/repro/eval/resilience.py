@@ -13,18 +13,23 @@ sweeping the BER of a uniform error model and measuring task quality:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from ..core.create import ProtectionConfig
 from ..faults.models import UniformErrorModel
-from .campaign import SystemLike, TrialSpec, run_campaign, slugify, system_ref
+from .campaign import (CampaignResult, SystemLike, TrialSpec, run_plans, slugify,
+                       system_ref)
 from .metrics import TrialSummary
+from .scheduler import CampaignPlan
 
 __all__ = [
     "SweepPoint",
     "SweepResult",
     "ber_sweep",
+    "ber_sweep_plans",
+    "ber_sweep_summary",
     "component_sweep",
     "subtask_sweep",
     "activation_study",
@@ -82,6 +87,39 @@ def _protection(ber: float, anomaly_detection: bool, exposure: float,
     )
 
 
+def ber_sweep_plans(system: SystemLike, task: str, bers: list[float],
+                    target: str = "controller", num_trials: int = 20, seed: int = 0,
+                    anomaly_detection: bool = False, exposure_scale: float = 1.0,
+                    components: tuple[str, ...] | None = None,
+                    label: str | None = None) -> list[CampaignPlan]:
+    """Declare :func:`ber_sweep`'s one campaign, a spec per BER, building nothing."""
+    if target not in ("planner", "controller"):
+        raise ValueError("target must be 'planner' or 'controller'")
+    label = label or f"{target}-{'AD' if anomaly_detection else 'noAD'}"
+    key = system_ref(system)[0]
+    specs = []
+    for ber in bers:
+        protection = _protection(ber, anomaly_detection, exposure_scale, components)
+        kwargs = {"planner_protection": protection} if target == "planner" \
+            else {"controller_protection": protection}
+        specs.append(TrialSpec(
+            condition=f"{label}/ber={float(ber)!r}", system=key, task=task,
+            num_trials=num_trials, seed=seed,
+            params=(("label", label), ("ber", repr(float(ber))), ("target", target)),
+            **kwargs))
+    return [CampaignPlan(name=slugify(f"ber-sweep-{label}-{task}-{target}"),
+                         specs=specs)]
+
+
+def ber_sweep_summary(results: Sequence[CampaignResult]) -> SweepResult:
+    """Read a finished :func:`ber_sweep` campaign back as its :class:`SweepResult`."""
+    [result] = results
+    first = result.specs[0]
+    return SweepResult(label=dict(first.params)["label"], task=first.task, points=[
+        SweepPoint(ber=float(dict(spec.params)["ber"]),
+                   summary=result.summary(spec.condition)) for spec in result.specs])
+
+
 def ber_sweep(system: SystemLike, task: str, bers: list[float],
               target: str = "controller", num_trials: int = 20, seed: int = 0,
               anomaly_detection: bool = False, exposure_scale: float = 1.0,
@@ -96,27 +134,10 @@ def ber_sweep(system: SystemLike, task: str, bers: list[float],
     groups cells per worker task, and ``out`` persists the run table for
     resume.
     """
-    if target not in ("planner", "controller"):
-        raise ValueError("target must be 'planner' or 'controller'")
-    label = label or f"{target}-{'AD' if anomaly_detection else 'noAD'}"
-    key, overrides = system_ref(system)
-    specs = []
-    for ber in bers:
-        protection = _protection(ber, anomaly_detection, exposure_scale, components)
-        kwargs = {"planner_protection": protection} if target == "planner" \
-            else {"controller_protection": protection}
-        specs.append(TrialSpec(
-            condition=f"{label}/ber={float(ber)!r}", system=key, task=task,
-            num_trials=num_trials, seed=seed,
-            params=(("label", label), ("ber", repr(float(ber))), ("target", target)),
-            **kwargs))
-    campaign = run_campaign(specs, jobs=jobs, out=out, systems=overrides, batch=batch,
-                            name=slugify(f"ber-sweep-{label}-{task}-{target}"))
-    result = SweepResult(label=label, task=task)
-    for ber, spec in zip(bers, specs):
-        result.points.append(SweepPoint(ber=float(ber),
-                                        summary=campaign.summary(spec.condition)))
-    return result
+    plans = ber_sweep_plans(system, task, bers, target, num_trials, seed,
+                            anomaly_detection, exposure_scale, components, label)
+    return ber_sweep_summary(run_plans(plans, jobs=jobs, out=out, batch=batch,
+                                       systems=system_ref(system)[1]))
 
 
 def component_sweep(system: SystemLike, task: str, bers: list[float],

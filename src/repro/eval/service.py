@@ -176,6 +176,11 @@ class CampaignService:
         self._server = ThreadingHTTPServer((host, port), Handler)
         self._server.daemon_threads = True
         self._thread: threading.Thread | None = None
+        # socketserver's shutdown() waits for a serve loop to stop, so close()
+        # may only call it for a loop that began; the lock orders a loop
+        # starting against a close racing it.
+        self._lifecycle = threading.Lock()
+        self._serving = self._closed = False
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -192,10 +197,20 @@ class CampaignService:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread (the ``repro-create serve`` path)."""
+        with self._lifecycle:
+            if self._closed:
+                return
+            self._serving = True
         self._server.serve_forever(poll_interval=_SERVE_POLL_S)
 
     def close(self) -> None:
-        self._server.shutdown()
+        """Stop the serve loop if one began, then release the socket and
+        the streamed-row writers; returns on a service that never served."""
+        with self._lifecycle:
+            self._closed = True
+            serving = self._serving
+        if serving:
+            self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import CAMPAIGN_PRESETS, _suite, build_parser, main
+
+#: ``campaign <preset> --dry-run`` transcripts at default flags, no ``--out``.
+DRY_RUN_DIR = Path(__file__).resolve().parent / "data" / "dry_run"
 
 
 class TestParser:
@@ -270,6 +275,84 @@ class TestDistributedCli:
         empty.mkdir()
         assert main(["merge", str(tmp_path / "out"), str(empty)]) == 1
         assert "no run tables found" in capsys.readouterr().out
+
+
+class TestPresetTable:
+    """Every path reads the one preset table; declaring a preset builds nothing."""
+
+    @staticmethod
+    def _plan(preset, *flags):
+        row = CAMPAIGN_PRESETS[preset]
+        args = build_parser().parse_args(["campaign", preset, *flags])
+        [plan] = row.plans(args, row.suite)
+        return plan
+
+    @staticmethod
+    def _write_table(path, cells):
+        from test_analysis import make_record
+
+        from repro.eval.runtable import RunTable
+
+        RunTable([make_record(condition=cell.condition, seed=cell.seed,
+                              spec_key=cell.spec_key) for cell in cells]
+                 ).write_csv(path)
+
+    @pytest.mark.parametrize("preset", sorted(CAMPAIGN_PRESETS))
+    def test_dry_run_matches_its_transcript(self, preset, capsys, monkeypatch):
+        from repro.agents import registry
+
+        def refuse(key):
+            raise AssertionError(f"declaring {preset!r} built system {key!r}")
+
+        monkeypatch.setattr(registry, "get_system", refuse)
+        assert main(["campaign", preset, "--dry-run"]) == 0
+        assert capsys.readouterr().out == \
+            (DRY_RUN_DIR / f"{preset}.txt").read_text()
+
+    def test_dry_run_over_a_partial_table_counts_only_missing_cells(
+            self, capsys, tmp_path):
+        plan = self._plan("repetitions", "--trials", "4")
+        self._write_table(tmp_path / f"{plan.name}.csv", plan.cells()[:3])
+        assert main(["campaign", "repetitions", "--trials", "4", "--dry-run",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"[repetitions] campaign {plan.name} (out {tmp_path}):\n"
+            "  repetitions/ber=0.0001: 4 cells\n"
+            "  total 4 cells, 1 pending (3 already in the run table)\n"
+            "dry run: 1 campaign(s), 4 cells, 1 pending; nothing was trained "
+            "or executed\n")
+
+    def test_shard_run_counts_other_shards_from_pending_cells(self, capsys,
+                                                              tmp_path):
+        """The resumed table holds every cell of shard 1, one of shard 2's
+        and a row outside the grid: one cell is left for the other shard,
+        whatever the table's size."""
+        import dataclasses
+
+        from repro.eval.shard import Shard
+
+        plan = self._plan("repetitions", "--trials", "4")
+        mine, others = Shard(1, 2).split(plan.cells())
+        assert mine and len(others) >= 2
+        stale = dataclasses.replace(mine[0], seed=99)
+        csv_path = tmp_path / f"{plan.name}.csv"
+        self._write_table(csv_path, mine + others[:1] + [stale])
+        rows = len(mine) + 2
+        assert main(["campaign", "repetitions", "--trials", "4",
+                     "--shard", "1/2", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert (f"[repetitions] {csv_path}: 0 cells executed, {rows} rows held\n"
+                f"shard 1/2: executed 0 new cells, {rows} rows persisted; "
+                f"{len(others) - 1} cells belong to other shards\n") in out
+
+    @pytest.mark.parametrize("preset", [name for name in sorted(CAMPAIGN_PRESETS)
+                                        if CAMPAIGN_PRESETS[name].plans])
+    def test_declared_tasks_belong_to_the_row_suite(self, preset):
+        row = CAMPAIGN_PRESETS[preset]
+        args = build_parser().parse_args(["campaign", preset])
+        tasks = {spec.task for plan in row.plans(args, row.suite)
+                 for spec in plan.specs}
+        assert tasks and tasks <= set(_suite(row.suite).task_names)
 
 
 class TestReportCli:

@@ -24,6 +24,7 @@ from repro.core.voltage_scaling import VoltageScalingConfig
 from repro.eval import (
     CampaignPlan,
     MergeConflictError,
+    RunRecord,
     RunTable,
     Shard,
     TrialSpec,
@@ -31,11 +32,9 @@ from repro.eval import (
     WorkerDaemon,
     merge_run_tables,
     parse_shard,
-    planning,
     run_campaign,
-    shard_scope,
 )
-from repro.eval.campaign import enumerate_cells, placeholder_record
+from repro.eval.campaign import enumerate_cells
 from repro.eval.scheduler import spec_from_dict, spec_to_dict
 from repro.faults.models import (SingleBitErrorModel, UniformErrorModel,
                                  VoltageErrorModel)
@@ -165,12 +164,17 @@ class TestCampaignPlan:
 # ----------------------------------------------------------------------
 class TestRunTableMerge:
     def _record(self, seed=0, steps=5, worker="w1"):
-        import dataclasses
-
         cell = enumerate_cells(_specs(4))[0]
-        base = placeholder_record(dataclasses.replace(cell, seed=seed))
-        return dataclasses.replace(base, steps=steps, wall_time_s=1.0,
-                                   worker_id=worker)
+        return RunRecord(
+            spec_key=cell.spec_key, condition=cell.condition, system=cell.system,
+            task=cell.task, seed=seed, trial_index=cell.trial_index,
+            success=False, steps=steps, planner_invocations=0,
+            controller_steps=0, energy_j=0.0, effective_voltage=0.0,
+            planner_bits_flipped=0, controller_bits_flipped=0,
+            planner_elements_clamped=0, controller_elements_clamped=0,
+            mean_entropy=float("nan"), entropy_records=0, planner_macs="{}",
+            controller_macs="{}", predictor_macs="{}", params=cell.params,
+            wall_time_s=1.0, worker_id=worker)
 
     def test_identical_duplicates_dedupe(self):
         """A reclaimed lease re-runs cells: byte-identical duplicates (even
@@ -197,35 +201,6 @@ class TestRunTableMerge:
 
 
 # ----------------------------------------------------------------------
-# Plan-capture mode
-# ----------------------------------------------------------------------
-class TestPlanningMode:
-    def test_captures_pending_without_executing_or_writing(self, tmp_path):
-        with planning() as plans:
-            result = run_campaign(_specs(3), out=tmp_path, name="plan")
-        assert len(plans) == 1
-        assert len(plans[0].pending) == 6 and plans[0].existing_rows == 0
-        assert result.executed_trials == 0
-        assert result.placeholder_trials == 6
-        assert not any(tmp_path.iterdir())  # nothing written
-        result.summary("clean")  # placeholder rows keep aggregation working
-
-    def test_planning_is_resume_aware(self, tmp_path):
-        run_campaign(_specs(2), out=tmp_path, name="plan")
-        with planning() as plans:
-            run_campaign(_specs(3), out=tmp_path, name="plan")
-        assert plans[0].existing_rows == 4
-        assert len(plans[0].pending) == 2  # only the grown seeds
-
-    def test_planning_resume_false_plans_full_grid_without_deleting(self, tmp_path):
-        first = run_campaign(_specs(2), out=tmp_path, name="plan")
-        with planning() as plans:
-            run_campaign(_specs(2), out=tmp_path, name="plan", resume=False)
-        assert len(plans[0].pending) == 4
-        assert first.csv_path.exists()  # plan mode must not unlink
-
-
-# ----------------------------------------------------------------------
 # Sharded campaign execution
 # ----------------------------------------------------------------------
 class TestShardedCampaigns:
@@ -236,8 +211,7 @@ class TestShardedCampaigns:
         for index in range(1, count + 1):
             result = run_campaign(specs, out=tmp_path / f"shard{index}",
                                   name="sh", shard=Shard(index, count))
-            persisted = len(result.table) - result.placeholder_trials
-            assert result.executed_trials == persisted
+            assert result.executed_trials == len(result.table)
             # plan file saved for the merge's canonical ordering
             assert (tmp_path / f"shard{index}" / "plans" / "sh.json").exists()
         merged = merge_run_tables(
@@ -256,17 +230,12 @@ class TestShardedCampaigns:
         serial = run_campaign(specs, out=tmp_path / "serial", name="sh")
         total = 0
         for index in (1, 2):
-            with shard_scope(Shard(index, 2)):
-                result = run_campaign(specs, out=tmp_path / "acc", name="sh")
+            result = run_campaign(specs, out=tmp_path / "acc", name="sh",
+                                  shard=Shard(index, 2))
             total += result.executed_trials
         assert total == 6
         assert (tmp_path / "acc" / "sh.csv").read_bytes() == \
             serial.csv_path.read_bytes()
-
-    def test_shard_scope_none_is_a_no_op(self, tmp_path):
-        with shard_scope(None):
-            result = run_campaign(_specs(1), out=tmp_path, name="noop")
-        assert result.executed_trials == 2 and result.placeholder_trials == 0
 
 
 # ----------------------------------------------------------------------

@@ -137,6 +137,15 @@ class TestServiceProtocol:
         assert polls == [_SERVE_POLL_S, _SERVE_POLL_S]
         assert _SERVE_POLL_S <= 0.1
 
+    def test_close_returns_on_a_service_that_never_served(self, tmp_path):
+        """socketserver's ``shutdown()`` waits for a serve loop, so closing a
+        service that never started one must not call it and hang."""
+        service = CampaignService(tmp_path / "idle")
+        closer = threading.Thread(target=service.close, daemon=True)
+        closer.start()
+        closer.join(timeout=60)
+        assert not closer.is_alive()
+
     def test_closed_client_reconnects_lazily(self, service, client):
         client.counts()
         client.close()

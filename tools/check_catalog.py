@@ -16,7 +16,7 @@ places that must never drift apart silently:
 
 plus the registry invariant that every ``scenario``-vocabulary entry has
 its ``jarvis-<name>`` / ``jarvis-<name>-rotated`` system keys (declared
-predictor-less) and its campaign preset.
+predictor-less) and a campaign preset whose row runs its suite.
 
 Run from the repository root (CI does) or anywhere::
 
@@ -127,6 +127,10 @@ def check_catalog(errors: list[str]) -> None:
                               "entropy predictor; scenario systems never do")
         if entry.name not in presets:
             errors.append(f"scenario {entry.name!r} has no campaign preset")
+        elif presets[entry.name].suite != entry.name:
+            errors.append(f"campaign preset {entry.name!r} runs the "
+                          f"{presets[entry.name].suite!r} suite, not its "
+                          "own scenario")
 
 
 def collect_errors() -> list[str]:

@@ -5,9 +5,10 @@ Verifies that the prose and the code cannot drift apart silently:
 1. every relative markdown link (and ``#anchor``) in ``README.md`` and
    ``docs/*.md`` resolves to an existing file (and heading);
 2. ``python -m repro.cli campaign --help`` lists every preset documented in
-   the README and ``docs/campaigns.md`` preset tables, every preset those
-   tables document exists in ``repro.cli.CAMPAIGN_PRESETS``, and every
-   ``CAMPAIGN_PRESETS`` entry is documented in both places;
+   the README and ``docs/campaigns.md`` preset tables with its figure text,
+   every preset those tables document is a row of
+   ``repro.cli.CAMPAIGN_PRESETS``, and every row is documented in both
+   places;
 3. every benchmark bound the prose quotes (``Nx decode-speedup``,
    ``Nx batched-decode``, ``Nx plan-reuse``, ``Nx fleet-stepping``,
    ``N/s round-trip floor``, ``Nms round-trip p95``) matches its value in
@@ -130,9 +131,10 @@ def check_presets(errors: list[str]) -> None:
             errors.append(f"{rel}: preset {preset!r} is registered but missing "
                           "from the preset table")
     for preset in sorted(registered):
-        if preset not in compact_help:
+        figure = "".join(CAMPAIGN_PRESETS[preset].figure.split())
+        if f"{preset}={figure}" not in compact_help:
             errors.append(f"repro.cli campaign --help does not list the "
-                          f"documented preset {preset!r}")
+                          f"documented preset {preset!r} with its figure")
 
 
 def check_bench_floors(errors: list[str]) -> None:
