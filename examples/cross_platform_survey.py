@@ -13,7 +13,6 @@ Run with ``python examples/cross_platform_survey.py``.
 
 from __future__ import annotations
 
-from repro.agents import build_controller_platform, build_planner_platform
 from repro.eval.experiments import cross_platform_controller_eval, cross_platform_planner_eval
 
 NUM_TRIALS = 6
@@ -27,10 +26,10 @@ CONTROLLER_PLATFORMS = {"octo": ["eggplant", "coke", "carrot"],
 def main() -> None:
     print("Planner platforms (AD + WR at 0.78 V):")
     for name, tasks in PLANNER_PLATFORMS.items():
-        plain = build_planner_platform(name, rotate_planner=False)
-        rotated = build_planner_platform(name, rotate_planner=True)
-        results = cross_platform_planner_eval(plain, rotated, tasks, voltage=0.78,
-                                              num_trials=NUM_TRIALS)
+        # Registry keys: plain and weight-rotated planner platforms.
+        results = cross_platform_planner_eval(f"planner-{name}-plain",
+                                              f"planner-{name}", tasks,
+                                              voltage=0.78, num_trials=NUM_TRIALS)
         for task, values in results.items():
             print(f"  {name:<14}{task:<12} success {values['baseline_success']:.2f} -> "
                   f"{values['protected_success']:.2f}   planner energy savings "
@@ -38,8 +37,8 @@ def main() -> None:
 
     print("\nController platforms (AD + VS, policy C):")
     for name, tasks in CONTROLLER_PLATFORMS.items():
-        system = build_controller_platform(name)
-        results = cross_platform_controller_eval(system, tasks, num_trials=NUM_TRIALS)
+        results = cross_platform_controller_eval(f"controller-{name}", tasks,
+                                                 num_trials=NUM_TRIALS)
         for task, values in results.items():
             print(f"  {name:<14}{task:<12} success {values['baseline_success']:.2f} -> "
                   f"{values['protected_success']:.2f}   controller energy savings "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.agents import build_jarvis_system
+from repro.agents.registry import get_system
 from repro.core import ProtectionConfig, REFERENCE_POLICIES, VoltageScalingConfig
 from repro.eval.experiments import vs_evaluation
 
@@ -19,8 +19,7 @@ TASK = "wooden"
 
 
 def main() -> None:
-    system = build_jarvis_system(rotate_planner=False)
-    executor = system.executor()
+    executor = get_system("jarvis").executor()
 
     print("One mission with policy C (entropy predictor drives the LDO):")
     protection = ProtectionConfig(
@@ -41,7 +40,7 @@ def main() -> None:
           f"(mean voltage {voltages[~critical].mean():.3f} V)")
 
     print("\nPolicies A-F vs. constant voltages (success rate / effective voltage):")
-    evaluations = vs_evaluation(system, TASK, num_trials=8, seed=0)
+    evaluations = vs_evaluation("jarvis", TASK, num_trials=8, seed=0)
     for evaluation in evaluations:
         print(f"  {evaluation.policy.name:<16} success={evaluation.success_rate:4.2f}  "
               f"effective V={evaluation.effective_voltage:.3f}")

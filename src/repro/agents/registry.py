@@ -32,11 +32,16 @@ plus system variants beyond the paper's main configurations::
                                 scenarios, under the scenario's own
                                 fingerprinted vocabulary (docs/scenarios.md)
 
-``register_system`` adds custom factories (e.g. for tests); ``get_system``
-builds lazily and caches one instance per key per process.  Keys that deploy
-the same model share it: ``jarvis``, ``jarvis-rotated`` and the other JARVIS
-variants with the same quantization spec hold one controller object,
-calibrated once per process (see ``repro.agents.jarvis``).
+A campaign names its systems by these keys only — a live system object is
+a ``TypeError`` — so ``register_system`` is the one way to add a custom
+system, which then runs like a built-in key::
+
+    register_system("my-jarvis", lambda: build_jarvis_system(rotate_planner=True))
+
+``get_system`` builds lazily and caches one instance per key per process.
+Keys that deploy the same model share it: ``jarvis``, ``jarvis-rotated`` and
+the other JARVIS variants with the same quantization spec hold one
+controller object, calibrated once per process (see ``repro.agents.jarvis``).
 
 Keys double as the ``system`` column of persistent run tables (see
 ``docs/runtable-schema.md``), so they must stay *stable across processes
@@ -215,6 +220,15 @@ def register_system(key: str, factory: Callable[[], EmbodiedSystem],
     _notify_eviction(key)
 
 
+def _require_key(key: object) -> None:
+    """Refuse anything but a key string: campaigns name systems by key only."""
+    if not isinstance(key, str):
+        raise TypeError(
+            f"a campaign names systems by registry key (a str), not "
+            f"{type(key).__name__}; add a custom system with "
+            "repro.agents.registry.register_system(key, factory) and pass its key")
+
+
 def system_has_predictor(key: str) -> bool:
     """Whether ``key``'s system ships an entropy predictor.
 
@@ -223,6 +237,7 @@ def system_has_predictor(key: str) -> bool:
     triggers a system build — and by building + inspecting (then caching
     the answer) for custom keys registered without a declaration.
     """
+    _require_key(key)
     if key not in SYSTEM_HAS_PREDICTOR:
         SYSTEM_HAS_PREDICTOR[key] = get_system(key).predictor is not None
     return SYSTEM_HAS_PREDICTOR[key]

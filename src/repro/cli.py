@@ -93,10 +93,15 @@ def _suite(name: str):
     return SUITES[name] if name in SUITES else CATALOG.build(name)
 
 
+def _task(args) -> str:
+    """``--task``, else ``wooden``, the default task of the Minecraft presets."""
+    return args.task or "wooden"
+
+
 def _ad_plans(target: str, args, suite: str) -> list:
     from .eval import experiments
 
-    return experiments.ad_evaluation_plans("jarvis", args.task, list(args.bers),
+    return experiments.ad_evaluation_plans("jarvis", _task(args), list(args.bers),
                                            target, num_trials=args.trials,
                                            seed=args.seed)
 
@@ -104,7 +109,7 @@ def _ad_plans(target: str, args, suite: str) -> list:
 def _wr_plans(args, suite: str) -> list:
     from .eval import experiments
 
-    return experiments.wr_evaluation_plans("jarvis", "jarvis-rotated", args.task,
+    return experiments.wr_evaluation_plans("jarvis", "jarvis-rotated", _task(args),
                                            list(args.bers), num_trials=args.trials,
                                            seed=args.seed)
 
@@ -113,13 +118,13 @@ def _sweeps_report(what: str, args, suite: str, results: list) -> None:
     from .eval import experiments, format_sweep
 
     print(format_sweep(experiments.sweep_summaries(results), "success_rate",
-                       title=f"{what}: success rate on {args.task!r}"))
+                       title=f"{what}: success rate on {_task(args)!r}"))
 
 
 def _vs_plans(args, suite: str) -> list:
     from .eval import experiments
 
-    return experiments.vs_evaluation_plans("jarvis", args.task,
+    return experiments.vs_evaluation_plans("jarvis", _task(args),
                                            num_trials=args.trials, seed=args.seed)
 
 
@@ -130,13 +135,13 @@ def _vs_report(args, suite: str, results: list) -> None:
              e.summary.mean_energy_j * 1e3]
             for e in experiments.vs_evaluation_summary(results)]
     print(format_table(["policy", "success rate", "effective V", "energy (mJ)"],
-                       rows, title=f"voltage-scaling policies on {args.task!r}"))
+                       rows, title=f"voltage-scaling policies on {_task(args)!r}"))
 
 
 def _interval_plans(args, suite: str) -> list:
     from .eval import experiments
 
-    return experiments.interval_sweep_plans("jarvis", args.task,
+    return experiments.interval_sweep_plans("jarvis", _task(args),
                                             num_trials=args.trials, seed=args.seed)
 
 
@@ -146,14 +151,14 @@ def _interval_report(args, suite: str, results: list) -> None:
     rows = [[interval, s.success_rate, s.effective_voltage]
             for interval, s in experiments.interval_sweep_summary(results).items()]
     print(format_table(["update interval", "success rate", "effective V"], rows,
-                       title=f"VS update-interval sensitivity on {args.task!r}"))
+                       title=f"VS update-interval sensitivity on {_task(args)!r}"))
 
 
 def _overall_plans(args, suite: str) -> list:
     from .core import CreateConfig, default_policy
     from .eval import experiments
 
-    tasks = args.tasks or ([args.task] if args.task != "wooden"
+    tasks = args.tasks or ([args.task] if args.task
                            else ["wooden", "stone", "chicken", "seed"])
     configs = {
         "unprotected": CreateConfig(ad=False, wr=False),
@@ -206,7 +211,7 @@ def _baselines_plans(args, suite: str) -> list:
     from .eval import experiments
 
     return experiments.baseline_comparison_plans("jarvis", "jarvis-rotated",
-                                                 args.task, num_trials=args.trials,
+                                                 _task(args), num_trials=args.trials,
                                                  seed=args.seed)
 
 
@@ -217,7 +222,7 @@ def _baselines_report(args, suite: str, results: list) -> None:
     voltages = sorted(arms["create"], reverse=True)
     rows = [[v] + [arms[arm][v]["success_rate"] for arm in arms] for v in voltages]
     print(format_table(["voltage (V)"] + list(arms), rows,
-                       title=f"baseline comparison on {args.task!r} (success rate)"))
+                       title=f"baseline comparison on {_task(args)!r} (success rate)"))
 
 
 def _repetition_counts(args) -> list[int]:
@@ -227,7 +232,7 @@ def _repetition_counts(args) -> list[int]:
 def _repetitions_plans(args, suite: str) -> list:
     from .eval import experiments
 
-    return experiments.repetition_study_plans("jarvis", args.task, args.bers[0],
+    return experiments.repetition_study_plans("jarvis", _task(args), args.bers[0],
                                               _repetition_counts(args),
                                               seed=args.seed)
 
@@ -237,14 +242,14 @@ def _repetitions_report(args, suite: str, results: list) -> None:
 
     rates = experiments.repetition_study_summary(results, _repetition_counts(args))
     print(format_table(["repetitions", "success rate"], list(rates.items()),
-                       title=f"repetition study on {args.task!r} "
+                       title=f"repetition study on {_task(args)!r} "
                              f"(BER {args.bers[0]:.0e})"))
 
 
 def _quantization_plans(args, suite: str) -> list:
     from .eval import experiments
 
-    return experiments.quantization_study_plans(None, args.task, list(args.bers),
+    return experiments.quantization_study_plans(None, _task(args), list(args.bers),
                                                 num_trials=args.trials,
                                                 seed=args.seed)
 
@@ -257,7 +262,7 @@ def _quantization_report(args, suite: str, results: list) -> None:
     rows = [[f"{ber:.0e}"] + [rates[label][ber] for label in labels]
             for ber in args.bers]
     print(format_table(["planner BER"] + labels, rows,
-                       title=f"quantization study on {args.task!r}"))
+                       title=f"quantization study on {_task(args)!r}"))
 
 
 def _scenario_plans(args, suite: str) -> list:
@@ -293,7 +298,7 @@ def _fleet_plans(args, suite: str) -> list:
 
     return experiments.fleet_resilience_plans(
         fleet_sizes=list(args.fleet_sizes), bers=list(args.bers),
-        task=None if args.task == "wooden" else args.task, scenario=suite,
+        task=args.task, scenario=suite,
         seed=args.seed)
 
 
@@ -454,7 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
                                        for name in sorted(CAMPAIGN_PRESETS)))
     campaign.add_argument("preset", choices=sorted(CAMPAIGN_PRESETS),
                           help="which experiment campaign to run")
-    campaign.add_argument("--task", default="wooden", help="task name (default: wooden)")
+    campaign.add_argument("--task", default=None,
+                          help="task name (default: the preset's own, e.g. wooden)")
     campaign.add_argument("--tasks", nargs="+", default=None,
                           help="task list (presets spanning several tasks)")
     campaign.add_argument("--bers", type=float, nargs="+", default=[1e-4, 1e-3, 3e-3])
@@ -691,10 +697,20 @@ def _run_mission(args) -> int:
     return 0
 
 
+def _grid_rows(result) -> int:
+    """How many cells of its own grid ``result``'s table holds.  A resumed
+    table may also hold rows of an earlier, larger grid; no count the CLI
+    prints includes them."""
+    from .eval.campaign import enumerate_cells
+
+    return sum(result.table.has(cell.spec_key, cell.seed)
+               for cell in enumerate_cells(result.specs))
+
+
 def _report_run_table(result) -> None:
     if result.csv_path is not None:
         print(f"run table: {result.csv_path} "
-              f"({result.executed_trials} new trials, {len(result.table)} total)")
+              f"({result.executed_trials} new trials, {_grid_rows(result)} total)")
     if result.executed_trials:
         print(f"profile: {result.profile().format()}")
 
@@ -722,13 +738,13 @@ def _check_campaign_tasks(args) -> None:
     """Make a ``--task`` / ``--tasks`` name outside the preset's suite a usage error.
 
     Runs before anything is declared or built.  An option the preset does
-    not use is only noted (:func:`_warn_ignored_options`), and the default
-    ``--task`` stands for the preset's own default task.
+    not use is only noted (:func:`_warn_ignored_options`); without
+    ``--task`` each preset picks its own default task.
     """
     parser = args.campaign_parser
     row = CAMPAIGN_PRESETS[args.preset]
     given = []
-    if "task" in row.options and args.task != parser.get_default("task"):
+    if "task" in row.options and args.task is not None:
         given.append(("--task", [args.task]))
     if "tasks" in row.options and args.tasks:
         given.append(("--tasks", args.tasks))
@@ -812,7 +828,7 @@ def _run_paper(args) -> int:
         print(f"[paper {index}/{len(runs)}] {name}: {row.figure}")
         results = _run_preset(args, row, out)
         executed = sum(r.executed_trials for r in results)
-        rows = sum(len(r.table) for r in results)
+        rows = sum(_grid_rows(r) for r in results)
         total_executed += executed
         total_rows += rows
         print(f"[paper {index}/{len(runs)}] {name}: "
@@ -878,7 +894,7 @@ def _campaign_dry_run(args, shard) -> int:
         for condition, cells in plan.counts():
             print(f"  {condition}: {cells} cells")
         print(f"  total {plan.total_cells} cells, {len(pending)} pending "
-              f"({len(table)} already in the run table)")
+              f"({plan.total_cells - len(pending)} already in the run table)")
         if shard is not None:
             mine, _ = shard.split(pending)
             print(f"  shard {shard}: {len(mine)} of {len(pending)} pending cells")
@@ -925,9 +941,9 @@ def _campaign_enqueue(args) -> int:
 def _campaign_shard_run(args, shard) -> int:
     """Execute this shard's cells of every declared campaign; print counts.
 
-    The cells of other shards are counted from the shard split of each
-    campaign's pending cells: the resumed table may hold rows outside the
-    current grid, so its size says nothing about them.
+    The resumed table may hold rows outside the current grid, so its size
+    says nothing: rows held count the grid's own cells, and the cells of
+    other shards come from the shard split of each campaign's pending cells.
     """
     from .eval.campaign import run_campaign
 
@@ -936,12 +952,12 @@ def _campaign_shard_run(args, shard) -> int:
         _, others = shard.split(plan.pending(_resume_table(out, plan)))
         result = run_campaign(plan.specs, jobs=args.jobs, out=out, name=plan.name,
                               batch=args.batch, shard=shard)
+        held = _grid_rows(result)
         executed += result.executed_trials
-        rows += len(result.table)
+        rows += held
         foreign += len(others)
         print(f"[{preset}] {result.csv_path}: "
-              f"{result.executed_trials} cells executed, "
-              f"{len(result.table)} rows held")
+              f"{result.executed_trials} cells executed, {held} rows held")
     print(f"shard {shard}: executed {executed} new cells, {rows} rows "
           f"persisted; {foreign} cells belong to other shards")
     print("run every shard, then combine the tables with: "

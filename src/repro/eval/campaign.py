@@ -42,9 +42,9 @@ the canonical ``<name>.csv`` / ``<name>.json`` files — wall time depends on
 machine load, and the canonical files must stay byte-identical across
 serial/parallel/batched runs.
 
-Systems may also be passed as live :class:`~repro.agents.EmbodiedSystem` /
-:class:`~repro.agents.MissionExecutor` objects (``systems=`` mapping); those
-run in-process, which restricts the campaign to serial execution.
+A spec names its system by registry key only; a custom system is added
+with :func:`~repro.agents.registry.register_system` and then runs like a
+built-in one, serially or on a pool.
 
 See ``docs/campaigns.md`` for a walkthrough and ``docs/runtable-schema.md``
 for the on-disk format.
@@ -62,11 +62,12 @@ import sys
 import time
 from dataclasses import dataclass, is_dataclass, asdict, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..agents.executor import MissionExecutor
 from ..agents.fleet import MAX_FLEET_SIZE
-from ..agents.jarvis import EmbodiedSystem
+from ..agents.registry import (BUILTIN_SYSTEM_KEYS, SYSTEM_FACTORIES, _require_key,
+                               get_system, on_system_eviction, system_keys)
 from ..core.create import ProtectionConfig
 from ..core.voltage_scaling import VoltageScalingConfig
 from .metrics import TrialSummary
@@ -76,11 +77,8 @@ from .shard import Shard
 
 __all__ = ["TrialSpec", "CampaignResult", "CampaignRunner", "run_campaign",
            "run_plans", "CampaignProfile", "ProfileBucket", "collect_results",
-           "protection_signature", "system_ref", "merge_overrides", "slugify",
-           "SystemLike", "enumerate_cells", "pending_cells", "CellPool"]
-
-#: Anything an experiment accepts as "the system under test".
-SystemLike = Union[str, EmbodiedSystem, MissionExecutor]
+           "protection_signature", "slugify", "enumerate_cells",
+           "pending_cells", "CellPool"]
 
 #: Largest batch the auto-tuner will pick; keeps streaming granular even for
 #: huge campaigns (a batch only reaches the parent — and the disk — whole).
@@ -184,6 +182,7 @@ class TrialSpec:
     fleet: int = 1
 
     def __post_init__(self):
+        _require_key(self.system)
         if not self.condition:
             raise ValueError("condition label must be non-empty")
         if self.num_trials <= 0:
@@ -210,49 +209,6 @@ class TrialSpec:
 
     def params_json(self) -> str:
         return json.dumps(dict(self.params))
-
-
-def system_ref(system: SystemLike, hint: str = "") -> tuple[str, dict[str, object]]:
-    """Normalize a system argument into (key, in-process overrides).
-
-    Registry key strings pass through untouched.  Live objects get a stable
-    pseudo-key (so run tables can still resume) and are returned as an
-    override mapping for :class:`CampaignRunner`'s in-process execution path.
-    The pseudo-key encodes the system's observable configuration (name,
-    rotation, quantization, predictor) — pass distinct ``hint`` values to
-    disambiguate systems this cannot tell apart.
-    """
-    if isinstance(system, str):
-        return system, {}
-    if isinstance(system, EmbodiedSystem):
-        parts = ["local", system.name,
-                 "rotated" if system.planner_rotated else "plain",
-                 str(system.controller.spec).lower()]
-        if system.planner is None:
-            parts.append("noplanner")
-        if system.predictor is None:
-            parts.append("nopredictor")
-        if hint:
-            parts.append(hint)
-        key = "/".join(parts)
-        return key, {key: system}
-    if isinstance(system, MissionExecutor):
-        key = "/".join(p for p in ("local", "executor", hint) if p)
-        return key, {key: system}
-    raise TypeError(f"expected a system key, EmbodiedSystem or MissionExecutor, "
-                    f"got {type(system).__name__}")
-
-
-def merge_overrides(target: dict[str, object],
-                    overrides: Mapping[str, object]) -> dict[str, object]:
-    """Merge in-process system overrides, refusing silent key collisions."""
-    for key, system in overrides.items():
-        if key in target and target[key] is not system:
-            raise ValueError(
-                f"two distinct in-process systems map to the key {key!r}; pass "
-                "registry keys (repro.agents.registry) or distinct system_ref hints")
-        target[key] = system
-    return target
 
 
 # ----------------------------------------------------------------------
@@ -317,21 +273,14 @@ def _worker_id() -> str:
             f"{multiprocessing.current_process().name}")
 
 
-def _plan_cache_state(executor) -> str:
-    """``plan_cache`` profile stamp: the executor's plan provenance, or ``""``.
-
-    Queried *before* the cell runs, so the first cell over a freshly built
-    executor stamps ``miss`` (it pays the plan build) and later cells stamp
-    ``hit`` / ``shm``.  Duck-typed executor stand-ins without the method
-    stamp the empty string, like legacy rows.
-    """
-    state = getattr(executor, "plan_cache_state", None)
-    return state() if callable(state) else ""
-
-
 def _run_cell(cell: _Cell, executor: MissionExecutor) -> RunRecord:
-    """Execute one cell scalar-style and stamp its profile attribution."""
-    plan_cache = _plan_cache_state(executor)
+    """Execute one cell scalar-style and stamp its profile attribution.
+
+    ``plan_cache`` is queried before the cell runs, so the first cell over
+    a freshly built executor stamps ``miss`` (it pays the plan build) and
+    later cells stamp ``hit`` / ``shm``.
+    """
+    plan_cache = executor.plan_cache_state()
     start = time.perf_counter()
     trial = executor.run_trial(cell.task, seed=cell.seed,
                                planner_protection=cell.planner_protection,
@@ -371,13 +320,9 @@ def _vectorizable(cells: Sequence[_Cell], executor: MissionExecutor) -> bool:
 
     Batching needs at least two lanes to amortize anything and a planner to
     batch over; planner-less systems run scalar (their trials have no decode
-    loop for cross-prompt batching to accelerate).  ``getattr`` keeps
-    duck-typed executor stand-ins (wrappers exposing only ``run_trial``) on
-    the scalar path instead of crashing the campaign.
+    loop for cross-prompt batching to accelerate).
     """
-    return (len(cells) >= 2
-            and getattr(executor, "planner", None) is not None
-            and hasattr(executor, "run_trial_batch"))
+    return len(cells) >= 2 and executor.planner is not None
 
 
 def _group_runs(cells: Sequence[_Cell],
@@ -409,7 +354,7 @@ def _run_lane_group(cells: Sequence[_Cell], executor: MissionExecutor,
                     vector_path: str) -> list[RunRecord]:
     """Run one batched lane group and stamp its profile attribution."""
     first = cells[0]
-    plan_cache = _plan_cache_state(executor)
+    plan_cache = executor.plan_cache_state()
     start = time.perf_counter()
     trials = executor.run_trial_batch(
         first.task, [cell.seed for cell in cells],
@@ -457,8 +402,6 @@ def _publish_system_plans(systems: set[str]):
     for key in sorted(systems):
         entry = _SHM_MANIFESTS.get(key)
         if entry is None:
-            from ..agents.registry import SYSTEM_FACTORIES, get_system
-
             if key not in SYSTEM_FACTORIES:
                 continue
             entry = {}
@@ -507,8 +450,6 @@ def _worker_executor(key: str, shm_plans=None) -> MissionExecutor:
     """This worker's cached executor for a system key (built on first use)."""
     executor = _WORKER_EXECUTORS.get(key)
     if executor is None:
-        from ..agents.registry import get_system
-
         system = get_system(key)
         _adopt_shared_plans(key, system, shm_plans)
         executor = system.executor()
@@ -524,8 +465,6 @@ def _register_eviction_hook() -> None:
     over systems the registry no longer serves — a stale executor would keep
     running trials on the old instance in-process.
     """
-    from ..agents.registry import on_system_eviction
-
     @on_system_eviction
     def _evict_worker_state(key: str | None) -> None:
         if key is None:
@@ -540,7 +479,6 @@ _register_eviction_hook()
 
 
 def _pool_run_batch(cells: tuple[_Cell, ...], shm_plans: dict | None = None,
-                    executor_for: Callable[[str], MissionExecutor] | None = None,
                     sink: Callable[[list[RunRecord]], None] | None = None
                     ) -> list[RunRecord]:
     """The one cell dispatcher: run a chunk of cells in order, return its rows.
@@ -549,16 +487,12 @@ def _pool_run_batch(cells: tuple[_Cell, ...], shm_plans: dict | None = None,
     :class:`CellPool` children run it as their task function.  Every trial
     is seeded by its own cell, so chunk composition cannot change results.
     ``shm_plans`` carries the parent's weight-plane manifests (workers
-    attach zero-copy, falling back silently when they can't);
-    ``executor_for`` replaces this process's cached registry executors (the
-    campaign's ``systems=`` overrides); ``sink`` receives each lane group's
-    or scalar cell's rows the moment they exist.
+    attach zero-copy, falling back silently when they can't); ``sink``
+    receives each lane group's or scalar cell's rows the moment they exist.
     """
     records: list[RunRecord] = []
     for group in _chunk_cells(cells, len(cells)):  # same-spec groups
-        key = group[0].system
-        executor = (_worker_executor(key, shm_plans) if executor_for is None
-                    else executor_for(key))
+        executor = _worker_executor(group[0].system, shm_plans)
         for produced in _group_runs(group, executor):
             if sink is not None:
                 sink(produced)
@@ -571,7 +505,8 @@ _PR_SET_PDEATHSIG = 1
 
 
 def _pool_child_init(owner: int) -> None:
-    """Pool-child set-up: SIGTERM kills it, and it dies with its owner.
+    """Pool-child set-up: SIGTERM kills it, it dies with its owner, and it
+    builds its own executors.
 
     A forked child inherits its owner's signal handlers; under
     :class:`~repro.eval.scheduler.WorkerDaemon`, whose SIGTERM handler only
@@ -579,10 +514,14 @@ def _pool_child_init(owner: int) -> None:
     On Linux, ``PR_SET_PDEATHSIG`` has the kernel SIGKILL the child when the
     thread that forked it exits (the pool forks from the thread of its first
     :meth:`CellPool.submit`), a SIGKILLed owner included; the ``getppid``
-    re-check covers an owner that died before the call.
+    re-check covers an owner that died before the call.  Executors a forked
+    child inherits from its owner's serial runs hold process-private plans;
+    dropping them makes the child build executors that adopt the published
+    weight-plane plans.
     """
     import signal
 
+    _WORKER_EXECUTORS.clear()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if sys.platform.startswith("linux"):
         import ctypes
@@ -649,8 +588,6 @@ class CellPool:
         if not new:
             return
         if self._context is None:
-            from ..agents.registry import BUILTIN_SYSTEM_KEYS
-
             custom = sorted(new - BUILTIN_SYSTEM_KEYS)
             if custom:
                 raise ValueError(
@@ -880,18 +817,16 @@ class CampaignRunner:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` runs in-process; ``> 1`` requires every spec
-        to name a system key from :mod:`repro.agents.registry` (or one of the
-        ``systems`` overrides backed by a registry key).
+        Worker processes.  ``1`` runs in-process, ``> 1`` on a
+        :class:`CellPool`; either way every spec names a system key of
+        :mod:`repro.agents.registry`, and an unknown key fails before any
+        cell runs or any run-table file is opened.
     out:
         Directory for the persistent run table (``<out>/<name>.csv`` and
         ``.json``, plus the ``profiles/<name>.csv`` execution log).  ``None``
         keeps the campaign in memory.  While the campaign runs, completed
         rows are appended to the CSV and flushed immediately; on completion
         the file is rewritten in canonical (spec order, then seed) order.
-    systems:
-        Optional mapping of system key to a live :class:`EmbodiedSystem` or
-        :class:`MissionExecutor` used for in-process execution.
     resume:
         When true (default) and ``out`` holds a table, completed
         (spec, seed) cells are loaded instead of re-executed.  A truncated
@@ -915,49 +850,34 @@ class CampaignRunner:
     """
 
     def __init__(self, jobs: int = 1, out: str | Path | None = None,
-                 systems: Mapping[str, object] | None = None, resume: bool = True,
-                 batch: int | None = None, shard: Shard | None = None):
+                 resume: bool = True, batch: int | None = None,
+                 shard: Shard | None = None):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if batch is not None and batch < 1:
             raise ValueError("batch must be >= 1 (or None to auto-tune)")
         self.jobs = jobs
         self.out = Path(out) if out is not None else None
-        self.systems: dict[str, object] = dict(systems or {})
         self.resume = resume
         self.batch = batch
         self.shard = shard
-        self._executors: dict[str, MissionExecutor] = {}
 
     # ------------------------------------------------------------------
-    def _executor_for(self, key: str) -> MissionExecutor:
-        executor = self._executors.get(key)
-        if executor is None:
-            obj = self.systems.get(key)
-            if obj is None:
-                from ..agents.registry import get_system
-
-                obj = get_system(key)
-            executor = obj if isinstance(obj, MissionExecutor) else obj.executor()
-            self._executors[key] = executor
-        return executor
-
     def _batch_size(self, num_cells: int) -> int:
         """Cells per worker task: explicit ``batch=``, else :func:`_auto_batch`."""
         if self.batch is not None:
             return self.batch
         return _auto_batch(num_cells, self.jobs)
 
-    def _execute(self, cells: list[_Cell], cell_systems: set[str],
+    def _execute(self, cells: list[_Cell],
                  sink: Callable[[list[RunRecord]], None]) -> None:
         """Run the pending cells, handing their rows to ``sink``: serially
         as one chunk on this thread, else as :meth:`_batch_size`-capped,
         spec-aligned chunks on a :class:`CellPool`, in completion order."""
         if self.jobs == 1:
-            _pool_run_batch(tuple(cells), executor_for=self._executor_for,
-                            sink=sink)
+            _pool_run_batch(tuple(cells), sink=sink)
             return
-        with CellPool(self.jobs, cell_systems) as pool:
+        with CellPool(self.jobs, {cell.system for cell in cells}) as pool:
             for chunk in _chunk_cells(cells, self._batch_size(len(cells))):
                 pool.submit(chunk, chunk)
             while pool.inflight:
@@ -980,6 +900,11 @@ class CampaignRunner:
         conditions = [spec.condition for spec in specs]
         if len(set(conditions)) != len(conditions):
             raise ValueError("condition labels must be unique within a campaign")
+        unknown = sorted({spec.system for spec in specs} - SYSTEM_FACTORIES.keys())
+        if unknown:
+            raise KeyError(f"unknown system key {', '.join(map(repr, unknown))}; "
+                           f"registered keys: {', '.join(system_keys())} (add a "
+                           "custom system with repro.agents.registry.register_system)")
 
         csv_path = self.out / f"{name}.csv" if self.out is not None else None
         json_path = self.out / f"{name}.json" if self.out is not None else None
@@ -1005,20 +930,6 @@ class CampaignRunner:
             cells = self.shard.filter(cells)
 
         if cells:
-            cell_systems = {cell.system for cell in cells}
-            if self.jobs > 1:
-                # Workers can only run systems they can rebuild from the
-                # registry; ``systems`` overrides are in-process objects.
-                from ..agents.registry import SYSTEM_FACTORIES
-
-                blockers = sorted(key for key in cell_systems
-                                  if key not in SYSTEM_FACTORIES
-                                  or key in self.systems)
-                if blockers:
-                    raise ValueError(
-                        "parallel campaigns require registry system keys "
-                        "(see repro.agents.registry); cannot parallelize "
-                        "over: " + ", ".join(blockers))
             with contextlib.ExitStack() as stack:
                 writers: list[RunTableWriter] = []
                 # Profile sidecar first: if a crash lands between the two
@@ -1038,7 +949,7 @@ class CampaignRunner:
                             writer.write(record)
                         table.add(record)
 
-                self._execute(cells, cell_systems, sink)
+                self._execute(cells, sink)
 
         table = table.sorted({key: index for index, key in enumerate(keys)})
         if csv_path is not None:
@@ -1061,7 +972,7 @@ class CampaignRunner:
         order, then seed) row order across shard tables — without it the
         merge falls back to sorting by ``spec_key``, which is deterministic
         but not byte-identical to a single-host run.  Best-effort: specs
-        over live in-process systems have no JSON form and are skipped.
+        whose protections have no JSON form are skipped.
         """
         from .scheduler import CampaignPlan
 
@@ -1073,16 +984,14 @@ class CampaignRunner:
 
 def run_campaign(specs: Sequence[TrialSpec], jobs: int = 1,
                  out: str | Path | None = None, name: str = "campaign",
-                 systems: Mapping[str, object] | None = None,
                  resume: bool = True, batch: int | None = None,
                  shard: Shard | None = None) -> CampaignResult:
     """One-shot convenience wrapper around :class:`CampaignRunner`."""
-    return CampaignRunner(jobs=jobs, out=out, systems=systems, resume=resume,
-                          batch=batch, shard=shard).run(specs, name=name)
+    return CampaignRunner(jobs=jobs, out=out, resume=resume, batch=batch,
+                          shard=shard).run(specs, name=name)
 
 
 def run_plans(plans: Iterable, jobs: int = 1, out: str | Path | None = None,
-              systems: Mapping[str, object] | None = None,
               batch: int | None = None) -> list[CampaignResult]:
     """Run declared campaign plans in order, one :func:`run_campaign` each.
 
@@ -1090,4 +999,4 @@ def run_plans(plans: Iterable, jobs: int = 1, out: str | Path | None = None,
     declaration returns :class:`~repro.eval.scheduler.CampaignPlan` s.
     """
     return [run_campaign(plan.specs, jobs=jobs, out=out, name=plan.name,
-                         systems=systems, batch=batch) for plan in plans]
+                         batch=batch) for plan in plans]

@@ -11,8 +11,9 @@ All trial-loop experiments execute through the campaign engine
 seed) cells out over worker processes, ``batch`` groups several cells per
 worker task to amortize IPC for short trials, and ``out`` persists (and
 streams) the run table so repeated invocations only execute missing cells.
-Systems may be passed as registry keys (see :mod:`repro.agents.registry`),
-live :class:`~repro.agents.EmbodiedSystem` objects, or executors.
+Every campaign names its systems by registry key (see
+:mod:`repro.agents.registry`); a custom system is added with
+:func:`~repro.agents.registry.register_system` and passed by its key.
 
 Each experiment a ``repro-create campaign`` preset runs also has a
 declaration, ``<experiment>_plans``, returning its
@@ -33,17 +34,18 @@ import numpy as np
 
 from ..agents.jarvis import EmbodiedSystem
 from ..agents import platforms
+from ..agents.registry import system_has_predictor
 from ..core.baselines import AbftModel, DmrModel
 from ..core.create import CreateConfig, ProtectionConfig
-from ..core.policies import ConstantVoltagePolicy, REFERENCE_POLICIES, VoltagePolicy, pareto_front
+from ..core.policies import ConstantVoltagePolicy, REFERENCE_POLICIES, VoltagePolicy
 from ..core.voltage_scaling import VoltageScalingConfig
 from ..faults.models import UniformErrorModel, VoltageErrorModel
 from ..hardware.accelerator import Accelerator
 from ..hardware.energy import BatteryModel, EnergyModel
 from ..hardware.timing import NOMINAL_VOLTAGE, TimingErrorModel
-from ..quant import INT4, INT8, QuantSpec
-from .campaign import (CampaignResult, CampaignRunner, SystemLike, TrialSpec,
-                       merge_overrides, run_campaign, run_plans, slugify, system_ref)
+from ..quant import INT4, INT8
+from .campaign import (CampaignResult, CampaignRunner, TrialSpec, run_campaign,
+                       run_plans, slugify)
 from .metrics import TrialSummary, energy_savings_percent
 from .resilience import SweepPoint, SweepResult, ber_sweep_plans, ber_sweep_summary
 from .scheduler import CampaignPlan
@@ -164,7 +166,7 @@ def rotation_study(plain_system: EmbodiedSystem, rotated_system: EmbodiedSystem,
 # ----------------------------------------------------------------------
 # Fig. 13a-c: AD and WR evaluation
 # ----------------------------------------------------------------------
-def ad_evaluation_plans(system: SystemLike, task: str, bers: list[float],
+def ad_evaluation_plans(system: str, task: str, bers: list[float],
                         target: str, num_trials: int = 16, seed: int = 0,
                         exposure_scale: float = 1.0) -> list[CampaignPlan]:
     """Declare :func:`ad_evaluation`: the BER sweep without, then with, AD."""
@@ -182,7 +184,7 @@ def sweep_summaries(results: Sequence[CampaignResult]) -> dict[str, SweepResult]
     return {sweep.label.lower().replace(" ", "_"): sweep for sweep in sweeps}
 
 
-def ad_evaluation(system: SystemLike, task: str, bers: list[float],
+def ad_evaluation(system: str, task: str, bers: list[float],
                   target: str, num_trials: int = 16, seed: int = 0,
                   exposure_scale: float = 1.0, jobs: int = 1,
                   out: str | None = None,
@@ -190,11 +192,10 @@ def ad_evaluation(system: SystemLike, task: str, bers: list[float],
     """Success/steps vs. BER with and without anomaly detection (Fig. 13a/b)."""
     plans = ad_evaluation_plans(system, task, bers, target, num_trials, seed,
                                 exposure_scale)
-    return sweep_summaries(run_plans(plans, jobs=jobs, out=out, batch=batch,
-                                     systems=system_ref(system)[1]))
+    return sweep_summaries(run_plans(plans, jobs=jobs, out=out, batch=batch))
 
 
-def wr_evaluation_plans(plain_system: SystemLike, rotated_system: SystemLike,
+def wr_evaluation_plans(plain_system: str, rotated_system: str,
                         task: str, bers: list[float], num_trials: int = 16,
                         seed: int = 0, anomaly_detection: bool = False,
                         exposure_scale: float = 1.0) -> list[CampaignPlan]:
@@ -208,22 +209,15 @@ def wr_evaluation_plans(plain_system: SystemLike, rotated_system: SystemLike,
                                         exposure_scale=exposure_scale, label=label)]
 
 
-def wr_evaluation(plain_system: SystemLike, rotated_system: SystemLike,
+def wr_evaluation(plain_system: str, rotated_system: str,
                   task: str, bers: list[float], num_trials: int = 16, seed: int = 0,
                   anomaly_detection: bool = False, exposure_scale: float = 1.0,
                   jobs: int = 1, out: str | None = None,
                   batch: int | None = None) -> dict[str, SweepResult]:
-    """Planner success vs. BER with and without weight rotation (Fig. 13c/e).
-
-    Each sweep runs with only its own system's in-process overrides, so two
-    live executors (which share a pseudo-key) never collide.
-    """
+    """Planner success vs. BER with and without weight rotation (Fig. 13c/e)."""
     plans = wr_evaluation_plans(plain_system, rotated_system, task, bers,
                                 num_trials, seed, anomaly_detection, exposure_scale)
-    return sweep_summaries([
-        run_campaign(plan.specs, jobs=jobs, out=out, name=plan.name, batch=batch,
-                     systems=system_ref(system)[1])
-        for plan, system in zip(plans, (plain_system, rotated_system))])
+    return sweep_summaries(run_plans(plans, jobs=jobs, out=out, batch=batch))
 
 
 # ----------------------------------------------------------------------
@@ -414,22 +408,7 @@ class PolicyEvaluation:
         return self.summary.effective_voltage
 
 
-def _has_predictor(system: SystemLike) -> bool:
-    """Whether the system under test ships an entropy predictor.
-
-    Registry keys are answered from the registry's declared trait table so
-    that *declaring* a campaign (``--dry-run``, queue enqueueing) never has
-    to build — and potentially train — the system just to pick the VS
-    entropy source.
-    """
-    if isinstance(system, str):
-        from ..agents.registry import system_has_predictor
-
-        return system_has_predictor(system)
-    return system.predictor is not None
-
-
-def vs_evaluation_plans(system: SystemLike, task: str,
+def vs_evaluation_plans(system: str, task: str,
                         policies: list[VoltagePolicy] | None = None,
                         constant_voltages: list[float] | None = None,
                         num_trials: int = 12, seed: int = 0,
@@ -441,8 +420,7 @@ def vs_evaluation_plans(system: SystemLike, task: str,
     constant_voltages = constant_voltages if constant_voltages is not None \
         else [0.82, 0.80, 0.78, 0.76, 0.74]
     all_policies = [ConstantVoltagePolicy(v) for v in constant_voltages] + list(policies)
-    key = system_ref(system)[0]
-    source = entropy_source if _has_predictor(system) else "oracle"
+    source = entropy_source if system_has_predictor(system) else "oracle"
     specs: list[TrialSpec] = []
     for policy in all_policies:
         if isinstance(policy, ConstantVoltagePolicy):
@@ -454,7 +432,7 @@ def vs_evaluation_plans(system: SystemLike, task: str,
                 voltage_scaling=VoltageScalingConfig(policy=policy,
                                                      update_interval=update_interval,
                                                      entropy_source=source))
-        specs.append(TrialSpec(condition=policy.name, system=key, task=task,
+        specs.append(TrialSpec(condition=policy.name, system=system, task=task,
                                num_trials=num_trials, seed=seed,
                                controller_protection=protection,
                                params=(("policy", policy.name),)))
@@ -478,7 +456,7 @@ def vs_evaluation_summary(results: Sequence[CampaignResult]) -> list[PolicyEvalu
     return evaluations
 
 
-def vs_evaluation(system: SystemLike, task: str,
+def vs_evaluation(system: str, task: str,
                   policies: list[VoltagePolicy] | None = None,
                   constant_voltages: list[float] | None = None,
                   num_trials: int = 12, seed: int = 0,
@@ -491,21 +469,19 @@ def vs_evaluation(system: SystemLike, task: str,
     plans = vs_evaluation_plans(system, task, policies, constant_voltages,
                                 num_trials, seed, anomaly_detection,
                                 update_interval, entropy_source)
-    return vs_evaluation_summary(run_plans(plans, jobs=jobs, out=out, batch=batch,
-                                           systems=system_ref(system)[1]))
+    return vs_evaluation_summary(run_plans(plans, jobs=jobs, out=out, batch=batch))
 
 
-def interval_sweep_plans(system: SystemLike, task: str,
+def interval_sweep_plans(system: str, task: str,
                          intervals: list[int] | None = None,
                          policy: VoltagePolicy | None = None, num_trials: int = 10,
                          seed: int = 0) -> list[CampaignPlan]:
     """Declare :func:`interval_sweep`'s one campaign: a spec per interval."""
     intervals = intervals or [1, 5, 10, 20]
     policy = policy or REFERENCE_POLICIES["C"]
-    key = system_ref(system)[0]
-    source = "predictor" if _has_predictor(system) else "oracle"
+    source = "predictor" if system_has_predictor(system) else "oracle"
     specs = [TrialSpec(
-        condition=f"interval={interval}", system=key, task=task,
+        condition=f"interval={interval}", system=system, task=task,
         num_trials=num_trials, seed=seed,
         controller_protection=ProtectionConfig(
             anomaly_detection=True,
@@ -523,25 +499,13 @@ def interval_sweep_summary(results: Sequence[CampaignResult]) -> dict[int, Trial
             for spec in result.specs}
 
 
-def interval_sweep(system: SystemLike, task: str, intervals: list[int] | None = None,
+def interval_sweep(system: str, task: str, intervals: list[int] | None = None,
                    policy: VoltagePolicy | None = None, num_trials: int = 10,
                    seed: int = 0, jobs: int = 1, out: str | None = None,
                    batch: int | None = None) -> dict[int, TrialSummary]:
     """Voltage-update-interval sensitivity (Fig. 15)."""
     plans = interval_sweep_plans(system, task, intervals, policy, num_trials, seed)
-    return interval_sweep_summary(run_plans(plans, jobs=jobs, out=out, batch=batch,
-                                            systems=system_ref(system)[1]))
-
-
-def policy_search_evaluation(system: EmbodiedSystem, task: str,
-                             candidates: list[VoltagePolicy],
-                             num_trials: int = 6, seed: int = 0) -> list[int]:
-    """Evaluate candidate policies and return the indices on the Pareto front."""
-    evaluations = vs_evaluation(system, task, policies=candidates, constant_voltages=[],
-                                num_trials=num_trials, seed=seed)
-    success = np.array([e.success_rate for e in evaluations])
-    voltage = np.array([e.effective_voltage for e in evaluations])
-    return pareto_front(success, voltage)
+    return interval_sweep_summary(run_plans(plans, jobs=jobs, out=out, batch=batch))
 
 
 # ----------------------------------------------------------------------
@@ -577,17 +541,17 @@ def _config_protections(has_predictor: bool, config: CreateConfig
     return planner_prot, controller_prot
 
 
-def overall_evaluation_plans(systems: dict[str, SystemLike], tasks: list[str],
+def overall_evaluation_plans(systems: dict[str, str], tasks: list[str],
                              configs: dict[str, CreateConfig], num_trials: int = 10,
                              seed: int = 0) -> list[CampaignPlan]:
     """Declare :func:`overall_evaluation`'s one campaign: configuration x task."""
     specs: list[TrialSpec] = []
     for label, config in configs.items():
         system = systems[label]
-        planner_prot, controller_prot = _config_protections(_has_predictor(system), config)
+        planner_prot, controller_prot = _config_protections(
+            system_has_predictor(system), config)
         for task in tasks:
-            specs.append(TrialSpec(condition=f"{label}/{task}",
-                                   system=system_ref(system)[0], task=task,
+            specs.append(TrialSpec(condition=f"{label}/{task}", system=system, task=task,
                                    num_trials=num_trials, seed=seed,
                                    planner_protection=planner_prot,
                                    controller_protection=controller_prot,
@@ -607,7 +571,7 @@ def overall_evaluation_summary(results: Sequence[CampaignResult]
     return overall
 
 
-def overall_evaluation(systems: dict[str, SystemLike], tasks: list[str],
+def overall_evaluation(systems: dict[str, str], tasks: list[str],
                        configs: dict[str, CreateConfig], num_trials: int = 10,
                        seed: int = 0, jobs: int = 1, out: str | None = None,
                        batch: int | None = None) -> dict[str, OverallResult]:
@@ -618,14 +582,11 @@ def overall_evaluation(systems: dict[str, SystemLike], tasks: list[str],
     to the CREATE configuration.
     """
     plans = overall_evaluation_plans(systems, tasks, configs, num_trials, seed)
-    overrides: dict[str, object] = {}
-    for label in configs:
-        merge_overrides(overrides, system_ref(systems[label])[1])
     return overall_evaluation_summary(run_plans(plans, jobs=jobs, out=out,
-                                                batch=batch, systems=overrides))
+                                                batch=batch))
 
 
-def minimum_voltage_search(system: SystemLike, task: str, config: CreateConfig,
+def minimum_voltage_search(system: str, task: str, config: CreateConfig,
                            voltages: list[float] | None = None,
                            success_threshold: float = 0.85, num_trials: int = 8,
                            seed: int = 0, jobs: int = 1, out: str | None = None,
@@ -639,9 +600,8 @@ def minimum_voltage_search(system: SystemLike, task: str, config: CreateConfig,
     search stops at the first failing voltage, so each candidate runs as its
     own (resumable) campaign step.
     """
-    key, overrides = system_ref(system)
-    has_predictor = _has_predictor(system)
-    runner = CampaignRunner(jobs=jobs, out=out, systems=overrides, batch=batch)
+    has_predictor = system_has_predictor(system)
+    runner = CampaignRunner(jobs=jobs, out=out, batch=batch)
     name = slugify(f"minimum-voltage-{task}-{config.label()}")
     voltages = voltages or [0.84, 0.82, 0.80, 0.78, 0.76, 0.74, 0.72]
     summaries: dict[float, TrialSummary] = {}
@@ -656,7 +616,7 @@ def minimum_voltage_search(system: SystemLike, task: str, config: CreateConfig,
             controller_voltage=None if config.vs_policy is not None else voltage,
             exposure_scale=config.exposure_scale)
         planner_prot, controller_prot = _config_protections(has_predictor, candidate)
-        spec = TrialSpec(condition=f"v={float(voltage)!r}", system=key, task=task,
+        spec = TrialSpec(condition=f"v={float(voltage)!r}", system=system, task=task,
                          num_trials=num_trials, seed=seed,
                          planner_protection=planner_prot,
                          controller_protection=controller_prot,
@@ -674,7 +634,7 @@ def minimum_voltage_search(system: SystemLike, task: str, config: CreateConfig,
 # ----------------------------------------------------------------------
 # Fig. 17: cross-platform generality
 # ----------------------------------------------------------------------
-def cross_platform_planner_eval(system: SystemLike, rotated_system: SystemLike,
+def cross_platform_planner_eval(system: str, rotated_system: str,
                                 tasks: list[str], voltage: float = 0.78,
                                 num_trials: int = 8, seed: int = 0, jobs: int = 1,
                                 out: str | None = None, batch: int | None = None
@@ -686,20 +646,18 @@ def cross_platform_planner_eval(system: SystemLike, rotated_system: SystemLike,
     planner's computational energy (the run table's per-voltage MAC columns).
     """
     energy_model = EnergyModel()
-    base_key, base_overrides = system_ref(system, hint="plain")
-    rot_key, rot_overrides = system_ref(rotated_system, hint="rotated")
     prot = ProtectionConfig(voltage=voltage, anomaly_detection=True)
     specs: list[TrialSpec] = []
     for task in tasks:
-        specs.append(TrialSpec(condition=f"{task}/baseline", system=base_key, task=task,
+        specs.append(TrialSpec(condition=f"{task}/baseline", system=system, task=task,
                                num_trials=num_trials, seed=seed,
                                params=(("task", task), ("arm", "baseline"))))
-        specs.append(TrialSpec(condition=f"{task}/ad+wr", system=rot_key, task=task,
-                               num_trials=num_trials, seed=seed, planner_protection=prot,
+        specs.append(TrialSpec(condition=f"{task}/ad+wr", system=rotated_system,
+                               task=task, num_trials=num_trials, seed=seed,
+                               planner_protection=prot,
                                params=(("task", task), ("arm", "ad+wr"))))
     campaign = run_campaign(specs, jobs=jobs, out=out, batch=batch,
-                            systems=merge_overrides(dict(base_overrides), rot_overrides),
-                            name=slugify(f"cross-platform-planner-{rot_key}"))
+                            name=slugify(f"cross-platform-planner-{rotated_system}"))
     results: dict[str, dict[str, float]] = {}
     for task in tasks:
         base_records = campaign.records(f"{task}/baseline")
@@ -718,7 +676,7 @@ def cross_platform_planner_eval(system: SystemLike, rotated_system: SystemLike,
     return results
 
 
-def cross_platform_controller_eval(system: SystemLike, tasks: list[str],
+def cross_platform_controller_eval(system: str, tasks: list[str],
                                    policy: VoltagePolicy | None = None,
                                    num_trials: int = 8, seed: int = 0, jobs: int = 1,
                                    out: str | None = None, batch: int | None = None
@@ -726,22 +684,21 @@ def cross_platform_controller_eval(system: SystemLike, tasks: list[str],
     """AD+VS controller energy savings on one platform (Fig. 17b)."""
     energy_model = EnergyModel()
     policy = policy or REFERENCE_POLICIES["C"]
-    key, overrides = system_ref(system)
-    source = "predictor" if _has_predictor(system) else "oracle"
+    source = "predictor" if system_has_predictor(system) else "oracle"
     prot = ProtectionConfig(anomaly_detection=True,
                             voltage_scaling=VoltageScalingConfig(policy=policy,
                                                                  entropy_source=source))
     specs: list[TrialSpec] = []
     for task in tasks:
-        specs.append(TrialSpec(condition=f"{task}/baseline", system=key, task=task,
+        specs.append(TrialSpec(condition=f"{task}/baseline", system=system, task=task,
                                num_trials=num_trials, seed=seed,
                                params=(("task", task), ("arm", "baseline"))))
-        specs.append(TrialSpec(condition=f"{task}/ad+vs", system=key, task=task,
+        specs.append(TrialSpec(condition=f"{task}/ad+vs", system=system, task=task,
                                num_trials=num_trials, seed=seed,
                                controller_protection=prot,
                                params=(("task", task), ("arm", "ad+vs"))))
-    campaign = run_campaign(specs, jobs=jobs, out=out, systems=overrides, batch=batch,
-                            name=slugify(f"cross-platform-controller-{key}"))
+    campaign = run_campaign(specs, jobs=jobs, out=out, batch=batch,
+                            name=slugify(f"cross-platform-controller-{system}"))
     results: dict[str, dict[str, float]] = {}
     for task in tasks:
         base_records = campaign.records(f"{task}/baseline")
@@ -809,14 +766,13 @@ def chip_energy_breakdown(compute_savings_percent: dict[str, float] | None = Non
 # ----------------------------------------------------------------------
 # Fig. 19: uniform vs. hardware-specific error models
 # ----------------------------------------------------------------------
-def error_model_comparison(system: SystemLike, task: str, target: str,
+def error_model_comparison(system: str, task: str, target: str,
                            voltages: list[float] | None = None, num_trials: int = 12,
                            seed: int = 0, jobs: int = 1, out: str | None = None,
                            batch: int | None = None) -> dict[str, dict[float, float]]:
     """Success under the voltage-LUT model vs. a uniform model of equal mean BER."""
     timing = TimingErrorModel()
     voltages = voltages or [0.80, 0.775, 0.75, 0.725]
-    key, overrides = system_ref(system)
     specs: list[TrialSpec] = []
     for voltage in voltages:
         mean_ber = timing.mean_bit_error_rate(voltage)
@@ -828,11 +784,11 @@ def error_model_comparison(system: SystemLike, task: str, target: str,
             kwargs = {"planner_protection": protection} if target == "planner" \
                 else {"controller_protection": protection}
             specs.append(TrialSpec(
-                condition=f"{label}/v={float(voltage)!r}", system=key, task=task,
+                condition=f"{label}/v={float(voltage)!r}", system=system, task=task,
                 num_trials=num_trials, seed=seed,
                 params=(("model", label), ("voltage", repr(float(voltage)))),
                 **kwargs))
-    campaign = run_campaign(specs, jobs=jobs, out=out, systems=overrides, batch=batch,
+    campaign = run_campaign(specs, jobs=jobs, out=out, batch=batch,
                             name=slugify(f"error-models-{task}-{target}"))
     results: dict[str, dict[float, float]] = {"uniform": {}, "hardware": {}}
     for spec in specs:
@@ -844,27 +800,25 @@ def error_model_comparison(system: SystemLike, task: str, target: str,
 # ----------------------------------------------------------------------
 # Fig. 20: comparison with existing techniques
 # ----------------------------------------------------------------------
-def baseline_comparison_plans(plain_system: SystemLike, rotated_system: SystemLike,
+def baseline_comparison_plans(plain_system: str, rotated_system: str,
                               task: str, voltages: list[float] | None = None,
                               num_trials: int = 8, seed: int = 0) -> list[CampaignPlan]:
     """Declare :func:`baseline_comparison`'s one campaign: the clean run, then
     the CREATE and ThUnderVolt arms per voltage."""
     voltages = voltages or [0.85, 0.80, 0.775, 0.75]
-    plain_key = system_ref(plain_system, hint="plain")[0]
-    rot_key = system_ref(rotated_system, hint="rotated")[0]
-    specs: list[TrialSpec] = [TrialSpec(condition="clean", system=plain_key, task=task,
+    specs: list[TrialSpec] = [TrialSpec(condition="clean", system=plain_system, task=task,
                                         num_trials=num_trials, seed=seed,
                                         params=(("arm", "clean"),))]
     for voltage in voltages:
         protection = ProtectionConfig(voltage=voltage, anomaly_detection=True)
         specs.append(TrialSpec(
-            condition=f"create/v={float(voltage)!r}", system=rot_key, task=task,
+            condition=f"create/v={float(voltage)!r}", system=rotated_system, task=task,
             num_trials=num_trials, seed=seed,
             planner_protection=protection, controller_protection=protection,
             params=(("arm", "create"), ("voltage", repr(float(voltage))))))
         tv_protection = ProtectionConfig(voltage=voltage, injector_kind="thundervolt")
         specs.append(TrialSpec(
-            condition=f"thundervolt/v={float(voltage)!r}", system=plain_key, task=task,
+            condition=f"thundervolt/v={float(voltage)!r}", system=plain_system, task=task,
             num_trials=num_trials, seed=seed,
             planner_protection=tv_protection, controller_protection=tv_protection,
             params=(("arm", "thundervolt"), ("voltage", repr(float(voltage))))))
@@ -917,7 +871,7 @@ def baseline_comparison_summary(results: Sequence[CampaignResult]
     return arms
 
 
-def baseline_comparison(plain_system: SystemLike, rotated_system: SystemLike,
+def baseline_comparison(plain_system: str, rotated_system: str,
                         task: str, voltages: list[float] | None = None,
                         num_trials: int = 8, seed: int = 0, jobs: int = 1,
                         out: str | None = None, batch: int | None = None
@@ -925,21 +879,19 @@ def baseline_comparison(plain_system: SystemLike, rotated_system: SystemLike,
     """CREATE vs. DMR / ThUnderVolt / ABFT: success and energy across voltages."""
     plans = baseline_comparison_plans(plain_system, rotated_system, task, voltages,
                                       num_trials, seed)
-    overrides = merge_overrides(dict(system_ref(plain_system, hint="plain")[1]),
-                                system_ref(rotated_system, hint="rotated")[1])
     return baseline_comparison_summary(run_plans(plans, jobs=jobs, out=out,
-                                                 batch=batch, systems=overrides))
+                                                 batch=batch))
 
 
 # ----------------------------------------------------------------------
 # Table 5 / Table 6
 # ----------------------------------------------------------------------
-def repetition_study_plans(system: SystemLike, task: str, ber: float,
+def repetition_study_plans(system: str, task: str, ber: float,
                            repetition_counts: list[int], seed: int = 0
                            ) -> list[CampaignPlan]:
     """Declare :func:`repetition_study`'s one campaign: the largest count's seeds."""
     spec = TrialSpec(
-        condition=f"repetitions/ber={float(ber)!r}", system=system_ref(system)[0],
+        condition=f"repetitions/ber={float(ber)!r}", system=system,
         task=task, num_trials=max(repetition_counts), seed=seed,
         controller_protection=ProtectionConfig(error_model=UniformErrorModel(ber)),
         params=(("ber", repr(float(ber))),))
@@ -955,7 +907,7 @@ def repetition_study_summary(results: Sequence[CampaignResult],
             for count in repetition_counts}
 
 
-def repetition_study(system: SystemLike, task: str, ber: float,
+def repetition_study(system: str, task: str, ber: float,
                      repetition_counts: list[int] | None = None,
                      seed: int = 0, jobs: int = 1, out: str | None = None,
                      batch: int | None = None) -> dict[int, float]:
@@ -963,24 +915,22 @@ def repetition_study(system: SystemLike, task: str, ber: float,
     repetition_counts = repetition_counts or [20, 40, 60, 80, 100]
     plans = repetition_study_plans(system, task, ber, repetition_counts, seed)
     return repetition_study_summary(
-        run_plans(plans, jobs=jobs, out=out, batch=batch,
-                  systems=system_ref(system)[1]), repetition_counts)
+        run_plans(plans, jobs=jobs, out=out, batch=batch), repetition_counts)
 
 
-def quantization_study_plans(systems: dict[str, SystemLike] | None = None,
+def quantization_study_plans(systems: dict[str, str] | None = None,
                              task: str = "stone", bers: list[float] | None = None,
                              num_trials: int = 10, seed: int = 0) -> list[CampaignPlan]:
     """Declare :func:`quantization_study`'s one campaign: label x BER.
 
-    ``systems`` maps a quantization label to a system or registry key;
-    ``None`` means the built-in ``jarvis-rotated`` / ``jarvis-rotated-int4``.
+    ``systems`` maps a quantization label to a registry key; ``None``
+    means the built-in ``jarvis-rotated`` / ``jarvis-rotated-int4``.
     """
     if systems is None:
         systems = {str(INT8): "jarvis-rotated", str(INT4): "jarvis-rotated-int4"}
     bers = bers if bers is not None else [1e-4, 1e-3, 3e-3]
     specs: list[TrialSpec] = []
-    for label, system in systems.items():
-        key = system_ref(system, hint=slugify(label))[0]
+    for label, key in systems.items():
         for ber in bers:
             protection = ProtectionConfig(error_model=UniformErrorModel(ber),
                                           anomaly_detection=True)
@@ -1003,25 +953,18 @@ def quantization_study_summary(results: Sequence[CampaignResult]
     return rates
 
 
-def quantization_study(systems=None, task: str = "stone", bers: list[float] | None = None,
-                       num_trials: int = 10, seed: int = 0, jobs: int = 1,
-                       out: str | None = None,
+def quantization_study(systems: dict[str, str] | None = None, task: str = "stone",
+                       bers: list[float] | None = None, num_trials: int = 10,
+                       seed: int = 0, jobs: int = 1, out: str | None = None,
                        batch: int | None = None) -> dict[str, dict[float, float]]:
     """AD+WR planner success under INT8 vs. INT4 quantization (Table 6).
 
-    ``systems`` may be a mapping from a quantization label to a system (or
-    registry key), a legacy ``build_system(spec)`` callable constructing a
-    rotated system for a :class:`~repro.quant.QuantSpec`, or ``None`` for the
-    built-in registry variants (``jarvis-rotated`` / ``jarvis-rotated-int4``).
+    ``systems`` maps a quantization label to a registry key; ``None`` runs
+    the built-in ``jarvis-rotated`` / ``jarvis-rotated-int4``.
     """
-    if callable(systems):
-        systems = {str(spec): systems(spec) for spec in (INT8, INT4)}
     plans = quantization_study_plans(systems, task, bers, num_trials, seed)
-    overrides: dict[str, object] = {}
-    for label, system in (systems or {}).items():
-        merge_overrides(overrides, system_ref(system, hint=slugify(label))[1])
     return quantization_study_summary(run_plans(plans, jobs=jobs, out=out,
-                                                batch=batch, systems=overrides))
+                                                batch=batch))
 
 
 # ----------------------------------------------------------------------

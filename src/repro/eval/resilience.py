@@ -19,8 +19,7 @@ import numpy as np
 
 from ..core.create import ProtectionConfig
 from ..faults.models import UniformErrorModel
-from .campaign import (CampaignResult, SystemLike, TrialSpec, run_plans, slugify,
-                       system_ref)
+from .campaign import CampaignResult, TrialSpec, run_plans, slugify
 from .metrics import TrialSummary
 from .scheduler import CampaignPlan
 
@@ -87,7 +86,7 @@ def _protection(ber: float, anomaly_detection: bool, exposure: float,
     )
 
 
-def ber_sweep_plans(system: SystemLike, task: str, bers: list[float],
+def ber_sweep_plans(system: str, task: str, bers: list[float],
                     target: str = "controller", num_trials: int = 20, seed: int = 0,
                     anomaly_detection: bool = False, exposure_scale: float = 1.0,
                     components: tuple[str, ...] | None = None,
@@ -96,14 +95,13 @@ def ber_sweep_plans(system: SystemLike, task: str, bers: list[float],
     if target not in ("planner", "controller"):
         raise ValueError("target must be 'planner' or 'controller'")
     label = label or f"{target}-{'AD' if anomaly_detection else 'noAD'}"
-    key = system_ref(system)[0]
     specs = []
     for ber in bers:
         protection = _protection(ber, anomaly_detection, exposure_scale, components)
         kwargs = {"planner_protection": protection} if target == "planner" \
             else {"controller_protection": protection}
         specs.append(TrialSpec(
-            condition=f"{label}/ber={float(ber)!r}", system=key, task=task,
+            condition=f"{label}/ber={float(ber)!r}", system=system, task=task,
             num_trials=num_trials, seed=seed,
             params=(("label", label), ("ber", repr(float(ber))), ("target", target)),
             **kwargs))
@@ -120,7 +118,7 @@ def ber_sweep_summary(results: Sequence[CampaignResult]) -> SweepResult:
                    summary=result.summary(spec.condition)) for spec in result.specs])
 
 
-def ber_sweep(system: SystemLike, task: str, bers: list[float],
+def ber_sweep(system: str, task: str, bers: list[float],
               target: str = "controller", num_trials: int = 20, seed: int = 0,
               anomaly_detection: bool = False, exposure_scale: float = 1.0,
               components: tuple[str, ...] | None = None,
@@ -128,19 +126,18 @@ def ber_sweep(system: SystemLike, task: str, bers: list[float],
               out: str | None = None, batch: int | None = None) -> SweepResult:
     """Sweep the BER injected into one model (planner or controller).
 
-    ``system`` is a registry key (see :mod:`repro.agents.registry`), an
-    :class:`EmbodiedSystem`, or a :class:`MissionExecutor`; the sweep runs as a
-    campaign, so ``jobs`` parallelizes over (BER, seed) cells, ``batch``
-    groups cells per worker task, and ``out`` persists the run table for
-    resume.
+    ``system`` is a registry key (see :mod:`repro.agents.registry`; add a
+    custom system with :func:`~repro.agents.registry.register_system`); the
+    sweep runs as a campaign, so ``jobs`` parallelizes over (BER, seed)
+    cells, ``batch`` groups cells per worker task, and ``out`` persists the
+    run table for resume.
     """
     plans = ber_sweep_plans(system, task, bers, target, num_trials, seed,
                             anomaly_detection, exposure_scale, components, label)
-    return ber_sweep_summary(run_plans(plans, jobs=jobs, out=out, batch=batch,
-                                       systems=system_ref(system)[1]))
+    return ber_sweep_summary(run_plans(plans, jobs=jobs, out=out, batch=batch))
 
 
-def component_sweep(system: SystemLike, task: str, bers: list[float],
+def component_sweep(system: str, task: str, bers: list[float],
                     component_groups: dict[str, tuple[str, ...]],
                     target: str = "planner", num_trials: int = 12, seed: int = 0,
                     exposure_scale: float = 1.0, jobs: int = 1,
@@ -160,7 +157,7 @@ def component_sweep(system: SystemLike, task: str, bers: list[float],
     return results
 
 
-def subtask_sweep(system: SystemLike, subtask_tasks: list[str], bers: list[float],
+def subtask_sweep(system: str, subtask_tasks: list[str], bers: list[float],
                   num_trials: int = 12, seed: int = 0, jobs: int = 1,
                   out: str | None = None,
                   batch: int | None = None) -> dict[str, SweepResult]:

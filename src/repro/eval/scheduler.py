@@ -78,8 +78,8 @@ TASK_FORMAT = "repro-create-task-v1"
 # Every distributed participant rebuilds TrialSpecs from plan/task files, so
 # the codec must preserve the spec *signature* (and therefore the spec key)
 # exactly: floats pass through json, which round-trips IEEE-754 doubles via
-# repr.  Only declaratively-described configurations are serializable; live
-# system objects and exotic error models are rejected with a ValueError.
+# repr.  Only declaratively-described configurations are serializable;
+# exotic error models are rejected with a ValueError.
 
 def _policy_to_dict(policy: VoltagePolicy) -> dict:
     return {"name": policy.name, "thresholds": list(policy.thresholds),
@@ -169,15 +169,9 @@ def protection_from_dict(data: Mapping | None) -> ProtectionConfig | None:
 def spec_to_dict(spec: TrialSpec) -> dict:
     """JSON form of a trial spec.
 
-    Raises :class:`ValueError` for specs that cannot run on another host:
-    ``local/`` pseudo-keys (live in-process systems) and protections whose
-    configuration has no declarative JSON form.
+    Raises :class:`ValueError` for a spec whose protections have no
+    declarative JSON form, which other hosts could not rebuild.
     """
-    if spec.system.startswith("local/"):
-        raise ValueError(
-            f"spec {spec.condition!r} runs the in-process system "
-            f"{spec.system!r}, which other hosts cannot rebuild; use a "
-            "registry key (repro.agents.registry) for distributed campaigns")
     return {
         "condition": spec.condition,
         "system": spec.system,

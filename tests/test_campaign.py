@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.agents.executor import MissionExecutor
 from repro.core import ProtectionConfig
 from repro.eval import (
     CampaignRunner,
@@ -20,7 +19,6 @@ from repro.eval import (
     run_campaign,
     summarize_records,
     summarize_trials,
-    system_ref,
 )
 from repro.faults.models import UniformErrorModel
 
@@ -32,6 +30,26 @@ def _same_summary(a, b):
         if left != right and not (np.isnan(left) and np.isnan(right)):
             return False
     return True
+
+
+def _one_trial_specs(count):
+    """Specs of one cell each: every cell runs scalar and streams alone."""
+    return [TrialSpec(condition=f"c{seed}", system="jarvis", task="wooden",
+                      num_trials=1, seed=seed) for seed in range(count)]
+
+
+def _crash_on_seed(monkeypatch, seed):
+    """Make the scalar cell of ``seed`` raise, as a mid-campaign kill would."""
+    import repro.eval.campaign as campaign_module
+
+    original = campaign_module._run_cell
+
+    def crashing(cell, executor):
+        if cell.seed == seed:
+            raise RuntimeError("injected crash")
+        return original(cell, executor)
+
+    monkeypatch.setattr(campaign_module, "_run_cell", crashing)
 
 
 def _specs(num_trials=3):
@@ -75,14 +93,19 @@ class TestTrialSpec:
         assert len({a, b, c}) == 3
         assert protection_signature(None) == "default"
 
-    def test_system_ref_passthrough_and_objects(self, jarvis_system):
-        key, overrides = system_ref("jarvis")
-        assert key == "jarvis" and overrides == {}
-        key, overrides = system_ref(jarvis_system)
-        assert key.startswith("local/") and overrides == {key: jarvis_system}
-        executor = jarvis_system.executor()
-        key, overrides = system_ref(executor, hint="plain")
-        assert key == "local/executor/plain" and overrides == {key: executor}
+    def test_live_system_is_a_type_error(self, jarvis_system, jarvis_executor):
+        """A campaign names systems by key; a live object points at
+        register_system before any cell runs."""
+        from repro.eval import ber_sweep
+        from repro.eval.experiments import vs_evaluation
+
+        for live in (jarvis_system, jarvis_executor):
+            with pytest.raises(TypeError, match="register_system"):
+                TrialSpec(condition="x", system=live, task="wooden", num_trials=1)
+            with pytest.raises(TypeError, match="register_system"):
+                ber_sweep(live, "wooden", [1e-3], num_trials=1)
+            with pytest.raises(TypeError, match="register_system"):
+                vs_evaluation(live, "wooden", num_trials=1)
 
 
 class TestCampaignDeterminism:
@@ -94,24 +117,36 @@ class TestCampaignDeterminism:
         assert serial.csv_path.read_bytes() == parallel.csv_path.read_bytes()
         assert serial.json_path.read_bytes() == parallel.json_path.read_bytes()
 
-    def test_in_process_system_matches_registry_rebuild(self, jarvis_system, tmp_path):
-        """A live system object and the registry factory produce the same trials."""
-        registry = run_campaign(_specs(2), jobs=1, out=tmp_path, name="registry")
-        key, overrides = system_ref(jarvis_system)
-        local_specs = [dataclasses.replace(spec, system=key) for spec in _specs(2)]
-        local = run_campaign(local_specs, systems=overrides)
-        for spec, local_spec in zip(_specs(2), local_specs):
-            reg_rows = registry.records(spec.condition)
-            local_rows = local.records(local_spec.condition)
-            for a, b in zip(reg_rows, local_rows):
-                assert (a.success, a.steps, a.energy_j, a.controller_macs) == \
-                    (b.success, b.steps, b.energy_j, b.controller_macs)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_key_fails_before_any_cell(self, jobs, tmp_path):
+        specs = [_specs(1)[0], TrialSpec(condition="typo", system="jarvsi",
+                                         task="wooden", num_trials=1)]
+        with pytest.raises(KeyError, match="'jarvsi'.*register_system"):
+            run_campaign(specs, jobs=jobs, out=tmp_path, name="typo")
+        assert not list(tmp_path.rglob("*.csv"))
 
-    def test_parallel_requires_registry_keys(self, jarvis_system):
-        key, overrides = system_ref(jarvis_system)
-        spec = TrialSpec(condition="clean", system=key, task="wooden", num_trials=1)
-        with pytest.raises(ValueError, match="registry system keys"):
-            run_campaign([spec], jobs=2, systems=overrides)
+    def test_registered_key_runs_byte_identically_serial_and_parallel(
+            self, tmp_path):
+        """register_system is how a custom system joins a campaign, and
+        unlike a live object it runs on a pool too."""
+        import repro.eval.campaign as campaign_module
+        from repro.agents import registry
+
+        registry.register_system("custom-jarvis",
+                                 lambda: registry.get_system("jarvis"))
+        try:
+            specs = [dataclasses.replace(spec, system="custom-jarvis")
+                     for spec in _specs(2)]
+            serial = run_campaign(specs, jobs=1, out=tmp_path / "s", name="custom")
+            pool = run_campaign(specs, jobs=2, out=tmp_path / "p", name="custom")
+            assert serial.executed_trials == pool.executed_trials == 4
+            assert serial.csv_path.read_bytes() == pool.csv_path.read_bytes()
+            assert serial.json_path.read_bytes() == pool.json_path.read_bytes()
+        finally:
+            registry.SYSTEM_FACTORIES.pop("custom-jarvis", None)
+            registry.SYSTEM_HAS_PREDICTOR.pop("custom-jarvis", None)
+            registry._SYSTEM_CACHE.pop("custom-jarvis", None)
+            campaign_module._WORKER_EXECUTORS.pop("custom-jarvis", None)
 
 
 class TestResume:
@@ -199,10 +234,9 @@ class TestCampaignResults:
     def test_summary_matches_direct_run(self, jarvis_executor):
         """Campaign summaries equal the legacy serial run_trials + summarize path."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-3))
-        key, overrides = system_ref(jarvis_executor)
-        spec = TrialSpec(condition="faulty", system=key, task="wooden", num_trials=3,
-                         seed=0, controller_protection=protection)
-        campaign = run_campaign([spec], systems=overrides)
+        spec = TrialSpec(condition="faulty", system="jarvis", task="wooden",
+                         num_trials=3, seed=0, controller_protection=protection)
+        campaign = run_campaign([spec])
         trials = jarvis_executor.run_trials("wooden", 3, seed=0,
                                             controller_protection=protection)
         assert _same_summary(campaign.summary("faulty"), summarize_trials(trials))
@@ -224,44 +258,26 @@ class TestCampaignResults:
             result.summary("nope")
 
 
-class _FlakyExecutor(MissionExecutor):
-    """Delegating executor that crashes on chosen seeds (simulates a kill)."""
-
-    def __init__(self, inner, fail_seeds):
-        self._inner = inner
-        self._fail_seeds = set(fail_seeds)
-
-    def run_trial(self, task_name, seed=0, planner_protection=None,
-                  controller_protection=None):
-        if seed in self._fail_seeds:
-            raise RuntimeError("injected crash")
-        return self._inner.run_trial(task_name, seed=seed,
-                                     planner_protection=planner_protection,
-                                     controller_protection=controller_protection)
-
-
 class TestStreaming:
     def test_crash_leaves_streamed_rows_resume_runs_only_missing(
-            self, jarvis_executor, tmp_path):
+            self, tmp_path, monkeypatch):
         """Completed rows survive a mid-campaign crash; resume finishes the rest."""
-        flaky = _FlakyExecutor(jarvis_executor, fail_seeds={2})
-        key, overrides = system_ref(flaky, hint="flaky")
-        spec = TrialSpec(condition="clean", system=key, task="wooden", num_trials=4)
+        specs = _one_trial_specs(4)
+        _crash_on_seed(monkeypatch, 2)
         with pytest.raises(RuntimeError, match="injected crash"):
-            run_campaign([spec], systems=overrides, out=tmp_path, name="crash")
+            run_campaign(specs, out=tmp_path, name="crash")
+        monkeypatch.undo()
 
         csv_path = tmp_path / "crash.csv"
         streamed = RunTable.read_csv(csv_path, strict=False)
         assert len(streamed) == 2  # seeds 0 and 1 were flushed before the crash
-        assert streamed.has(spec.key(), 0) and streamed.has(spec.key(), 1)
+        assert streamed.has(specs[0].key(), 0) and streamed.has(specs[1].key(), 1)
 
-        resumed = run_campaign([spec], systems={key: jarvis_executor},
-                               out=tmp_path, name="crash")
+        resumed = run_campaign(specs, out=tmp_path, name="crash")
         assert resumed.executed_trials == 2  # only seeds 2 and 3
         assert len(resumed.table) == 4
 
-        fresh = run_campaign([spec], systems={key: jarvis_executor},
-                             out=tmp_path / "fresh", name="crash")
+        fresh = run_campaign(specs, out=tmp_path / "fresh", name="crash")
         assert fresh.csv_path.read_bytes() == csv_path.read_bytes()
 
     def test_pool_failure_streams_finished_chunks_and_unpublishes(
@@ -328,16 +344,16 @@ class TestStreaming:
         assert len(RunTable.read_csv(csv_path)) == 4
 
     def test_resume_false_clears_stale_rows_before_streaming(
-            self, jarvis_executor, tmp_path):
+            self, tmp_path, monkeypatch):
         """resume=False must not append fresh rows after stale ones: a crash
         mid-re-execution would let the stale rows win on the next resume."""
-        specs = _specs(2)
+        specs = _one_trial_specs(4)
         run_campaign(specs, out=tmp_path, name="force")  # 4 completed rows
 
-        flaky = _FlakyExecutor(jarvis_executor, fail_seeds={1})
+        _crash_on_seed(monkeypatch, 1)
         with pytest.raises(RuntimeError, match="injected crash"):
-            run_campaign(specs, out=tmp_path, name="force", resume=False,
-                         systems={"jarvis": flaky})
+            run_campaign(specs, out=tmp_path, name="force", resume=False)
+        monkeypatch.undo()
         streamed = RunTable.read_csv(tmp_path / "force.csv", strict=False)
         assert len(streamed) == 1  # stale table cleared; only the fresh row
 
@@ -365,7 +381,7 @@ class TestStreaming:
         assert len(table) == 3
         assert [r.seed for r in table] == [0, 1, 2]
 
-    def test_file_grows_while_campaign_runs(self, jarvis_executor, tmp_path, monkeypatch):
+    def test_file_grows_while_campaign_runs(self, tmp_path, monkeypatch):
         """Rows are on disk before later cells execute, not only at the end:
         each scalar cell's and each lane group's rows stream as it finishes."""
         import repro.eval.campaign as campaign_module
@@ -384,12 +400,11 @@ class TestStreaming:
 
         spy("_run_cell")
         spy("_run_lane_group")
-        key, overrides = system_ref(jarvis_executor)
         # A one-cell spec runs scalar; the two-cell spec is one lane group.
-        specs = [TrialSpec(condition=f"c{index}", system=key, task="wooden",
+        specs = [TrialSpec(condition=f"c{index}", system="jarvis", task="wooden",
                            num_trials=trials, seed=10 * index)
                  for index, trials in enumerate((1, 2, 1))]
-        run_campaign(specs, systems=overrides, out=tmp_path, name="grow")
+        run_campaign(specs, out=tmp_path, name="grow")
         assert len(sizes) == 3
         assert sizes[1] > sizes[0] and sizes[2] > sizes[1]
 

@@ -132,6 +132,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "run table:" in out and "profile:" in out
 
+    def test_mission_total_counts_only_the_grids_cells(self, capsys, tmp_path):
+        mission = ["mission", "--task", "wooden", "--out", str(tmp_path)]
+        assert main([*mission, "--trials", "3"]) == 0
+        capsys.readouterr()
+        assert main([*mission, "--trials", "2"]) == 0
+        assert "(0 new trials, 2 total)" in capsys.readouterr().out
+
 
 class TestDistributedCli:
     def test_scheduling_flags_parse(self):
@@ -220,10 +227,28 @@ class TestDistributedCli:
                 "preset" in captured.err)
         assert suite_task in captured.err
 
+    def test_explicit_wooden_is_checked_like_any_task(self, capsys):
+        """``--task wooden`` is a name like any other, not the default: the
+        fleet preset runs the navigation suite, so it is a usage error."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "fleet", "--task", "wooden", "--fleet-sizes", "1",
+                  "--bers", "1e-3", "--dry-run"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("argument --task: unknown task 'wooden' for the 'fleet' preset; "
+                "the navigation suite has: ") in captured.err
+        assert "route-atr-cel-cor-2k" in captured.err
+
     @pytest.mark.parametrize("preset, flags, cells", [
         ("fleet", ["--task", "route-lab-cor-vau-1k"],
          "fleet=4/ber=0.001: 4 cells"),
         ("repetitions", [], "total 8 cells"),
+        # An explicit --task runs that task alone, the default's included.
+        ("overall", ["--task", "wooden"],
+         "AD+WR+VS/wooden: 8 cells\n  total 32 cells"),
+        ("overall", ["--task", "stone"],
+         "AD+WR+VS/stone: 8 cells\n  total 32 cells"),
     ])
     def test_suite_and_default_tasks_plan(self, preset, flags, cells, capsys):
         assert main(["campaign", preset, *flags, "--dry-run"]) == 0
@@ -322,11 +347,26 @@ class TestPresetTable:
             "dry run: 1 campaign(s), 4 cells, 1 pending; nothing was trained "
             "or executed\n")
 
+    def test_dry_run_counts_only_the_grids_cells(self, capsys, tmp_path):
+        """A table left by a 4-trial run holds all of a 2-trial grid's cells,
+        and two rows outside it that no count includes."""
+        plan = self._plan("repetitions", "--trials", "4")
+        self._write_table(tmp_path / f"{plan.name}.csv", plan.cells())
+        assert main(["campaign", "repetitions", "--trials", "2", "--dry-run",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"[repetitions] campaign {plan.name} (out {tmp_path}):\n"
+            "  repetitions/ber=0.0001: 2 cells\n"
+            "  total 2 cells, 0 pending (2 already in the run table)\n"
+            "dry run: 1 campaign(s), 2 cells, 0 pending; nothing was trained "
+            "or executed\n")
+
     def test_shard_run_counts_other_shards_from_pending_cells(self, capsys,
                                                               tmp_path):
         """The resumed table holds every cell of shard 1, one of shard 2's
-        and a row outside the grid: one cell is left for the other shard,
-        whatever the table's size."""
+        and a row outside the grid: rows held count the grid's cells only,
+        and one cell is left for the other shard, whatever the table's
+        size."""
         import dataclasses
 
         from repro.eval.shard import Shard
@@ -337,7 +377,7 @@ class TestPresetTable:
         stale = dataclasses.replace(mine[0], seed=99)
         csv_path = tmp_path / f"{plan.name}.csv"
         self._write_table(csv_path, mine + others[:1] + [stale])
-        rows = len(mine) + 2
+        rows = len(mine) + 1
         assert main(["campaign", "repetitions", "--trials", "4",
                      "--shard", "1/2", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out

@@ -101,17 +101,17 @@ class TestSweepResult:
 
 
 class TestLiveSweeps:
-    def test_ber_sweep_controller_degrades_monotonically(self, jarvis_executor):
-        sweep = ber_sweep(jarvis_executor, "wooden", [1e-5, 1e-2], target="controller",
+    def test_ber_sweep_controller_degrades_monotonically(self):
+        sweep = ber_sweep("jarvis", "wooden", [1e-5, 1e-2], target="controller",
                           num_trials=4, seed=0)
         rates = sweep.success_rates()
         assert rates[0] >= rates[-1]
         assert rates[0] >= 0.75
         assert rates[-1] <= 0.25
 
-    def test_ber_sweep_invalid_target(self, jarvis_executor):
+    def test_ber_sweep_invalid_target(self):
         with pytest.raises(ValueError):
-            ber_sweep(jarvis_executor, "wooden", [1e-4], target="nobody")
+            ber_sweep("jarvis", "wooden", [1e-4], target="nobody")
 
     def test_stage_entropy_profile_separates(self, jarvis_system):
         profile = stage_entropy_profile(jarvis_system, "wooden", num_trials=2, seed=1)
@@ -159,21 +159,21 @@ class TestExperimentRunners:
             assert entry["chip_level_savings_percent"] < entry["compute_savings_percent"]
             assert entry["battery_life_extension_percent"] > 0
 
-    def test_repetition_study_converges(self, jarvis_executor):
-        rates = experiments.repetition_study(jarvis_executor, "wooden", 1e-5,
+    def test_repetition_study_converges(self):
+        rates = experiments.repetition_study("jarvis", "wooden", 1e-5,
                                              repetition_counts=[4, 8], seed=0)
         assert set(rates) == {4, 8}
         assert all(0 <= r <= 1 for r in rates.values())
 
-    def test_interval_sweep_returns_all_intervals(self, jarvis_system):
-        result = experiments.interval_sweep(jarvis_system, "wooden", intervals=[1, 10],
+    def test_interval_sweep_returns_all_intervals(self):
+        result = experiments.interval_sweep("jarvis", "wooden", intervals=[1, 10],
                                             num_trials=2, seed=0)
         assert set(result) == {1, 10}
 
-    def test_minimum_voltage_search_finds_voltage(self, jarvis_system_rotated):
+    def test_minimum_voltage_search_finds_voltage(self):
         config = CreateConfig(ad=True, wr=True, vs_policy=None)
         voltage, summaries = experiments.minimum_voltage_search(
-            jarvis_system_rotated, "wooden", config, voltages=[0.84, 0.80],
+            "jarvis-rotated", "wooden", config, voltages=[0.84, 0.80],
             num_trials=2, seed=0, success_threshold=0.5)
         assert voltage in (0.84, 0.80, NOMINAL_VOLTAGE)
         assert summaries

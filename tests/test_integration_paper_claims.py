@@ -25,22 +25,22 @@ from repro.hardware import EnergyModel, NOMINAL_VOLTAGE
 class TestInsight1PlannerVsController:
     """Sec. 4.1: the controller is more error resilient than the planner."""
 
-    def test_controller_survives_ber_that_breaks_planner(self, jarvis_executor):
+    def test_controller_survives_ber_that_breaks_planner(self):
         ber = 6e-4
-        planner_sweep = ber_sweep(jarvis_executor, "wooden", [ber], target="planner",
+        planner_sweep = ber_sweep("jarvis", "wooden", [ber], target="planner",
                                   num_trials=8, seed=0)
-        controller_sweep = ber_sweep(jarvis_executor, "wooden", [ber], target="controller",
+        controller_sweep = ber_sweep("jarvis", "wooden", [ber], target="controller",
                                      num_trials=8, seed=0)
         assert controller_sweep.success_rates()[0] > planner_sweep.success_rates()[0]
 
-    def test_both_robust_at_low_ber(self, jarvis_executor):
+    def test_both_robust_at_low_ber(self):
         for target in ("planner", "controller"):
-            sweep = ber_sweep(jarvis_executor, "wooden", [1e-6], target=target,
+            sweep = ber_sweep("jarvis", "wooden", [1e-6], target=target,
                               num_trials=5, seed=1)
             assert sweep.success_rates()[0] >= 0.8
 
-    def test_average_steps_grow_before_success_collapses(self, jarvis_executor):
-        sweep = ber_sweep(jarvis_executor, "wooden", [1e-6, 3e-4], target="controller",
+    def test_average_steps_grow_before_success_collapses(self):
+        sweep = ber_sweep("jarvis", "wooden", [1e-6, 3e-4], target="controller",
                           num_trials=6, seed=2)
         assert sweep.average_steps()[1] > sweep.average_steps()[0]
 
@@ -48,9 +48,9 @@ class TestInsight1PlannerVsController:
 class TestInsight2ComponentVulnerability:
     """Sec. 4.1: pre-norm components (O/Down) are more vulnerable than K in the planner."""
 
-    def test_o_down_worse_than_k(self, jarvis_executor):
+    def test_o_down_worse_than_k(self):
         groups = {"K": ("*.k",), "O+Down": ("*.o", "*.down")}
-        results = component_sweep(jarvis_executor, "wooden", [2e-3], groups,
+        results = component_sweep("jarvis", "wooden", [2e-3], groups,
                                   target="planner", num_trials=8, seed=3)
         assert results["K"].success_rates()[0] >= results["O+Down"].success_rates()[0]
 
@@ -58,11 +58,10 @@ class TestInsight2ComponentVulnerability:
 class TestInsight3StageAndSubtaskDependence:
     """Sec. 4.2: resilience depends on the subtask type and execution stage."""
 
-    def test_stochastic_subtask_more_resilient_than_sequential(self, jarvis_system):
-        executor = jarvis_system.executor()
+    def test_stochastic_subtask_more_resilient_than_sequential(self):
         ber = 1.2e-3
-        seq = ber_sweep(executor, "log", [ber], target="controller", num_trials=8, seed=4)
-        sto = ber_sweep(executor, "seed", [ber], target="controller", num_trials=8, seed=4)
+        seq = ber_sweep("jarvis", "log", [ber], target="controller", num_trials=8, seed=4)
+        sto = ber_sweep("jarvis", "seed", [ber], target="controller", num_trials=8, seed=4)
         assert sto.success_rates()[0] >= seq.success_rates()[0]
 
     def test_entropy_separates_critical_steps(self, jarvis_executor):
@@ -74,19 +73,19 @@ class TestInsight3StageAndSubtaskDependence:
 class TestAnomalyDetectionAndClearance:
     """Sec. 5.1 / 6.3: AD recovers task quality under aggressive error rates."""
 
-    def test_ad_recovers_planner(self, jarvis_executor):
+    def test_ad_recovers_planner(self):
         ber = 2e-3
-        base = ber_sweep(jarvis_executor, "wooden", [ber], target="planner",
+        base = ber_sweep("jarvis", "wooden", [ber], target="planner",
                          num_trials=8, seed=6, anomaly_detection=False)
-        with_ad = ber_sweep(jarvis_executor, "wooden", [ber], target="planner",
+        with_ad = ber_sweep("jarvis", "wooden", [ber], target="planner",
                             num_trials=8, seed=6, anomaly_detection=True)
         assert with_ad.success_rates()[0] > base.success_rates()[0]
 
-    def test_ad_recovers_controller(self, jarvis_executor):
+    def test_ad_recovers_controller(self):
         ber = 2e-3
-        base = ber_sweep(jarvis_executor, "wooden", [ber], target="controller",
+        base = ber_sweep("jarvis", "wooden", [ber], target="controller",
                          num_trials=8, seed=7, anomaly_detection=False)
-        with_ad = ber_sweep(jarvis_executor, "wooden", [ber], target="controller",
+        with_ad = ber_sweep("jarvis", "wooden", [ber], target="controller",
                             num_trials=8, seed=7, anomaly_detection=True)
         assert with_ad.success_rates()[0] >= base.success_rates()[0] + 0.2
 
@@ -94,11 +93,11 @@ class TestAnomalyDetectionAndClearance:
 class TestWeightRotationEnhancedPlanning:
     """Sec. 5.2 / 6.4: WR improves planner robustness beyond AD alone."""
 
-    def test_wr_plus_ad_beats_ad_alone_at_high_ber(self, jarvis_system, jarvis_system_rotated):
+    def test_wr_plus_ad_beats_ad_alone_at_high_ber(self):
         ber = 2e-2
-        plain = ber_sweep(jarvis_system.executor(), "wooden", [ber], target="planner",
+        plain = ber_sweep("jarvis", "wooden", [ber], target="planner",
                           num_trials=8, seed=8, anomaly_detection=True)
-        rotated = ber_sweep(jarvis_system_rotated.executor(), "wooden", [ber], target="planner",
+        rotated = ber_sweep("jarvis-rotated", "wooden", [ber], target="planner",
                             num_trials=8, seed=8, anomaly_detection=True)
         assert rotated.success_rates()[0] >= plain.success_rates()[0]
 

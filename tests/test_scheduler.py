@@ -126,12 +126,6 @@ class TestSpecCodec:
         rebuilt = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert rebuilt.key() == spec.key()
 
-    def test_local_system_specs_are_rejected(self):
-        spec = TrialSpec(condition="x", system="local/foo", task="wooden",
-                         num_trials=1)
-        with pytest.raises(ValueError, match="in-process"):
-            spec_to_dict(spec)
-
 
 # ----------------------------------------------------------------------
 # CampaignPlan

@@ -220,6 +220,18 @@ class TestCampaignIntegration:
         assert all(state in ("miss", "hit", "shm") for state in states)
         assert states[-1] in ("hit", "shm")  # the plan survives across cells
 
+    def test_pool_after_a_serial_run_still_adopts_the_plane(self, tmp_path):
+        """A serial run leaves executors in its process; forked pool children
+        must build their own, over the published plans, not inherit those."""
+        from repro.eval import RunTable
+
+        run_campaign(self._spec(), jobs=1, out=tmp_path / "serial", name="warm")
+        assert "jarvis" in campaign._WORKER_EXECUTORS
+        pool = run_campaign(self._spec(4), jobs=2, batch=1,
+                            out=tmp_path / "pool", name="warm")
+        sidecar = RunTable.read_csv(pool.profile_path)
+        assert [record.plan_cache for record in sidecar] == ["shm"] * 4
+
 
 class TestRegistryEviction:
     def test_clear_system_cache_evicts_worker_caches(self):
