@@ -99,10 +99,6 @@ def _config_hash(config) -> str:
     return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 
-def _cache_path(kind: str, name: str, config) -> Path:
-    return cache_directory() / f"{kind}-{name}-{_config_hash(config)}.npz"
-
-
 def _save_state(path: Path, state: dict[str, np.ndarray],
                 meta: dict[str, str] | None = None) -> None:
     payload = {key.replace(".", "__"): value for key, value in state.items()}

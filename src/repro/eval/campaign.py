@@ -583,7 +583,10 @@ class CellPool:
         return len(self._running)
 
     def _admit(self, systems: set[str]) -> None:
-        """Publish the kernel plans of systems this pool has not seen yet."""
+        """Publish the kernel plans of systems this pool has not seen yet.
+
+        A key joins the admitted set only once its plans published, so a
+        system whose factory raises fails only the chunks that use it."""
         new = systems - self._systems
         if not new:
             return
@@ -594,21 +597,25 @@ class CellPool:
                     "process pools over custom-registered systems need the "
                     "'fork' start method, which this platform lacks; run "
                     "with jobs=1 for: " + ", ".join(custom))
+        self._shm_plans = _publish_system_plans(self._systems | new)
         self._systems |= new
-        self._shm_plans = _publish_system_plans(self._systems)
 
     def submit(self, tag, cells: Sequence[_Cell]) -> None:
-        """Run one chunk; ``tag`` comes back with its rows from :meth:`harvest`."""
+        """Run one chunk; ``tag`` comes back with its rows from :meth:`harvest`.
+
+        A chunk that cannot start (its system fails to build) is a failed
+        chunk like one that raises midway."""
         cells = tuple(cells)
-        if self._pool is None:
-            future: concurrent.futures.Future = concurrent.futures.Future()
-            try:
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            if self._pool is None:
                 future.set_result(_pool_run_batch(cells))
-            except Exception as error:  # an interrupt is not a chunk failure
-                future.set_exception(error)
-        else:
-            self._admit({cell.system for cell in cells})
-            future = self._pool.submit(_pool_run_batch, cells, self._shm_plans)
+            else:
+                self._admit({cell.system for cell in cells})
+                future = self._pool.submit(_pool_run_batch, cells,
+                                           self._shm_plans)
+        except Exception as error:  # an interrupt is not a chunk failure
+            future.set_exception(error)
         self._running[future] = tag
 
     def harvest(self, done: Callable[[object, list[RunRecord]], None],

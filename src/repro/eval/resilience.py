@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..agents.jarvis import EmbodiedSystem
 from ..core.create import ProtectionConfig
 from ..faults.models import UniformErrorModel
 from .campaign import CampaignResult, TrialSpec, run_plans, slugify

@@ -467,10 +467,6 @@ class RunTable:
     def get(self, spec_key: str, seed: int) -> RunRecord | None:
         return self._index.get((spec_key, seed))
 
-    def for_spec(self, spec_key: str) -> list[RunRecord]:
-        rows = [r for r in self._records if r.spec_key == spec_key]
-        return sorted(rows, key=lambda r: r.trial_index)
-
     def for_condition(self, condition: str) -> list[RunRecord]:
         rows = [r for r in self._records if r.condition == condition]
         return sorted(rows, key=lambda r: (r.spec_key, r.trial_index))

@@ -16,19 +16,22 @@ processes and hosts:
     A shared-filesystem work queue.  The planner writes one JSON **task
     file** per cell batch into ``tasks/``; workers **claim** a task by
     atomically ``os.rename``-ing it into ``leases/`` (exactly one claimer
-    can win a rename), **heartbeat** the lease's mtime while executing, and
-    move it to ``done/`` when its rows are safely flushed.  A lease whose
+    can win a rename), **heartbeat** the lease's mtime while executing,
+    **write** its rows, and **complete** it into ``done/``.  A lease whose
     heartbeat is older than the TTL is **reclaimed** — renamed back into
     ``tasks/`` — so cells leased to a SIGKILL'd worker are re-run by a
     healthy one.  Because cells are deterministic, a task executed one and
     a half times yields duplicate-but-identical rows, which
-    :meth:`~repro.eval.runtable.RunTable.merge` deduplicates.
+    :meth:`~repro.eval.runtable.RunTable.merge` deduplicates.  Leases are
+    addressed by task id and rows by worker id and plan name, the interface
+    :class:`~repro.eval.service.QueueClient` offers over HTTP; task ids and
+    plan names must be plain file names.
 
 :class:`WorkerDaemon`
-    The pull loop behind ``repro-create worker``: claim → execute the task
-    as one chunk on the campaign engine's ``CellPool`` → stream rows to a
-    per-worker run table under ``results/<worker_id>/`` → complete →
-    repeat, until the queue drains.
+    The pull loop behind ``repro-create worker``, over either backend:
+    claim → execute the task as one chunk on the campaign engine's
+    ``CellPool`` → write its rows to a per-worker run table under
+    ``results/<worker_id>/`` → complete → repeat, until the queue drains.
 
 :func:`merge_run_tables`
     The fault-tolerant combine step behind ``repro-create merge``: unions
@@ -49,7 +52,7 @@ import os
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -60,7 +63,7 @@ from ..faults.models import (ErrorModel, SingleBitErrorModel, UniformErrorModel,
                              VoltageErrorModel)
 from .campaign import (CellPool, TrialSpec, _auto_batch, _Cell,
                        _chunk_cells, enumerate_cells, pending_cells)
-from .runtable import RunTable, RunTableWriter
+from .runtable import RunRecord, RunTable, RunTableWriter
 from .shard import cell_shard_index
 
 __all__ = ["CampaignPlan", "WorkQueue", "ClaimedTask", "WorkerDaemon",
@@ -199,6 +202,17 @@ def spec_from_dict(data: Mapping) -> TrialSpec:
     )
 
 
+def _plain_name(name, what: str) -> str:
+    """Return ``name`` if it is a plain file name, else raise ValueError.
+
+    Plan names and task ids become file names under the queue directory and
+    arrive over the wire, so none may climb out of its directory."""
+    if (not isinstance(name, str) or name in ("", ".", "..")
+            or os.path.basename(name) != name):
+        raise ValueError(f"{what} {name!r} is not a plain file name")
+    return name
+
+
 def _atomic_write_json(path: Path, payload: dict) -> None:
     """Publish a JSON file atomically: readers never observe a torn file."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -225,6 +239,7 @@ class CampaignPlan:
     specs: list[TrialSpec]
 
     def __post_init__(self):
+        _plain_name(self.name, "plan name")
         if not self.specs:
             raise ValueError("a plan needs at least one spec")
         conditions = [spec.condition for spec in self.specs]
@@ -312,22 +327,23 @@ class CampaignPlan:
 # ----------------------------------------------------------------------
 @dataclass
 class ClaimedTask:
-    """A task this worker holds the lease on."""
+    """A task this worker holds the lease on, addressed by ``task_id``.
+
+    ``document`` is the task file's payload, which the campaign service
+    sends over the wire verbatim."""
 
     task_id: str
     plan_name: str
-    plan_hash: str
-    lease_path: Path
     cells: list[_Cell]
+    document: Mapping
 
 
-def task_from_dict(data: Mapping, lease_path: Path) -> ClaimedTask:
+def task_from_dict(data: Mapping) -> ClaimedTask:
     """Rebuild a claimed task from its task-file payload.
 
     Shared by the file-backed queue (which reads the payload from the lease
     file it just renamed) and the HTTP queue client (which receives the same
-    payload over the wire; its ``lease_path`` is a placeholder — ownership
-    lives server-side).
+    payload over the wire).
     """
     if data.get("format") != TASK_FORMAT:
         raise ValueError(f"not a task payload (format={data.get('format')!r})")
@@ -350,8 +366,7 @@ def task_from_dict(data: Mapping, lease_path: Path) -> ClaimedTask:
             controller_protection=spec.controller_protection,
             params=spec.params_json(), fleet=spec.fleet))
     return ClaimedTask(task_id=data["task_id"], plan_name=data["plan"],
-                       plan_hash=data["plan_hash"], lease_path=lease_path,
-                       cells=cells)
+                       cells=cells, document=data)
 
 
 @dataclass
@@ -383,7 +398,9 @@ class WorkQueue:
     Every state transition is a single atomic ``os.rename`` on one file, so
     any number of workers (and planners re-enqueueing) can operate on the
     queue concurrently without locks: at most one rename of a given source
-    succeeds, the losers see ``FileNotFoundError`` and move on.
+    succeeds, the losers see ``FileNotFoundError`` and move on.  Only the
+    streamed-row writers, which one instance keeps open per (worker, plan)
+    until :meth:`close`, take a lock.
     """
 
     #: Transport label stamped into the ``queue_backend`` profile column of
@@ -408,6 +425,10 @@ class WorkQueue:
         # so correctness never depends on it.
         self._pending_cache: list[str] | None = None
         self._cache_lock = threading.Lock()
+        self._writers: dict[tuple[str, str], tuple[RunTableWriter, ...]] = {}
+        self._writers_lock = threading.Lock()
+        #: Rows this instance appended through :meth:`write_rows`.
+        self.rows_written = 0
         self.plans_dir = self.root / "plans"
         self.tasks_dir = self.root / "tasks"
         self.leases_dir = self.root / "leases"
@@ -509,9 +530,6 @@ class WorkQueue:
         return report
 
     # -- worker side ---------------------------------------------------
-    def _parse_task(self, path: Path) -> ClaimedTask:
-        return task_from_dict(json.loads(path.read_text()), path)
-
     def _plan_prefixes(self) -> dict[str, str]:
         """task-id prefix (``plan_hash[:8]``) -> plan name, for every plan."""
         return {plan.plan_hash()[:8]: plan.name for plan in self.plans()}
@@ -607,7 +625,7 @@ class WorkQueue:
                 continue
             candidates.remove(filename)
             try:
-                task = self._parse_task(lease)
+                task = task_from_dict(json.loads(lease.read_text()))
             except FileNotFoundError:
                 continue  # reclaimed in a razor-thin race; no longer ours
             _atomic_write_json(lease.with_suffix(".owner.json"), {
@@ -620,18 +638,23 @@ class WorkQueue:
             return task
         return None
 
-    def heartbeat(self, tasks: ClaimedTask | Iterable[ClaimedTask]) -> None:
-        """Refresh lease mtimes; a vanished lease (reclaimed) is ignored —
-        the worker discovers the loss when :meth:`complete` fails."""
-        if isinstance(tasks, ClaimedTask):
-            tasks = [tasks]
-        for task in tasks:
-            try:
-                os.utime(task.lease_path)
-            except FileNotFoundError:
-                pass
+    def _lease(self, task_id: str) -> Path:
+        return self.leases_dir / f"{_plain_name(task_id, 'task id')}.json"
 
-    def complete(self, task: ClaimedTask) -> bool:
+    def heartbeat(self, task_ids: Iterable[str]) -> list[str]:
+        """Refresh lease mtimes; returns the ids renewed.  A vanished lease
+        (reclaimed) is skipped — the worker discovers the loss when
+        :meth:`complete` returns False."""
+        renewed = []
+        for task_id in task_ids:
+            try:
+                os.utime(self._lease(task_id))
+            except FileNotFoundError:
+                continue
+            renewed.append(task_id)
+        return renewed
+
+    def complete(self, task_id: str) -> bool:
         """Move a finished task to ``done/``.
 
         Returns False when the lease no longer exists — it expired and was
@@ -639,22 +662,21 @@ class WorkQueue:
         rows are still valid (cells are deterministic; the reclaimer's
         duplicates merge away), so this is informational, not an error.
         """
+        return self._settle(task_id, self.done_dir)
+
+    def fail(self, task_id: str) -> None:
+        """Park a task whose execution raised (it will not be retried)."""
+        self._settle(task_id, self.failed_dir)
+
+    def _settle(self, task_id: str, directory: Path) -> bool:
+        lease = self._lease(task_id)
         try:
-            os.rename(task.lease_path, self.done_dir / f"{task.task_id}.json")
+            os.rename(lease, directory / lease.name)
         except FileNotFoundError:
             return False
-        task.lease_path.with_suffix(".owner.json").unlink(missing_ok=True)
-        self._observed_mtimes.pop(task.lease_path.name, None)
+        lease.with_suffix(".owner.json").unlink(missing_ok=True)
+        self._observed_mtimes.pop(lease.name, None)
         return True
-
-    def fail(self, task: ClaimedTask) -> None:
-        """Park a task whose execution raised (it will not be retried)."""
-        try:
-            os.rename(task.lease_path, self.failed_dir / f"{task.task_id}.json")
-        except FileNotFoundError:
-            return
-        task.lease_path.with_suffix(".owner.json").unlink(missing_ok=True)
-        self._observed_mtimes.pop(task.lease_path.name, None)
 
     def reclaim_expired(self, now: float | None = None) -> list[str]:
         """Re-queue every lease whose heartbeat is older than the TTL.
@@ -731,21 +753,44 @@ class WorkQueue:
         safe = "".join(c if c.isalnum() or c in "-_." else "-" for c in worker_id)
         return self.results_dir / safe
 
-    def result_writers(self, worker_id: str,
-                       plan_name: str) -> list[RunTableWriter]:
-        """Streamed result sinks for one worker's rows of one plan.
+    def write_rows(self, worker_id: str, plan_name: str,
+                   records: Iterable[RunRecord]) -> int:
+        """Append a worker's rows of one plan; returns how many.
 
-        Profile sidecar first (same crash-ordering argument as the campaign
-        engine: a cell with a canonical row but no profile row would stay
-        unprofiled forever; the reverse self-heals).  This is the seam a
-        network-backed queue (``repro.eval.service.QueueClient``) replaces
-        with writers that stream rows over the wire — the daemon only ever
-        calls ``write``/``flush``/``close`` on what this returns.
+        Rows land in ``results/<worker_id>/`` through a writer pair kept open
+        per (worker, plan), one flush per row: the profile sidecar first
+        (same crash-ordering argument as the campaign engine: a cell with a
+        canonical row but no profile row would stay unprofiled forever; the
+        reverse self-heals), then the canonical table.  A plan the queue does
+        not hold is a ValueError.  One lock serializes every writer, so the
+        campaign service's request threads may call this concurrently.
         """
-        out = self.result_dir(worker_id)
-        return [RunTableWriter(out / "profiles" / f"{plan_name}.csv",
-                               profile=True),
-                RunTableWriter(out / f"{plan_name}.csv")]
+        records = list(records)
+        with self._writers_lock:
+            writers = self._writers.get((worker_id, plan_name))
+            if writers is None:
+                _plain_name(plan_name, "plan name")
+                if not (self.plans_dir / f"{plan_name}.json").exists():
+                    raise ValueError(f"the queue holds no plan {plan_name!r}")
+                out = self.result_dir(worker_id)
+                writers = (RunTableWriter(out / "profiles" / f"{plan_name}.csv",
+                                          profile=True),
+                           RunTableWriter(out / f"{plan_name}.csv"))
+                self._writers[worker_id, plan_name] = writers
+            for record in records:
+                for writer in writers:
+                    writer.write(record)
+            self.rows_written += len(records)
+        return len(records)
+
+    def close(self) -> None:
+        """Close the streamed-row writers; a later :meth:`write_rows`
+        reopens them, appending."""
+        with self._writers_lock:
+            for writers in self._writers.values():
+                for writer in writers:
+                    writer.close()
+            self._writers.clear()
 
 
 # ----------------------------------------------------------------------
@@ -788,7 +833,9 @@ class WorkerDaemon:
     Parameters
     ----------
     queue:
-        The queue (or its root directory).
+        The queue, its root directory, or a
+        :class:`~repro.eval.service.QueueClient`; both backends offer the
+        same task-id interface.
     jobs:
         Leases held at once.  Each claimed task runs as one chunk on the
         campaign engine's :class:`~repro.eval.campaign.CellPool`: in
@@ -827,9 +874,6 @@ class WorkerDaemon:
             raise ValueError("jobs must be >= 1")
         if retry_attempts < 1:
             raise ValueError("retry_attempts must be >= 1")
-        # A path means the file backend; anything else (a WorkQueue, a
-        # service QueueClient) is taken as-is — the daemon only relies on
-        # the shared queue method surface.
         self.queue = WorkQueue(queue) if isinstance(queue, (str, Path)) \
             else queue
         self.jobs = jobs
@@ -843,8 +887,7 @@ class WorkerDaemon:
         self.retry_attempts = retry_attempts
         self.retry_delay = retry_delay
         self._log = log or (lambda message: None)
-        self._writers: dict[str, list[RunTableWriter]] = {}
-        self._held: dict[str, ClaimedTask] = {}  # leases the keeper renews
+        self._held: set[str] = set()  # task ids whose leases the keeper renews
         self._held_lock = threading.Lock()
         self._shutdown = False
 
@@ -878,37 +921,23 @@ class WorkerDaemon:
                 time.sleep(delay)
                 delay *= 2
 
-    def _writers_for(self, plan_name: str) -> list[RunTableWriter]:
-        writers = self._writers.get(plan_name)
-        if writers is None:
-            writers = self.queue.result_writers(self.worker_id, plan_name)
-            self._writers[plan_name] = writers
-        return writers
-
     def _finish(self, task: ClaimedTask, records, stats: WorkerStats) -> None:
-        """Stream a finished task's rows, then move its lease to done (or
-        note it was lost)."""
-        from dataclasses import replace
+        """Write a finished task's rows, then move its lease to done (or
+        note it was lost).
 
-        backend = getattr(self.queue, "backend", "file")
-        records = [replace(record, queue_backend=backend)
+        The rows are one queue call, durable before the task settles into
+        done/.  A retry after a partial write only appends byte-identical
+        duplicates, which the merge drops as it does a reclaimed lease's."""
+        records = [replace(record, queue_backend=self.queue.backend)
                    for record in records]
-        writers = self._writers_for(task.plan_name)
-        for record in records:
-            for writer in writers:
-                writer.write(record)
-        # Buffering writers (the HTTP row stream) must be durable before the
-        # task settles into done/; the file-backed writers flush per row.
-        for writer in writers:
-            flush = getattr(writer, "flush", None)
-            if flush is not None:
-                self._retrying(flush)
+        self._retrying(self.queue.write_rows, self.worker_id,
+                       task.plan_name, records)
         stats.cells_executed += len(records)
         stats.rows_by_plan[task.plan_name] = (
             stats.rows_by_plan.get(task.plan_name, 0) + len(records))
         with self._held_lock:
-            self._held.pop(task.task_id, None)
-        if self._retrying(self.queue.complete, task):
+            self._held.discard(task.task_id)
+        if self._retrying(self.queue.complete, task.task_id):
             stats.tasks_completed += 1
             self._log(f"task {task.task_id}: {len(task.cells)} cells done")
         else:
@@ -930,7 +959,7 @@ class WorkerDaemon:
                   f"plan {task.plan_name}"
                   + (", stolen from deepest queue)" if stolen else ")"))
         with self._held_lock:
-            self._held[task.task_id] = task
+            self._held.add(task.task_id)
         return task
 
     def _park(self, task: ClaimedTask) -> None:
@@ -938,8 +967,8 @@ class WorkerDaemon:
         crashing task is not reclaimed and retried by (and then crashes)
         every other worker in the fleet."""
         with self._held_lock:
-            self._held.pop(task.task_id, None)
-        self.queue.fail(task)
+            self._held.discard(task.task_id)
+        self.queue.fail(task.task_id)
 
     @contextlib.contextmanager
     def _lease_keeper(self):
@@ -950,7 +979,7 @@ class WorkerDaemon:
         def keep() -> None:
             while not stop.wait(self.heartbeat_interval):
                 with self._held_lock:
-                    held = tuple(self._held.values())
+                    held = tuple(self._held)
                 try:
                     if held:
                         self._retrying(self.queue.heartbeat, held)
@@ -1016,15 +1045,8 @@ class WorkerDaemon:
             if in_main_thread:
                 signal.signal(signal.SIGTERM, previous_handler)
             self._held.clear()
-            for writers in self._writers.values():
-                for writer in writers:
-                    writer.close()
-            self._writers.clear()
-            # HTTP-backed queues hold per-thread keep-alive sockets; release
-            # them on the way out.  File/dir queues have no close().
-            close = getattr(self.queue, "close", None)
-            if close is not None:
-                close()
+            # Row writers (file) or keep-alive sockets (HTTP).
+            self.queue.close()
         stats.wall_time_s = time.perf_counter() - started
         self._log(stats.format())
         return stats

@@ -8,21 +8,22 @@ exact protocol onto the network without changing a byte of its semantics:
 :class:`CampaignService`
     A stdlib-only (``http.server.ThreadingHTTPServer``) HTTP/JSON front-end
     over a server-side :class:`~repro.eval.scheduler.WorkQueue` directory.
-    Every endpoint delegates to the corresponding queue method, so claim
-    races, lease expiry, reclamation, idempotent enqueue, and the merge all
+    Each endpoint calls the queue method of its name, so claim races, lease
+    expiry, reclamation, idempotent enqueue, row writing and the merge all
     behave identically whether a worker sits on the same filesystem or on
-    the other side of a socket.  Result rows stream back over the wire and
-    are appended server-side through the same
-    :class:`~repro.eval.runtable.RunTableWriter` pair a local worker uses —
-    which is what makes the central invariant hold: **a table merged from
-    any mix of HTTP workers, autoscaled workers, and stolen tasks is
-    byte-identical to the single-host serial table.**
+    the other side of a socket.  Result rows arrive over the wire and go
+    through the queue's own ``write_rows`` — which is what makes the central
+    invariant hold: **a table merged from any mix of HTTP workers,
+    autoscaled workers, and stolen tasks is byte-identical to the
+    single-host serial table.**  A name the queue rejects (a plan name or
+    task id that is not a plain file name, rows for a plan it does not
+    hold) is an HTTP 400.
 
 :class:`QueueClient`
-    The worker-side counterpart: implements the :class:`WorkQueue` method
-    surface (``claim`` / ``heartbeat`` / ``complete`` / ``fail`` /
-    ``reclaim_expired`` / ``result_writers`` / introspection) over
-    keep-alive ``http.client`` connections, so
+    The worker-side counterpart: the :class:`WorkQueue` task-id interface
+    (``claim`` / ``heartbeat(task_ids)`` / ``complete(task_id)`` /
+    ``fail(task_id)`` / ``reclaim_expired`` / ``write_rows`` / ``close`` /
+    introspection) over keep-alive ``http.client`` connections, so
     :class:`~repro.eval.scheduler.WorkerDaemon` takes either backend
     through one ``queue=`` argument — the CLI exposes it as
     ``worker --queue-url``.
@@ -56,7 +57,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .runtable import RunRecord, RunTableWriter
+from .runtable import RunRecord
 from .scheduler import (CampaignPlan, ClaimedTask, EnqueueReport, WorkQueue,
                         task_from_dict)
 
@@ -81,23 +82,13 @@ class ServiceError(RuntimeError):
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
-@dataclass
-class _LeaseRef:
-    """Just enough of a ClaimedTask for id-addressed complete/fail/heartbeat."""
-
-    task_id: str
-    lease_path: Path
-
-
 class CampaignService:
     """HTTP/JSON front-end over a server-side :class:`WorkQueue`.
 
     The service owns the queue directory; clients never touch the
     filesystem.  All state transitions remain single atomic renames inside
-    the queue, so the threading server needs no locking around them — only
-    the streamed-row writers are serialized (append order within one
-    worker's table is irrelevant to the merge, but the csv writer itself is
-    not thread-safe).
+    the queue, so the threading server needs no locking around them — the
+    queue serializes its own row writers.
 
     Parameters
     ----------
@@ -118,9 +109,6 @@ class CampaignService:
                  log: Callable[[str], None] | None = None):
         self.queue = WorkQueue(root, lease_ttl=lease_ttl)
         self._log = log
-        self._writers: dict[tuple[str, str], list[RunTableWriter]] = {}
-        self._writer_lock = threading.Lock()
-        self._rows_written = 0
         service = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -205,7 +193,7 @@ class CampaignService:
 
     def close(self) -> None:
         """Stop the serve loop if one began, then release the socket and
-        the streamed-row writers; returns on a service that never served."""
+        the queue's row writers; returns on a service that never served."""
         with self._lifecycle:
             self._closed = True
             serving = self._serving
@@ -215,11 +203,7 @@ class CampaignService:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        with self._writer_lock:
-            for writers in self._writers.values():
-                for writer in writers:
-                    writer.close()
-            self._writers.clear()
+        self.queue.close()
 
     def __enter__(self) -> "CampaignService":
         return self.start()
@@ -244,72 +228,44 @@ class CampaignService:
             return {"pending": self.queue.pending_ids(),
                     "leased": self.queue.lease_ids()}
         if path == "/api/progress":
-            return {"plans": self._progress(), "rows_written": self._rows_written}
+            return {"plans": self._progress(),
+                    "rows_written": self.queue.rows_written}
         raise KeyError(path)
 
     def _post(self, path: str, body: dict) -> dict:
         path = path.rstrip("/")
+        queue = self.queue
         if path == "/api/plans":
-            report = self.queue.enqueue(
+            report = queue.enqueue(
                 CampaignPlan.from_dict(body["plan"]), batch=body.get("batch"))
             return asdict(report)
         if path == "/api/claim":
-            task = self.queue.claim(body.get("worker_id", ""),
-                                    prefer_plan=body.get("prefer_plan"))
-            if task is None:
-                return {"task": None}
-            # Return the task-file payload verbatim: the client re-parses it
-            # through the same codec the file backend uses.
-            return {"task": json.loads(task.lease_path.read_text())}
+            task = queue.claim(body.get("worker_id", ""),
+                               prefer_plan=body.get("prefer_plan"))
+            # The task-file payload verbatim: the client re-parses it through
+            # the same codec the file backend uses.
+            return {"task": None if task is None else task.document}
         if path == "/api/heartbeat":
-            renewed = []
-            for task_id in body.get("task_ids", ()):
-                lease = self.queue.leases_dir / f"{task_id}.json"
-                try:
-                    os.utime(lease)
-                except FileNotFoundError:
-                    continue  # reclaimed; the worker learns at complete()
-                renewed.append(task_id)
-            return {"renewed": renewed}
+            return {"renewed": queue.heartbeat(body.get("task_ids", ()))}
         if path == "/api/complete":
-            task_id = body["task_id"]
-            ref = _LeaseRef(task_id, self.queue.leases_dir / f"{task_id}.json")
-            return {"completed": self.queue.complete(ref)}
+            return {"completed": queue.complete(body["task_id"])}
         if path == "/api/fail":
-            task_id = body["task_id"]
-            ref = _LeaseRef(task_id, self.queue.leases_dir / f"{task_id}.json")
-            self.queue.fail(ref)
+            queue.fail(body["task_id"])
             return {}
         if path == "/api/reclaim":
-            return {"reclaimed": self.queue.reclaim_expired()}
+            return {"reclaimed": queue.reclaim_expired()}
         if path == "/api/rows":
-            return {"written": self._write_rows(
-                body["worker_id"], body["plan"], body.get("records", ()))}
+            # Rows land in results/<worker_id>/ exactly as a filesystem
+            # worker's would, so the merge cannot tell the transports apart.
+            records = [RunRecord(**{name: record[name]
+                                    for name in _RECORD_FIELDS
+                                    if name in record})
+                       for record in body.get("records", ())]
+            return {"written": queue.write_rows(body["worker_id"],
+                                                body["plan"], records)}
         raise KeyError(path)
 
     # -- helpers -------------------------------------------------------
-    def _write_rows(self, worker_id: str, plan_name: str,
-                    records: Iterable[dict]) -> int:
-        """Append streamed rows through the standard writer pair.
-
-        Rows land in ``results/<worker_id>/`` exactly as a filesystem
-        worker's would — profile sidecar first, canonical second, one flush
-        per row — so the merge step cannot tell the transports apart.
-        """
-        rows = [RunRecord(**{name: record[name] for name in _RECORD_FIELDS
-                             if name in record}) for record in records]
-        key = (worker_id, plan_name)
-        with self._writer_lock:
-            writers = self._writers.get(key)
-            if writers is None:
-                writers = self.queue.result_writers(worker_id, plan_name)
-                self._writers[key] = writers
-            for row in rows:
-                for writer in writers:
-                    writer.write(row)
-            self._rows_written += len(rows)
-        return len(rows)
-
     def _progress(self) -> list[dict]:
         """Per-plan merge progress: grid size vs rows streamed so far."""
         progress = []
@@ -331,43 +287,26 @@ class CampaignService:
 # Client
 # ----------------------------------------------------------------------
 class _HttpRowWriter:
-    """Buffered row stream to ``POST /api/rows``.
+    """One ``POST /api/rows`` of a task's rows, made by :meth:`flush`.
 
-    Quacks like :class:`RunTableWriter` for the daemon (``write`` /
-    ``close``) plus an explicit ``flush`` the daemon calls before settling
-    a task into ``done/`` — rows must be durable server-side before the
-    lease is released, or a crash between the two could strand a hole.
+    :meth:`QueueClient.write_rows` is the interface; ``flush`` is the one
+    place rows cross the wire, where perfbench's tracer times them.
     """
 
     def __init__(self, client: "QueueClient", worker_id: str, plan_name: str,
-                 flush_every: int = 256):
+                 records: Iterable[RunRecord]):
         self._client = client
-        self._worker_id = worker_id
-        self._plan_name = plan_name
-        self._flush_every = flush_every
-        self._pending: list[dict] = []
+        self._payload = {"worker_id": worker_id, "plan": plan_name,
+                         "records": [asdict(record) for record in records]}
 
-    def write(self, record: RunRecord) -> None:
-        self._pending.append(asdict(record))
-        if len(self._pending) >= self._flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._pending:
-            return
-        self._client._request("/api/rows", {
-            "worker_id": self._worker_id, "plan": self._plan_name,
-            "records": self._pending})
-        self._pending = []
-
-    def close(self) -> None:
-        self.flush()
+    def flush(self) -> int:
+        return self._client._request("/api/rows", self._payload)["written"]
 
 
 class QueueClient:
     """:class:`WorkQueue`-shaped client of a :class:`CampaignService`.
 
-    Implements the full worker-facing queue surface over HTTP, so
+    Implements the queue's task-id interface over HTTP, so
     ``WorkerDaemon(QueueClient(url))`` behaves exactly like
     ``WorkerDaemon(WorkQueue(root))`` — one ``queue_url=`` knob switches a
     fleet between shared-filesystem and networked operation.  Connection
@@ -493,31 +432,29 @@ class QueueClient:
                                             "prefer_plan": prefer_plan})
         if data["task"] is None:
             return None
-        # lease_path is a placeholder: ownership lives server-side and every
-        # lease operation goes by task_id over the wire.
-        return task_from_dict(data["task"], Path(data["task"]["task_id"]))
+        return task_from_dict(data["task"])
 
-    def heartbeat(self, tasks: ClaimedTask | Iterable[ClaimedTask]) -> None:
-        if isinstance(tasks, ClaimedTask):
-            tasks = [tasks]
-        task_ids = [task.task_id for task in tasks]
-        if task_ids:
-            self._request("/api/heartbeat", {"task_ids": task_ids})
+    def heartbeat(self, task_ids: Iterable[str]) -> list[str]:
+        task_ids = list(task_ids)
+        if not task_ids:
+            return []
+        return self._request("/api/heartbeat",
+                             {"task_ids": task_ids})["renewed"]
 
-    def complete(self, task: ClaimedTask) -> bool:
-        return self._request("/api/complete",
-                             {"task_id": task.task_id})["completed"]
+    def complete(self, task_id: str) -> bool:
+        return self._request("/api/complete", {"task_id": task_id})["completed"]
 
-    def fail(self, task: ClaimedTask) -> None:
-        self._request("/api/fail", {"task_id": task.task_id})
+    def fail(self, task_id: str) -> None:
+        self._request("/api/fail", {"task_id": task_id})
 
     def reclaim_expired(self) -> list[str]:
         return self._request("/api/reclaim", {})["reclaimed"]
 
-    # -- results -------------------------------------------------------
-    def result_writers(self, worker_id: str,
-                       plan_name: str) -> list[_HttpRowWriter]:
-        return [_HttpRowWriter(self, worker_id, plan_name)]
+    def write_rows(self, worker_id: str, plan_name: str,
+                   records: Iterable[RunRecord]) -> int:
+        """Send a task's rows in one request; the service appends them
+        through :meth:`WorkQueue.write_rows`."""
+        return _HttpRowWriter(self, worker_id, plan_name, records).flush()
 
     # -- introspection -------------------------------------------------
     def pending_ids(self) -> list[str]:

@@ -55,10 +55,6 @@ class EnergyBreakdown:
     overhead_j: float = 0.0
 
     @property
-    def memory_j(self) -> float:
-        return self.sram_j + self.dram_j
-
-    @property
     def total_j(self) -> float:
         return self.compute_j + self.sram_j + self.dram_j + self.overhead_j
 

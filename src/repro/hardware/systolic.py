@@ -113,9 +113,6 @@ class SystolicArray:
             utilization=utilization,
         )
 
-    def gemm_latency_ns(self, workload: GemmWorkload) -> float:
-        return self.schedule(workload).cycles * self.config.clock_period_ns
-
     def network_cycles(self, workloads: list[GemmWorkload]) -> int:
         """Total compute cycles of a sequence of GEMMs executed back to back."""
         return int(sum(self.schedule(w).cycles for w in workloads))

@@ -44,23 +44,6 @@ class MultiHeadAttention(Module):
         # (batch, seq, dim) -> (batch, heads, seq, head_dim)
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(1, 2)
 
-    def stacked_qkv_weight(self) -> np.ndarray:
-        """Column-stacked ``[Wq | Wk | Wv]`` float weights, ``(dim, 3*dim)``.
-
-        Deployment-side fused execution (``BatchedKernel.qgemm_multi``) runs
-        Q/K/V as one GEMM over exactly this stacking; the projections remain
-        distinct trainable modules so per-component injection targeting and
-        MAC attribution keep working.  The result is a snapshot copy — this
-        is a deployment convenience, not a training-path change.
-        """
-        return np.concatenate([self.q_proj.weight.data, self.k_proj.weight.data,
-                               self.v_proj.weight.data], axis=1)
-
-    def qkv_slices(self) -> dict[str, tuple[int, int]]:
-        """Column ranges of each projection inside :meth:`stacked_qkv_weight`."""
-        return {"q": (0, self.dim), "k": (self.dim, 2 * self.dim),
-                "v": (2 * self.dim, 3 * self.dim)}
-
     def forward(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
         batch, seq, _ = x.shape
         q = self._split_heads(self.q_proj(x), batch, seq)

@@ -55,12 +55,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=np.float64)
-
-
 class Tensor:
     """A numpy array plus an optional gradient and backward tape node."""
 

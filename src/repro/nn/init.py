@@ -11,9 +11,7 @@ import numpy as np
 
 __all__ = [
     "xavier_uniform",
-    "xavier_normal",
     "kaiming_uniform",
-    "kaiming_normal",
     "zeros",
     "ones",
     "normal",
@@ -38,22 +36,10 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(tuple(shape))
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
 def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     fan_in, _ = _fans(tuple(shape))
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    fan_in, _ = _fans(tuple(shape))
-    std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape)
 
 
 def zeros(shape) -> np.ndarray:

@@ -41,10 +41,6 @@ class Module:
             self.__dict__.setdefault("_modules", OrderedDict())[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     def add_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
         object.__setattr__(self, name, module)
@@ -66,11 +62,6 @@ class Module:
         yield self
         for module in self._modules.values():
             yield from module.modules()
-
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{name}.")
 
     def num_parameters(self) -> int:
         """Total number of scalar parameters in this module tree."""

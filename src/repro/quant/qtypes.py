@@ -57,10 +57,6 @@ class QuantSpec:
         return (1 << (self.accumulator_bits - 1)) - 1
 
     @property
-    def accumulator_min(self) -> int:
-        return -(1 << (self.accumulator_bits - 1))
-
-    @property
     def accumulator_mask(self) -> int:
         return (1 << self.accumulator_bits) - 1
 

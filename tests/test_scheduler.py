@@ -6,6 +6,7 @@ workers/shards — including workers killed mid-run — is byte-identical to the
 single-host serial table.
 """
 
+import errno
 import json
 import os
 import signal
@@ -40,6 +41,11 @@ from repro.faults.models import (SingleBitErrorModel, UniformErrorModel,
                                  VoltageErrorModel)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _lease(queue, task):
+    """The lease file of a claimed task (leases/<task_id>.json)."""
+    return queue.leases_dir / f"{task.task_id}.json"
 
 
 def _specs(num_trials=2):
@@ -151,6 +157,13 @@ class TestCampaignPlan:
         path.write_text(json.dumps(data))
         with pytest.raises(ValueError, match="hash check"):
             CampaignPlan.load(path)
+
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../escaped"])
+    def test_name_must_be_a_plain_file_name(self, name):
+        """A plan is saved as ``<dir>/<name>.json``, so its name may not
+        address a file outside that directory."""
+        with pytest.raises(ValueError, match="plain file name"):
+            CampaignPlan(name=name, specs=_specs())
 
 
 # ----------------------------------------------------------------------
@@ -320,12 +333,14 @@ class TestWorkQueue:
         assert task is not None and len(task.cells) == 4
         assert queue.counts() == {"pending": 0, "leased": 1, "done": 0,
                                   "failed": 0}
-        owner = json.loads(
-            task.lease_path.with_suffix(".owner.json").read_text())
+        owner_file = _lease(queue, task).with_suffix(".owner.json")
+        owner = json.loads(owner_file.read_text())
         assert owner["worker"] == "w1" and owner["pid"] == os.getpid()
-        assert queue.complete(task)
+        assert task.document["task_id"] == task.task_id
+        assert queue.heartbeat([task.task_id, "gone"]) == [task.task_id]
+        assert queue.complete(task.task_id)
         assert queue.counts()["done"] == 1
-        assert not task.lease_path.with_suffix(".owner.json").exists()
+        assert not owner_file.exists()
         assert queue.claim("w2") is None  # drained
 
     def test_cells_rebuild_with_exact_spec_keys(self, tmp_path):
@@ -344,20 +359,20 @@ class TestWorkQueue:
         task = queue.claim("dead-worker")
         assert queue.reclaim_expired() == []  # heartbeat is fresh
         stale = time.time() - 1000
-        os.utime(task.lease_path, (stale, stale))  # simulate a dead worker
+        os.utime(_lease(queue, task), (stale, stale))  # simulate a dead worker
         assert queue.reclaim_expired() == [task.task_id]
         assert queue.reclaim_expired() == []
         assert task.task_id in queue.pending_ids()
-        assert not task.lease_path.with_suffix(".owner.json").exists()
+        assert not _lease(queue, task).with_suffix(".owner.json").exists()
 
     def test_complete_after_reclaim_reports_loss(self, tmp_path):
         queue = self._queue(tmp_path, lease_ttl=30)
         queue.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=4)
         task = queue.claim("slow-worker")
         stale = time.time() - 1000
-        os.utime(task.lease_path, (stale, stale))
+        os.utime(_lease(queue, task), (stale, stale))
         queue.reclaim_expired()
-        assert queue.complete(task) is False  # informational, not an error
+        assert queue.complete(task.task_id) is False  # informational
 
     def test_skewed_but_advancing_heartbeat_survives_reclaim(self, tmp_path):
         """Clock-skew regression: a worker whose clock lags wall-clock
@@ -367,12 +382,13 @@ class TestWorkQueue:
         queue = self._queue(tmp_path, lease_ttl=30)
         queue.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=2)
         task = queue.claim("lagging-worker")  # claim records the mtime
-        base = task.lease_path.stat().st_mtime
+        lease = _lease(queue, task)
+        base = lease.stat().st_mtime
         # Heartbeats from the lagging clock: each advances the mtime a
         # little, but stays a TTL-and-more behind the reclaimer's clock.
-        os.utime(task.lease_path, (base + 5, base + 5))
+        os.utime(lease, (base + 5, base + 5))
         assert queue.reclaim_expired(now=base + 100) == []
-        os.utime(task.lease_path, (base + 10, base + 10))
+        os.utime(lease, (base + 10, base + 10))
         assert queue.reclaim_expired(now=base + 200) == []
         # The worker dies; the frozen mtime now reads as truly expired.
         assert queue.reclaim_expired(now=base + 300) == [task.task_id]
@@ -387,7 +403,7 @@ class TestWorkQueue:
         queue.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=2)
         task = queue.claim("dead-worker")
         stale = time.time() - 1000
-        os.utime(task.lease_path, (stale, stale))
+        os.utime(_lease(queue, task), (stale, stale))
         restarted = WorkQueue(tmp_path / "q", lease_ttl=30)
         assert restarted.reclaim_expired() == [task.task_id]
 
@@ -448,7 +464,7 @@ class TestWorkerDaemon:
         queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=2)
         abandoned = queue.claim("dead-worker")  # never heartbeats again
         stale = time.time() - 1000
-        os.utime(abandoned.lease_path, (stale, stale))
+        os.utime(_lease(queue, abandoned), (stale, stale))
         stats = WorkerDaemon(queue, worker_id="survivor", wait=True,
                              poll_interval=0.05).run()
         assert stats.leases_reclaimed == 1
@@ -492,9 +508,9 @@ class TestWorkerDaemon:
         assert (tmp_path / "merged" / "demo.csv").read_bytes() == \
             serial.csv_path.read_bytes()
 
-    def test_inline_failure_parks_task_in_failed(self, tmp_path):
-        """A deterministically crashing task must land in failed/ (not stay
-        leased), or its reclaimed lease would crash every worker in turn."""
+    @pytest.fixture()
+    def boom_system(self):
+        """A registered system key whose factory raises."""
         from repro.agents.registry import (SYSTEM_FACTORIES,
                                            SYSTEM_HAS_PREDICTOR,
                                            register_system)
@@ -503,18 +519,72 @@ class TestWorkerDaemon:
             raise RuntimeError("broken factory")
 
         register_system("boom-system", boom, overwrite=True)
-        try:
-            queue = WorkQueue(tmp_path / "q")
-            spec = TrialSpec(condition="x", system="boom-system",
-                             task="wooden", num_trials=1)
-            queue.enqueue(CampaignPlan(name="demo", specs=[spec]), batch=1)
-            with pytest.raises(RuntimeError, match="broken factory"):
-                WorkerDaemon(queue, worker_id="w").run()
-            assert queue.failed_ids()
-            assert not queue.pending_ids() and not queue.lease_ids()
-        finally:
-            SYSTEM_FACTORIES.pop("boom-system", None)
-            SYSTEM_HAS_PREDICTOR.pop("boom-system", None)
+        yield "boom-system"
+        SYSTEM_FACTORIES.pop("boom-system", None)
+        SYSTEM_HAS_PREDICTOR.pop("boom-system", None)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inline_failure_parks_task_in_failed(self, tmp_path, boom_system,
+                                                 jobs):
+        """A deterministically crashing task must land in failed/ (not stay
+        leased), or its reclaimed lease would crash every worker in turn.
+        At jobs=2 the system is built in the parent before the chunk is
+        submitted; that failure is the chunk's too."""
+        queue = WorkQueue(tmp_path / "q")
+        spec = TrialSpec(condition="x", system=boom_system, task="wooden",
+                         num_trials=1)
+        queue.enqueue(CampaignPlan(name="demo", specs=[spec]), batch=1)
+        with pytest.raises(RuntimeError, match="broken factory"):
+            WorkerDaemon(queue, jobs=jobs, worker_id="w").run()
+        assert queue.failed_ids()
+        assert not queue.pending_ids() and not queue.lease_ids()
+
+    def test_broken_system_beside_a_healthy_one_parks_only_its_task(
+            self, tmp_path, boom_system):
+        """The broken task is claimed first; the healthy task claimed after
+        it in the same run must still publish its system and finish."""
+        queue = WorkQueue(tmp_path / "q")
+        specs = [TrialSpec(condition="broken", system=boom_system,
+                           task="wooden", num_trials=1),
+                 TrialSpec(condition="healthy", system="jarvis",
+                           task="wooden", num_trials=1)]
+        queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=1)
+        broken, healthy = queue.pending_ids()
+        with pytest.raises(RuntimeError, match="broken factory"):
+            WorkerDaemon(queue, jobs=2, worker_id="w").run()
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 1,
+                                  "failed": 1}
+        assert queue.failed_ids() == [broken]
+        assert queue.done_ids() == [healthy]
+
+    def test_partial_row_write_is_retried_and_merges_away(self, tmp_path,
+                                                          monkeypatch):
+        """A full disk under the row writer: the first write of a task
+        lands one row, then raises.  The daemon retries the whole task's
+        rows, and the duplicate merges away like a reclaimed lease's."""
+        specs = _specs(2)
+        serial = run_campaign(specs, out=tmp_path / "serial", name="demo")
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=2)
+        write_rows = WorkQueue.write_rows
+        failed = []
+
+        def disk_full_once(self, worker_id, plan_name, records):
+            if not failed:
+                failed.append(len(records))
+                write_rows(self, worker_id, plan_name, records[:1])
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return write_rows(self, worker_id, plan_name, records)
+
+        monkeypatch.setattr(WorkQueue, "write_rows", disk_full_once)
+        stats = WorkerDaemon(queue, worker_id="w", retry_delay=0.001).run()
+        assert failed == [2]
+        assert stats.tasks_completed == 2 and stats.cells_executed == 4
+        lines = (queue.result_dir("w") / "demo.csv").read_text().splitlines()
+        assert len(lines) == 1 + 4 + 1  # header, the rows, one duplicate
+        merge_run_tables(tmp_path / "merged", [queue.root])
+        assert (tmp_path / "merged" / "demo.csv").read_bytes() == \
+            serial.csv_path.read_bytes()
 
     def test_pool_failure_parks_task_and_settles_sibling(self, tmp_path,
                                                          monkeypatch):
@@ -606,6 +676,37 @@ class TestWorkerDaemon:
         for record in sidecar:
             assert socket.gethostname() in record.worker_id
             assert str(os.getpid()) in record.worker_id
+
+
+# ----------------------------------------------------------------------
+# A worker table torn at every byte offset
+# ----------------------------------------------------------------------
+class TestTornWorkerTable:
+    def test_every_cut_reads_written_rows_and_merges_to_serial(self,
+                                                               tmp_path):
+        """A worker killed mid-write leaves its table cut anywhere.  At
+        every offset after the header the lenient reader returns only rows
+        that were written, and the merge with the re-run's complete table
+        (a second worker after the lease was reclaimed) is the serial
+        table, byte for byte."""
+        specs = _specs(2)
+        serial = run_campaign(specs, out=tmp_path / "serial", name="demo")
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=4)
+        for worker_id in ("torn", "rerun"):
+            queue.write_rows(worker_id, "demo", serial.table)
+        queue.close()
+        written = {record.result_payload() for record in serial.table}
+        expected = serial.csv_path.read_bytes()
+        torn = queue.result_dir("torn") / "demo.csv"
+        data = torn.read_bytes()
+        for cut in range(data.index(b"\n") + 1, len(data) + 1):
+            torn.write_bytes(data[:cut])
+            rows = RunTable.read_csv(torn, strict=False)
+            assert all(row.result_payload() in written for row in rows), cut
+            merge_run_tables(tmp_path / "merged", [queue.root])
+            assert (tmp_path / "merged" / "demo.csv").read_bytes() == \
+                expected, cut
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import asdict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -179,8 +180,8 @@ class TestServiceProtocol:
         assert client.counts() == {"pending": 0, "leased": 1, "done": 0,
                                    "failed": 0}
         assert client.lease_ids() == [task.task_id]
-        client.heartbeat(task)
-        assert client.complete(task) is True
+        assert client.heartbeat([task.task_id, "gone"]) == [task.task_id]
+        assert client.complete(task.task_id) is True
         assert client.counts()["done"] == 1
         assert client.claim("w2") is None  # drained
 
@@ -197,9 +198,59 @@ class TestServiceProtocol:
         client.enqueue(CampaignPlan(name="demo", specs=_specs(2)[:1]),
                        batch=4)
         task = client.claim("w1")
-        client.fail(task)
+        client.fail(task.task_id)
         assert client.counts() == {"pending": 0, "leased": 0, "done": 0,
                                    "failed": 1}
+
+
+# ----------------------------------------------------------------------
+# Names sent over the wire stay inside the queue directory
+# ----------------------------------------------------------------------
+class TestWireNames:
+    """Plan names and task ids become file names under the queue; one that
+    is not a plain file name is an HTTP 400 and writes nothing."""
+
+    def _assert_400(self, client, path, payload):
+        with pytest.raises(ServiceError, match="HTTP 400.*plain file name"):
+            client._request(path, payload)
+
+    def _tmp_entries(self, tmp_path):
+        return sorted(path.name for path in tmp_path.iterdir())
+
+    def test_plan_named_outside_the_queue(self, service, client, tmp_path):
+        document = CampaignPlan(name="demo", specs=_specs(1)).to_dict()
+        document["name"] = "../../escaped-plan"
+        del document["plan_hash"]  # the hash covers the name
+        self._assert_400(client, "/api/plans", {"plan": document})
+        assert self._tmp_entries(tmp_path) == ["queue"]
+        assert client.plans() == []
+
+    def test_rows_for_a_plan_outside_the_queue(self, service, client,
+                                               tmp_path):
+        client.enqueue(CampaignPlan(name="demo", specs=_specs(1)), batch=1)
+        cell = enumerate_cells(_specs(1))[0]
+        records = [asdict(synthetic_record(cell, "w"))]
+        self._assert_400(client, "/api/rows", {
+            "worker_id": "w", "plan": "../../../escaped", "records": records})
+        assert self._tmp_entries(tmp_path) == ["queue"]
+        with pytest.raises(ServiceError, match="HTTP 400.*holds no plan"):
+            client._request("/api/rows", {"worker_id": "w", "plan": "nope",
+                                          "records": records})
+        assert not any(service.queue.results_dir.iterdir())
+
+    def test_lease_calls_on_an_id_outside_the_leases(self, service, client):
+        """``complete`` and ``fail`` rename ``leases/<id>.json``: an id that
+        is not a plain file name must never reach the rename."""
+        client.enqueue(CampaignPlan(name="demo", specs=_specs(1)), batch=1)
+        for path, payload in (("/api/complete", {"task_id": "../plans/demo"}),
+                              ("/api/fail", {"task_id": "../plans/demo"}),
+                              ("/api/heartbeat",
+                               {"task_ids": ["../plans/demo"]})):
+            self._assert_400(client, path, payload)
+        stored, = client.plans()
+        assert stored.name == "demo"
+        assert client.counts() == {"pending": 2, "leased": 0, "done": 0,
+                                   "failed": 0}
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +263,10 @@ class TestRowStreaming:
             task = client.claim(worker_id)
             if task is None:
                 break
-            writer, = client.result_writers(worker_id, task.plan_name)
-            for cell in task.cells:
-                writer.write(synthetic_record(cell, worker_id))
-            writer.flush()
-            client.complete(task)
+            client.write_rows(worker_id, task.plan_name,
+                              [synthetic_record(cell, worker_id)
+                               for cell in task.cells])
+            client.complete(task.task_id)
             rows += len(task.cells)
         return rows
 
@@ -332,7 +382,7 @@ class TestServiceReclaim:
         os.utime(lease, (stale, stale))  # frozen heartbeat, long expired
         assert client.reclaim_expired() == [task.task_id]
         assert task.task_id in client.pending_ids()
-        assert client.complete(task) is False  # informational, not an error
+        assert client.complete(task.task_id) is False  # informational
 
     def test_advancing_skewed_heartbeat_survives_reclaim(self, tmp_path):
         """Service-level clock-skew regression: a lease whose mtime looks
@@ -366,7 +416,7 @@ class TestServiceReclaim:
         queue.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=2)
         task = queue.claim("dead-worker")
         stale = time.time() - 1000
-        os.utime(task.lease_path, (stale, stale))
+        os.utime(queue.leases_dir / f"{task.task_id}.json", (stale, stale))
         with CampaignService(tmp_path / "queue", lease_ttl=60.0) as service:
             client = QueueClient(service.url)
             try:

@@ -121,12 +121,12 @@ def _worker(url: str, worker_id: str, fleet: _Fleet,
             task = _timed(fleet, "claim", client.claim, worker_id)
             if task is None:
                 break
-            _timed(fleet, "heartbeat", client.heartbeat, task)
-            writer = client.result_writers(worker_id, task.plan_name)[0]
-            for cell in task.cells:
-                writer.write(synthetic_record(cell, worker_id))
-            _timed(fleet, "rows", writer.flush)
-            _timed(fleet, "complete", client.complete, task)
+            _timed(fleet, "heartbeat", client.heartbeat, [task.task_id])
+            records = [synthetic_record(cell, worker_id)
+                       for cell in task.cells]
+            _timed(fleet, "rows", client.write_rows, worker_id,
+                   task.plan_name, records)
+            _timed(fleet, "complete", client.complete, task.task_id)
             elapsed = time.perf_counter() - started
             with fleet.lock:
                 fleet.round_trip_latencies.append(elapsed)
