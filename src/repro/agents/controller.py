@@ -306,7 +306,7 @@ class DeployedController:
         rows only within a lane, run over a lane axis.  Per-lane stages
         execute in component order (``obs_proj``, ``q``/``k``/``v``/``o``,
         ``fc1``/``fc2``, ``policy_head``), so each lane's output — logits,
-        counters, injected flips — equals a stack of one bit for bit, and a
+        stats, injected flips — equals a stack of one bit for bit, and a
         fault targeted at one lane never perturbs its siblings.  With
         :attr:`_activation_probe` set, the pre-norm residuals are recorded
         there (:meth:`capture_activations`).
@@ -460,8 +460,8 @@ class DeployedController:
         """Action logits for N lanes as one stacked kernel pass per projection.
 
         ``requests`` holds one ``(subtask_id, observation)`` per lane and
-        ``contexts`` the lane's own per-trial kernel context (its hooks,
-        injector RNG stream, and counters); see :meth:`_forward_stack`.
+        ``contexts`` the lane's own per-trial kernel context (its hooks and
+        injector RNG stream); see :meth:`_forward_stack`.
         """
         if len(requests) != len(contexts):
             raise ValueError("need one kernel context per request")

@@ -189,6 +189,9 @@ class MissionExecutor:
         self.action_temperature = action_temperature
         self.max_replans = max_replans
         self.invalid_token_penalty = invalid_token_penalty
+        # Plans of hook-free planner lanes, keyed by (planner plan hash,
+        # task, progress); see :meth:`_plans`.
+        self._plan_memo: dict[tuple[str, str, int], tuple[str, ...]] = {}
 
     # ------------------------------------------------------------------
     def plan_cache_state(self) -> str:
@@ -230,6 +233,44 @@ class MissionExecutor:
                    for i in range(generated))
         result.planner_macs_by_voltage[voltage] = (
             result.planner_macs_by_voltage.get(voltage, 0.0) + macs)
+
+    def _plans(self, setups: list["_TrialSetup"],
+               requests: list[tuple[str, int]]) -> list[list[str]]:
+        """Each lane's plan for its ``(task_name, progress)`` request.
+
+        A lane whose planner carries no hook (no injector, no detector) has
+        nothing that reads its decode but the plan, and greedy decoding is a
+        pure function of the prompt and the weights.  So its plan is
+        memoized under ``(plan hash, task_name, progress)``: identical
+        hook-free prompts of one stack decode once, and later groups of this
+        executor reuse them.  Hooked lanes always decode, in one stack with
+        the hook-free misses (:meth:`DeployedPlanner.plan_batch`).
+        """
+        plan_hash = self.planner.kernel_plan().content_hash
+        memo = self._plan_memo
+        keys: list[tuple[str, str, int] | None] = [None] * len(requests)
+        decode: list[int] = []
+        missed: set[tuple[str, str, int]] = set()
+        for lane, (setup, request) in enumerate(zip(setups, requests)):
+            if setup.planner_injector is None and setup.planner_detector is None:
+                key = keys[lane] = (plan_hash, *request)
+                if key in memo or key in missed:
+                    continue
+                missed.add(key)
+            decode.append(lane)
+        plans: list[list[str]] = [None] * len(requests)
+        if decode:
+            decoded = self.planner.plan_batch(
+                [requests[lane] for lane in decode],
+                contexts=[setups[lane].planner_kernel for lane in decode])
+            for lane, plan in zip(decode, decoded):
+                plans[lane] = plan
+                if keys[lane] is not None:
+                    memo[keys[lane]] = tuple(plan)
+        for lane, key in enumerate(keys):
+            if key is not None:
+                plans[lane] = list(memo[key])
+        return plans
 
     # ------------------------------------------------------------------
     # Trial execution
@@ -321,11 +362,11 @@ class MissionExecutor:
         Lanes may decode different prompts (the fleet runtime,
         :class:`~repro.agents.fleet.FleetExecutor`, assigns tasks
         round-robin).  The initial plans of all lanes decode as one stack
-        (:meth:`DeployedPlanner.plan_batch`), then the world loops advance in
-        lock-step through :meth:`_run_lanes`.  RNG derivation, kernel hooks
-        and accounting are per trial and every stacked call is bit-identical
-        to a stack of one, so each result equals running its pair alone,
-        byte for byte — a single trial is a group of one.
+        (:meth:`_plans`, each hook-free prompt once), then the world loops
+        advance in lock-step through :meth:`_run_lanes`.  RNG derivation,
+        kernel hooks and accounting are per trial and every stacked call is
+        bit-identical to a stack of one, so each result equals running its
+        pair alone, byte for byte — a single trial is a group of one.
         """
         setups = [self._prepare_trial(task_name, seed, planner_protection,
                                       controller_protection)
@@ -336,9 +377,9 @@ class MissionExecutor:
             plans = [list(setup.task.plan[done:])
                      for setup, done in zip(setups, progress)]
         else:
-            plans = self.planner.plan_batch(
-                [(setup.task.name, done) for setup, done in zip(setups, progress)],
-                contexts=[setup.planner_kernel for setup in setups])
+            plans = self._plans(
+                setups, [(setup.task.name, done)
+                         for setup, done in zip(setups, progress)])
             for setup, plan in zip(setups, plans):
                 self._account_plan(plan, setup.result, setup.planner_voltage)
         return self._run_lanes(setups, [deque(plan) for plan in plans])
@@ -454,9 +495,9 @@ class MissionExecutor:
 
         The one driver of :meth:`_trial_steps` (a single trial is one lane).
         On every tick, the pending requests of all live lanes are gathered
-        and serviced as (at most) one stacked planner decode
-        (:meth:`DeployedPlanner.plan_batch`) plus one stacked controller
-        forward (:meth:`DeployedController.act_logits_batch`) — one quantize
+        and serviced as (at most) one stacked planner decode (:meth:`_plans`)
+        plus one stacked controller forward
+        (:meth:`DeployedController.act_logits_batch`) — one quantize
         and one INT GEMM per projection for the whole group instead of one
         dispatch per lane — and the group's actions are sampled as one stack.
         Lanes finish independently (StopIteration drops them from the
@@ -480,9 +521,8 @@ class MissionExecutor:
             plan_lanes = [i for i in pending if requests[i][0] == "plan"]
             act_lanes = [i for i in pending if requests[i][0] == "act"]
             if plan_lanes:
-                plans = self.planner.plan_batch(
-                    [requests[i][1:] for i in plan_lanes],
-                    contexts=[setups[i].planner_kernel for i in plan_lanes])
+                plans = self._plans([setups[i] for i in plan_lanes],
+                                    [requests[i][1:] for i in plan_lanes])
                 for index, plan in zip(plan_lanes, plans):
                     responses[index] = plan
             if act_lanes:

@@ -18,7 +18,7 @@ of one), fault-free and under injection.  Three properties make that hold:
 
 * the fleet GEMM stacks lanes along rows, and the float64 accumulator is
   exact for INT8 products, so each lane's rows equal its solo GEMM output;
-* every elementwise stage (injection, clamping, counters) runs per lane on
+* every elementwise stage (injection, clamping, stats) runs per lane on
   that lane's row slice, in the lane's own stage order;
 * each agent draws faults from its **own injector RNG lane** — the per-seed
   streams derived in ``_prepare_trial`` — so a flip in one agent's planner

@@ -319,10 +319,6 @@ class DeployedPlanner:
         self._plan: KernelPlan | None = None
         self._plan_shared = False
         self._activation_probe: dict[str, np.ndarray] | None = None
-        # Hook-free decoding reuses a pool of per-lane contexts (grown on
-        # demand) so lane counters stay independent without rebuilding
-        # contexts per call.
-        self._clean_lanes: list[KernelContext] = []
         self._norm_gain = np.ones(weights.config.dim)
         self._mask_cache: dict[tuple[int, int, int], np.ndarray] = {}
         # Per layer: the Q/K/V group, o, the Gate/Up group, down, the prefix.
@@ -447,7 +443,6 @@ class DeployedPlanner:
                 f"planner's checkpoint ({expected[:12]})")
         self._plan = plan
         self._plan_shared = plan.shared
-        self._clean_lanes = []
 
     def plan_provenance(self) -> str:
         """Where trial contexts get their plan: ``shm``, ``hit`` or ``miss``."""
@@ -464,7 +459,7 @@ class DeployedPlanner:
                        hooks: list[GemmHooks | None] | None,
                        contexts: list[KernelContext] | None
                        ) -> list[KernelContext]:
-        """Resolve one kernel context per lane (caller-owned, hook-built, or pooled)."""
+        """One kernel context per lane: caller-owned, hook-built or hook-free."""
         if contexts is not None:
             contexts = list(contexts)
             if len(contexts) != count:
@@ -480,9 +475,7 @@ class DeployedPlanner:
             if len(hooks) != count:
                 raise ValueError(f"{len(hooks)} hooks for {count} prompts")
             return [self.kernel_context(h) for h in hooks]
-        while len(self._clean_lanes) < count:
-            self._clean_lanes.append(self.kernel_context())
-        return self._clean_lanes[:count]
+        return [self.kernel_context() for _ in range(count)]
 
     def _prompts(self, requests: list[tuple[str, int]]) -> np.ndarray:
         """``(lanes, 4)`` prompt tokens, ``[BOS, TASK, PROGRESS, SEP]`` per lane."""
@@ -515,7 +508,6 @@ class DeployedPlanner:
         self._quantized = {}
         self._plan = None
         self._plan_shared = False
-        self._clean_lanes = []
         for name in self.weights.component_names():
             self._quantized[name] = QuantizedLinear(
                 name=name,
@@ -613,12 +605,13 @@ class DeployedPlanner:
 
         All prompts step together through :class:`~repro.quant.BatchedKernel`
         — one quantize + one stacked GEMM per projection per step — while
-        fault-injection RNG streams and counters stay per prompt (``hooks`` /
+        fault-injection RNG streams and stats stay per prompt (``hooks`` /
         ``contexts`` supply one entry per prompt) and the :class:`KVCache`
         holds every lane.  A prompt drops out of the stack when it emits
         EOS.  Results are bit-identical to decoding each prompt alone —
-        tokens, logits, and counters, fault-free and under injection, cached
-        or not (the batched equivalence tests assert all of it).
+        tokens, logits, and every stats object, fault-free and under
+        injection, cached or not (the batched equivalence tests assert all
+        of it).
         ``quantized=False`` decodes the prompts as one float lane stack
         (:class:`~repro.quant.FloatKernel`), bit-identical to decoding each
         prompt alone in float.

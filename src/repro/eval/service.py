@@ -17,7 +17,8 @@ exact protocol onto the network without changing a byte of its semantics:
     autoscaled workers, and stolen tasks is byte-identical to the
     single-host serial table.**  A name the queue rejects (a plan name or
     task id that is not a plain file name, rows for a plan it does not
-    hold) is an HTTP 400.
+    hold) is an HTTP 400, and so is a request body that is not a JSON
+    object or lacks a key its endpoint needs; only an unknown path is a 404.
 
 :class:`QueueClient`
     The worker-side counterpart: the :class:`WorkQueue` task-id interface
@@ -79,6 +80,10 @@ class ServiceError(RuntimeError):
     """A campaign-service response reported a protocol-level problem."""
 
 
+class _UnknownEndpoint(Exception):
+    """A request for a path the service does not serve (HTTP 404)."""
+
+
 # ----------------------------------------------------------------------
 # Server
 # ----------------------------------------------------------------------
@@ -137,12 +142,15 @@ class CampaignService:
                 length = int(self.headers.get("Content-Length", 0))
                 if not length:
                     return {}
-                return json.loads(self.rfile.read(length))
+                body = json.loads(self.rfile.read(length))
+                if not isinstance(body, dict):
+                    raise ValueError("request body must be a JSON object")
+                return body
 
             def do_GET(self):
                 try:
                     payload = service._get(self.path)
-                except KeyError:
+                except _UnknownEndpoint:
                     self._reply(404, {"error": f"no such endpoint {self.path}"})
                 except Exception as error:  # surfaced to the client
                     self._reply(500, {"error": str(error)})
@@ -152,8 +160,11 @@ class CampaignService:
             def do_POST(self):
                 try:
                     payload = service._post(self.path, self._body())
-                except KeyError:
+                except _UnknownEndpoint:
                     self._reply(404, {"error": f"no such endpoint {self.path}"})
+                except KeyError as error:
+                    self._reply(400, {"error": f"request body lacks required "
+                                               f"key {error.args[0]!r}"})
                 except (ValueError, TypeError) as error:
                     self._reply(400, {"error": str(error)})
                 except Exception as error:
@@ -230,7 +241,7 @@ class CampaignService:
         if path == "/api/progress":
             return {"plans": self._progress(),
                     "rows_written": self.queue.rows_written}
-        raise KeyError(path)
+        raise _UnknownEndpoint(path)
 
     def _post(self, path: str, body: dict) -> dict:
         path = path.rstrip("/")
@@ -263,7 +274,7 @@ class CampaignService:
                        for record in body.get("records", ())]
             return {"written": queue.write_rows(body["worker_id"],
                                                 body["plan"], records)}
-        raise KeyError(path)
+        raise _UnknownEndpoint(path)
 
     # -- helpers -------------------------------------------------------
     def _progress(self) -> list[dict]:

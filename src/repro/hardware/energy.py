@@ -95,14 +95,13 @@ class EnergyModel:
 
     def kernel_energy_j(self, counters, voltage: float,
                         include_overheads: bool = True) -> float:
-        """Compute energy of one kernel context's recorded work.
+        """Compute energy of the work recorded in ``counters``.
 
-        ``counters`` is a :class:`repro.quant.KernelCounters` (or anything
-        with a ``macs`` attribute): the unified interface the fused kernel
-        runtime maintains, so energy accounting no longer needs to combine
-        ``GemmStats`` with injection/clamp counters.  The kernel records
-        *logical* MACs (decode-strategy-invariant), so cached and uncached
-        decoding price identically.
+        ``counters`` is a :class:`repro.quant.GemmStats` (or anything with a
+        ``macs`` attribute), for example the ``stats`` hook of a kernel
+        context.  The kernel records *logical* MACs
+        (decode-strategy-invariant), so cached and uncached decoding price
+        identically.
         """
         return self.compute_energy_j({voltage: counters.macs},
                                      include_overheads=include_overheads)

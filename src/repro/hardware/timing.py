@@ -226,13 +226,14 @@ class TimingErrorModel:
 
     def expected_corrupted_elements(self, counters, voltage: float,
                                     accumulator_bits: int | None = None) -> float:
-        """Expected corrupted accumulator elements of one kernel context.
+        """Expected corrupted accumulator elements of the recorded work.
 
-        ``counters`` is a :class:`repro.quant.KernelCounters` (or anything
-        with an ``output_elements`` attribute).  Because the fused kernel
-        counts the accumulator elements actually *produced*, this prediction
-        holds for cached and uncached decoding alike — KV caching changes
-        how many elements are produced, not the per-element exposure.
+        ``counters`` is a :class:`repro.quant.GemmStats` (or anything with
+        an ``output_elements`` attribute), for example the ``stats`` hook of
+        a kernel context.  Because the fused kernel counts the accumulator
+        elements actually *produced*, this prediction holds for cached and
+        uncached decoding alike — KV caching changes how many elements are
+        produced, not the per-element exposure.
         """
         return counters.output_elements * self.element_error_rate(
             voltage, accumulator_bits)

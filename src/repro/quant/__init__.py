@@ -7,8 +7,7 @@ Two execution paths share one arithmetic definition:
   dequantize);
 * :class:`BatchedKernel` — the fused runtime used by deployed agents: the
   same pipeline over a stack of lanes (one :class:`KernelContext` each, a
-  single call being a stack of one), with pre-resolved scales/bounds and
-  unified :class:`KernelCounters`.
+  single call being a stack of one), with pre-resolved scales/bounds.
 """
 
 from .qtypes import (
@@ -23,7 +22,7 @@ from .qtypes import (
 from .quantizer import Calibrator, QuantParams, compute_scale, dequantize, quantize
 from .qgemm import GemmHooks, GemmStats, QuantizedLinear, quantized_matmul
 from .kernel import (CALIBRATION_STACK_LANES, BatchedKernel, FloatKernel,
-                     KernelContext, KernelCounters, KernelPlan, KVCache)
+                     KernelContext, KernelPlan, KVCache)
 
 __all__ = [
     "ACCUMULATOR_BITS",
@@ -43,7 +42,6 @@ __all__ = [
     "QuantizedLinear",
     "quantized_matmul",
     "KernelContext",
-    "KernelCounters",
     "KernelPlan",
     "FloatKernel",
     "KVCache",

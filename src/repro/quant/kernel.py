@@ -11,13 +11,11 @@ This module is the same pipeline compiled into long-lived runtime objects:
   into a plain-attribute entry (inverse input scale, combined output scale,
   integer anomaly bound, bias) resolved with a single dict lookup per call,
   and shared across trials through an immutable :class:`KernelPlan`;
-* a :class:`KernelContext` holds one lane's state — hooks, counters, plan;
-  injection and anomaly clearance run as in-pipeline stages on its shared
-  injector / detector objects, so their per-object stats keep working,
-  while the context additionally maintains one unified
-  :class:`KernelCounters` that energy/latency accounting can consume
-  instead of reading ``GemmStats`` + ``InjectionStats`` + ``AnomalyStats``
-  separately;
+* a :class:`KernelContext` holds one lane's state — hooks, injector RNG,
+  plan; injection and anomaly clearance run as in-pipeline stages on its
+  injector / detector objects, which count flips (``InjectionStats``) and
+  clamps (``AnomalyStats``), and a lane that carries a ``stats`` hook gets
+  its MACs and produced elements recorded in that ``GemmStats``;
 * :class:`BatchedKernel` is the one body of the pipeline.  It runs a stack
   of lanes — row-stacked activations of N contexts — as one quantize and
   one GEMM, then applies each lane's stages to its own row slice.  A single
@@ -39,7 +37,7 @@ slicing):
   anomaly clearance, MAC attribution and dequantization still run per
   component on the column slice (one scatter then applies every slice's
   drawn flips), so a fault targeted at ``*.k`` lands only in the K slice
-  and every counter matches the unfused path bit for bit.
+  and every stats object matches the unfused path bit for bit.
 * **Lane stacks** row-stack the inputs of N independent lanes.  Each lane
   keeps its own RNG stream and sees row blocks of exactly the shapes a
   stack of one would produce, so a stack of N is bit-identical to N stacks
@@ -60,7 +58,6 @@ produced accumulator element unchanged.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,66 +66,11 @@ from typing import Callable
 from .qgemm import GemmHooks, QuantizedLinear
 from .qtypes import INT8, QuantSpec, xor_flips
 
-__all__ = ["KernelCounters", "KernelContext", "KernelPlan", "FloatKernel",
-           "KVCache", "BatchedKernel", "CALIBRATION_STACK_LANES"]
+__all__ = ["KernelContext", "KernelPlan", "FloatKernel", "KVCache",
+           "BatchedKernel", "CALIBRATION_STACK_LANES"]
 
 #: Fused-entry memo miss marker (``None`` is a valid cached value: unfusable).
 _UNRESOLVED = object()
-
-
-@dataclass
-class KernelCounters:
-    """Unified per-context counters of the fused pipeline.
-
-    One object carries what previously required reading three: GEMM work
-    (``GemmStats``), injection activity (``InjectionStats``) and clamp
-    activity (``AnomalyStats``).  ``macs`` follows the logical-row accounting
-    described in the module docstring; ``output_elements`` counts the
-    accumulator elements actually produced (the fault-exposure surface).
-    """
-
-    gemm_calls: int = 0
-    macs: int = 0
-    output_elements: int = 0
-    bits_flipped: int = 0
-    elements_corrupted: int = 0
-    elements_clamped: int = 0
-    macs_per_component: dict[str, int] = field(default_factory=dict)
-
-    def record_gemm(self, component: str | None, macs: int, outputs: int) -> None:
-        self.gemm_calls += 1
-        self.macs += macs
-        self.output_elements += outputs
-        if component is not None:
-            self.macs_per_component[component] = (
-                self.macs_per_component.get(component, 0) + macs
-            )
-
-    def reset(self) -> None:
-        self.gemm_calls = 0
-        self.macs = 0
-        self.output_elements = 0
-        self.bits_flipped = 0
-        self.elements_corrupted = 0
-        self.elements_clamped = 0
-        self.macs_per_component.clear()
-
-    @property
-    def observed_element_error_rate(self) -> float:
-        """Corrupted fraction of the accumulator elements actually produced."""
-        if self.output_elements == 0:
-            return 0.0
-        return self.elements_corrupted / self.output_elements
-
-    def as_dict(self) -> dict[str, int | float]:
-        return {
-            "gemm_calls": self.gemm_calls,
-            "macs": self.macs,
-            "output_elements": self.output_elements,
-            "bits_flipped": self.bits_flipped,
-            "elements_corrupted": self.elements_corrupted,
-            "elements_clamped": self.elements_clamped,
-        }
 
 
 class _KernelEntry:
@@ -203,15 +145,14 @@ class _FusedEntry:
     Components whose GEMMs read the same activation tensor under the same
     calibration scale (Q/K/V off the attention norm, Gate/Up off the MLP
     norm) can run as one GEMM over the column-concatenated weights.  The
-    per-component stages (injection, clamp, dequantize, counters) keep using
+    per-component stages (injection, clamp, dequantize, stats) keep using
     the original :class:`_KernelEntry` objects on column slices, so fusion
     never changes a bit of any component's output or bookkeeping.
     """
 
     __slots__ = ("slices", "weight_q", "weight_f", "x_scale", "in_features",
                  "out_features", "qmin", "qmax", "wrap_free", "exact_float",
-                 "scale_row", "component_macs", "macs_per_row", "uniform_scale",
-                 "any_bias")
+                 "scale_row", "component_macs", "uniform_scale", "any_bias")
 
     def __init__(self, names: tuple[str, ...], entries: list[_KernelEntry]):
         self.slices: list[tuple[str, _KernelEntry, int, int]] = []
@@ -219,13 +160,11 @@ class _FusedEntry:
         for name, entry in zip(names, entries):
             self.slices.append((name, entry, offset, offset + entry.out_features))
             offset += entry.out_features
-        # Per-call counter template: (name, macs-per-logical-row, columns)
-        # per component, plus the group total, so the hot path records MACs
-        # with plain arithmetic instead of per-slice method dispatch.
+        # Per-call stats template: (name, macs-per-logical-row, columns) per
+        # component, for the lanes that carry a ``GemmStats`` hook.
         self.component_macs = tuple(
             (name, entry.in_features * entry.out_features, entry.out_features)
             for name, entry, _, _ in self.slices)
-        self.macs_per_row = sum(per_row for _, per_row, _ in self.component_macs)
         self.any_bias = any(entry.bias is not None for entry in entries)
         self.weight_q = np.concatenate([e.weight_q for e in entries], axis=1)
         self.weight_f = np.concatenate([e.weight_f for e in entries], axis=1)
@@ -269,7 +208,7 @@ class KernelPlan:
     construction — float copies of every weight matrix plus a per-layer
     column-sum reduction — so deployed agents build one plan per calibration
     and hand it to every per-trial context, which then only allocates its
-    tiny mutable state (counters, hook wiring, input memo).
+    tiny mutable state (hook wiring, input memo).
 
     ``content_hash`` is a SHA-256 over the spec, layer names, scales, bounds
     and weight bytes: two plans with equal hashes are bit-identical, which is
@@ -346,13 +285,15 @@ class KernelPlan:
 
 
 class KernelContext:
-    """One lane's state of the fused pipeline: hooks, counters and the plan.
+    """One lane's state of the fused pipeline: hooks, injector RNG and the plan.
 
     A context holds everything that belongs to one prompt or one trial —
-    its hooks (injector with its own RNG stream, anomaly clamp, stats), its
-    :class:`KernelCounters`, and the flattened layer entries it runs (shared
-    with a :class:`KernelPlan`, or registered privately).  The pipeline
-    itself runs in :class:`BatchedKernel`, over a stack of lanes;
+    its hooks (injector with its own RNG stream, anomaly clamp, optional
+    ``GemmStats``) and the flattened layer entries it runs (shared with a
+    :class:`KernelPlan`, or registered privately).  It keeps no counters of
+    its own: the injector counts flips, the clamp counts clearances, and a
+    ``stats`` hook, when given, records MACs and produced elements.  The
+    pipeline itself runs in :class:`BatchedKernel`, over a stack of lanes;
     :meth:`qgemm` and :meth:`qgemm_multi` are the one-lane entries, a stack
     of one through the context's own kernel (:attr:`kernel`).
 
@@ -364,7 +305,7 @@ class KernelContext:
     hooks:
         The same :class:`~repro.quant.qgemm.GemmHooks` the reference pipeline
         takes; injector / anomaly-clamp / stats objects are shared, so their
-        own counters stay live alongside :attr:`counters`.
+        own counters stay live.
     spec:
         Quantization format of the registered layers.
     rng:
@@ -393,7 +334,6 @@ class KernelContext:
         self.injector = hooks.injector
         self.clamp = hooks.anomaly_clamp
         self.stats = hooks.stats
-        self.counters = KernelCounters()
         if rng is not None and self.injector is not None:
             self.injector.reseed(rng)
         self._plan = plan
@@ -407,6 +347,9 @@ class KernelContext:
             self._entries: dict[str, _KernelEntry] = {}
             self._fused_entries: dict[tuple[str, ...], _FusedEntry | None] = {}
         self._kernel: BatchedKernel | None = None
+        # The last lane stack whose first lane is this context (see
+        # :meth:`BatchedKernel.of`).
+        self._stack: BatchedKernel | None = None
         if layers:
             self.register_all(layers)
 
@@ -438,18 +381,6 @@ class KernelContext:
 
     def component_names(self) -> list[str]:
         return sorted(self._entries)
-
-    def reset(self, rng: np.random.Generator | None = None) -> None:
-        """O(1) per-trial reset: counters and input memo, never plan state.
-
-        When ``rng`` is given the injector is reseeded, mirroring
-        construction.
-        """
-        self.counters.reset()
-        if self._kernel is not None:
-            self._kernel.release_inputs()
-        if rng is not None and self.injector is not None:
-            self.injector.reseed(rng)
 
     # ------------------------------------------------------------------
     # One-lane entries
@@ -486,7 +417,7 @@ class KernelContext:
         :meth:`BatchedKernel.qgemm_multi` over a stack of one: components
         sharing the input scale (Q/K/V, Gate/Up) run as one column-stacked
         GEMM, every per-component stage on its column slice in call order, so
-        results and counters equal separate :meth:`qgemm` calls bit for bit.
+        results and stats equal separate :meth:`qgemm` calls bit for bit.
         """
         kernel = self._kernel or self.kernel
         logical = None if logical_rows is None else (logical_rows,)
@@ -508,16 +439,6 @@ class KernelContext:
         self._fused_entries[names] = fused
         return fused
 
-    def _clamp_stage(self, acc: np.ndarray, bound: int, name: str) -> np.ndarray:
-        """Anomaly clearance as a pipeline stage (tracks the unified counters)."""
-        clamp_stats = getattr(self.clamp, "stats", None)
-        clamped_before = clamp_stats.elements_clamped if clamp_stats else 0
-        acc = self.clamp(acc, bound, name)
-        if clamp_stats is not None:
-            self.counters.elements_clamped += (
-                clamp_stats.elements_clamped - clamped_before)
-        return acc
-
 
 class BatchedKernel:
     """The fused pipeline over a stack of lanes: the body of every quantized GEMM.
@@ -526,13 +447,14 @@ class BatchedKernel:
     :class:`KernelContext`.  Callers row-stack the lanes' activations and
     call :meth:`qgemm` / :meth:`qgemm_multi` with ``lane_rows`` giving each
     lane's row count in the stack.  Quantization and the (IN)T GEMM run
-    once for the whole stack; every per-lane stage — MAC/stat attribution,
-    fault injection with the lane's own RNG stream, anomaly clearance —
-    runs on the lane's row slice through the lane's own context.  Each
-    lane's injector therefore sees tensors of exactly the shapes (and
-    values) a stack of one would produce, in the same call order, so a
-    stack of N is bit-identical to N stacks of one, fault-free and under
-    injection.  A single lane skips the per-lane bookkeeping.
+    once for the whole stack; every per-lane stage — fault injection with
+    the lane's own RNG stream, anomaly clearance, and the MAC record of a
+    lane that carries a ``GemmStats`` hook — runs on the lane's row slice
+    through the lane's own context.  Each lane's injector therefore sees
+    tensors of exactly the shapes (and values) a stack of one would
+    produce, in the same call order, so a stack of N is bit-identical to N
+    stacks of one, fault-free and under injection.  Lanes without hooks
+    cost no per-lane work at all.
 
     All contexts must be registered over the same deployed model (same
     component names, scales, and quantization spec); lanes may differ in
@@ -552,8 +474,6 @@ class BatchedKernel:
         self.contexts = list(contexts)
         self.spec = host.spec
         self._host = host
-        # The lane of a stack of one, which skips the per-lane loops.
-        self._lane = host if len(self.contexts) == 1 else None
         self._qx_source: np.ndarray | None = None
         self._qx_scale = 0.0
         self._qx: np.ndarray | None = None
@@ -562,19 +482,35 @@ class BatchedKernel:
         self._acc_sign = 1 << (host.spec.accumulator_bits - 1)
         self._acc_span = 1 << host.spec.accumulator_bits
         # Hooks are fixed at context construction, so hoist the "does any
-        # lane inject / clamp" checks out of the per-call hot path; when no
-        # lane has hooks the per-lane stage loops are skipped entirely.
+        # lane inject / clamp / keep stats" checks out of the per-call hot
+        # path; when no lane has hooks the per-lane stages are skipped.
         self._faulty = any(c.injector is not None for c in self.contexts)
         self._hooked = self._faulty or any(
             c.clamp is not None for c in self.contexts)
+        self._stats = [(lane, context.stats)
+                       for lane, context in enumerate(self.contexts)
+                       if context.stats is not None]
         self._bounds_memo: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
     @classmethod
     def of(cls, contexts: list[KernelContext]) -> "BatchedKernel":
-        """The kernel of a lane stack; a single lane reuses its context's own."""
+        """The kernel of a lane stack, reused while the lane set stays the same.
+
+        A single lane uses its context's own kernel.  A larger stack is kept
+        on its first context and handed out again, its input memo released,
+        as long as the same contexts come in the same order, so a fleet's
+        controller builds and validates its stack once rather than every
+        step.  Any other lane set (a lane dropped or added) builds a new one.
+        """
         if len(contexts) == 1:
             return contexts[0].kernel
-        return cls(contexts)
+        host = contexts[0]
+        kernel = host._stack
+        if kernel is not None and kernel.contexts == contexts:
+            kernel.release_inputs()
+            return kernel
+        kernel = host._stack = cls(contexts)
+        return kernel
 
     def release_inputs(self) -> None:
         """Drop the stack-level input memo (end of a decode / act step).
@@ -611,6 +547,19 @@ class BatchedKernel:
             raise ValueError(f"lane_rows sum to {offset}, stack has {total} rows")
         self._bounds_memo[key] = bounds
         return bounds
+
+    def _record(self, components, bounds, logical_rows) -> None:
+        """MACs and produced elements of every ``stats``-hooked lane.
+
+        ``components`` holds ``(name, MACs per logical row, columns)`` per
+        component, in call order.  MACs count the lane's logical rows (see
+        the module docstring), produced elements its computed rows.
+        """
+        for lane, stats in self._stats:
+            lo, hi = bounds[lane]
+            logical = hi - lo if logical_rows is None else logical_rows[lane]
+            for name, per_row, columns in components:
+                stats.record(name, logical * per_row, (hi - lo) * columns)
 
     def _accumulate(self, entry, x: np.ndarray) -> tuple[np.ndarray, bool]:
         """Quantize + GEMM (+wrap) for the whole stack; returns (acc, is_int).
@@ -653,45 +602,14 @@ class BatchedKernel:
               logical_rows=None) -> np.ndarray:
         """One pipeline pass over the stack; returns the row-stacked float output."""
         entry = self._host._entries[name]
-        elems = entry.in_features * entry.out_features
-        outs = entry.out_features
-        # Inlined ``counters.record_gemm`` (same arithmetic) per lane: the
-        # recording is the hottest pure-Python code of a stacked step, and a
-        # single lane skips the bounds memo and the loop.
-        lane = self._lane
-        if lane is not None:
-            rows = x.shape[0]
-            if len(lane_rows) != 1 or lane_rows[0] != rows:
-                raise ValueError(f"lane_rows {list(lane_rows)} do not cover "
-                                 f"a one-lane stack of {rows} rows")
-            bounds = None
-            macs = (rows if logical_rows is None else logical_rows[0]) * elems
-            counters = lane.counters
-            counters.gemm_calls += 1
-            counters.macs += macs
-            counters.output_elements += rows * outs
-            per_component = counters.macs_per_component
-            per_component[name] = per_component.get(name, 0) + macs
-            if lane.stats is not None:
-                lane.stats.record(name, macs, rows * outs)
-        else:
-            bounds = self._bounds(lane_rows, x.shape[0])
-            for context, rows, lrows in zip(self.contexts, lane_rows,
-                                            logical_rows or lane_rows):
-                macs = lrows * elems
-                counters = context.counters
-                counters.gemm_calls += 1
-                counters.macs += macs
-                counters.output_elements += rows * outs
-                per_component = counters.macs_per_component
-                per_component[name] = per_component.get(name, 0) + macs
-                if context.stats is not None:
-                    context.stats.record(name, macs, rows * outs)
-
+        bounds = self._bounds(lane_rows, x.shape[0])
+        if self._stats:
+            self._record(((name, entry.in_features * entry.out_features,
+                           entry.out_features),), bounds, logical_rows)
         acc, is_int = self._accumulate(entry, x)
         if self._hooked:
-            _hook_stages(acc, ((name, entry, 0, outs),), self.contexts,
-                         bounds or ((0, x.shape[0]),), self.spec)
+            _hook_stages(acc, ((name, entry, 0, entry.out_features),),
+                         self.contexts, bounds, self.spec)
         out = acc.astype(np.float64) if is_int else acc
         out *= entry.combined_scale
         if entry.bias is not None:
@@ -706,9 +624,9 @@ class BatchedKernel:
         construction — they read the same normalized residual); groups that
         do not fall back to one :meth:`qgemm` per component.  Per lane,
         per-component stages — injection (RNG draws and targeting), anomaly
-        clearance, MAC/stat attribution — run on the component's column
-        slice in component call order, so results and all counters equal
-        separate :meth:`qgemm` calls bit for bit.
+        clearance, ``GemmStats`` attribution — run on the component's column
+        slice in component call order, so results and every stats object
+        equal separate :meth:`qgemm` calls bit for bit.
         """
         if type(names) is not tuple:
             names = tuple(names)
@@ -719,25 +637,12 @@ class BatchedKernel:
         if fused is None:
             return tuple(self.qgemm(name, x, lane_rows, logical_rows)
                          for name in names)
-        lane = self._lane
-        if lane is not None:
-            rows = x.shape[0]
-            if len(lane_rows) != 1 or lane_rows[0] != rows:
-                raise ValueError(f"lane_rows {list(lane_rows)} do not cover "
-                                 f"a one-lane stack of {rows} rows")
-            bounds = None
-            _record_group(lane, fused, rows if logical_rows is None
-                          else logical_rows[0], rows)
-        else:
-            bounds = self._bounds(lane_rows, x.shape[0])
-            for context, rows, lrows in zip(self.contexts, lane_rows,
-                                            logical_rows or lane_rows):
-                _record_group(context, fused, lrows, rows)
-
+        bounds = self._bounds(lane_rows, x.shape[0])
+        if self._stats:
+            self._record(fused.component_macs, bounds, logical_rows)
         acc, is_int = self._accumulate(fused, x)
         if self._hooked:
-            _hook_stages(acc, fused.slices, self.contexts,
-                         bounds or ((0, x.shape[0]),), self.spec)
+            _hook_stages(acc, fused.slices, self.contexts, bounds, self.spec)
         out = acc.astype(np.float64) if is_int else acc
         if fused.uniform_scale is not None:
             out *= fused.uniform_scale
@@ -752,26 +657,6 @@ class BatchedKernel:
                 part += entry.bias
             parts.append(part)
         return tuple(parts)
-
-
-def _record_group(context: KernelContext, fused: _FusedEntry, logical: int,
-                  rows: int) -> None:
-    """One lane's counters and stats of a fused group GEMM (per component).
-
-    The arithmetic of one ``counters.record_gemm`` per component, inlined:
-    per-lane recording is the hottest pure-Python loop of a stacked step.
-    """
-    counters = context.counters
-    counters.gemm_calls += len(fused.slices)
-    counters.macs += logical * fused.macs_per_row
-    counters.output_elements += rows * fused.out_features
-    per_component = counters.macs_per_component
-    stats = context.stats
-    for name, per_row, columns in fused.component_macs:
-        macs = logical * per_row
-        per_component[name] = per_component.get(name, 0) + macs
-        if stats is not None:
-            stats.record(name, macs, rows * columns)
 
 
 def _hook_stages(acc: np.ndarray, slices, contexts, bounds,
@@ -796,8 +681,6 @@ def _hook_stages(acc: np.ndarray, slices, contexts, bounds,
         injector = context.injector
         if injector is None:
             continue
-        stats = injector.stats
-        flipped, corrupted = stats.bits_flipped, stats.elements_corrupted
         multi_row = hi - lo > 1
         for name, _, c0, c1 in slices:
             drawn = injector.draw(acc[lo:hi, c0:c1], spec, name)
@@ -810,23 +693,20 @@ def _hook_stages(acc: np.ndarray, slices, contexts, bounds,
             local += lo * stride + c0
             indices.append(local)
             masks.append(mask)
-        counters = context.counters
-        counters.bits_flipped += stats.bits_flipped - flipped
-        counters.elements_corrupted += stats.elements_corrupted - corrupted
     if len(indices) == 1:
         xor_flips(acc.reshape(-1), indices[0], masks[0], spec.accumulator_bits)
     elif indices:
         xor_flips(acc.reshape(-1), np.concatenate(indices),
                   np.concatenate(masks), spec.accumulator_bits)
     for context, (lo, hi) in zip(contexts, bounds):
-        if context.clamp is None:
+        clamp = context.clamp
+        if clamp is None:
             continue
         entries = context._entries
         for name, _, c0, c1 in slices:
             bound = entries[name].bound_acc
             if bound is not None:
-                acc[lo:hi, c0:c1] = context._clamp_stage(
-                    acc[lo:hi, c0:c1], bound, name)
+                acc[lo:hi, c0:c1] = clamp(acc[lo:hi, c0:c1], bound, name)
 
 
 #: Most lanes one calibration stack holds.  Calibration is the only caller

@@ -4,22 +4,28 @@ The batched runtime (see ``docs/architecture.md``, "The batched runtime")
 is a pure performance feature at three levels — fused Q/K/V projections,
 cross-prompt batched decode, and vectorized campaign trial batches.  Every
 test here asserts the contract that makes that true: batched execution is
-**bit-identical** to its unbatched counterpart — outputs, counters, and
-fault-injection RNG streams.
+**bit-identical** to its unbatched counterpart — outputs, ``GemmStats``,
+and fault-injection RNG streams.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+import subprocess
+import sys
+from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.agents.planner import DeployedPlanner
 from repro.core import ProtectionConfig
 from repro.eval import RunTable, TrialSpec, run_campaign
 from repro.eval.runtable import record_from_trial
 from repro.faults import ErrorInjector, UniformErrorModel
-from repro.quant import GemmHooks, KernelContext
+from repro.quant import GemmHooks, GemmStats, KernelContext
 
 
 QKV = ("layer0.q", "layer0.k", "layer0.v")
@@ -74,16 +80,16 @@ class TestFusedQKV:
 
     def test_mac_attribution_per_component(self, deployed_planner, rng):
         layers = {name: deployed_planner._quantized[name] for name in QKV}
-        split = KernelContext(layers, spec=deployed_planner.spec)
-        fused = KernelContext(layers, spec=deployed_planner.spec)
+        split = KernelContext(layers, hooks=GemmHooks(stats=GemmStats()),
+                              spec=deployed_planner.spec)
+        fused = KernelContext(layers, hooks=GemmHooks(stats=GemmStats()),
+                              spec=deployed_planner.spec)
         x = rng.normal(size=(3, layers[QKV[0]].in_features))
         for name in QKV:
             split.qgemm(name, x)
         fused.qgemm_multi(QKV, x)
-        assert split.counters.macs_per_component == \
-            fused.counters.macs_per_component
-        assert split.counters.macs == fused.counters.macs
-        assert split.counters.output_elements == fused.counters.output_elements
+        assert set(fused.stats.macs_per_component) == set(QKV)
+        assert split.stats == fused.stats
 
 
 class TestBatchedDecode:
@@ -112,13 +118,19 @@ class TestBatchedDecode:
             [tokens for tokens, _ in serial]
 
     def test_counters_match_serial(self, deployed_planner):
-        serial_ctx = [deployed_planner.kernel_context() for _ in self.REQUESTS]
+        """Each lane's ``GemmStats`` in a stack equals its decode alone."""
+        def contexts():
+            return [deployed_planner.kernel_context(GemmHooks(stats=GemmStats()))
+                    for _ in self.REQUESTS]
+
+        serial_ctx = contexts()
         for (t, p), ctx in zip(self.REQUESTS, serial_ctx):
             deployed_planner.plan(t, p, context=ctx)
-        batch_ctx = [deployed_planner.kernel_context() for _ in self.REQUESTS]
+        batch_ctx = contexts()
         deployed_planner.plan_batch(self.REQUESTS, contexts=batch_ctx)
         for sc, bc in zip(serial_ctx, batch_ctx):
-            assert sc.counters.as_dict() == bc.counters.as_dict()
+            assert sc.stats.macs > 0
+            assert sc.stats == bc.stats
 
     def test_per_prompt_rng_independence(self, deployed_planner):
         """Each lane's injection stream is untouched by its siblings: the
@@ -229,6 +241,151 @@ class TestExecutorTrialBatch:
                    for t in clean)
         assert self._payloads(clean) == self._payloads(serial)
         assert self._payloads(clean) != self._payloads(protected)
+
+
+def _payloads(trials, tasks, seeds):
+    return [record_from_trial(trial, spec_key="k", condition="c",
+                              system="jarvis", task=task, seed=seed,
+                              trial_index=seed).result_payload()
+            for trial, task, seed in zip(trials, tasks, seeds)]
+
+
+class TestPlanMemo:
+    """Hook-free planner lanes decode each prompt once per executor."""
+
+    INJECTED = ProtectionConfig(error_model=UniformErrorModel(1e-2))
+    DETECTED = ProtectionConfig(anomaly_detection=True)
+
+    @pytest.fixture()
+    def decoded(self, monkeypatch):
+        """The prompts of every ``plan_batch`` call, one list per call."""
+        calls = []
+        original = DeployedPlanner.plan_batch
+
+        def spy(planner, requests, *args, **kwargs):
+            calls.append(list(requests))
+            return original(planner, requests, *args, **kwargs)
+
+        monkeypatch.setattr(DeployedPlanner, "plan_batch", spy)
+        return calls
+
+    @staticmethod
+    def _mixed_group(executor, lanes):
+        """``run_trial_group`` over lanes that each carry their own planner
+        protection: ``lanes`` holds ``(task, seed, planner_protection)``."""
+        setups = [executor._prepare_trial(task, seed, protection, None)
+                  for task, seed, protection in lanes]
+        plans = executor._plans(setups, [
+            (setup.task.name, executor._progress(setup.world, setup.task))
+            for setup in setups])
+        for setup, plan in zip(setups, plans):
+            executor._account_plan(plan, setup.result, setup.planner_voltage)
+        return executor._run_lanes(setups, [deque(plan) for plan in plans])
+
+    def test_identical_prompts_in_a_stack_decode_once(self, jarvis_system,
+                                                      decoded):
+        executor = jarvis_system.executor()
+        seeds = [0, 1, 2, 3]
+        first = executor.run_trial_batch("wooden", seeds)
+        assert decoded[0] == [("wooden", 0)]
+        prompts = [prompt for call in decoded for prompt in call]
+        assert len(prompts) == len(set(prompts))
+        calls = len(decoded)
+        again = executor.run_trial_batch("wooden", seeds)
+        assert len(decoded) == calls
+        tasks = ["wooden"] * len(seeds)
+        assert _payloads(again, tasks, seeds) == _payloads(first, tasks, seeds)
+        fresh = jarvis_system.executor()
+        serial = [fresh.run_trial("wooden", seed=seed) for seed in seeds]
+        assert _payloads(first, tasks, seeds) == _payloads(serial, tasks, seeds)
+
+    @pytest.mark.parametrize("protection", ["injected", "detected"])
+    def test_hooked_lanes_never_read_or_fill_the_memo(self, jarvis_system,
+                                                      decoded, protection):
+        protection = {"injected": self.INJECTED,
+                      "detected": self.DETECTED}[protection]
+        executor = jarvis_system.executor()
+        key = (executor.planner.kernel_plan().content_hash, "wooden", 0)
+        executor._plan_memo[key] = ("no-such-subtask",)
+        seeds = [5, 6]
+        hooked = executor.run_trial_batch("wooden", seeds,
+                                          planner_protection=protection)
+        assert decoded[0] == [("wooden", 0)] * len(seeds)
+        assert executor._plan_memo == {key: ("no-such-subtask",)}
+        fresh = jarvis_system.executor()
+        serial = [fresh.run_trial("wooden", seed=seed,
+                                  planner_protection=protection)
+                  for seed in seeds]
+        tasks = ["wooden"] * len(seeds)
+        assert _payloads(hooked, tasks, seeds) == _payloads(serial, tasks, seeds)
+        assert fresh._plan_memo == {}
+
+    def test_mixed_stack_equals_per_lane_trials(self, jarvis_system, decoded):
+        lanes = [("wooden", 0, None), ("wooden", 1, self.INJECTED),
+                 ("wooden", 2, None), ("stone", 3, self.DETECTED),
+                 ("stone", 4, None), ("wooden", 5, self.INJECTED)]
+        executor = jarvis_system.executor()
+        mixed = self._mixed_group(executor, lanes)
+        assert decoded[0] == [("wooden", 0), ("wooden", 0), ("stone", 0),
+                              ("stone", 0), ("wooden", 0)]
+        assert mixed[1].planner_bits_flipped > 0
+        fresh = jarvis_system.executor()
+        serial = [fresh.run_trial(task, seed=seed, planner_protection=protection)
+                  for task, seed, protection in lanes]
+        tasks = [task for task, _, _ in lanes]
+        seeds = [seed for _, seed, _ in lanes]
+        assert _payloads(mixed, tasks, seeds) == _payloads(serial, tasks, seeds)
+
+    def test_a_planner_with_other_weights_misses(self, jarvis_system,
+                                                 jarvis_system_rotated,
+                                                 decoded):
+        executor = jarvis_system.executor()
+        executor.run_trial("wooden", seed=0)
+        calls = len(decoded)
+        executor.planner = jarvis_system_rotated.planner
+        rotated = executor.run_trial("wooden", seed=0)
+        assert decoded[calls] == [("wooden", 0)]
+        assert {key[0] for key in executor._plan_memo} == {
+            jarvis_system.planner.kernel_plan().content_hash,
+            jarvis_system_rotated.planner.kernel_plan().content_hash}
+        expected = jarvis_system_rotated.executor().run_trial("wooden", seed=0)
+        assert _payloads([rotated], ["wooden"], [0]) == \
+            _payloads([expected], ["wooden"], [0])
+
+    def test_campaign_twice_in_process_equals_a_fresh_process(self, tmp_path):
+        specs = [
+            TrialSpec(condition="clean", system="jarvis", task="stone",
+                      num_trials=3, seed=40),
+            TrialSpec(condition="planner", system="jarvis", task="stone",
+                      num_trials=3, seed=40,
+                      planner_protection=self.INJECTED,
+                      params=(("ber", "1e-2"),)),
+        ]
+        first = run_campaign(specs, out=tmp_path / "first", name="m")
+        second = run_campaign(specs, out=tmp_path / "second", name="m")
+        root = Path(__file__).resolve().parent.parent
+        script = f"""
+from repro.core import ProtectionConfig
+from repro.eval import TrialSpec, run_campaign
+from repro.faults import UniformErrorModel
+
+injected = ProtectionConfig(error_model=UniformErrorModel(1e-2))
+run_campaign([
+    TrialSpec(condition="clean", system="jarvis", task="stone",
+              num_trials=3, seed=40),
+    TrialSpec(condition="planner", system="jarvis", task="stone",
+              num_trials=3, seed=40, planner_protection=injected,
+              params=(("ber", "1e-2"),)),
+], out={str(tmp_path / "fresh")!r}, name="m")
+"""
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        child = subprocess.run([sys.executable, "-c", script], cwd=root,
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr[-3000:]
+        for suffix in ("csv", "json"):
+            fresh = (tmp_path / "fresh" / f"m.{suffix}").read_bytes()
+            assert getattr(first, f"{suffix}_path").read_bytes() == fresh
+            assert getattr(second, f"{suffix}_path").read_bytes() == fresh
 
 
 class TestCampaignVectorPath:

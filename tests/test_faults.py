@@ -23,7 +23,7 @@ from repro.faults import (
     wrap_to_accumulator,
 )
 from repro.hardware import TimingErrorModel
-from repro.quant import INT8, GemmHooks, QuantSpec
+from repro.quant import INT8, GemmHooks, GemmStats, QuantSpec
 
 #: The 16-bit accumulator of ``jarvis-int4-acc16``.
 ACC16 = QuantSpec(bits=4, accumulator_bits=16)
@@ -461,8 +461,10 @@ class TestFaultModelStatistics:
         produced = corrupted = 0
         seed = 0
         while produced < 2 ** 20:
-            contexts = [planner.kernel_context(GemmHooks(injector=ErrorInjector(
-                model, rng=np.random.default_rng(seed + lane))))
+            contexts = [planner.kernel_context(GemmHooks(
+                injector=ErrorInjector(model,
+                                       rng=np.random.default_rng(seed + lane)),
+                stats=GemmStats()))
                 for lane in range(len(prompts))]
             seed += len(prompts)
             if batched:
@@ -471,7 +473,8 @@ class TestFaultModelStatistics:
                 for (task, progress), context in zip(prompts, contexts):
                     planner.plan(task, progress, context=context,
                                  use_cache=use_cache)
-            produced += sum(c.counters.output_elements for c in contexts)
-            corrupted += sum(c.counters.elements_corrupted for c in contexts)
+            produced += sum(c.stats.output_elements for c in contexts)
+            corrupted += sum(c.injector.stats.elements_corrupted
+                             for c in contexts)
         low, high = wilson_interval(corrupted, produced, 0.999)
         assert low <= expected <= high, (corrupted, produced, expected)

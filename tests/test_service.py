@@ -171,6 +171,30 @@ class TestServiceProtocol:
     def test_unknown_endpoint_is_a_404(self, service, client):
         with pytest.raises(ServiceError, match="404"):
             client._request("/api/no-such-thing")
+        with pytest.raises(ServiceError, match="HTTP 404: no such endpoint"):
+            client._request("/api/no-such-thing", {"task_id": "t"})
+
+    @pytest.mark.parametrize("path, body, key", [
+        ("/api/complete", {}, "task_id"),
+        ("/api/fail", {}, "task_id"),
+        ("/api/rows", {"plan": "x"}, "worker_id"),
+        ("/api/plans", {}, "plan"),
+    ])
+    def test_a_body_without_a_required_key_is_a_400(self, service, client,
+                                                     path, body, key):
+        with pytest.raises(ServiceError,
+                           match=f"HTTP 400: request body lacks required "
+                                 f"key '{key}'"):
+            client._request(path, body)
+        assert client.counts() == {"pending": 0, "leased": 0, "done": 0,
+                                   "failed": 0}
+
+    @pytest.mark.parametrize("body", [[1], "x", 5])
+    def test_a_body_that_is_not_an_object_is_a_400(self, service, client,
+                                                   body):
+        with pytest.raises(ServiceError,
+                           match="HTTP 400: request body must be a JSON object"):
+            client._request("/api/claim", body)
 
     def test_claim_heartbeat_complete_lifecycle(self, service, client):
         client.enqueue(CampaignPlan(name="demo", specs=_specs(4)[:1]),

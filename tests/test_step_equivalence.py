@@ -39,6 +39,7 @@ from repro.quant import (
     INT8,
     BatchedKernel,
     GemmHooks,
+    GemmStats,
     KernelContext,
     QuantSpec,
     QuantizedLinear,
@@ -97,13 +98,9 @@ def _old_inject(injector, acc, spec, component):
 
 def _old_inject_stage(context, acc, name):
     """``KernelContext._inject_stage`` as it was: inject, then write back."""
-    stats = context.injector.stats
-    flipped, corrupted = stats.bits_flipped, stats.elements_corrupted
     result = _old_inject(context.injector, acc, context.spec, name)
     if result is not acc:
         acc[...] = result
-    context.counters.bits_flipped += stats.bits_flipped - flipped
-    context.counters.elements_corrupted += stats.elements_corrupted - corrupted
 
 
 def _old_hook_stages(acc, slices, contexts, bounds, spec):
@@ -114,8 +111,8 @@ def _old_hook_stages(acc, slices, contexts, bounds, spec):
                 _old_inject_stage(context, acc[lo:hi, c0:c1], name)
             bound = context._entries[name].bound_acc
             if context.clamp is not None and bound is not None:
-                acc[lo:hi, c0:c1] = context._clamp_stage(
-                    acc[lo:hi, c0:c1], bound, name)
+                acc[lo:hi, c0:c1] = context.clamp(acc[lo:hi, c0:c1], bound,
+                                                  name)
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +155,8 @@ def _lane_contexts(layers, spec, kinds, clamps, model, scale, targets, seed):
         injector = None if kind == "none" else _injector(
             kind, model, seed + lane, scale, targets)
         hooks = GemmHooks(injector=injector,
-                          anomaly_clamp=AnomalyDetector() if clamp else None)
+                          anomaly_clamp=AnomalyDetector() if clamp else None,
+                          stats=GemmStats())
         contexts.append(KernelContext(layers, hooks=hooks, spec=spec))
     return contexts
 
@@ -224,7 +222,7 @@ class TestBatchedInjection:
         for got, expected in zip(new, old):
             np.testing.assert_array_equal(got, expected)
         for got, expected in zip(new_contexts, old_contexts):
-            assert got.counters == expected.counters
+            assert got.stats == expected.stats
             if expected.injector is not None:
                 assert got.injector.stats == expected.injector.stats
                 assert (got.injector.rng.bit_generator.state
@@ -431,7 +429,8 @@ class TestBatchedControllerStep:
                                        exposure_scale=4.0,
                                        target_components=None if lane % 3
                                        else ["*.k", "policy_head"]),
-                anomaly_clamp=AnomalyDetector() if lane % 2 else None))
+                anomaly_clamp=AnomalyDetector() if lane % 2 else None,
+                stats=GemmStats()))
                 for lane in range(lanes)]
 
         serial_contexts, batched_contexts = contexts(), contexts()
@@ -442,9 +441,11 @@ class TestBatchedControllerStep:
             for got, expected in zip(batched, serial):
                 _same_bits(got, expected)
         for got, expected in zip(batched_contexts, serial_contexts):
-            assert got.counters == expected.counters
-            assert got.counters.bits_flipped > 0
+            assert got.stats == expected.stats
+            assert got.injector.stats.bits_flipped > 0
             assert got.injector.stats == expected.injector.stats
+            if expected.clamp is not None:
+                assert got.clamp.stats == expected.clamp.stats
             assert (got.injector.rng.bit_generator.state
                     == expected.injector.rng.bit_generator.state)
 

@@ -20,7 +20,8 @@ from repro.agents.executor import MissionExecutor
 from repro.agents.registry import clear_system_cache
 from repro.eval import TrialSpec, run_campaign
 from repro.faults import ErrorInjector, SingleBitErrorModel
-from repro.quant import BatchedKernel, GemmHooks, KernelContext, KernelPlan
+from repro.quant import (BatchedKernel, GemmHooks, GemmStats, KernelContext,
+                         KernelPlan)
 from repro.quant import weightplane
 
 SHM_ROOT = Path("/dev/shm")
@@ -68,13 +69,14 @@ class TestKernelPlan:
     def test_plan_backed_context_bit_identical(self, deployed_planner,
                                                plan_state, rng):
         fresh = KernelContext(deployed_planner._quantized,
+                              hooks=GemmHooks(stats=GemmStats()),
                               spec=deployed_planner.spec)
-        reused = deployed_planner.kernel_context()
+        reused = deployed_planner.kernel_context(GemmHooks(stats=GemmStats()))
         x = rng.normal(size=(5, deployed_planner.config.dim))
         for name in ("layer0.q", "layer0.gate", "head"):
             assert np.array_equal(fresh.qgemm(name, x), reused.qgemm(name, x))
-        assert fresh.counters.macs == reused.counters.macs
-        assert fresh.counters.gemm_calls == reused.counters.gemm_calls
+        assert fresh.stats.gemm_calls == 3
+        assert fresh.stats == reused.stats
 
     def test_plan_backed_bit_identical_under_injection(self, deployed_planner,
                                                        plan_state, rng):
@@ -91,8 +93,8 @@ class TestKernelPlan:
         x = rng.normal(size=(4, deployed_planner.config.dim))
         for name in ("layer0.q", "layer0.up"):
             assert np.array_equal(fresh.qgemm(name, x), reused.qgemm(name, x))
-        assert fresh.counters.bits_flipped == reused.counters.bits_flipped
-        assert fresh.counters.bits_flipped > 0
+        assert fresh.injector.stats == reused.injector.stats
+        assert fresh.injector.stats.bits_flipped > 0
 
     def test_register_copies_on_write(self, deployed_planner, plan_state):
         plan = deployed_planner.kernel_plan()
