@@ -26,9 +26,9 @@ def test_fig01cd_voltage_vs_task_quality_and_energy(benchmark):
         rows = []
         for voltage in voltages:
             protection = ProtectionConfig(voltage=voltage) if voltage < 0.9 else ProtectionConfig()
-            results = executor.run_trials("wooden", trials, seed=0,
-                                          planner_protection=protection,
-                                          controller_protection=protection)
+            results = executor.run_trial_group(
+                [("wooden", seed) for seed in range(trials)],
+                planner_protection=protection, controller_protection=protection)
             summary = summarize_trials(results)
             rows.append([voltage, summary.success_rate, summary.average_steps,
                          summary.mean_energy_j * 1e3])

@@ -36,7 +36,7 @@ def test_fig13f_controller_ablation_ad_vs(benchmark):
     system = jarvis_plain()
     executor = system.executor()
     policy = REFERENCE_POLICIES["C"]
-    trials = num_trials(10)
+    wooden = [("wooden", seed) for seed in range(num_trials(10))]
 
     def run():
         rows = []
@@ -44,17 +44,15 @@ def test_fig13f_controller_ablation_ad_vs(benchmark):
             protection = ProtectionConfig(
                 anomaly_detection=anomaly,
                 voltage_scaling=VoltageScalingConfig(policy=policy, entropy_source="predictor"))
-            summary = summarize_trials(
-                executor.run_trials("wooden", trials, seed=0,
-                                    controller_protection=protection))
+            summary = summarize_trials(executor.run_trial_group(
+                wooden, controller_protection=protection))
             rows.append([label, summary.success_rate, summary.effective_voltage])
         for voltage in (0.80, 0.76):
             for label, anomaly in ((f"constant {voltage} V", False),
                                    (f"constant {voltage} V + AD", True)):
                 protection = ProtectionConfig(voltage=voltage, anomaly_detection=anomaly)
-                summary = summarize_trials(
-                    executor.run_trials("wooden", trials, seed=0,
-                                        controller_protection=protection))
+                summary = summarize_trials(executor.run_trial_group(
+                    wooden, controller_protection=protection))
                 rows.append([label, summary.success_rate, summary.effective_voltage])
         return rows
 

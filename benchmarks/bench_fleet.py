@@ -6,11 +6,12 @@ JSON::
     PYTHONPATH=src python benchmarks/bench_fleet.py            # full run
     PYTHONPATH=src python benchmarks/bench_fleet.py --smoke    # CI run
 
-It runs the same multi-agent navigation mission twice per fleet size —
-once as N independent ``run_trial`` loops (the pre-fleet execution model)
-and once through :meth:`MissionExecutor.run_trial_group`, which gathers
-every agent's pending planner-decode and controller-forward call per tick
-into single row-stacked :class:`BatchedKernel` passes — and writes the
+It runs the same multi-agent navigation roster twice per fleet size —
+agent ``i`` runs task ``i mod len(tasks)`` with seed ``i`` — once as N
+per-agent ``run_trial`` calls (the pre-fleet execution model) and once as
+one :meth:`MissionExecutor.run_trial_group` lane group, which gathers every
+agent's pending planner-decode and controller-forward call per tick into
+single row-stacked :class:`BatchedKernel` passes — and writes the
 agent-steps/s of both paths to ``BENCH_fleet.json``.
 
 The two paths are asserted bit-identical before any timing happens
@@ -34,7 +35,7 @@ import numpy as np
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.agents import FleetExecutor  # noqa: E402
+from repro.agents import MissionExecutor, get_system  # noqa: E402
 from repro.core.create import ProtectionConfig  # noqa: E402
 from repro.faults.models import UniformErrorModel  # noqa: E402
 
@@ -48,10 +49,16 @@ FLEET_SIZES = (4, 16)
 INJECTED_BER = 1e-3
 
 
+def _roster(executor: MissionExecutor, size: int) -> list[tuple[str, int]]:
+    """``(task, seed)`` per agent: the suite's tasks round-robin, seed ``i``."""
+    tasks = executor.suite.task_names
+    return [(tasks[index % len(tasks)], index) for index in range(size)]
+
+
 def _assert_identical(batched, serial) -> None:
     """Every agent's trial must match bit for bit across the two paths."""
-    assert batched.fleet_size == serial.fleet_size
-    for lane, (b, s) in enumerate(zip(batched.results, serial.results)):
+    assert len(batched) == len(serial)
+    for lane, (b, s) in enumerate(zip(batched, serial)):
         for field in dataclasses.fields(b):
             bv, sv = getattr(b, field.name), getattr(s, field.name)
             if field.name == "entropy_trace":
@@ -74,7 +81,7 @@ def _once(fn, _reps: int) -> float:
     return time.perf_counter() - start
 
 
-def bench_fleet_size(fleet: FleetExecutor, size: int, reps: int,
+def bench_fleet_size(executor: MissionExecutor, size: int, reps: int,
                      protection: ProtectionConfig | None = None) -> dict:
     kwargs = {}
     timer = _time
@@ -82,18 +89,24 @@ def bench_fleet_size(fleet: FleetExecutor, size: int, reps: int,
         kwargs = {"planner_protection": protection,
                   "controller_protection": protection}
         timer = _once
-    batched_result = fleet.run_fleet(size, batched=True, **kwargs)
-    _assert_identical(batched_result, fleet.run_fleet(size, batched=False,
-                                                      **kwargs))
-    serial_s = timer(lambda: fleet.run_fleet(size, batched=False, **kwargs),
-                     reps)
-    batched_s = timer(lambda: fleet.run_fleet(size, batched=True, **kwargs),
-                      reps)
-    steps = batched_result.agent_steps
+    agents = _roster(executor, size)
+
+    def batched():
+        return executor.run_trial_group(agents, **kwargs)
+
+    def serial():
+        return [executor.run_trial(task, seed=seed, **kwargs)
+                for task, seed in agents]
+
+    batched_result = batched()
+    _assert_identical(batched_result, serial())
+    serial_s = timer(serial, reps)
+    batched_s = timer(batched, reps)
+    steps = sum(result.steps for result in batched_result)
     return {
         "fleet_size": size,
         "agent_steps": steps,
-        "missions_completed": batched_result.missions_completed,
+        "missions_completed": sum(result.success for result in batched_result),
         "serial_s": serial_s,
         "batched_s": batched_s,
         "serial_steps_per_s": steps / serial_s,
@@ -116,13 +129,13 @@ def main(argv: list[str] | None = None) -> int:
     reps = args.reps or (1 if args.smoke else 3)
 
     print("building the JARVIS-1 navigation fleet (train-or-load)...")
-    fleet = FleetExecutor()
+    executor = get_system("jarvis-navigation").executor()
 
-    by_fleet = {str(size): bench_fleet_size(fleet, size, reps)
+    by_fleet = {str(size): bench_fleet_size(executor, size, reps)
                 for size in FLEET_SIZES}
     injected_size = max(FLEET_SIZES)
     injected = bench_fleet_size(
-        fleet, injected_size, reps,
+        executor, injected_size, reps,
         protection=ProtectionConfig(error_model=UniformErrorModel(INJECTED_BER)))
     results = {
         "benchmark": "fleet-runtime",

@@ -21,7 +21,7 @@ It measures six things and writes them to ``BENCH_kernels.json``:
    per step (``plan_batch``) vs N serial ``plan`` calls, at batch sizes
    1/4/8/16;
 5. **controller step** — per-step ``act_logits`` through a per-trial kernel
-   context vs transient hook resolution;
+   context vs a transient ``kernel_context(GemmHooks())`` built per step;
 6. **plan reuse** — per-trial kernel-context setup (planner + controller,
    the fig16-style trial configuration) against the immutable
    :class:`KernelPlan` cache vs rebuilding every ``_KernelEntry`` from the
@@ -230,7 +230,8 @@ def bench_controller(controller, reps: int) -> dict:
 
     def hooks_path():
         for index, obs in enumerate(observations):
-            controller.act_logits(index % 4, obs, hooks=GemmHooks())
+            controller.act_logits(index % 4, obs,
+                                  context=controller.kernel_context(GemmHooks()))
 
     def context_path():
         for index, obs in enumerate(observations):

@@ -29,23 +29,27 @@ def main() -> None:
     plain = build_jarvis_system(rotate_planner=False)
     rotated = build_jarvis_system(rotate_planner=True)
 
+    # Every configuration runs the same trials, seeds 0..NUM_TRIALS-1, as the
+    # lanes of one group.
+    trials = [(TASK, seed) for seed in range(NUM_TRIALS)]
+
     # 1. Error-free baseline at nominal voltage.
-    baseline = summarize_trials(plain.executor().run_trials(TASK, NUM_TRIALS, seed=0))
+    baseline = summarize_trials(plain.executor().run_trial_group(trials))
 
     # 2. Unprotected aggressive voltage scaling.
     unprotected_cfg = ProtectionConfig(voltage=LOW_VOLTAGE)
     unprotected = summarize_trials(
-        plain.executor().run_trials(TASK, NUM_TRIALS, seed=0,
-                                    planner_protection=unprotected_cfg,
-                                    controller_protection=unprotected_cfg))
+        plain.executor().run_trial_group(trials,
+                                         planner_protection=unprotected_cfg,
+                                         controller_protection=unprotected_cfg))
 
     # 3. Full CREATE: anomaly detection, weight-rotated planner, adaptive voltage scaling.
     config = CreateConfig(ad=True, wr=True, vs_policy=default_policy(),
                           planner_voltage=0.78)
     create = summarize_trials(
-        rotated.executor().run_trials(TASK, NUM_TRIALS, seed=0,
-                                      planner_protection=config.planner_protection(),
-                                      controller_protection=config.controller_protection()))
+        rotated.executor().run_trial_group(
+            trials, planner_protection=config.planner_protection(),
+            controller_protection=config.controller_protection()))
 
     print(f"\nTask: {TASK}  ({NUM_TRIALS} trials each)")
     header = f"{'configuration':<28}{'success':>10}{'avg steps':>12}{'energy (mJ)':>14}{'eff. V':>9}"

@@ -31,7 +31,6 @@ from .controller import (
     train_controller,
 )
 from .executor import MissionExecutor, TrialResult, build_protection_hooks
-from .fleet import FleetAgent, FleetExecutor, FleetResult, MAX_FLEET_SIZE
 from .jarvis import (
     EmbodiedSystem,
     build_controller_platform,
@@ -83,10 +82,6 @@ __all__ = [
     "MissionExecutor",
     "TrialResult",
     "build_protection_hooks",
-    "FleetAgent",
-    "FleetExecutor",
-    "FleetResult",
-    "MAX_FLEET_SIZE",
     "EmbodiedSystem",
     "build_jarvis_system",
     "build_planner_platform",

@@ -216,7 +216,6 @@ class DeployedController:
         self._quantized: dict[str, QuantizedLinear] = {}
         self._plan: KernelPlan | None = None
         self._plan_shared = False
-        self._clean_context: KernelContext | None = None
         self._activation_probe: dict[str, np.ndarray] | None = None
         if calibration_samples is None:
             if calibration_suite is None or calibration_registry is None:
@@ -378,7 +377,6 @@ class DeployedController:
                 f"controller's checkpoint ({expected[:12]})")
         self._plan = plan
         self._plan_shared = plan.shared
-        self._clean_context = None
 
     def plan_provenance(self) -> str:
         """Where trial contexts get their plan: ``shm``, ``hit`` or ``miss``."""
@@ -390,20 +388,6 @@ class DeployedController:
                        rng: np.random.Generator | None = None) -> KernelContext:
         """A fused kernel runtime over this controller's quantized layers."""
         return KernelContext(hooks=hooks, rng=rng, plan=self.kernel_plan())
-
-    def _kernel_for(self, hooks: GemmHooks | None, quantized: bool,
-                    context: KernelContext | None = None):
-        """One lane's kernel: a context (caller-owned, shared hook-free, or
-        hook-built), or a float kernel when ``quantized`` is false."""
-        if context is not None:
-            return context
-        if not quantized:
-            return self._float_kernel()
-        if hooks is None:
-            if self._clean_context is None:
-                self._clean_context = self.kernel_context()
-            return self._clean_context
-        return self.kernel_context(hooks)
 
     # ------------------------------------------------------------------
     def calibrate(self, subtask_ids: np.ndarray, observations: np.ndarray) -> None:
@@ -426,7 +410,6 @@ class DeployedController:
         self._quantized = {}
         self._plan = None
         self._plan_shared = False
-        self._clean_context = None
         for name, weight in self._float_weights.items():
             self._quantized[name] = QuantizedLinear(
                 name=name,
@@ -442,22 +425,24 @@ class DeployedController:
 
     # ------------------------------------------------------------------
     def act_logits(self, subtask_id: int, observation: np.ndarray,
-                   hooks: GemmHooks | None = None, quantized: bool = True,
+                   quantized: bool = True,
                    context: KernelContext | None = None) -> np.ndarray:
         """Action logits for one step: a stack of one lane.
 
-        ``context`` short-circuits hook resolution: the rollout loop builds
-        one :class:`~repro.quant.KernelContext` per trial and reuses it for
-        every step.
+        ``context`` is the lane's kernel context (one per trial, reused for
+        every step, or ``kernel_context(hooks)`` for a faulty step); a fresh
+        hook-free one when omitted.  ``quantized=False`` runs the float
+        reference.
         """
-        kernel = self._kernel_for(hooks, quantized, context)
-        if isinstance(kernel, KernelContext):
-            kernel = kernel.kernel
+        if not quantized:
+            kernel = self._float_kernel()
+        else:
+            kernel = (context or self.kernel_context()).kernel
         return self._forward_stack([subtask_id], observation[None, :], kernel)[0]
 
     def act_logits_batch(self, requests: list[tuple[int, np.ndarray]],
-                         contexts: list[KernelContext]) -> list[np.ndarray]:
-        """Action logits for N lanes as one stacked kernel pass per projection.
+                         contexts: list[KernelContext]) -> np.ndarray:
+        """``(lanes, actions)`` logits as one stacked kernel pass per projection.
 
         ``requests`` holds one ``(subtask_id, observation)`` per lane and
         ``contexts`` the lane's own per-trial kernel context (its hooks and
@@ -466,17 +451,19 @@ class DeployedController:
         if len(requests) != len(contexts):
             raise ValueError("need one kernel context per request")
         subtask_ids, observations = zip(*requests)
-        return list(self._forward_stack(
+        return self._forward_stack(
             list(subtask_ids), np.array(observations, dtype=np.float64),
-            BatchedKernel.of(contexts)))
+            BatchedKernel.of(contexts))
 
     def capture_activations(self, subtask_id: int, observation: np.ndarray,
-                            hooks: GemmHooks | None = None,
-                            quantized: bool = True) -> dict[str, np.ndarray]:
+                            quantized: bool = True,
+                            context: KernelContext | None = None
+                            ) -> dict[str, np.ndarray]:
         """Pre-normalization residual activations (for the Fig. 5 i-l study)."""
         self._activation_probe = {}
         try:
-            self.act_logits(subtask_id, observation, hooks, quantized)
+            self.act_logits(subtask_id, observation, quantized=quantized,
+                            context=context)
             return dict(self._activation_probe)
         finally:
             self._activation_probe = None

@@ -338,30 +338,16 @@ class MissionExecutor:
                                     planner_protection=planner_protection,
                                     controller_protection=controller_protection)[0]
 
-    def run_trial_batch(self, task_name: str, seeds: list[int],
-                        planner_protection: ProtectionConfig | None = None,
-                        controller_protection: ProtectionConfig | None = None
-                        ) -> list[TrialResult]:
-        """Run one trial per seed of one task as one lane group.
-
-        Every trial of a (spec, task) cell group starts with the same prompt
-        — the task at progress 0 — so the first planner invocation of all
-        trials runs as one stacked decode through each trial's own kernel
-        context; see :meth:`run_trial_group`.
-        """
-        return self.run_trial_group([(task_name, seed) for seed in seeds],
-                                    planner_protection=planner_protection,
-                                    controller_protection=controller_protection)
-
     def run_trial_group(self, trials: list[tuple[str, int]],
                         planner_protection: ProtectionConfig | None = None,
                         controller_protection: ProtectionConfig | None = None
                         ) -> list[TrialResult]:
         """Run one trial per ``(task_name, seed)`` pair as lanes of one group.
 
-        Lanes may decode different prompts (the fleet runtime,
-        :class:`~repro.agents.fleet.FleetExecutor`, assigns tasks
-        round-robin).  The initial plans of all lanes decode as one stack
+        This is the one multi-trial entry point: a campaign's same-spec
+        cells, a fleet of agents and a single trial (:meth:`run_trial`) all
+        run as lane groups, and lanes may decode different prompts.  The
+        initial plans of all lanes decode as one stack
         (:meth:`_plans`, each hook-free prompt once), then the world loops
         advance in lock-step through :meth:`_run_lanes`.  RNG derivation,
         kernel hooks and accounting are per trial and every stacked call is
@@ -526,9 +512,9 @@ class MissionExecutor:
                 for index, plan in zip(plan_lanes, plans):
                     responses[index] = plan
             if act_lanes:
-                logits = np.stack(self.controller.act_logits_batch(
+                logits = self.controller.act_logits_batch(
                     [requests[i][1:] for i in act_lanes],
-                    contexts=[setups[i].controller_kernel for i in act_lanes]))
+                    contexts=[setups[i].controller_kernel for i in act_lanes])
                 steps = self._sample_actions(
                     logits, [setups[i].rng for i in act_lanes])
                 for index, step in zip(act_lanes, steps):
@@ -555,16 +541,3 @@ class MissionExecutor:
         np.minimum(scaled, 60.0, out=scaled)
         np.maximum(scaled, -60.0, out=scaled)
         return list(zip(entropies, choose_actions(softmax(scaled), rngs)))
-
-    # ------------------------------------------------------------------
-    def run_trials(self, task_name: str, num_trials: int, seed: int = 0,
-                   planner_protection: ProtectionConfig | None = None,
-                   controller_protection: ProtectionConfig | None = None
-                   ) -> list[TrialResult]:
-        """Repeat a trial with distinct seeds (the paper repeats >= 100 times)."""
-        if num_trials <= 0:
-            raise ValueError("num_trials must be positive")
-        return [self.run_trial(task_name, seed=seed + index,
-                               planner_protection=planner_protection,
-                               controller_protection=controller_protection)
-                for index in range(num_trials)]

@@ -455,28 +455,6 @@ class DeployedPlanner:
         """A fused kernel runtime over this planner's quantized layers."""
         return KernelContext(hooks=hooks, rng=rng, plan=self.kernel_plan())
 
-    def _lane_contexts(self, count: int,
-                       hooks: list[GemmHooks | None] | None,
-                       contexts: list[KernelContext] | None
-                       ) -> list[KernelContext]:
-        """One kernel context per lane: caller-owned, hook-built or hook-free."""
-        if contexts is not None:
-            contexts = list(contexts)
-            if len(contexts) != count:
-                raise ValueError(f"{len(contexts)} contexts for {count} prompts")
-            return contexts
-        if hooks is not None:
-            if isinstance(hooks, GemmHooks):
-                raise TypeError(
-                    "batched decoding needs one GemmHooks per prompt (sharing "
-                    "one injector across lanes would make results depend on "
-                    "batch composition); pass a sequence of hooks")
-            hooks = list(hooks)
-            if len(hooks) != count:
-                raise ValueError(f"{len(hooks)} hooks for {count} prompts")
-            return [self.kernel_context(h) for h in hooks]
-        return [self.kernel_context() for _ in range(count)]
-
     def _prompts(self, requests: list[tuple[str, int]]) -> np.ndarray:
         """``(lanes, 4)`` prompt tokens, ``[BOS, TASK, PROGRESS, SEP]`` per lane."""
         return np.array([self.vocab.encode_prompt(task_name, progress)
@@ -578,24 +556,7 @@ class DeployedPlanner:
                     kernel = BatchedKernel.of(contexts)
         return list(zip(generated, logits_of))
 
-    def decode_tokens(self, task_name: str, progress: int = 0,
-                      hooks: GemmHooks | None = None, quantized: bool = True,
-                      use_cache: bool = True, collect_logits: bool = False,
-                      max_new_tokens: int | None = None,
-                      ) -> tuple[list[int], list[np.ndarray]]:
-        """Greedy-decode completion tokens (and optionally per-step logits).
-
-        This is the raw interface behind :meth:`plan`, a stack of one; the
-        kernel equivalence tests use it to compare cached and uncached
-        decode token-by-token and logit-by-logit.
-        """
-        return self.decode_tokens_batch(
-            [(task_name, progress)], hooks=None if hooks is None else [hooks],
-            quantized=quantized, use_cache=use_cache,
-            collect_logits=collect_logits, max_new_tokens=max_new_tokens)[0]
-
     def decode_tokens_batch(self, requests: list[tuple[str, int]],
-                            hooks: list[GemmHooks] | None = None,
                             quantized: bool = True, use_cache: bool = True,
                             collect_logits: bool = False,
                             max_new_tokens: int | None = None,
@@ -603,15 +564,17 @@ class DeployedPlanner:
                             ) -> list[tuple[list[int], list[np.ndarray]]]:
         """Greedy-decode several ``(task_name, progress)`` prompts as one stack.
 
-        All prompts step together through :class:`~repro.quant.BatchedKernel`
-        — one quantize + one stacked GEMM per projection per step — while
-        fault-injection RNG streams and stats stay per prompt (``hooks`` /
-        ``contexts`` supply one entry per prompt) and the :class:`KVCache`
-        holds every lane.  A prompt drops out of the stack when it emits
-        EOS.  Results are bit-identical to decoding each prompt alone —
-        tokens, logits, and every stats object, fault-free and under
-        injection, cached or not (the batched equivalence tests assert all
-        of it).
+        The raw interface behind :meth:`plan_batch`: completion tokens and,
+        with ``collect_logits``, every step's logits per prompt.  All prompts
+        step together through :class:`~repro.quant.BatchedKernel` — one
+        quantize + one stacked GEMM per projection per step — while each
+        prompt keeps its own kernel context (``contexts``, one per prompt:
+        its hooks, injector RNG stream and stats; hook-free fresh ones when
+        omitted) and the :class:`KVCache` holds every lane.  A prompt drops
+        out of the stack when it emits EOS.  Results are bit-identical to
+        decoding each prompt alone — tokens, logits, and every stats object,
+        fault-free and under injection, cached or not (the batched
+        equivalence tests assert all of it).
         ``quantized=False`` decodes the prompts as one float lane stack
         (:class:`~repro.quant.FloatKernel`), bit-identical to decoding each
         prompt alone in float.
@@ -623,51 +586,58 @@ class DeployedPlanner:
             return self._decode_stack(requests, FloatKernel(self._float_weight),
                                       None, max_new_tokens, use_cache,
                                       collect_logits)
-        lane_contexts = self._lane_contexts(len(requests), hooks, contexts)
-        return self._decode_stack(requests, BatchedKernel.of(lane_contexts),
-                                  lane_contexts, max_new_tokens, use_cache,
+        if contexts is None:
+            contexts = [self.kernel_context() for _ in requests]
+        else:
+            contexts = list(contexts)
+            if len(contexts) != len(requests):
+                raise ValueError(
+                    f"{len(contexts)} contexts for {len(requests)} prompts")
+        return self._decode_stack(requests, BatchedKernel.of(contexts),
+                                  contexts, max_new_tokens, use_cache,
                                   collect_logits)
 
     def plan_batch(self, requests: list[tuple[str, int]],
-                   hooks: list[GemmHooks] | None = None,
                    quantized: bool = True, use_cache: bool = True,
                    contexts: list[KernelContext] | None = None
                    ) -> list[list[str]]:
         """One subtask plan per ``(task, progress)`` prompt, decoded as one stack.
 
         Bit-identical to per-prompt :meth:`plan` calls with the matching
-        context/hooks — see :meth:`decode_tokens_batch`.
+        contexts — see :meth:`decode_tokens_batch`.
         """
-        decoded = self.decode_tokens_batch(requests, hooks=hooks,
-                                           quantized=quantized,
+        decoded = self.decode_tokens_batch(requests, quantized=quantized,
                                            use_cache=use_cache,
                                            contexts=contexts)
         return [self.vocab.decode_plan(tokens) for tokens, _ in decoded]
 
     def plan(self, task_name: str, progress: int = 0,
-             hooks: GemmHooks | None = None,
              quantized: bool = True, use_cache: bool = True,
              context: KernelContext | None = None) -> list[str]:
         """Produce a subtask plan for a task at the given completion progress.
 
         A stack of one through :meth:`plan_batch`.  ``use_cache`` selects
         KV-cached incremental decoding (the default) or full-prefix
-        recompute; ``context`` reuses a caller-owned kernel context (e.g.
-        one per trial) instead of building one per invocation.
+        recompute; ``context`` is the prompt's kernel context (one per trial,
+        or ``kernel_context(hooks)`` for a faulty decode); a fresh hook-free
+        one when omitted.
         """
         return self.plan_batch(
-            [(task_name, progress)], hooks=None if hooks is None else [hooks],
-            quantized=quantized, use_cache=use_cache,
+            [(task_name, progress)], quantized=quantized, use_cache=use_cache,
             contexts=None if context is None else [context])[0]
 
     def logits(self, task_name: str, progress: int = 0,
-               hooks: GemmHooks | None = None, quantized: bool = True) -> np.ndarray:
-        """Logits of the first completion token (used by resilience probes)."""
-        if quantized:
-            kernel = self._lane_contexts(
-                1, None if hooks is None else [hooks], None)[0].kernel
-        else:
+               quantized: bool = True,
+               context: KernelContext | None = None) -> np.ndarray:
+        """Logits of the first completion token (used by resilience probes).
+
+        ``context`` is the prompt's kernel context, a fresh hook-free one
+        when omitted; ``quantized=False`` runs the float reference.
+        """
+        if not quantized:
             kernel = FloatKernel(self._float_weight)
+        else:
+            kernel = (context or self.kernel_context()).kernel
         prompt = self._prompts([(task_name, progress)])
         cache = KVCache(len(self.weights.layers), prompt.shape[1],
                         self.config.dim)
@@ -679,12 +649,14 @@ class DeployedPlanner:
     # Introspection used by the characterization experiments
     # ------------------------------------------------------------------
     def capture_activations(self, task_name: str, progress: int = 0,
-                            hooks: GemmHooks | None = None,
-                            quantized: bool = True) -> dict[str, np.ndarray]:
+                            quantized: bool = True,
+                            context: KernelContext | None = None
+                            ) -> dict[str, np.ndarray]:
         """Capture pre-normalization residual activations during one forward."""
         self._activation_probe = {}
         try:
-            self.logits(task_name, progress, hooks=hooks, quantized=quantized)
+            self.logits(task_name, progress, quantized=quantized,
+                        context=context)
             return dict(self._activation_probe)
         finally:
             self._activation_probe = None

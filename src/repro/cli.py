@@ -396,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
         return value
 
     def fleet_size(text: str) -> int:
-        from .agents.fleet import MAX_FLEET_SIZE
+        from .eval.campaign import MAX_FLEET_SIZE
 
         value = int(text)
         if not 1 <= value <= MAX_FLEET_SIZE:

@@ -19,13 +19,13 @@ seed, planner/controller :class:`~repro.core.create.ProtectionConfig` — and a
   batching groups cells without reordering or reseeding them — and cuts the
   chunks at spec boundaries — so it cannot change results;
 * **vectorized** — consecutive cells of the same spec (identical system,
-  task and protections; only the seed differs) execute through
-  :meth:`~repro.agents.executor.MissionExecutor.run_trial_batch`, which
-  decodes all their planner prompts as one cross-prompt batched GEMM per
-  step.  The batched path is bit-identical to scalar execution (per-trial
-  RNG streams stay independent), engages automatically for same-spec groups
-  of two or more cells on planner-backed systems, and falls back to the
-  scalar cell-at-a-time path everywhere else;
+  task and protections; only the seed differs) execute as the lanes of one
+  :meth:`~repro.agents.executor.MissionExecutor.run_trial_group` call, which
+  decodes all their planner prompts and steps all their controllers as one
+  stacked GEMM per projection.  A lane group is bit-identical to scalar
+  execution (per-trial RNG streams stay independent), engages automatically
+  for same-spec groups of two or more cells on planner-backed systems, and
+  falls back to the scalar cell-at-a-time path everywhere else;
 * **streamed to disk** — with an output directory, completed rows are
   appended to ``<out>/<name>.csv`` *as they finish* (flushed per row), so a
   campaign killed mid-flight leaves a crash-safe partial table behind;
@@ -65,7 +65,6 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ..agents.executor import MissionExecutor
-from ..agents.fleet import MAX_FLEET_SIZE
 from ..agents.registry import (BUILTIN_SYSTEM_KEYS, SYSTEM_FACTORIES, _require_key,
                                get_system, on_system_eviction, system_keys)
 from ..core.create import ProtectionConfig
@@ -75,10 +74,10 @@ from .runtable import (RunRecord, RunTable, RunTableWriter, record_from_trial,
                        summarize_records)
 from .shard import Shard
 
-__all__ = ["TrialSpec", "CampaignResult", "CampaignRunner", "run_campaign",
-           "run_plans", "CampaignProfile", "ProfileBucket", "collect_results",
-           "protection_signature", "slugify", "enumerate_cells",
-           "pending_cells", "CellPool"]
+__all__ = ["TrialSpec", "MAX_FLEET_SIZE", "CampaignResult", "CampaignRunner",
+           "run_campaign", "run_plans", "CampaignProfile", "ProfileBucket",
+           "collect_results", "protection_signature", "slugify",
+           "enumerate_cells", "pending_cells", "CellPool"]
 
 #: Largest batch the auto-tuner will pick; keeps streaming granular even for
 #: huge campaigns (a batch only reaches the parent — and the disk — whole).
@@ -153,6 +152,10 @@ def protection_signature(protection: ProtectionConfig | None) -> str:
 # ----------------------------------------------------------------------
 # Specs
 # ----------------------------------------------------------------------
+#: Largest ``TrialSpec.fleet``: agents co-stepped in one lane group.
+MAX_FLEET_SIZE = 1000
+
+
 @dataclass(frozen=True)
 class TrialSpec:
     """One experimental condition: which system runs which task, how protected.
@@ -163,12 +166,13 @@ class TrialSpec:
     (e.g. ``(("ber", "1e-3"),)``) that are stored verbatim in the run table.
 
     ``fleet`` is the fleet-runtime axis: each cell still records one agent's
-    trial, but cells of a ``fleet > 1`` spec execute in co-stepped groups of
-    ``fleet`` agents through the cross-agent batched path (see
-    :mod:`repro.agents.fleet`).  Results are bit-identical either way, so
-    ``fleet`` is an execution-shape knob and — like ``num_trials`` — is
-    excluded from :meth:`signature` when left at 1, keeping every existing
-    spec key stable.
+    trial, but cells of a ``fleet > 1`` spec execute in co-stepped lane
+    groups of ``fleet`` agents
+    (:meth:`~repro.agents.executor.MissionExecutor.run_trial_group`).
+    Results are bit-identical either way, so ``fleet`` is an
+    execution-shape knob and — like ``num_trials`` — is excluded from
+    :meth:`signature` when left at 1, keeping every existing spec key
+    stable.
     """
 
     condition: str
@@ -330,7 +334,7 @@ def _group_runs(cells: Sequence[_Cell],
     """Execute one same-spec group, yielding each lane group's or scalar
     cell's rows as it finishes.
 
-    Lane groups ride :meth:`MissionExecutor.run_trial_batch` (per-trial RNG
+    Lane groups ride :meth:`MissionExecutor.run_trial_group` (per-trial RNG
     streams independent), so their rows are bit-identical to running each
     cell through :func:`_run_cell`.  ``fleet > 1`` specs cut the group into
     co-stepped fleets of ``fleet`` agents, stamped ``vector_path="fleet"``;
@@ -356,8 +360,8 @@ def _run_lane_group(cells: Sequence[_Cell], executor: MissionExecutor,
     first = cells[0]
     plan_cache = executor.plan_cache_state()
     start = time.perf_counter()
-    trials = executor.run_trial_batch(
-        first.task, [cell.seed for cell in cells],
+    trials = executor.run_trial_group(
+        [(cell.task, cell.seed) for cell in cells],
         planner_protection=first.planner_protection,
         controller_protection=first.controller_protection)
     share = (time.perf_counter() - start) / len(cells)

@@ -373,15 +373,15 @@ def fleet_resilience(fleet_sizes: list[int] | None = None,
     """Fleet-level resilience: missions completed under per-agent BER.
 
     One :class:`TrialSpec` per (fleet size, BER): ``num_trials`` equals the
-    fleet size — one mission per agent — and ``fleet=N`` routes the whole
-    spec through the cross-agent batched stepping path
-    (:mod:`repro.agents.fleet`), so every simulation tick runs one fused
-    kernel pass per projection for the fleet.  Each agent draws faults from
-    its own injector RNG lane, so per-agent BER perturbs fleet-level mission
-    completion without cross-agent contamination; the result columns are
-    bit-identical to a per-agent serial loop, which is what keeps the run
-    table resumable across fleet sizes.  Returns
-    ``{fleet_size: [FleetSweepPoint per BER]}``.
+    fleet size — one mission per agent — and ``fleet=N`` runs the whole
+    spec as one lane group
+    (:meth:`~repro.agents.executor.MissionExecutor.run_trial_group`), so
+    every simulation tick runs one fused kernel pass per projection for the
+    fleet.  Each agent draws faults from its own injector RNG lane, so
+    per-agent BER perturbs fleet-level mission completion without
+    cross-agent contamination; the result columns are bit-identical to a
+    per-agent serial loop, which is what keeps the run table resumable
+    across fleet sizes.  Returns ``{fleet_size: [FleetSweepPoint per BER]}``.
     """
     plans = fleet_resilience_plans(fleet_sizes, bers, task, scenario, seed,
                                    exposure_scale)

@@ -202,7 +202,8 @@ def activation_study(system: EmbodiedSystem, task: str = "wooden",
     hooks, _, _ = build_protection_hooks(
         ProtectionConfig(error_model=UniformErrorModel(ber)),
         np.random.default_rng(seed))
-    faulty_planner = planner.capture_activations(task, 0, hooks=hooks, quantized=True)
+    faulty_planner = planner.capture_activations(
+        task, 0, context=planner.kernel_context(hooks))
 
     world = EmbodiedWorld(system.suite.get(task), system.registry)
     subtask = system.suite.get(task).plan[0]
@@ -213,8 +214,8 @@ def activation_study(system: EmbodiedSystem, task: str = "wooden",
     hooks2, _, _ = build_protection_hooks(
         ProtectionConfig(error_model=UniformErrorModel(ber)),
         np.random.default_rng(seed + 1))
-    faulty_controller = controller.capture_activations(token, observation, hooks=hooks2,
-                                                       quantized=True)
+    faulty_controller = controller.capture_activations(
+        token, observation, context=controller.kernel_context(hooks2))
 
     out: dict[str, dict[str, float]] = {}
     for name, activations in (("planner_clean", clean_planner),

@@ -105,8 +105,10 @@ class RunRecord:
     metadata filled in by the campaign engine (defaults for rows loaded from
     a canonical table, which does not persist them).  ``batch_size`` is the
     size of the trial group the cell executed in and ``vector_path`` records
-    which execution path ran it (``"batched"`` for the vectorized
-    ``run_trial_batch`` path, ``"scalar"`` for cell-at-a-time execution).
+    which execution path ran it: ``"batched"`` for a same-spec lane group and
+    ``"fleet"`` for a fleet-sized one (both one
+    ``MissionExecutor.run_trial_group`` call), ``"scalar"`` for
+    cell-at-a-time execution.
     """
 
     spec_key: str

@@ -1023,17 +1023,20 @@ class WorkerDaemon:
                            and (task := self._claim(stats)) is not None):
                         claimed += 1
                         pool.submit(task, task.cells)
+                    capped = (self.max_tasks is not None
+                              and claimed >= self.max_tasks)
                     if pool.inflight:
                         pool.harvest(lambda task, records: self._finish(
                             task, records, stats), self._park)
-                        continue
+                        if pool.inflight or not capped:
+                            continue
                     if self._shutdown:
                         self._log(f"worker {self.worker_id}: shutdown "
                                   "requested; in-flight work settled, "
                                   "exiting cleanly")
                         break
-                    if self.max_tasks is not None and claimed >= self.max_tasks:
-                        break
+                    if capped:
+                        break  # max_tasks claimed and settled
                     if self.queue.pending_ids():
                         continue  # lost a claim race; try again immediately
                     if not self.queue.lease_ids():

@@ -308,7 +308,9 @@ class _HttpRowWriter:
                  records: Iterable[RunRecord]):
         self._client = client
         self._payload = {"worker_id": worker_id, "plan": plan_name,
-                         "records": [asdict(record) for record in records]}
+                         "records": [{name: getattr(record, name)
+                                      for name in _RECORD_FIELDS}
+                                     for record in records]}
 
     def flush(self) -> int:
         return self._client._request("/api/rows", self._payload)["written"]

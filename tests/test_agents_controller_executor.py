@@ -110,8 +110,9 @@ class TestDeployedController:
         obs = wooden_world.observation()
         clean = deployed_controller.act_logits(token, obs, quantized=True)
         injector = ErrorInjector(UniformErrorModel(5e-2), rng=np.random.default_rng(0))
-        noisy = deployed_controller.act_logits(token, obs, quantized=True,
-                                               hooks=GemmHooks(injector=injector))
+        noisy = deployed_controller.act_logits(
+            token, obs, context=deployed_controller.kernel_context(
+                GemmHooks(injector=injector)))
         assert not np.allclose(clean, noisy)
 
 
@@ -244,13 +245,10 @@ class TestExecutor:
         assert result.predictor_macs_by_voltage.get(NOMINAL_VOLTAGE, 0) > 0
 
     def test_run_trials_distinct_seeds(self, jarvis_executor):
-        results = jarvis_executor.run_trials("wooden", 3, seed=100)
+        results = jarvis_executor.run_trial_group(
+            [("wooden", seed) for seed in (100, 101, 102)])
         assert len(results) == 3
         assert len({r.steps for r in results}) >= 2
-
-    def test_run_trials_invalid_count(self, jarvis_executor):
-        with pytest.raises(ValueError):
-            jarvis_executor.run_trials("wooden", 0)
 
     def test_trial_result_is_dataclass_with_traces(self):
         result = TrialResult(task="x", success=True, steps=10, planner_invocations=1,

@@ -140,7 +140,8 @@ class TestTrainedPlanner:
         for seed in range(6):
             injector = ErrorInjector(UniformErrorModel(3e-3),
                                      rng=np.random.default_rng(seed))
-            plan = deployed_planner.plan("wooden", 0, hooks=GemmHooks(injector=injector))
+            context = deployed_planner.kernel_context(GemmHooks(injector=injector))
+            plan = deployed_planner.plan("wooden", 0, context=context)
             wrong += plan != list(MINECRAFT_SUITE.get("wooden").plan)
         assert wrong >= 4
 

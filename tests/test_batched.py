@@ -2,15 +2,17 @@
 
 The batched runtime (see ``docs/architecture.md``, "The batched runtime")
 is a pure performance feature at three levels — fused Q/K/V projections,
-cross-prompt batched decode, and vectorized campaign trial batches.  Every
-test here asserts the contract that makes that true: batched execution is
-**bit-identical** to its unbatched counterpart — outputs, ``GemmStats``,
-and fault-injection RNG streams.
+cross-prompt batched decode, and lane groups of trials
+(``MissionExecutor.run_trial_group``, behind campaign batches and fleets).
+Every test here asserts the contract that makes that true: batched
+execution is **bit-identical** to its unbatched counterpart — outputs,
+``GemmStats``, and fault-injection RNG streams.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro.agents.planner import DeployedPlanner
+from repro.agents.registry import get_system
 from repro.core import ProtectionConfig
 from repro.eval import RunTable, TrialSpec, run_campaign
 from repro.eval.runtable import record_from_trial
@@ -34,6 +37,13 @@ QKV = ("layer0.q", "layer0.k", "layer0.v")
 def _injector(seed: int, ber: float = 1e-3, targets=None) -> ErrorInjector:
     return ErrorInjector(UniformErrorModel(ber), rng=np.random.default_rng(seed),
                          target_components=targets)
+
+
+def _decode(planner, task, progress, hooks=None, **kwargs):
+    """One prompt decoded alone, a stack of one: ``(tokens, logits)``."""
+    [decoded] = planner.decode_tokens_batch(
+        [(task, progress)], contexts=[planner.kernel_context(hooks)], **kwargs)
+    return decoded
 
 
 class TestFusedQKV:
@@ -98,7 +108,7 @@ class TestBatchedDecode:
     REQUESTS = [("wooden", 0), ("stone", 0), ("iron", 0), ("seed", 0)]
 
     def test_matches_serial_tokens_and_logits(self, deployed_planner):
-        serial = [deployed_planner.decode_tokens(t, p, collect_logits=True)
+        serial = [_decode(deployed_planner, t, p, collect_logits=True)
                   for t, p in self.REQUESTS]
         batched = deployed_planner.decode_tokens_batch(self.REQUESTS,
                                                        collect_logits=True)
@@ -110,7 +120,7 @@ class TestBatchedDecode:
 
     def test_uncached_batch_matches_serial(self, deployed_planner):
         """``use_cache=False`` equivalence holds at batch > 1 too."""
-        serial = [deployed_planner.decode_tokens(t, p, use_cache=False)
+        serial = [_decode(deployed_planner, t, p, use_cache=False)
                   for t, p in self.REQUESTS]
         batched = deployed_planner.decode_tokens_batch(self.REQUESTS,
                                                        use_cache=False)
@@ -138,35 +148,38 @@ class TestBatchedDecode:
         alone_flips = []
         for i, (t, p) in enumerate(self.REQUESTS):
             hooks = GemmHooks(injector=_injector(1000 + i, ber=1e-4))
-            deployed_planner.decode_tokens(t, p, hooks=hooks)
+            _decode(deployed_planner, t, p, hooks=hooks)
             alone_flips.append(hooks.injector.stats.bits_flipped)
 
-        batch_hooks = [GemmHooks(injector=_injector(1000 + i, ber=1e-4))
-                       for i in range(len(self.REQUESTS))]
-        deployed_planner.decode_tokens_batch(self.REQUESTS, hooks=batch_hooks)
-        batch_flips = [h.injector.stats.bits_flipped for h in batch_hooks]
+        batch_contexts = [deployed_planner.kernel_context(
+                              GemmHooks(injector=_injector(1000 + i, ber=1e-4)))
+                          for i in range(len(self.REQUESTS))]
+        deployed_planner.decode_tokens_batch(self.REQUESTS,
+                                             contexts=batch_contexts)
+        batch_flips = [c.injector.stats.bits_flipped for c in batch_contexts]
         assert batch_flips == alone_flips
         assert sum(batch_flips) > 0
 
     def test_injected_tokens_match_serial(self, deployed_planner):
-        serial = [deployed_planner.decode_tokens(
-                      t, p, hooks=GemmHooks(injector=_injector(50 + i)))[0]
+        serial = [_decode(deployed_planner, t, p,
+                          hooks=GemmHooks(injector=_injector(50 + i)))[0]
                   for i, (t, p) in enumerate(self.REQUESTS)]
         batched = deployed_planner.decode_tokens_batch(
             self.REQUESTS,
-            hooks=[GemmHooks(injector=_injector(50 + i))
-                   for i in range(len(self.REQUESTS))])
+            contexts=[deployed_planner.kernel_context(
+                          GemmHooks(injector=_injector(50 + i)))
+                      for i in range(len(self.REQUESTS))])
         assert [tokens for tokens, _ in batched] == serial
 
     def test_single_prompt_fault_never_perturbs_siblings(self, deployed_planner):
         """A fault targeted at one lane leaves every other lane's output
         bit-identical to its clean decode."""
-        clean = [deployed_planner.decode_tokens(t, p, collect_logits=True)
+        clean = [_decode(deployed_planner, t, p, collect_logits=True)
                  for t, p in self.REQUESTS]
         hooks = [None, GemmHooks(injector=_injector(7, ber=1e-2)), None, None]
-        batched = deployed_planner.decode_tokens_batch(self.REQUESTS,
-                                                       hooks=hooks,
-                                                       collect_logits=True)
+        batched = deployed_planner.decode_tokens_batch(
+            self.REQUESTS, collect_logits=True,
+            contexts=[deployed_planner.kernel_context(h) for h in hooks])
         assert hooks[1].injector.stats.bits_flipped > 0
         for i in (0, 2, 3):
             assert batched[i][0] == clean[i][0], f"lane {i} tokens perturbed"
@@ -174,18 +187,25 @@ class TestBatchedDecode:
                 assert np.array_equal(a, b), f"lane {i} logits perturbed"
 
     def test_batch_of_one_matches_serial(self, deployed_planner):
-        tokens, _ = deployed_planner.decode_tokens("wooden", 0)
-        [(batched, _)] = deployed_planner.decode_tokens_batch([("wooden", 0)])
-        assert batched == tokens
+        """``plan``, the one-prompt entry, decodes what a batch of one does."""
+        [(tokens, _)] = deployed_planner.decode_tokens_batch([("wooden", 0)])
+        assert deployed_planner.plan("wooden", 0) == \
+            deployed_planner.vocab.decode_plan(tokens)
 
-    def test_shared_hooks_object_rejected(self, deployed_planner):
-        with pytest.raises(TypeError, match="per prompt"):
+    def test_one_context_per_prompt(self, deployed_planner):
+        with pytest.raises(ValueError, match="3 contexts for 4 prompts"):
             deployed_planner.decode_tokens_batch(
-                self.REQUESTS, hooks=GemmHooks(injector=_injector(0)))
+                self.REQUESTS,
+                contexts=[deployed_planner.kernel_context() for _ in range(3)])
+
+
+def _wooden(seeds):
+    return [("wooden", seed) for seed in seeds]
 
 
 class TestExecutorTrialBatch:
-    """Level 3 (executor): ``run_trial_batch`` == seed-for-seed ``run_trial``."""
+    """Level 3 (executor): a ``run_trial_group`` of one task's seeds ==
+    seed-for-seed ``run_trial``."""
 
     def _payloads(self, trials, spec_key="k", condition="c"):
         return [record_from_trial(trial, spec_key=spec_key, condition=condition,
@@ -201,25 +221,25 @@ class TestExecutorTrialBatch:
                                             planner_protection=protection,
                                             controller_protection=protection)
                   for s in seeds]
-        batched = jarvis_executor.run_trial_batch(
-            "wooden", seeds, planner_protection=protection,
+        batched = jarvis_executor.run_trial_group(
+            _wooden(seeds), planner_protection=protection,
             controller_protection=protection)
         assert self._payloads(batched) == self._payloads(serial)
 
     def test_single_seed_falls_back_to_run_trial(self, jarvis_executor):
         serial = jarvis_executor.run_trial("wooden", seed=5)
-        [batched] = jarvis_executor.run_trial_batch("wooden", [5])
+        [batched] = jarvis_executor.run_trial_group(_wooden([5]))
         assert self._payloads([batched]) == self._payloads([serial])
 
     def test_empty_seed_list_returns_empty(self, jarvis_executor):
-        assert jarvis_executor.run_trial_batch("wooden", []) == []
+        assert jarvis_executor.run_trial_group([]) == []
 
     def test_duplicate_seeds_get_identical_lanes(self, jarvis_executor):
         """Each lane owns its RNG streams, so a repeated seed repeats its
         trial exactly — no cross-lane stream sharing."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-3))
-        first, second, other = jarvis_executor.run_trial_batch(
-            "wooden", [4, 4, 9], planner_protection=protection,
+        first, second, other = jarvis_executor.run_trial_group(
+            _wooden([4, 4, 9]), planner_protection=protection,
             controller_protection=protection)
         assert self._payloads([first]) == self._payloads([second])
         assert self._payloads([first]) != self._payloads([other])
@@ -230,12 +250,12 @@ class TestExecutorTrialBatch:
         fault-free serial trials seed for seed."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-2))
         seeds = [0, 1]
-        protected = jarvis_executor.run_trial_batch(
-            "wooden", seeds, planner_protection=protection,
+        protected = jarvis_executor.run_trial_group(
+            _wooden(seeds), planner_protection=protection,
             controller_protection=protection)
         assert all(t.planner_bits_flipped + t.controller_bits_flipped > 0
                    for t in protected)
-        clean = jarvis_executor.run_trial_batch("wooden", seeds)
+        clean = jarvis_executor.run_trial_group(_wooden(seeds))
         serial = [jarvis_executor.run_trial("wooden", seed=s) for s in seeds]
         assert all(t.planner_bits_flipped + t.controller_bits_flipped == 0
                    for t in clean)
@@ -286,12 +306,12 @@ class TestPlanMemo:
                                                       decoded):
         executor = jarvis_system.executor()
         seeds = [0, 1, 2, 3]
-        first = executor.run_trial_batch("wooden", seeds)
+        first = executor.run_trial_group(_wooden(seeds))
         assert decoded[0] == [("wooden", 0)]
         prompts = [prompt for call in decoded for prompt in call]
         assert len(prompts) == len(set(prompts))
         calls = len(decoded)
-        again = executor.run_trial_batch("wooden", seeds)
+        again = executor.run_trial_group(_wooden(seeds))
         assert len(decoded) == calls
         tasks = ["wooden"] * len(seeds)
         assert _payloads(again, tasks, seeds) == _payloads(first, tasks, seeds)
@@ -308,7 +328,7 @@ class TestPlanMemo:
         key = (executor.planner.kernel_plan().content_hash, "wooden", 0)
         executor._plan_memo[key] = ("no-such-subtask",)
         seeds = [5, 6]
-        hooked = executor.run_trial_batch("wooden", seeds,
+        hooked = executor.run_trial_group(_wooden(seeds),
                                           planner_protection=protection)
         assert decoded[0] == [("wooden", 0)] * len(seeds)
         assert executor._plan_memo == {key: ("no-such-subtask",)}
@@ -386,6 +406,41 @@ run_campaign([
             fresh = (tmp_path / "fresh" / f"m.{suffix}").read_bytes()
             assert getattr(first, f"{suffix}_path").read_bytes() == fresh
             assert getattr(second, f"{suffix}_path").read_bytes() == fresh
+
+
+def assert_trials_identical(group, serial):
+    """Field-for-field equality, including entropy-trace contents."""
+    assert len(group) == len(serial)
+    for lane, (g, s) in enumerate(zip(group, serial)):
+        for field in dataclasses.fields(g):
+            gv, sv = getattr(g, field.name), getattr(s, field.name)
+            if field.name == "entropy_trace":
+                assert gv.entropies == sv.entropies, f"lane {lane}"
+                assert gv.critical_flags == sv.critical_flags, f"lane {lane}"
+                assert gv.voltages == sv.voltages, f"lane {lane}"
+            else:
+                assert gv == sv, f"lane {lane}: {field.name}"
+
+
+class TestMixedTaskGroup:
+    """Level 3 (fleet): a lane group whose lanes run different tasks."""
+
+    def test_injected_group_equals_per_agent_trials(self):
+        """A fleet's roster — the suite's tasks round-robin, one seed per
+        agent — under per-agent injection equals per-agent ``run_trial``."""
+        executor = get_system("jarvis-navigation").executor()
+        tasks = executor.suite.task_names
+        agents = [(tasks[index % len(tasks)], 3 + index) for index in range(6)]
+        protection = ProtectionConfig(error_model=UniformErrorModel(1e-3))
+        group = executor.run_trial_group(agents, planner_protection=protection,
+                                         controller_protection=protection)
+        serial = [executor.run_trial(task, seed=seed,
+                                     planner_protection=protection,
+                                     controller_protection=protection)
+                  for task, seed in agents]
+        assert sum(trial.planner_bits_flipped + trial.controller_bits_flipped
+                   for trial in group) > 0
+        assert_trials_identical(group, serial)
 
 
 class TestCampaignVectorPath:

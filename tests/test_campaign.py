@@ -184,8 +184,9 @@ class TestResume:
 class TestRunTableRoundTrip:
     def test_summaries_survive_csv_round_trip_bit_for_bit(self, jarvis_executor, tmp_path):
         protection = ProtectionConfig(error_model=UniformErrorModel(5e-4))
-        trials = jarvis_executor.run_trials("wooden", 4, seed=0,
-                                            controller_protection=protection)
+        trials = jarvis_executor.run_trial_group(
+            [("wooden", seed) for seed in range(4)],
+            controller_protection=protection)
         records = [record_from_trial(trial, spec_key="k", condition="c",
                                      system="jarvis", task="wooden",
                                      seed=index, trial_index=index)
@@ -202,7 +203,7 @@ class TestRunTableRoundTrip:
         assert _same_summary(from_disk, direct)  # exact float equality, not approx
 
     def test_json_round_trip(self, jarvis_executor, tmp_path):
-        trials = jarvis_executor.run_trials("wooden", 2, seed=7)
+        trials = jarvis_executor.run_trial_group([("wooden", 7), ("wooden", 8)])
         records = [record_from_trial(trial, spec_key="k", condition="c",
                                      system="jarvis", task="wooden",
                                      seed=7 + index, trial_index=index)
@@ -232,13 +233,14 @@ class TestRunTableRoundTrip:
 
 class TestCampaignResults:
     def test_summary_matches_direct_run(self, jarvis_executor):
-        """Campaign summaries equal the legacy serial run_trials + summarize path."""
+        """Campaign summaries equal serial run_trial calls + summarize."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-3))
         spec = TrialSpec(condition="faulty", system="jarvis", task="wooden",
                          num_trials=3, seed=0, controller_protection=protection)
         campaign = run_campaign([spec])
-        trials = jarvis_executor.run_trials("wooden", 3, seed=0,
+        trials = [jarvis_executor.run_trial("wooden", seed=seed,
                                             controller_protection=protection)
+                  for seed in range(3)]
         assert _same_summary(campaign.summary("faulty"), summarize_trials(trials))
 
     def test_records_ordered_by_trial_index(self, tmp_path):

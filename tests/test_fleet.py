@@ -1,13 +1,13 @@
-"""Fleet-runtime equivalence and metrics tests.
+"""Campaign fleet-axis tests.
 
-The fleet runtime (``src/repro/agents/fleet.py``) is level 4 of the batched
-runtime: N agents stepping against one shared mission suite, all pending
-planner decodes and controller forwards gathered per tick into row-stacked
-:class:`~repro.quant.BatchedKernel` passes.  The contract under test is the
-same as every other batching level — **bit-identical** to the per-agent
-serial loop, fault-free and under injection — plus the campaign-facing
-guarantees: the ``fleet`` axis never changes run-table bytes, spec keys, or
-resume identity.
+A fleet is a lane group of N agents
+(:meth:`~repro.agents.executor.MissionExecutor.run_trial_group`): all
+pending planner decodes and controller forwards gathered per tick into
+row-stacked :class:`~repro.quant.BatchedKernel` passes, bit-identical to
+the per-agent loop (``tests/test_batched.py`` holds that equivalence for a
+mixed-task roster under injection).  The contract under test here is the
+campaign-facing one: the ``TrialSpec.fleet`` axis never changes run-table
+bytes, spec keys, or resume identity.
 """
 
 from __future__ import annotations
@@ -17,111 +17,15 @@ import dataclasses
 
 import pytest
 
-from repro.agents import FleetExecutor, MAX_FLEET_SIZE
 from repro.core import ProtectionConfig
 from repro.eval import RunTable, TrialSpec, run_campaign
-from repro.eval.runtable import record_from_trial
+from repro.eval.campaign import MAX_FLEET_SIZE
 from repro.eval.scheduler import spec_from_dict, spec_to_dict
 from repro.faults import UniformErrorModel
 
 
-@pytest.fixture(scope="module")
-def fleet():
-    return FleetExecutor()
-
-
 def _protection(ber: float = 1e-3) -> ProtectionConfig:
     return ProtectionConfig(error_model=UniformErrorModel(ber))
-
-
-def assert_trials_identical(batched, serial):
-    """Field-for-field equality, including entropy-trace contents."""
-    for lane, (b, s) in enumerate(zip(batched, serial)):
-        for field in dataclasses.fields(b):
-            bv, sv = getattr(b, field.name), getattr(s, field.name)
-            if field.name == "entropy_trace":
-                assert bv.entropies == sv.entropies, f"lane {lane}"
-                assert bv.critical_flags == sv.critical_flags, f"lane {lane}"
-                assert bv.voltages == sv.voltages, f"lane {lane}"
-            else:
-                assert bv == sv, f"lane {lane}: {field.name}"
-    assert len(batched) == len(serial)
-
-
-class TestFleetBitIdentity:
-    """Level 4: fleet-batched stepping == N per-agent serial loops."""
-
-    def test_fault_free_identical(self, fleet):
-        batched = fleet.run_fleet(6, seed=3, batched=True)
-        serial = fleet.run_fleet(6, seed=3, batched=False)
-        assert batched.roster == serial.roster
-        assert_trials_identical(batched.results, serial.results)
-
-    def test_injected_identical(self, fleet):
-        protection = _protection()
-        kwargs = dict(planner_protection=protection,
-                      controller_protection=protection)
-        batched = fleet.run_fleet(6, seed=3, batched=True, **kwargs)
-        serial = fleet.run_fleet(6, seed=3, batched=False, **kwargs)
-        assert batched.bits_flipped > 0
-        assert_trials_identical(batched.results, serial.results)
-
-    def test_run_table_rows_identical(self, fleet):
-        """The payloads campaigns persist match row for row."""
-        protection = _protection()
-        kwargs = dict(planner_protection=protection,
-                      controller_protection=protection)
-
-        def payloads(result):
-            return [record_from_trial(
-                        trial, spec_key="k", condition="c", system="jarvis",
-                        task=agent.task, seed=agent.seed,
-                        trial_index=agent.agent_id).result_payload()
-                    for agent, trial in zip(result.roster, result.results)]
-
-        batched = fleet.run_fleet(5, seed=7, batched=True, **kwargs)
-        serial = fleet.run_fleet(5, seed=7, batched=False, **kwargs)
-        assert payloads(batched) == payloads(serial)
-
-
-class TestFleetRoster:
-    def test_round_robin_tasks_and_disjoint_seeds(self, fleet):
-        tasks = fleet.executor.suite.task_names
-        roster = fleet.roster(2 * len(tasks) + 1, seed=10)
-        assert [agent.task for agent in roster[:len(tasks)]] == list(tasks)
-        assert [agent.task for agent in roster[len(tasks):2 * len(tasks)]] \
-            == list(tasks)
-        seeds = [agent.seed for agent in roster]
-        assert seeds == list(range(10, 10 + len(roster)))
-        assert len(set(seeds)) == len(seeds)
-
-    def test_fleet_size_bounds(self, fleet):
-        with pytest.raises(ValueError, match="fleet size"):
-            fleet.roster(0)
-        with pytest.raises(ValueError, match="fleet size"):
-            fleet.roster(MAX_FLEET_SIZE + 1)
-
-
-class TestFleetMetrics:
-    def test_aggregates_roll_up_per_agent_results(self, fleet):
-        result = fleet.run_fleet(4, seed=1)
-        assert result.missions_completed == \
-            sum(1 for r in result.results if r.success)
-        assert result.agent_steps == sum(r.steps for r in result.results)
-        assert result.controller_steps == \
-            sum(r.controller_steps for r in result.results)
-        assert result.planner_invocations == \
-            sum(r.planner_invocations for r in result.results)
-        assert result.mission_success_rate == result.missions_completed / 4
-
-    def test_summary_is_flat_and_complete(self, fleet):
-        summary = fleet.run_fleet(3, seed=2).summary()
-        assert set(summary) == {"fleet_size", "missions_completed",
-                                "mission_success_rate", "agent_steps",
-                                "controller_steps", "planner_invocations",
-                                "bits_flipped"}
-        assert all(isinstance(value, float) for value in summary.values())
-        assert summary["fleet_size"] == 3.0
 
 
 class TestTrialSpecFleetAxis:

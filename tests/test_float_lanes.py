@@ -240,9 +240,9 @@ class TestFloatDecodeStack:
 
     @pytest.mark.parametrize("use_cache", [True, False])
     def test_stack_equals_per_request_decodes(self, deployed_planner, use_cache):
-        alone = [deployed_planner.decode_tokens(task, progress, quantized=False,
-                                                use_cache=use_cache,
-                                                collect_logits=True)
+        alone = [deployed_planner.decode_tokens_batch(
+                     [(task, progress)], quantized=False, use_cache=use_cache,
+                     collect_logits=True)[0]
                  for task, progress in self.REQUESTS]
         stacked = deployed_planner.decode_tokens_batch(
             self.REQUESTS, quantized=False, use_cache=use_cache,

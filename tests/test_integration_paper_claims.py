@@ -22,6 +22,11 @@ from repro.faults import UniformErrorModel
 from repro.hardware import EnergyModel, NOMINAL_VOLTAGE
 
 
+def _wooden(count: int, seed: int) -> list[tuple[str, int]]:
+    """``count`` wooden trials seeded ``seed``, ``seed + 1``, ..."""
+    return [("wooden", seed + index) for index in range(count)]
+
+
 class TestInsight1PlannerVsController:
     """Sec. 4.1: the controller is more error resilient than the planner."""
 
@@ -117,10 +122,11 @@ class TestAutonomyAdaptiveVoltageScaling:
             voltage_scaling=VoltageScalingConfig(policy=policy, entropy_source="oracle"))
         constant_protection = ProtectionConfig(voltage=policy.max_voltage(),
                                                anomaly_detection=True)
-        vs_trials = executor.run_trials("wooden", 6, seed=10,
-                                        controller_protection=vs_protection)
-        const_trials = executor.run_trials("wooden", 6, seed=10,
-                                           controller_protection=constant_protection)
+        trials = _wooden(6, seed=10)
+        vs_trials = executor.run_trial_group(trials,
+                                             controller_protection=vs_protection)
+        const_trials = executor.run_trial_group(
+            trials, controller_protection=constant_protection)
         vs_summary = summarize_trials(vs_trials)
         const_summary = summarize_trials(const_trials)
         assert vs_summary.success_rate >= const_summary.success_rate - 0.2
@@ -134,8 +140,8 @@ class TestAutonomyAdaptiveVoltageScaling:
             protection = ProtectionConfig(
                 anomaly_detection=True,
                 voltage_scaling=VoltageScalingConfig(policy=policy, entropy_source=source))
-            trials = executor.run_trials("wooden", 5, seed=11,
-                                         controller_protection=protection)
+            trials = executor.run_trial_group(_wooden(5, seed=11),
+                                              controller_protection=protection)
             summaries[source] = summarize_trials(trials)
         assert summaries["predictor"].success_rate >= summaries["oracle"].success_rate - 0.25
 
@@ -147,13 +153,14 @@ class TestEndToEndCreate:
                                                             jarvis_system_rotated):
         energy_model = EnergyModel()
         baseline_exec = jarvis_system.executor()
-        baseline = summarize_trials(baseline_exec.run_trials("wooden", 6, seed=12))
+        baseline = summarize_trials(
+            baseline_exec.run_trial_group(_wooden(6, seed=12)))
 
         config = CreateConfig(ad=True, wr=True, vs_policy=default_policy(),
                               vs_entropy_source="oracle", planner_voltage=0.78)
         create_exec = jarvis_system_rotated.executor()
-        create_trials = create_exec.run_trials(
-            "wooden", 6, seed=12,
+        create_trials = create_exec.run_trial_group(
+            _wooden(6, seed=12),
             planner_protection=config.planner_protection(),
             controller_protection=config.controller_protection())
         create_summary = summarize_trials(create_trials)
@@ -166,7 +173,7 @@ class TestEndToEndCreate:
     def test_unprotected_low_voltage_fails(self, jarvis_system):
         executor = jarvis_system.executor()
         protection = ProtectionConfig(voltage=0.72)
-        trials = executor.run_trials("wooden", 5, seed=13,
-                                     planner_protection=protection,
-                                     controller_protection=protection)
+        trials = executor.run_trial_group(_wooden(5, seed=13),
+                                          planner_protection=protection,
+                                          controller_protection=protection)
         assert summarize_trials(trials).success_rate <= 0.4

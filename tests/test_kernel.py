@@ -325,15 +325,22 @@ class TestCalibrationPins:
 TASKS = ["wooden", "stone", "iron", "seed"]
 
 
+def _decode(planner, task, hooks, progress=0, **kwargs):
+    """One prompt decoded alone through ``kernel_context(hooks)``."""
+    [decoded] = planner.decode_tokens_batch(
+        [(task, progress)], contexts=[planner.kernel_context(hooks)], **kwargs)
+    return decoded
+
+
 class TestCachedDecodeEquivalence:
     def test_cached_equals_uncached_tokens_logits_macs(self, deployed_planner):
         for task in TASKS:
             cached_stats, uncached_stats = GemmStats(), GemmStats()
-            cached_tokens, cached_logits = deployed_planner.decode_tokens(
-                task, 0, hooks=GemmHooks(stats=cached_stats),
+            cached_tokens, cached_logits = _decode(
+                deployed_planner, task, GemmHooks(stats=cached_stats),
                 use_cache=True, collect_logits=True)
-            uncached_tokens, uncached_logits = deployed_planner.decode_tokens(
-                task, 0, hooks=GemmHooks(stats=uncached_stats),
+            uncached_tokens, uncached_logits = _decode(
+                deployed_planner, task, GemmHooks(stats=uncached_stats),
                 use_cache=False, collect_logits=True)
             assert cached_tokens == uncached_tokens
             assert len(cached_logits) == len(uncached_logits)
@@ -381,8 +388,9 @@ class TestCachedDecodeEquivalence:
         for task in ("wooden", "iron"):
             legacy_stats, kernel_stats = GemmStats(), GemmStats()
             legacy_tokens = legacy_decode(task, legacy_stats)
-            kernel_tokens, _ = deployed_planner.decode_tokens(
-                task, 0, hooks=GemmHooks(stats=kernel_stats), use_cache=False)
+            kernel_tokens, _ = _decode(
+                deployed_planner, task, GemmHooks(stats=kernel_stats),
+                use_cache=False)
             assert legacy_tokens == kernel_tokens
             assert legacy_stats.macs == kernel_stats.macs
             assert legacy_stats.gemm_calls == kernel_stats.gemm_calls
@@ -398,8 +406,8 @@ class TestCachedDecodeEquivalence:
                                      rng=np.random.default_rng(123))
             hooks = GemmHooks(injector=injector)
             for seed, task in enumerate(TASKS * 4):
-                deployed_planner.decode_tokens(task, seed % 2, hooks=hooks,
-                                               use_cache=use_cache)
+                _decode(deployed_planner, task, hooks, progress=seed % 2,
+                        use_cache=use_cache)
             rates[use_cache] = injector.stats.observed_element_error_rate
         expected = ErrorInjector(UniformErrorModel(ber)) \
             .expected_element_error_rate(deployed_planner.spec)
@@ -425,12 +433,13 @@ class TestKernelContextOnAgents:
         assert stats.macs > macs_after_first
 
     def test_controller_context_matches_hooks_path(self, deployed_controller, rng):
+        """A context built from a caller's hooks steps like the default one."""
         from repro.env.observations import OBSERVATION_DIM
 
         observation = rng.normal(size=(OBSERVATION_DIM,))
         stats = GemmStats()
         context = deployed_controller.kernel_context(GemmHooks(stats=stats))
         via_context = deployed_controller.act_logits(1, observation, context=context)
-        via_hooks = deployed_controller.act_logits(1, observation)
-        np.testing.assert_array_equal(via_context, via_hooks)
+        default = deployed_controller.act_logits(1, observation)
+        np.testing.assert_array_equal(via_context, default)
         assert stats.macs > 0

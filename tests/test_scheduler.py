@@ -455,6 +455,25 @@ class TestWorkerDaemon:
         assert (tmp_path / "merged" / "demo.csv").read_bytes() == \
             serial.csv_path.read_bytes()
 
+    def test_max_tasks_run_sweeps_expired_leases_once(self, tmp_path,
+                                                       monkeypatch):
+        """A run that has claimed and settled its ``max_tasks`` stops
+        without another ``reclaim_expired`` round trip."""
+        queue = WorkQueue(tmp_path / "q")
+        queue.enqueue(CampaignPlan(name="demo", specs=_specs(1)[:1]))
+        sweeps = []
+        reclaim_expired = queue.reclaim_expired
+
+        def counted(*args):
+            sweeps.append(args)
+            return reclaim_expired(*args)
+
+        monkeypatch.setattr(queue, "reclaim_expired", counted)
+        stats = WorkerDaemon(queue, worker_id="w1", max_tasks=1).run()
+        assert stats.tasks_completed == 1
+        assert queue.counts()["done"] == 1
+        assert len(sweeps) == 1
+
     def test_daemon_reclaims_dead_workers_lease_and_reruns_it(self, tmp_path):
         """The cells of an abandoned (SIGKILL'd) lease are re-executed by a
         healthy worker and nothing is lost."""

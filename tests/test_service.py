@@ -14,7 +14,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from repro.eval import (
     run_campaign,
 )
 from repro.eval.campaign import enumerate_cells
-from repro.eval.runtable import RunTable
+from repro.eval.runtable import RunRecord, RunTable
 from repro.eval.service import (_SERVE_POLL_S, AutoScaler, CampaignService,
                                 QueueClient, ServiceError)
 from repro.faults.models import UniformErrorModel
@@ -303,6 +303,32 @@ class TestRowStreaming:
         assert len(canonical) == 4
         sidecar = RunTable.read_csv(results / "profiles" / "demo.csv")
         assert {record.queue_backend for record in sidecar} == {"http"}
+
+    def test_posted_rows_arrive_field_for_field(self, service, client,
+                                                monkeypatch):
+        """Every field of a posted row reaches the queue equal, a NaN
+        ``wall_time_s`` included (JSON carries it as ``NaN``)."""
+        client.enqueue(CampaignPlan(name="demo", specs=_specs(2)[:1]), batch=2)
+        task = client.claim("fields")
+        sent = [replace(synthetic_record(cell, "fields"), wall_time_s=wall,
+                        energy_j=0.1 + 0.2, vector_path="fleet", fleet_size=4,
+                        plan_cache="shm")
+                for cell, wall in zip(task.cells, (float("nan"), 1 / 3))]
+        received = []
+        write_rows = service.queue.write_rows
+
+        def capture(worker_id, plan_name, records):
+            received.extend(records)
+            return write_rows(worker_id, plan_name, records)
+
+        monkeypatch.setattr(service.queue, "write_rows", capture)
+        assert client.write_rows("fields", task.plan_name, sent) == 2
+        assert len(received) == len(sent)
+        for got, want in zip(received, sent):
+            for field in fields(RunRecord):
+                a, b = getattr(got, field.name), getattr(want, field.name)
+                assert a == b or (a != a and b != b), field.name
+        assert received[0].wall_time_s != received[0].wall_time_s
 
     def test_progress_endpoint_tracks_rows_and_backlog(self, service, client):
         client.enqueue(CampaignPlan(name="demo", specs=_specs(2)), batch=2)

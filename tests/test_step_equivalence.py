@@ -497,15 +497,16 @@ class TestBatchedControllerStep:
             return captured
 
         for quantized in (True, False):
-            kernel = controller._kernel_for(hooks() if quantized else None,
-                                            quantized)
-            if not quantized:  # a float kernel takes each call as one lane
+            if quantized:
+                kernel = controller.kernel_context(hooks())
+            else:  # a float kernel takes each call as one lane
+                kernel = controller._float_kernel()
                 float_qgemm = kernel.qgemm
                 kernel.qgemm = lambda name, x: float_qgemm(name, x, (len(x),))
             former = former_capture(kernel)
             captured = controller.capture_activations(
-                3, observation, hooks=hooks() if quantized else None,
-                quantized=quantized)
+                3, observation, quantized=quantized,
+                context=controller.kernel_context(hooks()) if quantized else None)
             assert list(captured) == list(former)
             for name in former:
                 _same_bits(captured[name], former[name])
