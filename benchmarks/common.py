@@ -41,13 +41,25 @@ def best_of_five(fn, reps: int) -> float:
     the *fastest* round's mean is reported — scheduler hiccups and turbo
     ramps can only slow a round down, so the minimum is the stable estimate.
     """
-    fn()  # warm-up
-    best = float("inf")
+    return best_of_five_each([fn], reps)[0]
+
+
+def best_of_five_each(fns, reps: int) -> list[float]:
+    """:func:`best_of_five` of several functions, their rounds taking turns.
+
+    Each round times ``reps`` calls of every function in turn, so a slow
+    spell of the host lands on rounds of each function instead of on every
+    round of one, and the ratios between them hold steady.
+    """
+    for fn in fns:
+        fn()  # warm-up
+    best = [float("inf")] * len(fns)
     for _ in range(5):
-        start = time.perf_counter()
-        for _ in range(reps):
-            fn()
-        best = min(best, (time.perf_counter() - start) / reps)
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(reps):
+                fn()
+            best[index] = min(best[index], (time.perf_counter() - start) / reps)
     return best
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from ..env.actions import NUM_ACTIONS
 from ..env.observations import OBSERVATION_DIM
+from ..env.scenarios import suite_fingerprint
 from ..env.subtasks import ALL_SUBTASKS, SubtaskRegistry
 from ..env.tasks import TaskSuite
 from ..env.world import EmbodiedWorld, WorldConfig
@@ -32,6 +33,7 @@ from ..quant import (
     KernelPlan,
     QuantizedLinear,
     QuantSpec,
+    calibration_key,
 )
 from ..train import AdamW, clip_grad_norm
 from .configs import ControllerConfig
@@ -45,6 +47,11 @@ __all__ = [
 ]
 
 _LN_EPS = 1e-5
+
+#: A deployed controller's calibration set when it is given a suite: the
+#: first ``samples`` oracle states of ``episodes`` rollouts seeded
+#: ``config.seed + seed_offset``.
+CALIBRATION_RECIPE = {"episodes": 6, "seed_offset": 17, "samples": 600}
 
 
 # ----------------------------------------------------------------------
@@ -201,31 +208,36 @@ class DeployedController:
     context (:meth:`kernel_context`) per trial and passes it to
     :meth:`act_logits_batch`, so pre-resolved scales are shared across all
     steps of the trial.
+
+    Calibration profiles ``calibration_samples``, or, given a suite and its
+    registry instead, the :data:`CALIBRATION_RECIPE` rollouts over them.
+    ``calibrate=False`` leaves the controller unquantized until
+    :meth:`calibrate` or :meth:`quantize` runs.
     """
 
     def __init__(self, network: ControllerNetwork, spec: QuantSpec = INT8,
                  calibration_samples: tuple[np.ndarray, np.ndarray] | None = None,
                  calibration_suite: TaskSuite | None = None,
                  calibration_registry: SubtaskRegistry | None = None,
-                 id_registry: SubtaskRegistry | None = None):
+                 id_registry: SubtaskRegistry | None = None,
+                 calibrate: bool = True):
+        if calibration_samples is None and (calibration_suite is None
+                                            or calibration_registry is None):
+            raise ValueError(
+                "provide calibration_samples or a calibration suite + registry")
         self.config = network.config
         self.spec = spec
         self.num_actions = network.num_actions
         self._extract_weights(network)
         self.calibrator = Calibrator(spec)
+        self._calibration_set = (calibration_samples, calibration_suite,
+                                 calibration_registry, id_registry)
         self._quantized: dict[str, QuantizedLinear] = {}
         self._plan: KernelPlan | None = None
         self._plan_shared = False
         self._activation_probe: dict[str, np.ndarray] | None = None
-        if calibration_samples is None:
-            if calibration_suite is None or calibration_registry is None:
-                raise ValueError(
-                    "provide calibration_samples or a calibration suite + registry")
-            ids, obs, _ = build_controller_dataset(
-                calibration_suite, calibration_registry, num_episodes=6,
-                seed=self.config.seed + 17, id_registry=id_registry)
-            calibration_samples = (ids[:600], obs[:600])
-        self.calibrate(*calibration_samples)
+        if calibrate:
+            self.calibrate()
 
     # ------------------------------------------------------------------
     def _extract_weights(self, network: ControllerNetwork) -> None:
@@ -390,7 +402,44 @@ class DeployedController:
         return KernelContext(hooks=hooks, rng=rng, plan=self.kernel_plan())
 
     # ------------------------------------------------------------------
-    def calibrate(self, subtask_ids: np.ndarray, observations: np.ndarray) -> None:
+    def _calibration_samples(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(subtask ids, observations)`` that :meth:`calibrate` profiles."""
+        samples, suite, registry, id_registry = self._calibration_set
+        if samples is not None:
+            return samples
+        recipe = CALIBRATION_RECIPE
+        ids, obs, _ = build_controller_dataset(
+            suite, registry, num_episodes=recipe["episodes"],
+            seed=self.config.seed + recipe["seed_offset"],
+            id_registry=id_registry)
+        return ids[:recipe["samples"]], obs[:recipe["samples"]]
+
+    def calibration_key(self) -> str:
+        """SHA-256 over everything :meth:`calibrate` reads, without reading it.
+
+        The config and the float weights, and either the explicit samples or
+        the recipe that draws them: :data:`CALIBRATION_RECIPE`, the suite's
+        fingerprint, both registries' subtask specs and the world config.
+        So the key costs no rollout.  The quantization spec is left out,
+        because the maxima do not depend on it.
+        """
+        samples, suite, registry, id_registry = self._calibration_set
+        arrays = [self.subtask_embed]
+        for name, weight in self._float_weights.items():
+            arrays += [weight] + ([] if self._biases[name] is None
+                                  else [self._biases[name]])
+        for norms in self._norms + [self.final_norm]:
+            arrays += [norms[key] for key in sorted(norms)]
+        if samples is not None:
+            recipe = "samples"
+            arrays += list(samples)
+        else:
+            recipe = (CALIBRATION_RECIPE, suite_fingerprint(suite),
+                      [registry.get(name) for name in registry.names],
+                      (id_registry or ALL_SUBTASKS).names, WorldConfig())
+        return calibration_key(("controller", self.config, recipe), arrays)
+
+    def calibrate(self) -> None:
         """Profile activations in float lane stacks, then quantize.
 
         The samples run in sample order, at most
@@ -400,13 +449,22 @@ class DeployedController:
         float GEMM would not), so the profiled scales and anomaly bounds
         equal one-sample calibration's.
         """
+        subtask_ids, observations = self._calibration_samples()
         observer = Calibrator(self.spec)
         kernel = self._float_kernel(observer)
         for start in range(0, len(subtask_ids), CALIBRATION_STACK_LANES):
             stop = start + CALIBRATION_STACK_LANES
             self._forward_stack(subtask_ids[start:stop],
                                 observations[start:stop], kernel)
-        self.calibrator = observer
+        self.quantize(observer)
+
+    def quantize(self, calibrator: Calibrator) -> None:
+        """Quantize every component with ``calibrator``'s scales and bounds.
+
+        The one quantization step: :meth:`calibrate` runs it on the maxima it
+        profiled, and a deployment that loads stored maxima runs it on those.
+        """
+        self.calibrator = calibrator
         self._quantized = {}
         self._plan = None
         self._plan_shared = False
@@ -415,9 +473,9 @@ class DeployedController:
                 name=name,
                 weight=weight,
                 bias=self._biases[name],
-                x_params=observer.input_params(name),
+                x_params=calibrator.input_params(name),
                 spec=self.spec,
-                output_bound=observer.output_bound(name),
+                output_bound=calibrator.output_bound(name),
             )
 
     def output_bounds(self) -> dict[str, float]:

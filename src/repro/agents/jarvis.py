@@ -5,7 +5,10 @@ work with — it owns the deployed (quantized) models of one platform and hands
 out :class:`~repro.agents.executor.MissionExecutor` instances.  Building a
 system pulls trained weights from the model zoo (training them on first use)
 and performs the deployment steps of the paper: gamma folding, optional
-Hadamard weight rotation (WR), INT8 calibration and quantization.
+Hadamard weight rotation (WR), INT8 calibration and quantization.  The
+calibration maxima are stored in the model cache beside the checkpoints, so
+a deployment profiles its activations only when no stored calibration
+matches its key.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .controller import DeployedController
 from .executor import MissionExecutor
 from .planner import DeployedPlanner, extract_planner_weights
 from .zoo import (
+    calibrate_or_load,
     checkpoint_path,
     controller_spaces,
     get_controller_network,
@@ -79,27 +83,40 @@ class EmbodiedSystem:
 #: and checkpoint file.  Calibration is deterministic and nothing mutates a
 #: deployed model afterwards (``adopt_plan`` swaps in a hash-verified copy of
 #: the same plan), so systems that deploy the same model share one object:
-#: ``jarvis`` and ``jarvis-rotated`` calibrate their controller once.  The
+#: ``jarvis`` and ``jarvis-rotated`` deploy their controller once.  The
 #: registry drops the table with its system cache.
 _DEPLOYMENTS: dict[tuple, DeployedPlanner | DeployedController] = {}
 
 
 def clear_deployments() -> None:
-    """Forget every shared deployment; the next build calibrates afresh."""
+    """Forget every shared deployment.
+
+    The next build deploys afresh: it loads the stored calibration maxima,
+    or calibrates and stores them when none match.
+    """
     _DEPLOYMENTS.clear()
 
 
 def _deployed(role: str, name: str, rotate: bool, spec: QuantSpec,
-              deploy: Callable[[], DeployedPlanner | DeployedController]):
-    key = (role, name, rotate, spec, checkpoint_path(role, name))
-    model = _DEPLOYMENTS.get(key)
+              build: Callable[[], DeployedPlanner | DeployedController]):
+    """The shared deployment of ``build()``'s uncalibrated model.
+
+    :func:`~repro.agents.zoo.calibrate_or_load` quantizes it from the maxima
+    stored under its calibration key, or calibrates it and stores them.
+    The maxima do not depend on ``spec``, so every quantization variant of
+    a model shares one file.
+    """
+    ident = (role, name, rotate, spec, checkpoint_path(role, name))
+    model = _DEPLOYMENTS.get(ident)
     if model is None:
-        model = _DEPLOYMENTS[key] = deploy()
+        model = build()
+        calibrate_or_load(role, name, model)
+        _DEPLOYMENTS[ident] = model
     return model
 
 
 def _deploy_planner(name: str, rotate: bool, spec: QuantSpec) -> DeployedPlanner:
-    def deploy() -> DeployedPlanner:
+    def build() -> DeployedPlanner:
         network, vocab = get_planner_network(name)
         weights = extract_planner_weights(network)
         if rotate:
@@ -107,18 +124,18 @@ def _deploy_planner(name: str, rotate: bool, spec: QuantSpec) -> DeployedPlanner
                 weights.dim, np.random.default_rng(weights.config.seed))
             weights = weights.apply_rotation(rotation)
         return DeployedPlanner(weights, vocab, suite_for(PLANNER_CONFIGS[name]),
-                               spec=spec)
-    return _deployed("planner", name, rotate, spec, deploy)
+                               spec=spec, calibrate=False)
+    return _deployed("planner", name, rotate, spec, build)
 
 
 def _deploy_controller(name: str, spec: QuantSpec) -> DeployedController:
-    def deploy() -> DeployedController:
+    def build() -> DeployedController:
         suite, registry, id_registry = controller_spaces(CONTROLLER_CONFIGS[name])
         return DeployedController(get_controller_network(name), spec=spec,
                                   calibration_suite=suite,
                                   calibration_registry=registry,
-                                  id_registry=id_registry)
-    return _deployed("controller", name, False, spec, deploy)
+                                  id_registry=id_registry, calibrate=False)
+    return _deployed("controller", name, False, spec, build)
 
 
 def build_jarvis_system(rotate_planner: bool = True, with_planner: bool = True,

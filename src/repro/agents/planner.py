@@ -39,6 +39,7 @@ from ..quant import (
     KVCache,
     QuantSpec,
     QuantizedLinear,
+    calibration_key,
 )
 from ..train import AdamW, clip_grad_norm
 from .configs import PlannerConfig
@@ -404,6 +405,9 @@ class DeployedPlanner:
         ones = [1] * lanes
         return kernel.qgemm("head", x[n_new - 1::n_new], ones, ones)
 
+    def component_names(self) -> list[str]:
+        return self.weights.component_names()
+
     def _float_weight(self, name: str) -> np.ndarray:
         if name == "head":
             return self.weights.head
@@ -463,6 +467,24 @@ class DeployedPlanner:
     # ------------------------------------------------------------------
     # Calibration / quantization
     # ------------------------------------------------------------------
+    def _calibration_prompts(self) -> list[tuple[str, int]]:
+        """Every ``(task, progress)`` prompt of the suite, in suite order."""
+        return [(task.name, progress) for task in self.suite.tasks()
+                for progress in range(len(task.plan))]
+
+    def calibration_key(self) -> str:
+        """SHA-256 over everything :meth:`calibrate` reads.
+
+        The config, the EOS token, the encoded calibration prompts and the
+        float weights after any rotation; the quantization spec is left out,
+        because the maxima do not depend on it.
+        """
+        weights = self.weights
+        arrays = [weights.embed, weights.head,
+                  self._prompts(self._calibration_prompts())]
+        arrays += [layer[key] for layer in weights.layers for key in sorted(layer)]
+        return calibration_key(("planner", self.config, self.vocab.eos), arrays)
+
     def calibrate(self) -> None:
         """Profile activations over every (task, progress) prompt, then quantize.
 
@@ -476,30 +498,37 @@ class DeployedPlanner:
         """
         observer = Calibrator(self.spec)
         kernel = FloatKernel(self._float_weight, observer=observer)
-        prompts = [(task.name, progress) for task in self.suite.tasks()
-                   for progress in range(len(task.plan))]
+        prompts = self._calibration_prompts()
         for start in range(0, len(prompts), CALIBRATION_STACK_LANES):
             self._decode_stack(prompts[start:start + CALIBRATION_STACK_LANES],
                                kernel, None, max_new_tokens=None,
                                use_cache=False)
-        self.calibrator = observer
+        self.quantize(observer)
+
+    def quantize(self, calibrator: Calibrator) -> None:
+        """Quantize every component with ``calibrator``'s scales and bounds.
+
+        The one quantization step: :meth:`calibrate` runs it on the maxima it
+        profiled, and a deployment that loads stored maxima runs it on those.
+        """
+        self.calibrator = calibrator
         self._quantized = {}
         self._plan = None
         self._plan_shared = False
-        for name in self.weights.component_names():
+        for name in self.component_names():
             self._quantized[name] = QuantizedLinear(
                 name=name,
                 weight=self._float_weight(name),
                 bias=None,
-                x_params=observer.input_params(name),
+                x_params=calibrator.input_params(name),
                 spec=self.spec,
-                output_bound=observer.output_bound(name),
+                output_bound=calibrator.output_bound(name),
             )
 
     def output_bounds(self) -> dict[str, float]:
         """Profiled per-component anomaly bounds (float domain)."""
         return {name: self.calibrator.output_bound(name)
-                for name in self.weights.component_names()}
+                for name in self.component_names()}
 
     # ------------------------------------------------------------------
     # Planning

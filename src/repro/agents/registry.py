@@ -41,7 +41,8 @@ system, which then runs like a built-in key::
 ``get_system`` builds lazily and caches one instance per key per process.
 Keys that deploy the same model share it: ``jarvis``, ``jarvis-rotated`` and
 the other JARVIS variants with the same quantization spec hold one
-controller object, calibrated once per process (see ``repro.agents.jarvis``).
+controller object, deployed once per process from the calibration maxima
+stored in the model cache (see ``repro.agents.jarvis``).
 
 Keys double as the ``system`` column of persistent run tables (see
 ``docs/runtable-schema.md``), so they must stay *stable across processes
@@ -207,7 +208,7 @@ def register_system(key: str, factory: Callable[[], EmbodiedSystem],
     system; leave ``None`` to have the first such query build and inspect.
     Registering also drops the shared deployments (see
     :func:`~repro.agents.jarvis.clear_deployments`), so the next build of any
-    key calibrates afresh.
+    key deploys afresh.
     """
     if key in SYSTEM_FACTORIES and not overwrite:
         raise KeyError(f"system key {key!r} already registered")
@@ -273,7 +274,8 @@ def clear_system_cache() -> None:
 
     The planners and controllers that built-in systems share per process
     (:func:`~repro.agents.jarvis.clear_deployments`) are dropped too, so a
-    rebuild returns fresh objects.
+    rebuild returns fresh objects, quantized from the stored calibration
+    maxima (or calibrated, when none match).
 
     Fires the eviction hooks, so derived per-process caches — the campaign
     engine's worker executors, published weight-plane manifests — are

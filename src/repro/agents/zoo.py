@@ -13,6 +13,14 @@ for the default Table-10 vocabulary keep their historical cache names (all
 shipped caches stay valid); scenario vocabularies get fingerprint-suffixed
 files, and loading a checkpoint under a mismatched vocabulary raises
 :class:`VocabularyMismatchError` instead of silently corrupting token maps.
+
+The cache also holds each deployment's calibration: the per-component input
+and output maxima, exact as ``float.hex`` strings, in
+``calibration-<role>-<name>-<key>.json``, where the key
+(:func:`repro.quant.calibration_key`) hashes everything the calibration
+reads.  :func:`calibrate_or_load` quantizes a deployment from them instead
+of re-profiling, and calibrates and stores them on a miss;
+:mod:`repro.agents.jarvis` deploys every planner and controller through it.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -38,9 +47,10 @@ from ..env.subtasks import (
     SubtaskRegistry,
 )
 from ..env.tasks import SUITES, TaskSuite
+from ..quant import Calibrator, QuantSpec
 from .configs import CONTROLLER_CONFIGS, ControllerConfig, PLANNER_CONFIGS, PlannerConfig
 from .controller import ControllerNetwork, DeployedController, train_controller
-from .planner import PlannerNetwork, train_planner
+from .planner import DeployedPlanner, PlannerNetwork, train_planner
 from .vocabulary import (
     PlannerVocabulary,
     TABLE10_FINGERPRINT,
@@ -56,6 +66,8 @@ __all__ = [
     "suite_for",
     "controller_spaces",
     "checkpoint_path",
+    "calibration_path",
+    "calibrate_or_load",
     "get_planner_network",
     "get_controller_network",
     "get_predictor_network",
@@ -90,7 +102,9 @@ def cache_directory() -> Path:
 
 
 def clear_cache() -> None:
-    for file in cache_directory().glob("*.npz"):
+    """Delete every cached checkpoint and stored calibration."""
+    directory = cache_directory()
+    for file in [*directory.glob("*.npz"), *directory.glob("calibration-*.json")]:
         file.unlink()
 
 
@@ -336,6 +350,81 @@ def checkpoint_path(role: str, name: str) -> Path:
         config = CONTROLLER_CONFIGS[name]
         return _controller_cache_path(config, controller_spaces(config)[2])
     raise ValueError(f"unknown role {role!r}")
+
+
+# ----------------------------------------------------------------------
+# Calibration maxima
+# ----------------------------------------------------------------------
+def calibration_path(role: str, name: str, key: str) -> Path:
+    """Where the calibration of ``role`` ``name`` under ``key`` is stored."""
+    return cache_directory() / f"calibration-{role}-{name}-{key[:16]}.json"
+
+
+def calibrate_or_load(role: str, name: str,
+                      model: DeployedPlanner | DeployedController) -> None:
+    """Quantize ``model`` from its stored calibration, or calibrate and store it.
+
+    The maxima live at :func:`calibration_path` under
+    ``model.calibration_key()`` and are quantized under the model's own spec
+    (they do not depend on it).  Without a file the model calibrates, and
+    its maxima are written for the next process; a failed write only warns,
+    because the model is already quantized.
+    """
+    key = model.calibration_key()
+    path = calibration_path(role, name, key)
+    stored = _read_calibration(path, key, model.component_names(), model.spec)
+    if stored is not None:
+        model.quantize(stored)
+        return
+    model.calibrate()
+    _write_calibration(path, key, model.calibrator)
+
+
+def _read_calibration(path: Path, key: str, components: list[str],
+                      spec: QuantSpec) -> Calibrator | None:
+    """The maxima stored at ``path`` under ``spec``; ``None`` if there is no file.
+
+    A file that does not parse, holds another key (the key covers the
+    file format's version) or lacks a maximum of one of ``components``
+    raises a ``ValueError`` that names it.
+    """
+    try:
+        text = path.read_text()
+    except FileNotFoundError:
+        return None
+    try:
+        stored = json.loads(text)
+        if stored["key"] != key:
+            raise ValueError(f"key {stored['key']}")
+        maxima = [{name: float.fromhex(stored[field][name]) for name in components}
+                  for field in ("input_amax", "output_amax")]
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(f"calibration file {path} does not hold this "
+                         f"deployment's maxima ({type(error).__name__}: "
+                         f"{error}); delete it to recalibrate") from None
+    return Calibrator.from_maxima(*maxima, spec=spec)
+
+
+def _write_calibration(path: Path, key: str, calibrator: Calibrator) -> None:
+    """Write ``calibrator``'s maxima to ``path`` whole or not at all.
+
+    A temporary file, then ``os.replace``; a failure warns and leaves no
+    file behind.
+    """
+    input_amax, output_amax = calibrator.maxima()
+    text = json.dumps({
+        "key": key,
+        "input_amax": {name: value.hex() for name, value in input_amax.items()},
+        "output_amax": {name: value.hex() for name, value in output_amax.items()},
+    }, indent=1, sort_keys=True) + "\n"
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temp.write_text(text)
+        os.replace(temp, path)
+    except OSError as error:
+        temp.unlink(missing_ok=True)
+        warnings.warn(f"could not store calibration {path.name}: {error}",
+                      RuntimeWarning, stacklevel=3)
 
 
 # ----------------------------------------------------------------------

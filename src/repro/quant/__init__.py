@@ -19,7 +19,8 @@ from .qtypes import (
     to_unsigned,
     wrap_to_accumulator,
 )
-from .quantizer import Calibrator, QuantParams, compute_scale, dequantize, quantize
+from .quantizer import (Calibrator, QuantParams, calibration_key,
+                        compute_scale, dequantize, quantize)
 from .qgemm import GemmHooks, GemmStats, QuantizedLinear, quantized_matmul
 from .kernel import (CALIBRATION_STACK_LANES, BatchedKernel, FloatKernel,
                      KernelContext, KernelPlan, KVCache)
@@ -31,6 +32,7 @@ __all__ = [
     "QuantSpec",
     "QuantParams",
     "Calibrator",
+    "calibration_key",
     "compute_scale",
     "quantize",
     "dequantize",

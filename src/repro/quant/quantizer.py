@@ -8,13 +8,24 @@ INT8 weights, accumulated in 24-bit integers and re-scaled back to float.
 
 from __future__ import annotations
 
+import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qtypes import INT8, QuantSpec
 
-__all__ = ["QuantParams", "compute_scale", "quantize", "dequantize", "Calibrator"]
+__all__ = ["QuantParams", "compute_scale", "quantize", "dequantize", "Calibrator",
+           "CALIBRATION_FORMAT", "calibration_key"]
+
+#: Version of what :func:`calibration_key` covers and of the stored maxima's
+#: file format (``repro.agents.zoo``).  The key hashes data only, so a code
+#: change that moves maxima (the float kernel, norms, the world simulator)
+#: keeps every key.  Bump this with each such change, which is each time the
+#: shipped calibration files are regenerated: every key then changes, and
+#: no file written before, in any cache, matches one again.
+CALIBRATION_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,20 @@ class Calibrator:
         self._input_amax: dict[str, float] = {}
         self._output_amax: dict[str, float] = {}
 
+    @classmethod
+    def from_maxima(cls, input_amax: dict[str, float],
+                    output_amax: dict[str, float],
+                    spec: QuantSpec = INT8) -> "Calibrator":
+        """A calibrator holding the maxima an earlier calibration observed."""
+        calibrator = cls(spec)
+        calibrator._input_amax = dict(input_amax)
+        calibrator._output_amax = dict(output_amax)
+        return calibrator
+
+    def maxima(self) -> tuple[dict[str, float], dict[str, float]]:
+        """Copies of the observed per-layer input and output maxima."""
+        return dict(self._input_amax), dict(self._output_amax)
+
     def observe(self, name: str, inputs: np.ndarray, outputs: np.ndarray) -> None:
         in_amax = float(np.abs(inputs).max()) if inputs.size else 0.0
         out_amax = float(np.abs(outputs).max()) if outputs.size else 0.0
@@ -102,3 +127,19 @@ class Calibrator:
         range (127 x output scale), i.e. the profiled maximum, as the bound.
         """
         return self.output_amax(name) * margin
+
+
+def calibration_key(recipe: object, arrays: Iterable[np.ndarray]) -> str:
+    """SHA-256 naming one calibration's maxima.
+
+    ``recipe`` holds every setting and input the calibration reads that is
+    not an array, hashed as its ``repr``; ``arrays`` are the float weights
+    (and any explicit samples), hashed with dtype and shape.  Equal keys
+    mean the calibration would observe the same tensors on one BLAS kernel.
+    """
+    digest = hashlib.sha256(repr((CALIBRATION_FORMAT, recipe)).encode())
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
