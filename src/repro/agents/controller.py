@@ -234,7 +234,6 @@ class DeployedController:
                                  calibration_registry, id_registry)
         self._quantized: dict[str, QuantizedLinear] = {}
         self._plan: KernelPlan | None = None
-        self._plan_shared = False
         self._activation_probe: dict[str, np.ndarray] | None = None
         if calibrate:
             self.calibrate()
@@ -374,27 +373,10 @@ class DeployedController:
             self._plan = KernelPlan(self._quantized, spec=self.spec)
         return self._plan
 
-    def adopt_plan(self, plan: KernelPlan) -> None:
-        """Replace the cached plan with an externally shared (shm) one.
-
-        Content-hash-verified against this controller's own checkpoint, so
-        adoption changes where the arrays live, never a result.
-        """
-        if not self._quantized:
-            raise RuntimeError("controller has not been calibrated/quantized")
-        expected = KernelPlan.hash_layers(self._quantized, self.spec)
-        if plan.content_hash != expected:
-            raise ValueError(
-                f"plan hash {plan.content_hash[:12]} does not match this "
-                f"controller's checkpoint ({expected[:12]})")
-        self._plan = plan
-        self._plan_shared = plan.shared
-
     def plan_provenance(self) -> str:
-        """Where trial contexts get their plan: ``shm``, ``hit`` or ``miss``."""
-        if self._plan is None:
-            return "miss"
-        return "shm" if self._plan_shared else "hit"
+        """Whether trial contexts reuse a built plan (``hit``) or build it
+        first (``miss``)."""
+        return "miss" if self._plan is None else "hit"
 
     def kernel_context(self, hooks: GemmHooks | None = None,
                        rng: np.random.Generator | None = None) -> KernelContext:
@@ -467,7 +449,6 @@ class DeployedController:
         self.calibrator = calibrator
         self._quantized = {}
         self._plan = None
-        self._plan_shared = False
         for name, weight in self._float_weights.items():
             self._quantized[name] = QuantizedLinear(
                 name=name,

@@ -197,11 +197,11 @@ class MissionExecutor:
     def plan_cache_state(self) -> str:
         """Kernel-plan provenance across this executor's models.
 
-        ``"shm"`` when any model adopted a shared-memory weight plane,
         ``"miss"`` when any model would still build its plan from scratch,
-        ``"hit"`` when every model reuses a process-local plan, and ``""``
-        when no model exposes provenance (e.g. test doubles).  Stamped into
-        the run table's ``plan_cache`` profile column by the campaign engine.
+        ``"hit"`` when every model reuses a built plan (its own, or one a
+        forked pool child inherited), and ``""`` when no model exposes
+        provenance (e.g. test doubles).  Stamped into the run table's
+        ``plan_cache`` profile column by the campaign engine.
         """
         states = []
         for model in (getattr(self, "planner", None),
@@ -211,11 +211,7 @@ class MissionExecutor:
                 states.append(provenance())
         if not states:
             return ""
-        if "shm" in states:
-            return "shm"
-        if "miss" in states:
-            return "miss"
-        return "hit"
+        return "miss" if "miss" in states else "hit"
 
     # ------------------------------------------------------------------
     # Planning helpers

@@ -81,8 +81,8 @@ class EmbodiedSystem:
 #: This process's deployed planners and controllers, keyed by what
 #: determines a deployment: role, config name, rotation, quantization spec
 #: and checkpoint file.  Calibration is deterministic and nothing mutates a
-#: deployed model afterwards (``adopt_plan`` swaps in a hash-verified copy of
-#: the same plan), so systems that deploy the same model share one object:
+#: deployed model afterwards (its kernel plan is built once, then only
+#: read), so systems that deploy the same model share one object:
 #: ``jarvis`` and ``jarvis-rotated`` deploy their controller once.  The
 #: registry drops the table with its system cache.
 _DEPLOYMENTS: dict[tuple, DeployedPlanner | DeployedController] = {}

@@ -318,7 +318,6 @@ class DeployedPlanner:
         self.calibrator = Calibrator(spec)
         self._quantized: dict[str, QuantizedLinear] = {}
         self._plan: KernelPlan | None = None
-        self._plan_shared = False
         self._activation_probe: dict[str, np.ndarray] | None = None
         self._norm_gain = np.ones(weights.config.dim)
         self._mask_cache: dict[tuple[int, int, int], np.ndarray] = {}
@@ -431,28 +430,10 @@ class DeployedPlanner:
             self._plan = KernelPlan(self._quantized, spec=self.spec)
         return self._plan
 
-    def adopt_plan(self, plan: KernelPlan) -> None:
-        """Replace the cached plan with an externally shared (shm) one.
-
-        The plan must be bit-identical to this planner's own — enforced by
-        content hash — so adopting changes where the arrays live, never a
-        result.  Kernel caches built over the old plan are dropped.
-        """
-        if not self._quantized:
-            raise RuntimeError("planner has not been calibrated/quantized")
-        expected = KernelPlan.hash_layers(self._quantized, self.spec)
-        if plan.content_hash != expected:
-            raise ValueError(
-                f"plan hash {plan.content_hash[:12]} does not match this "
-                f"planner's checkpoint ({expected[:12]})")
-        self._plan = plan
-        self._plan_shared = plan.shared
-
     def plan_provenance(self) -> str:
-        """Where trial contexts get their plan: ``shm``, ``hit`` or ``miss``."""
-        if self._plan is None:
-            return "miss"
-        return "shm" if self._plan_shared else "hit"
+        """Whether trial contexts reuse a built plan (``hit``) or build it
+        first (``miss``)."""
+        return "miss" if self._plan is None else "hit"
 
     def kernel_context(self, hooks: GemmHooks | None = None,
                        rng: np.random.Generator | None = None) -> KernelContext:
@@ -514,7 +495,6 @@ class DeployedPlanner:
         self.calibrator = calibrator
         self._quantized = {}
         self._plan = None
-        self._plan_shared = False
         for name in self.component_names():
             self._quantized[name] = QuantizedLinear(
                 name=name,

@@ -278,8 +278,8 @@ def clear_system_cache() -> None:
     maxima (or calibrated, when none match).
 
     Fires the eviction hooks, so derived per-process caches — the campaign
-    engine's worker executors, published weight-plane manifests — are
-    invalidated in the same call instead of surviving with stale systems.
+    engine's worker executors — are invalidated in the same call instead of
+    surviving with stale systems.
     """
     _SYSTEM_CACHE.clear()
     clear_deployments()

@@ -11,8 +11,9 @@ seed, planner/controller :class:`~repro.core.create.ProtectionConfig` — and a
   seed, protections), so serial, parallel, and batched execution produce
   bit-identical canonical run tables;
 * **in parallel** — cells are distributed over the process pool of a
-  :class:`CellPool`; workers rebuild systems from the picklable factory keys
-  of :mod:`repro.agents.registry` and cache them per process (deployed
+  :class:`CellPool`; forked workers inherit the systems and kernel plans the
+  parent built, copy-on-write, and any other worker rebuilds a system from
+  its picklable factory key of :mod:`repro.agents.registry` (deployed
   systems are deliberately never pickled);
 * **in batches** — several cells ride in one worker task (``batch=`` knob,
   auto-tuned by default) so very short trials amortize process-pool IPC;
@@ -282,7 +283,7 @@ def _run_cell(cell: _Cell, executor: MissionExecutor) -> RunRecord:
 
     ``plan_cache`` is queried before the cell runs, so the first cell over
     a freshly built executor stamps ``miss`` (it pays the plan build) and
-    later cells stamp ``hit`` / ``shm``.
+    later cells stamp ``hit``.
     """
     plan_cache = executor.plan_cache_state()
     start = time.perf_counter()
@@ -381,82 +382,12 @@ def _run_lane_group(cells: Sequence[_Cell], executor: MissionExecutor,
 
 _WORKER_EXECUTORS: dict[str, MissionExecutor] = {}
 
-#: Parent-side weight-plane state: system key -> role -> PlanManifest for
-#: every plan this process has published.  The manifests (small, picklable)
-#: travel to pool workers as task arguments; the arrays travel through the
-#: shared segments.  Evicted together with the system cache.
-_SHM_MANIFESTS: dict[str, dict[str, object]] = {}
 
-
-def _publish_system_plans(systems: set[str]):
-    """Parent-side: publish each registry system's kernel plans to shm.
-
-    Builds the system in the parent (once — pool children forked afterwards
-    inherit it, and non-forked workers verify by content hash), publishes
-    its planner/controller plans, and returns ``{system: {role: manifest}}``
-    for the pool tasks.  Returns ``None`` — per-process fallback — when the
-    plane is disabled or shared memory is unavailable; trial results are
-    identical either way.
-    """
-    from ..quant import weightplane
-
-    if not weightplane.enabled():
-        return None
-    manifests: dict[str, dict[str, object]] = {}
-    for key in sorted(systems):
-        entry = _SHM_MANIFESTS.get(key)
-        if entry is None:
-            if key not in SYSTEM_FACTORIES:
-                continue
-            entry = {}
-            system = get_system(key)
-            for role in ("planner", "controller"):
-                model = getattr(system, role, None)
-                if model is None or not hasattr(model, "kernel_plan"):
-                    continue
-                try:
-                    entry[role] = weightplane.publish(model.kernel_plan())
-                except weightplane.SharedMemoryUnavailable:
-                    return None
-            _SHM_MANIFESTS[key] = entry
-        if entry:
-            manifests[key] = entry
-    return manifests or None
-
-
-def _adopt_shared_plans(key: str, system, shm_plans) -> None:
-    """Worker-side: swap the system's kernel plans for attached shm views.
-
-    Adoption is hash-verified (see ``adopt_plan``) and best-effort: a missing
-    segment, a disabled plane, or a checkpoint mismatch silently keeps the
-    process-private plan — the fallback changes memory footprint, never a
-    result.
-    """
-    entry = (shm_plans or {}).get(key) or _SHM_MANIFESTS.get(key)
-    if not entry:
-        return
-    from ..quant import weightplane
-
-    for role in ("planner", "controller"):
-        manifest = entry.get(role)
-        model = getattr(system, role, None)
-        if manifest is None or model is None or not hasattr(model, "adopt_plan"):
-            continue
-        if getattr(model, "plan_provenance", lambda: "")() == "shm":
-            continue
-        try:
-            model.adopt_plan(weightplane.attach(manifest))
-        except (weightplane.SharedMemoryUnavailable, ValueError):
-            continue
-
-
-def _worker_executor(key: str, shm_plans=None) -> MissionExecutor:
+def _worker_executor(key: str) -> MissionExecutor:
     """This worker's cached executor for a system key (built on first use)."""
     executor = _WORKER_EXECUTORS.get(key)
     if executor is None:
-        system = get_system(key)
-        _adopt_shared_plans(key, system, shm_plans)
-        executor = system.executor()
+        executor = get_system(key).executor()
         _WORKER_EXECUTORS[key] = executor
     return executor
 
@@ -465,24 +396,22 @@ def _register_eviction_hook() -> None:
     """Tie the worker caches to the registry's system-cache lifetime.
 
     ``clear_system_cache()`` / ``register_system(..., overwrite=True)`` must
-    not leave behind executors (or published weight-plane manifests) built
-    over systems the registry no longer serves — a stale executor would keep
-    running trials on the old instance in-process.
+    not leave behind executors built over systems the registry no longer
+    serves — a stale executor would keep running trials on the old instance
+    in-process.
     """
     @on_system_eviction
     def _evict_worker_state(key: str | None) -> None:
         if key is None:
             _WORKER_EXECUTORS.clear()
-            _SHM_MANIFESTS.clear()
         else:
             _WORKER_EXECUTORS.pop(key, None)
-            _SHM_MANIFESTS.pop(key, None)
 
 
 _register_eviction_hook()
 
 
-def _pool_run_batch(cells: tuple[_Cell, ...], shm_plans: dict | None = None,
+def _pool_run_batch(cells: tuple[_Cell, ...],
                     sink: Callable[[list[RunRecord]], None] | None = None
                     ) -> list[RunRecord]:
     """The one cell dispatcher: run a chunk of cells in order, return its rows.
@@ -490,13 +419,12 @@ def _pool_run_batch(cells: tuple[_Cell, ...], shm_plans: dict | None = None,
     Serial campaigns and ``jobs=1`` queue workers call it in process, and
     :class:`CellPool` children run it as their task function.  Every trial
     is seeded by its own cell, so chunk composition cannot change results.
-    ``shm_plans`` carries the parent's weight-plane manifests (workers
-    attach zero-copy, falling back silently when they can't); ``sink``
-    receives each lane group's or scalar cell's rows the moment they exist.
+    ``sink`` receives each lane group's or scalar cell's rows the moment
+    they exist.
     """
     records: list[RunRecord] = []
     for group in _chunk_cells(cells, len(cells)):  # same-spec groups
-        executor = _worker_executor(group[0].system, shm_plans)
+        executor = _worker_executor(group[0].system)
         for produced in _group_runs(group, executor):
             if sink is not None:
                 sink(produced)
@@ -509,8 +437,7 @@ _PR_SET_PDEATHSIG = 1
 
 
 def _pool_child_init(owner: int) -> None:
-    """Pool-child set-up: SIGTERM kills it, it dies with its owner, and it
-    builds its own executors.
+    """Pool-child set-up: SIGTERM kills it and it dies with its owner.
 
     A forked child inherits its owner's signal handlers; under
     :class:`~repro.eval.scheduler.WorkerDaemon`, whose SIGTERM handler only
@@ -518,14 +445,12 @@ def _pool_child_init(owner: int) -> None:
     On Linux, ``PR_SET_PDEATHSIG`` has the kernel SIGKILL the child when the
     thread that forked it exits (the pool forks from the thread of its first
     :meth:`CellPool.submit`), a SIGKILLed owner included; the ``getppid``
-    re-check covers an owner that died before the call.  Executors a forked
-    child inherits from its owner's serial runs hold process-private plans;
-    dropping them makes the child build executors that adopt the published
-    weight-plane plans.
+    re-check covers an owner that died before the call.  The executors a
+    forked child inherits stay: they share the owner's kernel plans
+    copy-on-write and keep their fault-free plan memo.
     """
     import signal
 
-    _WORKER_EXECUTORS.clear()
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if sys.platform.startswith("linux"):
         import ctypes
@@ -545,9 +470,8 @@ class CellPool:
     calling thread, so Ctrl-C stops a trial and trial time stays on that
     thread.  ``jobs > 1`` runs chunks on a process pool, forked where the
     platform allows so children inherit ``register_system`` factories and
-    the parent-built systems; the pool publishes each system's kernel plans
-    to the weight plane before its first chunk, and :meth:`close`
-    unpublishes them.  One failure policy: after a chunk raises, queued
+    the systems, executors and kernel plans the pool builds before it forks
+    (:meth:`_admit`).  One failure policy: after a chunk raises, queued
     chunks are cancelled, running ones finish, every finished chunk is
     handed over, then the error is re-raised.  Pool children take the
     default SIGTERM action and die with the pool's owner
@@ -556,21 +480,17 @@ class CellPool:
 
     def __init__(self, jobs: int, systems: Iterable[str] = ()):
         import multiprocessing
-        from ..quant import weightplane
 
         self.jobs = jobs
         self._running: dict[concurrent.futures.Future, object] = {}
-        self._systems: set[str] = set()
-        self._shm_plans = None
         self._pool = None
-        # Reclaim segments whose SIGKILLed creator could not unlink them.
-        weightplane.sweep_orphans()
+        self._forked = False
         if jobs > 1:
             try:
                 self._context = multiprocessing.get_context("fork")
             except ValueError:
                 self._context = None
-            self._admit(set(systems))  # publish before the first fork
+            self._admit(set(systems))  # build before the first fork
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=jobs, mp_context=self._context,
                 initializer=_pool_child_init, initargs=(os.getpid(),))
@@ -587,22 +507,27 @@ class CellPool:
         return len(self._running)
 
     def _admit(self, systems: set[str]) -> None:
-        """Publish the kernel plans of systems this pool has not seen yet.
+        """Build the systems' executors and kernel plans before the fork.
 
-        A key joins the admitted set only once its plans published, so a
-        system whose factory raises fails only the chunks that use it."""
-        new = systems - self._systems
-        if not new:
-            return
+        The pool forks all its children at the first :meth:`submit`; each
+        inherits what this process built by then copy-on-write, so no child
+        builds a plan or keeps a copy of one.  A child that inherits nothing
+        (no ``fork`` start method, or a key first seen after the fork)
+        builds the system from its checkpoint and stored calibration maxima.
+        A system whose factory raises fails only the chunks that use it."""
         if self._context is None:
-            custom = sorted(new - BUILTIN_SYSTEM_KEYS)
+            custom = sorted(systems - BUILTIN_SYSTEM_KEYS)
             if custom:
                 raise ValueError(
                     "process pools over custom-registered systems need the "
                     "'fork' start method, which this platform lacks; run "
                     "with jobs=1 for: " + ", ".join(custom))
-        self._shm_plans = _publish_system_plans(self._systems | new)
-        self._systems |= new
+        elif not self._forked:
+            for key in sorted(systems):
+                executor = _worker_executor(key)
+                for model in (executor.planner, executor.controller):
+                    if model is not None:
+                        model.kernel_plan()
 
     def submit(self, tag, cells: Sequence[_Cell]) -> None:
         """Run one chunk; ``tag`` comes back with its rows from :meth:`harvest`.
@@ -616,8 +541,8 @@ class CellPool:
                 future.set_result(_pool_run_batch(cells))
             else:
                 self._admit({cell.system for cell in cells})
-                future = self._pool.submit(_pool_run_batch, cells,
-                                           self._shm_plans)
+                future = self._pool.submit(_pool_run_batch, cells)
+                self._forked = True
         except Exception as error:  # an interrupt is not a chunk failure
             future.set_exception(error)
         self._running[future] = tag
@@ -650,14 +575,9 @@ class CellPool:
         return None
 
     def close(self) -> None:
-        """Shut the pool down, cancelling queued chunks, and destroy the
-        weight-plane segments it published."""
-        from ..quant import weightplane
-
+        """Shut the pool down, cancelling queued chunks."""
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
-            _SHM_MANIFESTS.clear()
-            weightplane.unlink_all()
 
 
 # ----------------------------------------------------------------------

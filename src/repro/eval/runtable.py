@@ -27,8 +27,9 @@ split into two groups:
   ``local`` for in-process campaigns, ``file`` / ``http`` for queue-backed
   workers), ``fleet_size`` (the spec's fleet axis; 0 on rows predating
   it) and ``plan_cache`` (kernel-plan provenance when the trial started:
-  ``miss`` built fresh, ``hit`` reused a process-local plan, ``shm``
-  attached the shared-memory weight plane; empty on rows predating it),
+  ``miss`` built fresh, ``hit`` reused a built plan; older sidecars also
+  hold ``shm``, a plan attached from shared memory; empty on rows
+  predating it),
   recorded by the campaign engine for profiling, plus the
   :data:`DERIVED_PROFILE_COLUMNS` (``macs_total``, ``flips_total``,
   ``energy_model_j``) — per-row analytics denormalized from the result

@@ -212,12 +212,12 @@ class KernelPlan:
 
     ``content_hash`` is a SHA-256 over the spec, layer names, scales, bounds
     and weight bytes: two plans with equal hashes are bit-identical, which is
-    what lets the shared-memory weight plane key segments by hash and lets
-    workers verify an attached plan matches their own checkpoint before
-    adopting it.
+    what the executor's plan memo and the weight plane's segment names key
+    on.
 
-    Plans are shared (across trials, pool workers, and fleets) and therefore
-    never mutated after construction; ``KernelContext.register`` on a
+    Plans are shared (across trials and fleets, and with forked pool
+    workers, which inherit them copy-on-write) and therefore never mutated
+    after construction; ``KernelContext.register`` on a
     plan-backed context forks private copies first (copy-on-write).
     """
 

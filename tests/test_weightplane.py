@@ -1,15 +1,19 @@
-"""Tests for the kernel plan cache and the shared-memory weight plane.
+"""Tests for the kernel plan cache, plan inheritance by pool workers and
+the shared-memory weight plane module.
 
 Covers the plan/context split (`KernelPlan` / plan-backed `KernelContext`),
-bit-identity of plan-reuse and shared-memory execution — fault-free and
-under injection — segment lifecycle (publish/attach/unlink, orphan
-sweeping), the ``REPRO_SHM=0`` fallback, and the registry eviction hook
-that keeps the campaign engine's worker caches coherent.
+bit-identity of plan reuse — fault-free and under injection — pool children
+that inherit their parent's built plans and touch no shared memory, the
+weight plane's own segment lifecycle (publish/attach/unlink, orphan
+sweeping, the ``REPRO_SHM=0`` switch), and the registry eviction hook that
+keeps the campaign engine's worker caches coherent.
 """
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +24,11 @@ from repro.agents.executor import MissionExecutor
 from repro.agents.registry import clear_system_cache
 from repro.eval import TrialSpec, run_campaign
 from repro.faults import ErrorInjector, SingleBitErrorModel
-from repro.quant import (BatchedKernel, GemmHooks, GemmStats, KernelContext,
-                         KernelPlan)
+from repro.quant import BatchedKernel, GemmHooks, GemmStats, KernelContext
 from repro.quant import weightplane
 
 SHM_ROOT = Path("/dev/shm")
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _own_segments() -> list[str]:
@@ -39,12 +43,11 @@ def _own_segments() -> list[str]:
 @pytest.fixture()
 def plan_state(deployed_planner, deployed_controller):
     """Snapshot/restore the session models' plan caches around a test."""
-    saved = [(model, model._plan, model._plan_shared)
+    saved = [(model, model._plan)
              for model in (deployed_planner, deployed_controller)]
     yield
-    for model, plan, shared in saved:
+    for model, plan in saved:
         model._plan = plan
-        model._plan_shared = shared
 
 
 @pytest.fixture()
@@ -58,7 +61,6 @@ def clean_plane():
 class TestKernelPlan:
     def test_plan_cached_and_provenance(self, deployed_planner, plan_state):
         deployed_planner._plan = None
-        deployed_planner._plan_shared = False
         assert deployed_planner.plan_provenance() == "miss"
         plan = deployed_planner.kernel_plan()
         assert deployed_planner.kernel_plan() is plan
@@ -111,13 +113,6 @@ class TestKernelPlan:
         assert forked.plan is None
         assert sharer.plan is plan
 
-    def test_adopt_plan_hash_mismatch_rejected(self, deployed_planner,
-                                               deployed_controller, plan_state):
-        foreign = KernelPlan(deployed_controller._quantized,
-                             spec=deployed_controller.spec)
-        with pytest.raises(ValueError, match="hash"):
-            deployed_planner.adopt_plan(foreign)
-
     def test_plan_cache_state_combination(self):
         class _Model:
             def __init__(self, state):
@@ -134,7 +129,7 @@ class TestKernelPlan:
 
         assert state(_Model("hit"), _Model("hit")) == "hit"
         assert state(_Model("miss"), _Model("hit")) == "miss"
-        assert state(_Model("shm"), _Model("miss")) == "shm"
+        assert state(_Model("hit"), _Model("miss")) == "miss"
         assert state(None, _Model("hit")) == "hit"
         assert state(None, object()) == ""
 
@@ -194,7 +189,6 @@ class TestWeightPlane:
         assert not weightplane.enabled()
         with pytest.raises(weightplane.SharedMemoryUnavailable):
             weightplane.publish(deployed_planner.kernel_plan())
-        assert campaign._publish_system_plans({"jarvis"}) is None
 
 
 class TestCampaignIntegration:
@@ -206,42 +200,62 @@ class TestCampaignIntegration:
         run_campaign(self._spec(), jobs=2, out=tmp_path / "pool", name="shm")
         assert not _own_segments()
 
-    def test_shm_disabled_fallback_byte_identical(self, tmp_path, monkeypatch):
-        reference = run_campaign(self._spec(), jobs=1,
-                                 out=tmp_path / "serial", name="fb")
-        monkeypatch.setenv("REPRO_SHM", "0")
-        fallback = run_campaign(self._spec(), jobs=2,
-                                out=tmp_path / "fallback", name="fb")
-        assert reference.csv_path.read_bytes() == fallback.csv_path.read_bytes()
-        assert reference.json_path.read_bytes() == \
-            fallback.json_path.read_bytes()
-
     def test_plan_cache_column_stamped(self, tmp_path):
         result = run_campaign(self._spec(3), jobs=1, out=tmp_path, name="prov")
         states = [record.plan_cache for record in result.records("clean")]
-        assert all(state in ("miss", "hit", "shm") for state in states)
-        assert states[-1] in ("hit", "shm")  # the plan survives across cells
+        assert all(state in ("miss", "hit") for state in states)
+        assert states[-1] == "hit"  # the plan survives across cells
 
-    def test_pool_after_a_serial_run_still_adopts_the_plane(self, tmp_path):
-        """A serial run leaves executors in its process; forked pool children
-        must build their own, over the published plans, not inherit those."""
+    def test_pool_sidecar_rows_stamp_plan_cache_hit(self, tmp_path):
+        """The pool builds each system's plans before it forks, so children
+        inherit them and even a child's first cell stamps ``hit``."""
         from repro.eval import RunTable
 
-        run_campaign(self._spec(), jobs=1, out=tmp_path / "serial", name="warm")
-        assert "jarvis" in campaign._WORKER_EXECUTORS
+        clear_system_cache()  # nothing built in this process yet
         pool = run_campaign(self._spec(4), jobs=2, batch=1,
-                            out=tmp_path / "pool", name="warm")
+                            out=tmp_path / "pool", name="inherit")
         sidecar = RunTable.read_csv(pool.profile_path)
-        assert [record.plan_cache for record in sidecar] == ["shm"] * 4
+        assert [record.plan_cache for record in sidecar] == ["hit"] * 4
+
+    def test_pool_starts_no_resource_tracker_and_leaves_no_child(self,
+                                                                 tmp_path):
+        """A ``jobs=2`` campaign in a fresh interpreter publishes nothing, so
+        no ``multiprocessing.resource_tracker`` starts, and its pool children
+        are gone once it returns."""
+        script = textwrap.dedent("""
+            import json, os, sys
+            from repro.eval import TrialSpec, run_campaign
+
+            run_campaign([TrialSpec(condition="clean", system="jarvis",
+                                    task="wooden", num_trials=4, seed=0)],
+                         jobs=2, batch=1, out=sys.argv[1], name="fresh")
+            children = []
+            for entry in filter(str.isdigit, os.listdir("/proc")):
+                try:
+                    with open(f"/proc/{entry}/stat") as handle:
+                        fields = handle.read().rsplit(")", 1)[1].split()
+                    with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                        command = handle.read().replace(b"\\0", b" ")
+                except OSError:
+                    continue
+                if int(fields[1]) == os.getpid() and fields[0] != "Z":
+                    children.append(command.decode(errors="replace"))
+            print(json.dumps(children))
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", script,
+                                str(tmp_path / "out")], cwd=REPO_ROOT,
+                               env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr[-3000:]
+        assert json.loads(child.stdout.splitlines()[-1]) == []
 
 
 class TestRegistryEviction:
     def test_clear_system_cache_evicts_worker_caches(self):
         campaign._WORKER_EXECUTORS["sentinel"] = object()
-        campaign._SHM_MANIFESTS["sentinel"] = {}
         clear_system_cache()
         assert "sentinel" not in campaign._WORKER_EXECUTORS
-        assert "sentinel" not in campaign._SHM_MANIFESTS
 
     def test_overwrite_registration_evicts_one_key(self):
         from repro.agents.registry import SYSTEM_FACTORIES, register_system
@@ -296,25 +310,24 @@ class TestSharedDeployments:
             registry.SYSTEM_HAS_PREDICTOR.pop("shared-deployment", None)
             registry._SYSTEM_CACHE.pop("shared-deployment", None)
 
-    def test_pool_publishes_one_controller_segment(self, tmp_path, monkeypatch):
+    def test_variant_pool_matches_serial_and_creates_no_segment(
+            self, tmp_path, monkeypatch):
+        """``jarvis`` and ``jarvis-rotated``, which share a controller, run
+        byte-identically on a pool that never touches the weight plane
+        (children inherit the patched module, so a publish or an attach
+        there would fail the chunk)."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a campaign touched the weight plane")
+
+        monkeypatch.setattr(weightplane, "publish", forbidden)
+        monkeypatch.setattr(weightplane, "attach", forbidden)
         specs = [TrialSpec(condition=key, system=key, task="wooden",
                            num_trials=2, seed=0)
                  for key in ("jarvis", "jarvis-rotated")]
-        published = []
-        publish = campaign._publish_system_plans
-        monkeypatch.setattr(campaign, "_publish_system_plans",
-                            lambda systems: published.append(publish(systems))
-                            or published[-1])
         serial = run_campaign(specs, jobs=1, out=tmp_path / "serial", name="wp")
         pool = run_campaign(specs, jobs=2, out=tmp_path / "pool", name="wp")
         assert serial.csv_path.read_bytes() == pool.csv_path.read_bytes()
         assert serial.json_path.read_bytes() == pool.json_path.read_bytes()
-        manifests = published[-1]
-        assert set(manifests) == {"jarvis", "jarvis-rotated"}
-        assert len({entry["controller"].segment
-                    for entry in manifests.values()}) == 1
-        assert len({entry["planner"].segment
-                    for entry in manifests.values()}) == 2
         assert not _own_segments()
 
 

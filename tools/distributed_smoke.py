@@ -7,20 +7,17 @@ single-host serial run writes:
 
 1. run the preset serially (``campaign <preset> --out``) as the reference;
 2. enqueue the same preset into a fresh work queue (``--queue``);
-3. start a *victim* ``worker`` with ``--jobs 2`` (so its daemon publishes
-   shared-memory weight-plane segments for its pool), wait (milliseconds)
-   until it holds a lease and its pool has forked, and SIGKILL it — the
-   lease is now orphaned with a frozen heartbeat, and any published
-   segments are orphaned in ``/dev/shm``.  Every process the victim had
-   started (pool children, resource tracker) must be gone 5 s later;
+3. start a *victim* ``worker`` with ``--jobs 2``, wait until it holds a
+   lease and its pool has forked its two children, and SIGKILL it — the
+   lease is now orphaned with a frozen heartbeat.  Every process the
+   victim had started must be gone 5 s later;
 4. start two concurrent survivor workers with ``--wait`` and a short lease
-   TTL; one of them reclaims the expired lease (their startup orphan sweep
-   also reclaims the victim's dead segments), and together they drain the
+   TTL; one of them reclaims the expired lease, and together they drain the
    queue;
 5. ``merge`` the worker tables and byte-compare CSV and JSON against the
    serial reference;
-6. assert the ``/dev/shm`` namespace holds no ``repro-wp-*`` segments —
-   neither the SIGKILL nor normal pool shutdown may leak the weight plane.
+6. assert the ``/dev/shm`` namespace holds no ``repro-wp-*`` segment: pool
+   children inherit their kernel plans, so no run may create one.
 
 For the ``fleet`` preset it also checks that every row the survivors ran
 stamps ``vector_path=fleet`` in their profile sidecars: queued fleet cells
@@ -141,8 +138,8 @@ def main() -> int:
                                    "--batch", str(args.batch)))
     print("   " + out.splitlines()[0])
 
-    print("[3/6] start a victim worker (--jobs 2, publishes its weight "
-          "plane) and SIGKILL it while it holds a lease")
+    print("[3/6] start a victim worker (--jobs 2) and SIGKILL it while it "
+          "holds a lease")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
     victim = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "worker", "--queue", str(queue),
@@ -157,24 +154,18 @@ def main() -> int:
         victim.kill()
         print("FAIL: the victim worker never claimed a lease")
         return 1
-    # Let the victim's daemon publish weight-plane segments for the claimed
-    # task (the system build behind publish is served from the on-disk model
-    # cache the serial run warmed), so the SIGKILL orphans real segments and
-    # the survivors' startup sweep has something to reclaim.
-    publish_deadline = min(deadline, time.time() + 60)
-    while time.time() < publish_deadline and not _wp_segments():
-        time.sleep(0.02)
-    orphaned = _wp_segments()
-    # The pool forks its two children at its first submit, right after the
-    # publish; record every process the victim started before killing it.
-    fork_deadline = min(deadline, time.time() + 30)
+    # The pool forks its two children at its first submit, after building
+    # the claimed task's system (served from the on-disk model cache the
+    # serial run warmed); record every process the victim started before
+    # killing it.
+    fork_deadline = min(deadline, time.time() + 60)
     while time.time() < fork_deadline and len(_descendants(victim.pid)) < 2:
         time.sleep(0.02)
     started = _descendants(victim.pid)
     os.kill(victim.pid, signal.SIGKILL)
     victim.wait()
-    print(f"   killed pid {victim.pid} holding {[p.stem for p in held]}; "
-          f"orphaned shm segments: {orphaned or 'none'}")
+    print(f"   killed pid {victim.pid} ({len(started)} pool children) "
+          f"holding {[p.stem for p in held]}")
     reap_deadline = time.time() + 5
     while time.time() < reap_deadline and any(map(_alive, started)):
         time.sleep(0.05)
@@ -237,15 +228,11 @@ def main() -> int:
     print("[6/6] shared-memory namespace must be clean")
     leaked = _wp_segments()
     if leaked:
-        print("FAIL: weight-plane segments leaked after the run "
-              f"(SIGKILL orphans not swept or pool shutdown leaked): {leaked}")
+        print(f"FAIL: the run left weight-plane segments behind: {leaked}")
         return 1
-    if orphaned:
-        print("   victim's orphaned segments were swept; /dev/shm is clean")
-    else:
-        print("   /dev/shm is clean (victim was killed before publishing)")
+    print("   /dev/shm holds no weight-plane segment")
     print("OK: merged tables byte-identical to the single-host serial run; "
-          "no cells lost to the SIGKILL; no shm segments leaked")
+          "no cells lost to the SIGKILL; no shm segments created")
     return 0
 
 
