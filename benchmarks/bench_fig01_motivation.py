@@ -27,8 +27,7 @@ def test_fig01cd_voltage_vs_task_quality_and_energy(benchmark):
         for voltage in voltages:
             protection = ProtectionConfig(voltage=voltage) if voltage < 0.9 else ProtectionConfig()
             results = executor.run_trial_group(
-                [("wooden", seed) for seed in range(trials)],
-                planner_protection=protection, controller_protection=protection)
+                [("wooden", seed, protection, protection) for seed in range(trials)])
             summary = summarize_trials(results)
             rows.append([voltage, summary.success_rate, summary.average_steps,
                          summary.mean_energy_j * 1e3])

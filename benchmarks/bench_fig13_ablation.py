@@ -45,14 +45,14 @@ def test_fig13f_controller_ablation_ad_vs(benchmark):
                 anomaly_detection=anomaly,
                 voltage_scaling=VoltageScalingConfig(policy=policy, entropy_source="predictor"))
             summary = summarize_trials(executor.run_trial_group(
-                wooden, controller_protection=protection))
+                [(task, seed, None, protection) for task, seed in wooden]))
             rows.append([label, summary.success_rate, summary.effective_voltage])
         for voltage in (0.80, 0.76):
             for label, anomaly in ((f"constant {voltage} V", False),
                                    (f"constant {voltage} V + AD", True)):
                 protection = ProtectionConfig(voltage=voltage, anomaly_detection=anomaly)
                 summary = summarize_trials(executor.run_trial_group(
-                    wooden, controller_protection=protection))
+                    [(task, seed, None, protection) for task, seed in wooden]))
                 rows.append([label, summary.success_rate, summary.effective_voltage])
         return rows
 

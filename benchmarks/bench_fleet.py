@@ -82,18 +82,14 @@ def _once(fn) -> float:
 
 def bench_fleet_size(executor: MissionExecutor, size: int, reps: int,
                      protection: ProtectionConfig | None = None) -> dict:
-    kwargs = {}
-    if protection is not None:
-        kwargs = {"planner_protection": protection,
-                  "controller_protection": protection}
-    agents = _roster(executor, size)
+    agents = [(task, seed, protection, protection)
+              for task, seed in _roster(executor, size)]
 
     def batched():
-        return executor.run_trial_group(agents, **kwargs)
+        return executor.run_trial_group(agents)
 
     def serial():
-        return [executor.run_trial(task, seed=seed, **kwargs)
-                for task, seed in agents]
+        return [executor.run_trial(*agent) for agent in agents]
 
     batched_result = batched()
     _assert_identical(batched_result, serial())

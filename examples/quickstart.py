@@ -38,18 +38,15 @@ def main() -> None:
 
     # 2. Unprotected aggressive voltage scaling.
     unprotected_cfg = ProtectionConfig(voltage=LOW_VOLTAGE)
-    unprotected = summarize_trials(
-        plain.executor().run_trial_group(trials,
-                                         planner_protection=unprotected_cfg,
-                                         controller_protection=unprotected_cfg))
+    unprotected = summarize_trials(plain.executor().run_trial_group(
+        [(task, seed, unprotected_cfg, unprotected_cfg) for task, seed in trials]))
 
     # 3. Full CREATE: anomaly detection, weight-rotated planner, adaptive voltage scaling.
     config = CreateConfig(ad=True, wr=True, vs_policy=default_policy(),
                           planner_voltage=0.78)
-    create = summarize_trials(
-        rotated.executor().run_trial_group(
-            trials, planner_protection=config.planner_protection(),
-            controller_protection=config.controller_protection()))
+    create = summarize_trials(rotated.executor().run_trial_group(
+        [(task, seed, config.planner_protection(), config.controller_protection())
+         for task, seed in trials]))
 
     print(f"\nTask: {TASK}  ({NUM_TRIALS} trials each)")
     header = f"{'configuration':<28}{'success':>10}{'avg steps':>12}{'energy (mJ)':>14}{'eff. V':>9}"

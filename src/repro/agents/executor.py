@@ -272,8 +272,8 @@ class MissionExecutor:
     # Trial execution
     # ------------------------------------------------------------------
     def _prepare_trial(self, task_name: str, seed: int,
-                       planner_protection: ProtectionConfig | None,
-                       controller_protection: ProtectionConfig | None
+                       planner_protection: ProtectionConfig | None = None,
+                       controller_protection: ProtectionConfig | None = None
                        ) -> "_TrialSetup":
         """Build one trial's deterministic state, before any planner decode.
 
@@ -330,29 +330,26 @@ class MissionExecutor:
                   planner_protection: ProtectionConfig | None = None,
                   controller_protection: ProtectionConfig | None = None) -> TrialResult:
         """Run one trial: a group of one (see :meth:`run_trial_group`)."""
-        return self.run_trial_group([(task_name, seed)],
-                                    planner_protection=planner_protection,
-                                    controller_protection=controller_protection)[0]
+        return self.run_trial_group([(task_name, seed, planner_protection,
+                                      controller_protection)])[0]
 
-    def run_trial_group(self, trials: list[tuple[str, int]],
-                        planner_protection: ProtectionConfig | None = None,
-                        controller_protection: ProtectionConfig | None = None
-                        ) -> list[TrialResult]:
-        """Run one trial per ``(task_name, seed)`` pair as lanes of one group.
+    def run_trial_group(self, trials: list[tuple]) -> list[TrialResult]:
+        """Run one trial per ``(task_name, seed, planner_protection,
+        controller_protection)`` tuple as lanes of one group.
 
-        This is the one multi-trial entry point: a campaign's same-spec
-        cells, a fleet of agents and a single trial (:meth:`run_trial`) all
-        run as lane groups, and lanes may decode different prompts.  The
-        initial plans of all lanes decode as one stack
-        (:meth:`_plans`, each hook-free prompt once), then the world loops
-        advance in lock-step through :meth:`_run_lanes`.  RNG derivation,
-        kernel hooks and accounting are per trial and every stacked call is
+        This is the one multi-trial entry point: a campaign's lane groups,
+        a fleet of agents and a single trial (:meth:`run_trial`) all run
+        here.  Each lane carries its own protections (a ``(task_name,
+        seed)`` pair is an unprotected lane), so lanes may differ in task,
+        fault environment, anomaly detection and voltage scaling.  The
+        initial plans of all lanes decode as one stack (:meth:`_plans`,
+        each hook-free prompt once), then the world loops advance in
+        lock-step through :meth:`_run_lanes`.  RNG derivation, kernel hooks
+        and accounting are per trial and every stacked call is
         bit-identical to a stack of one, so each result equals running its
-        pair alone, byte for byte — a single trial is a group of one.
+        trial alone, byte for byte.
         """
-        setups = [self._prepare_trial(task_name, seed, planner_protection,
-                                      controller_protection)
-                  for task_name, seed in trials]
+        setups = [self._prepare_trial(*trial) for trial in trials]
         progress = [self._progress(setup.world, setup.task) for setup in setups]
         if self.planner is None:
             # Ground-truth planning (controller-only studies).

@@ -18,15 +18,16 @@ seed, planner/controller :class:`~repro.core.create.ProtectionConfig` — and a
 * **in batches** — several cells ride in one worker task (``batch=`` knob,
   auto-tuned by default) so very short trials amortize process-pool IPC;
   batching groups cells without reordering or reseeding them — and cuts the
-  chunks at spec boundaries — so it cannot change results;
-* **vectorized** — consecutive cells of the same spec (identical system,
-  task and protections; only the seed differs) execute as the lanes of one
-  :meth:`~repro.agents.executor.MissionExecutor.run_trial_group` call, which
-  decodes all their planner prompts and steps all their controllers as one
-  stacked GEMM per projection.  A lane group is bit-identical to scalar
-  execution (per-trial RNG streams stay independent), engages automatically
-  for same-spec groups of two or more cells on planner-backed systems, and
-  falls back to the scalar cell-at-a-time path everywhere else;
+  chunks at system boundaries — so it cannot change results;
+* **vectorized** — consecutive cells of one system, whatever their specs,
+  execute as the lanes of one
+  :meth:`~repro.agents.executor.MissionExecutor.run_trial_group` call (at
+  most :data:`_MAX_AUTO_BATCH` lanes), each lane with its own protections;
+  the group decodes all its planner prompts and steps all its controllers
+  as one stacked GEMM per projection.  A lane group is bit-identical to
+  running each cell alone (per-trial RNG streams stay independent); a
+  ``fleet > 1`` spec forms its own groups of ``fleet`` lanes, and a lone
+  cell is a group of one;
 * **streamed to disk** — with an output directory, completed rows are
   appended to ``<out>/<name>.csv`` *as they finish* (flushed per row), so a
   campaign killed mid-flight leaves a crash-safe partial table behind;
@@ -80,8 +81,15 @@ __all__ = ["TrialSpec", "MAX_FLEET_SIZE", "CampaignResult", "CampaignRunner",
            "collect_results", "protection_signature", "slugify",
            "enumerate_cells", "pending_cells", "CellPool"]
 
-#: Largest batch the auto-tuner will pick; keeps streaming granular even for
-#: huge campaigns (a batch only reaches the parent — and the disk — whole).
+#: The lane bound: the largest pool chunk or queue task the engine sizes
+#: itself (a batch only reaches the parent — and the disk — whole), and the
+#: most lanes of a fleet-1 lane group, so of every group a serial campaign
+#: forms.  Serial ``campaign overall --trials 16`` (256 cells of two
+#: systems; 2-vCPU x86-64 VM with AVX-512, numpy 2.4 on OpenBLAS 0.3.31,
+#: one BLAS thread, median of 3) takes 16.7 s with 16 lanes, 17.1 s with 32
+#: and 16.5 s with 64, and 14.9, 14.8 and 16.1 s in a second set, so this
+#: host's drift hides any difference in time; the process's peak resident
+#: set (VmHWM) reads 52.5, 53.9 and 56.1 MiB.
 _MAX_AUTO_BATCH = 32
 
 
@@ -279,39 +287,27 @@ def _worker_id() -> str:
 
 
 def _run_cell(cell: _Cell, executor: MissionExecutor) -> RunRecord:
-    """Execute one cell scalar-style and stamp its profile attribution.
-
-    ``plan_cache`` is queried before the cell runs, so the first cell over
-    a freshly built executor stamps ``miss`` (it pays the plan build) and
-    later cells stamp ``hit``.
-    """
-    plan_cache = executor.plan_cache_state()
-    start = time.perf_counter()
-    trial = executor.run_trial(cell.task, seed=cell.seed,
-                               planner_protection=cell.planner_protection,
-                               controller_protection=cell.controller_protection)
-    wall_time = time.perf_counter() - start
-    record = record_from_trial(trial, spec_key=cell.spec_key, condition=cell.condition,
-                               system=cell.system, task=cell.task, seed=cell.seed,
-                               trial_index=cell.trial_index, params=cell.params)
-    return replace(record, wall_time_s=wall_time, worker_id=_worker_id(),
-                   batch_size=1, vector_path="scalar", queue_backend="local",
-                   fleet_size=cell.fleet, plan_cache=plan_cache)
+    """Execute one cell as a one-lane group: the cell-by-cell reference
+    the tests compare every engine path against."""
+    return _run_lane_group([cell], executor, vector_path="scalar")[0]
 
 
 def _chunk_cells(cells: Sequence[_Cell], size: int) -> list[tuple[_Cell, ...]]:
-    """Split cells into chunks of at most ``size``, cut at spec boundaries.
+    """Split cells into stacks of at most ``size``, one system each.
 
     The one chunking policy, for pool tasks and queue task files alike: a
-    chunk never straddles two specs, so it stays a single vectorizable
-    group — cells that share (system, task, protections) and differ only in
-    seed.  No cell is reordered or reseeded, so the canonical table is
-    unchanged.
+    chunk never straddles two systems, and a ``fleet > 1`` spec's cells
+    form chunks of their own, so every chunk is one executor's stack of
+    lanes — fleet-1 cells of several specs, or one fleet spec's agents.
+    No cell is reordered or reseeded, so the canonical table is unchanged.
     """
+    def stack(cell: _Cell) -> tuple[str, str]:
+        return cell.system, cell.spec_key if cell.fleet > 1 else ""
+
     chunks: list[tuple[_Cell, ...]] = []
     run: list[_Cell] = []
     for cell in cells:
-        if run and (len(run) >= size or run[0].spec_key != cell.spec_key):
+        if run and (len(run) >= size or stack(run[0]) != stack(cell)):
             chunks.append(tuple(run))
             run = []
         run.append(cell)
@@ -320,51 +316,22 @@ def _chunk_cells(cells: Sequence[_Cell], size: int) -> list[tuple[_Cell, ...]]:
     return chunks
 
 
-def _vectorizable(cells: Sequence[_Cell], executor: MissionExecutor) -> bool:
-    """Whether a same-spec group can take the batched trial path.
-
-    Batching needs at least two lanes to amortize anything and a planner to
-    batch over; planner-less systems run scalar (their trials have no decode
-    loop for cross-prompt batching to accelerate).
-    """
-    return len(cells) >= 2 and executor.planner is not None
-
-
-def _group_runs(cells: Sequence[_Cell],
-                executor: MissionExecutor) -> Iterator[list[RunRecord]]:
-    """Execute one same-spec group, yielding each lane group's or scalar
-    cell's rows as it finishes.
-
-    Lane groups ride :meth:`MissionExecutor.run_trial_group` (per-trial RNG
-    streams independent), so their rows are bit-identical to running each
-    cell through :func:`_run_cell`.  ``fleet > 1`` specs cut the group into
-    co-stepped fleets of ``fleet`` agents, stamped ``vector_path="fleet"``;
-    a trailing single-agent remainder runs scalar.
-    """
-    if not _vectorizable(cells, executor):
-        for cell in cells:
-            yield [_run_cell(cell, executor)]
-        return
-    fleet = cells[0].fleet
-    width, path = (fleet, "fleet") if fleet > 1 else (len(cells), "batched")
-    for lo in range(0, len(cells), width):
-        lanes = cells[lo:lo + width]
-        if len(lanes) == 1:
-            yield [_run_cell(lanes[0], executor)]
-        else:
-            yield _run_lane_group(lanes, executor, vector_path=path)
-
-
 def _run_lane_group(cells: Sequence[_Cell], executor: MissionExecutor,
                     vector_path: str) -> list[RunRecord]:
-    """Run one batched lane group and stamp its profile attribution."""
-    first = cells[0]
+    """Run one lane group and stamp its profile attribution.
+
+    Every cell executes here, each as one lane of a
+    :meth:`MissionExecutor.run_trial_group` call that carries the cell's
+    own protections, so lanes may differ in spec.  ``plan_cache`` is
+    queried before the group runs, so the first group over a freshly built
+    executor stamps ``miss`` (it pays the plan build) and later groups
+    stamp ``hit``.
+    """
     plan_cache = executor.plan_cache_state()
     start = time.perf_counter()
     trials = executor.run_trial_group(
-        [(cell.task, cell.seed) for cell in cells],
-        planner_protection=first.planner_protection,
-        controller_protection=first.controller_protection)
+        [(cell.task, cell.seed, cell.planner_protection,
+          cell.controller_protection) for cell in cells])
     share = (time.perf_counter() - start) / len(cells)
     worker = _worker_id()
     records = []
@@ -417,15 +384,25 @@ def _pool_run_batch(cells: tuple[_Cell, ...],
     """The one cell dispatcher: run a chunk of cells in order, return its rows.
 
     Serial campaigns and ``jobs=1`` queue workers call it in process, and
-    :class:`CellPool` children run it as their task function.  Every trial
-    is seeded by its own cell, so chunk composition cannot change results.
-    ``sink`` receives each lane group's or scalar cell's rows the moment
-    they exist.
+    :class:`CellPool` children run it as their task function.  The chunk's
+    per-system stacks (:func:`_chunk_cells`) are cut into lane groups of
+    ``fleet`` lanes for a fleet spec, else of at most
+    :data:`_MAX_AUTO_BATCH`, and every group runs through
+    :func:`_run_lane_group`, stamped ``scalar`` when it has one lane.
+    Every trial is seeded by its own cell, so neither the chunk nor the
+    group composition can change results.  ``sink`` receives each lane
+    group's rows the moment they exist.
     """
     records: list[RunRecord] = []
-    for group in _chunk_cells(cells, len(cells)):  # same-spec groups
-        executor = _worker_executor(group[0].system)
-        for produced in _group_runs(group, executor):
+    for stack in _chunk_cells(cells, len(cells)):
+        executor = _worker_executor(stack[0].system)
+        fleet = stack[0].fleet
+        width = fleet if fleet > 1 else _MAX_AUTO_BATCH
+        for lo in range(0, len(stack), width):
+            lanes = stack[lo:lo + width]
+            path = ("scalar" if len(lanes) == 1
+                    else "fleet" if fleet > 1 else "batched")
+            produced = _run_lane_group(lanes, executor, vector_path=path)
             if sink is not None:
                 sink(produced)
             records.extend(produced)
@@ -769,9 +746,10 @@ class CampaignRunner:
         Cells per worker task when running in parallel.  ``None`` (default)
         auto-tunes to roughly four batches per worker, capped at
         ``32`` cells; ``1`` restores one-cell-per-task dispatch.  Batching
-        never reorders or reseeds cells — and chunks are cut at spec
-        boundaries so each worker task stays a single vectorizable group —
-        so any value produces the same canonical table byte for byte.
+        never reorders or reseeds cells — and chunks are cut at system
+        boundaries and around each fleet spec, so each worker task is one
+        executor's stack of lane groups — so any value produces the same
+        canonical table byte for byte.
     shard:
         Execute only this static slice of the cell grid (see
         :mod:`repro.eval.shard`); ``None`` (default) runs everything.  The
@@ -804,7 +782,7 @@ class CampaignRunner:
                  sink: Callable[[list[RunRecord]], None]) -> None:
         """Run the pending cells, handing their rows to ``sink``: serially
         as one chunk on this thread, else as :meth:`_batch_size`-capped,
-        spec-aligned chunks on a :class:`CellPool`, in completion order."""
+        system-aligned chunks on a :class:`CellPool`, in completion order."""
         if self.jobs == 1:
             _pool_run_batch(tuple(cells), sink=sink)
             return

@@ -104,12 +104,12 @@ class RunRecord:
     trial's (system, task, seed, protections); ``wall_time_s``,
     ``worker_id``, ``batch_size`` and ``vector_path`` are execution-profile
     metadata filled in by the campaign engine (defaults for rows loaded from
-    a canonical table, which does not persist them).  ``batch_size`` is the
-    size of the trial group the cell executed in and ``vector_path`` records
-    which execution path ran it: ``"batched"`` for a same-spec lane group and
-    ``"fleet"`` for a fleet-sized one (both one
-    ``MissionExecutor.run_trial_group`` call), ``"scalar"`` for
-    cell-at-a-time execution.
+    a canonical table, which does not persist them).  Every cell runs as a
+    lane of one ``MissionExecutor.run_trial_group`` call: ``batch_size`` is
+    the size of that lane group and ``vector_path`` its shape — ``"fleet"``
+    for a fleet spec's group, ``"batched"`` for a group of one system's
+    fleet-1 cells (which may differ in spec), ``"scalar"`` for a group of
+    one.
     """
 
     spec_key: str

@@ -454,20 +454,23 @@ class WorkQueue:
         """Publish a plan's cell grid as task files; idempotent.
 
         Tasks are cut like pool chunks (``_chunk_cells``): at most
-        ``batch`` cells, never straddling two specs, so each task stays one
-        vectorizable group.  Task ids are deterministic
-        (``<plan_hash[:8]>-s<batch size>-<chunk index>``), so re-enqueueing
-        the same plan with the same batch size skips every task that is
-        already pending, leased, or done — a planner crash or a repeated
-        ``--queue`` invocation never duplicates work.  The size is part of
-        the id because the same index covers *different cells* under a
-        different size (or under the flat slicing of older versions, which
-        tagged ids ``-b<size>``): re-enqueueing an interrupted queue with a
-        new ``batch`` therefore publishes fresh (possibly overlapping) tasks
-        — duplicated cells merge away, whereas colliding ids would silently
-        drop cells.  Passing ``table`` (e.g. a previously merged result)
-        additionally skips tasks whose cells are all present, which is how
-        a grown campaign enqueues only its new cells.
+        ``batch`` cells, never straddling two systems or a fleet spec's
+        edge, so each task is one executor's stack of lane groups; its
+        ``specs`` hold every spec its cells use.  Task ids are
+        deterministic (``<plan_hash[:8]>-g<batch size>-<chunk index>``), so
+        re-enqueueing the same plan with the same batch size skips every
+        task that is already pending, leased, or done — a planner crash or a
+        repeated ``--queue`` invocation never duplicates work.  The size is
+        part of the id because the same index covers *different cells*
+        under a different size, and the tag changes with the chunking
+        policy (older versions cut at every spec and tagged ids ``-s<size>``,
+        and before that sliced flat and tagged them ``-b<size>``):
+        re-enqueueing into such a queue, or with a new ``batch``, therefore
+        publishes fresh (possibly overlapping) tasks — duplicated cells merge
+        away, whereas colliding ids would silently drop cells.  Passing
+        ``table`` (e.g. a previously merged result) additionally skips
+        tasks whose cells are all present, which is how a grown campaign
+        enqueues only its new cells.
 
         Specs must name system keys every worker can rebuild: unknown keys
         are rejected here, and keys added via ``register_system`` only work
@@ -498,7 +501,7 @@ class WorkQueue:
 
         cells = plan.cells()
         size = self._task_batch(len(cells), batch)
-        prefix = f"{plan_hash[:8]}-s{size}"
+        prefix = f"{plan_hash[:8]}-g{size}"
         report = EnqueueReport(plan_name=plan.name, new_tasks=0,
                                skipped_tasks=0, satisfied_tasks=0,
                                enqueued_cells=0)
@@ -514,13 +517,12 @@ class WorkQueue:
                                          for c in chunk):
                 report.satisfied_tasks += 1
                 continue
-            key = chunk[0].spec_key
             _atomic_write_json(self.tasks_dir / f"{task_id}.json", {
                 "format": TASK_FORMAT,
                 "plan": plan.name,
                 "plan_hash": plan_hash,
                 "task_id": task_id,
-                "specs": {key: spec_dicts[key]},
+                "specs": {c.spec_key: spec_dicts[c.spec_key] for c in chunk},
                 "cells": [[c.spec_key, c.seed, c.trial_index] for c in chunk],
             })
             report.new_tasks += 1

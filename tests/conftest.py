@@ -35,9 +35,9 @@ def jarvis_executor(jarvis_system):
 def scalar_reference():
     """Build a campaign's canonical tables cell by cell.
 
-    Every cell of ``enumerate_cells(specs)`` runs alone through
-    ``MissionExecutor.run_trial``, the scalar path every engine path must
-    match byte for byte.  ``reference(specs, out, name)`` writes
+    Every cell of ``enumerate_cells(specs)`` runs alone, a lane group of
+    one (``_run_cell``), the reference every engine path must match byte
+    for byte.  ``reference(specs, out, name)`` writes
     ``<out>/<name>.csv`` and ``.json`` and returns the table, whose rows
     keep their profile columns.
     """

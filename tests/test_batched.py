@@ -16,7 +16,6 @@ import dataclasses
 import os
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,8 @@ import pytest
 from repro.agents.planner import DeployedPlanner
 from repro.agents.registry import get_system
 from repro.core import ProtectionConfig
+from repro.core.policies import REFERENCE_POLICIES
+from repro.core.voltage_scaling import VoltageScalingConfig
 from repro.eval import RunTable, TrialSpec, run_campaign
 from repro.eval.runtable import record_from_trial
 from repro.faults import ErrorInjector, UniformErrorModel
@@ -199,8 +200,10 @@ class TestBatchedDecode:
                 contexts=[deployed_planner.kernel_context() for _ in range(3)])
 
 
-def _wooden(seeds):
-    return [("wooden", seed) for seed in seeds]
+def _wooden(seeds, protection=None):
+    """``wooden`` lanes, one per seed, planner and controller under
+    ``protection``."""
+    return [("wooden", seed, protection, protection) for seed in seeds]
 
 
 class TestExecutorTrialBatch:
@@ -221,9 +224,7 @@ class TestExecutorTrialBatch:
                                             planner_protection=protection,
                                             controller_protection=protection)
                   for s in seeds]
-        batched = jarvis_executor.run_trial_group(
-            _wooden(seeds), planner_protection=protection,
-            controller_protection=protection)
+        batched = jarvis_executor.run_trial_group(_wooden(seeds, protection))
         assert self._payloads(batched) == self._payloads(serial)
 
     def test_single_seed_falls_back_to_run_trial(self, jarvis_executor):
@@ -239,8 +240,7 @@ class TestExecutorTrialBatch:
         trial exactly — no cross-lane stream sharing."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-3))
         first, second, other = jarvis_executor.run_trial_group(
-            _wooden([4, 4, 9]), planner_protection=protection,
-            controller_protection=protection)
+            _wooden([4, 4, 9], protection))
         assert self._payloads([first]) == self._payloads([second])
         assert self._payloads([first]) != self._payloads([other])
 
@@ -250,9 +250,7 @@ class TestExecutorTrialBatch:
         fault-free serial trials seed for seed."""
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-2))
         seeds = [0, 1]
-        protected = jarvis_executor.run_trial_group(
-            _wooden(seeds), planner_protection=protection,
-            controller_protection=protection)
+        protected = jarvis_executor.run_trial_group(_wooden(seeds, protection))
         assert all(t.planner_bits_flipped + t.controller_bits_flipped > 0
                    for t in protected)
         clean = jarvis_executor.run_trial_group(_wooden(seeds))
@@ -289,19 +287,6 @@ class TestPlanMemo:
         monkeypatch.setattr(DeployedPlanner, "plan_batch", spy)
         return calls
 
-    @staticmethod
-    def _mixed_group(executor, lanes):
-        """``run_trial_group`` over lanes that each carry their own planner
-        protection: ``lanes`` holds ``(task, seed, planner_protection)``."""
-        setups = [executor._prepare_trial(task, seed, protection, None)
-                  for task, seed, protection in lanes]
-        plans = executor._plans(setups, [
-            (setup.task.name, executor._progress(setup.world, setup.task))
-            for setup in setups])
-        for setup, plan in zip(setups, plans):
-            executor._account_plan(plan, setup.result, setup.planner_voltage)
-        return executor._run_lanes(setups, [deque(plan) for plan in plans])
-
     def test_identical_prompts_in_a_stack_decode_once(self, jarvis_system,
                                                       decoded):
         executor = jarvis_system.executor()
@@ -328,8 +313,8 @@ class TestPlanMemo:
         key = (executor.planner.kernel_plan().content_hash, "wooden", 0)
         executor._plan_memo[key] = ("no-such-subtask",)
         seeds = [5, 6]
-        hooked = executor.run_trial_group(_wooden(seeds),
-                                          planner_protection=protection)
+        hooked = executor.run_trial_group(
+            [("wooden", seed, protection, None) for seed in seeds])
         assert decoded[0] == [("wooden", 0)] * len(seeds)
         assert executor._plan_memo == {key: ("no-such-subtask",)}
         fresh = jarvis_system.executor()
@@ -345,7 +330,7 @@ class TestPlanMemo:
                  ("wooden", 2, None), ("stone", 3, self.DETECTED),
                  ("stone", 4, None), ("wooden", 5, self.INJECTED)]
         executor = jarvis_system.executor()
-        mixed = self._mixed_group(executor, lanes)
+        mixed = executor.run_trial_group([(*lane, None) for lane in lanes])
         assert decoded[0] == [("wooden", 0), ("wooden", 0), ("stone", 0),
                               ("stone", 0), ("wooden", 0)]
         assert mixed[1].planner_bits_flipped > 0
@@ -432,8 +417,8 @@ class TestMixedTaskGroup:
         tasks = executor.suite.task_names
         agents = [(tasks[index % len(tasks)], 3 + index) for index in range(6)]
         protection = ProtectionConfig(error_model=UniformErrorModel(1e-3))
-        group = executor.run_trial_group(agents, planner_protection=protection,
-                                         controller_protection=protection)
+        group = executor.run_trial_group(
+            [(task, seed, protection, protection) for task, seed in agents])
         serial = [executor.run_trial(task, seed=seed,
                                      planner_protection=protection,
                                      controller_protection=protection)
@@ -472,11 +457,67 @@ class TestCampaignVectorPath:
         assert vec.json_path.read_bytes() == \
             (tmp_path / "scalar" / "v.json").read_bytes()
 
+        # Both specs' cells run as one lane group.
         vec_rows = self._profile_rows(tmp_path / "vec", "v")
         assert {(r["vector_path"], r["batch_size"]) for r in vec_rows} == \
-            {("batched", "3")}
+            {("batched", "6")}
         assert {(r.vector_path, r.batch_size) for r in scalar} == \
             {("scalar", 1)}
+
+    def test_specs_of_one_system_share_one_lane_group(self, tmp_path,
+                                                      scalar_reference):
+        """Controller and planner BER specs and a voltage-scaling spec of
+        one system run serially as one lane group, each lane under its own
+        protections, byte-identical to running each cell alone."""
+        specs = self._specs(2) + [
+            TrialSpec(condition="planner-faulty", system="jarvis",
+                      task="wooden", num_trials=2, seed=0,
+                      planner_protection=ProtectionConfig(
+                          error_model=UniformErrorModel(1e-3)),
+                      params=(("ber", "1e-3"), ("target", "planner"))),
+            TrialSpec(condition="vs", system="jarvis", task="wooden",
+                      num_trials=2, seed=0,
+                      controller_protection=ProtectionConfig(
+                          anomaly_detection=True,
+                          voltage_scaling=VoltageScalingConfig(
+                              policy=REFERENCE_POLICIES["C"])),
+                      params=(("policy", "C"),))]
+        grouped = run_campaign(specs, out=tmp_path / "group", name="g")
+        scalar_reference(specs, tmp_path / "scalar", "g")
+        for suffix in (".csv", ".json"):
+            assert grouped.csv_path.with_suffix(suffix).read_bytes() == \
+                (tmp_path / "scalar" / f"g{suffix}").read_bytes()
+        rows = self._profile_rows(tmp_path / "group", "g")
+        assert {(r["vector_path"], r["batch_size"]) for r in rows} == \
+            {("batched", "8")}
+
+    def test_planner_less_system_runs_lane_groups(self, tmp_path,
+                                                  scalar_reference):
+        """A system without a planner plans from ground truth per lane, and
+        its cells run as lane groups like any other system's."""
+        import repro.eval.campaign as campaign_module
+        from repro.agents import build_jarvis_system, registry
+
+        registry.register_system(
+            "jarvis-no-planner",
+            lambda: build_jarvis_system(rotate_planner=False,
+                                        with_planner=False))
+        try:
+            specs = [dataclasses.replace(spec, system="jarvis-no-planner")
+                     for spec in self._specs(2)]
+            grouped = run_campaign(specs, out=tmp_path / "group", name="n")
+            scalar_reference(specs, tmp_path / "scalar", "n")
+            for suffix in (".csv", ".json"):
+                assert grouped.csv_path.with_suffix(suffix).read_bytes() == \
+                    (tmp_path / "scalar" / f"n{suffix}").read_bytes()
+            rows = self._profile_rows(tmp_path / "group", "n")
+            assert {(r["vector_path"], r["batch_size"]) for r in rows} == \
+                {("batched", "4")}
+        finally:
+            registry.SYSTEM_FACTORIES.pop("jarvis-no-planner", None)
+            registry.SYSTEM_HAS_PREDICTOR.pop("jarvis-no-planner", None)
+            registry._SYSTEM_CACHE.pop("jarvis-no-planner", None)
+            campaign_module._WORKER_EXECUTORS.pop("jarvis-no-planner", None)
 
     def test_parallel_vectorized_byte_identical(self, tmp_path):
         specs = self._specs(2)

@@ -33,23 +33,32 @@ def _same_summary(a, b):
 
 
 def _one_trial_specs(count):
-    """Specs of one cell each: every cell runs scalar and streams alone."""
+    """Specs of one cell each, all of one system, so they share one stack."""
     return [TrialSpec(condition=f"c{seed}", system="jarvis", task="wooden",
                       num_trials=1, seed=seed) for seed in range(count)]
 
 
-def _crash_on_seed(monkeypatch, seed):
-    """Make the scalar cell of ``seed`` raise, as a mid-campaign kill would."""
+def _one_lane_groups(monkeypatch):
+    """Bound lane groups to one lane: every cell runs and streams alone."""
     import repro.eval.campaign as campaign_module
 
-    original = campaign_module._run_cell
+    monkeypatch.setattr(campaign_module, "_MAX_AUTO_BATCH", 1)
 
-    def crashing(cell, executor):
-        if cell.seed == seed:
+
+def _crash_on_seed(monkeypatch, seed):
+    """Run one-lane groups and make the one of ``seed`` raise, as a
+    mid-campaign kill would."""
+    import repro.eval.campaign as campaign_module
+
+    _one_lane_groups(monkeypatch)
+    original = campaign_module._run_lane_group
+
+    def crashing(cells, executor, **kwargs):
+        if any(cell.seed == seed for cell in cells):
             raise RuntimeError("injected crash")
-        return original(cell, executor)
+        return original(cells, executor, **kwargs)
 
-    monkeypatch.setattr(campaign_module, "_run_cell", crashing)
+    monkeypatch.setattr(campaign_module, "_run_lane_group", crashing)
 
 
 def _specs(num_trials=3):
@@ -185,8 +194,7 @@ class TestRunTableRoundTrip:
     def test_summaries_survive_csv_round_trip_bit_for_bit(self, jarvis_executor, tmp_path):
         protection = ProtectionConfig(error_model=UniformErrorModel(5e-4))
         trials = jarvis_executor.run_trial_group(
-            [("wooden", seed) for seed in range(4)],
-            controller_protection=protection)
+            [("wooden", seed, None, protection) for seed in range(4)])
         records = [record_from_trial(trial, spec_key="k", condition="c",
                                      system="jarvis", task="wooden",
                                      seed=index, trial_index=index)
@@ -385,30 +393,26 @@ class TestStreaming:
 
     def test_file_grows_while_campaign_runs(self, tmp_path, monkeypatch):
         """Rows are on disk before later cells execute, not only at the end:
-        each scalar cell's and each lane group's rows stream as it finishes."""
+        each lane group's rows stream as it finishes."""
         import repro.eval.campaign as campaign_module
 
         csv_path = tmp_path / "grow.csv"
         sizes = []
+        original = campaign_module._run_lane_group
 
-        def spy(name):
-            original = getattr(campaign_module, name)
+        def spying(cells, executor, **kwargs):
+            sizes.append(csv_path.stat().st_size if csv_path.exists() else 0)
+            return original(cells, executor, **kwargs)
 
-            def spying(cells, executor, **kwargs):
-                sizes.append(csv_path.stat().st_size if csv_path.exists() else 0)
-                return original(cells, executor, **kwargs)
-
-            monkeypatch.setattr(campaign_module, name, spying)
-
-        spy("_run_cell")
-        spy("_run_lane_group")
-        # A one-cell spec runs scalar; the two-cell spec is one lane group.
+        monkeypatch.setattr(campaign_module, "_run_lane_group", spying)
+        _one_lane_groups(monkeypatch)
+        # One system's four cells are one stack, cut into one-lane groups.
         specs = [TrialSpec(condition=f"c{index}", system="jarvis", task="wooden",
                            num_trials=trials, seed=10 * index)
                  for index, trials in enumerate((1, 2, 1))]
         run_campaign(specs, out=tmp_path, name="grow")
-        assert len(sizes) == 3
-        assert sizes[1] > sizes[0] and sizes[2] > sizes[1]
+        assert len(sizes) == 4
+        assert all(later > earlier for earlier, later in zip(sizes, sizes[1:]))
 
 
 class TestBatching:

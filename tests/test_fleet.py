@@ -103,6 +103,23 @@ class TestCampaignFleetPath:
             [("fleet", "2")] * 4 + [("scalar", "1")]
         assert {r["fleet_size"] for r in rows} == {"2"}
 
+    def test_fleet_spec_never_shares_a_group(self, tmp_path, scalar_reference):
+        """A fleet spec between two fleet-1 specs of one system forms groups
+        of its own, and the fleet-1 specs on either side stay apart."""
+        clean, faulty = self._specs(fleet=1)
+        specs = [clean, dataclasses.replace(faulty, fleet=4),
+                 TrialSpec(condition="tail", system="jarvis", task="wooden",
+                           num_trials=4, seed=10)]
+        mixed = run_campaign(specs, out=tmp_path / "mixed", name="m")
+        scalar_reference(specs, tmp_path / "scalar", "m")
+        assert mixed.csv_path.read_bytes() == \
+            (tmp_path / "scalar" / "m.csv").read_bytes()
+        rows = self._profile_rows(tmp_path / "mixed", "m")
+        assert {(r["condition"], r["vector_path"], r["batch_size"])
+                for r in rows} == {("clean", "batched", "4"),
+                                   ("faulty", "fleet", "4"),
+                                   ("tail", "batched", "4")}
+
     def test_canonical_table_free_of_fleet_columns(self, tmp_path):
         result = run_campaign(self._specs(fleet=2)[:1], out=tmp_path, name="c")
         header = result.csv_path.read_text().splitlines()[0]

@@ -22,9 +22,10 @@ from repro.faults import UniformErrorModel
 from repro.hardware import EnergyModel, NOMINAL_VOLTAGE
 
 
-def _wooden(count: int, seed: int) -> list[tuple[str, int]]:
-    """``count`` wooden trials seeded ``seed``, ``seed + 1``, ..."""
-    return [("wooden", seed + index) for index in range(count)]
+def _wooden(count: int, seed: int, planner=None, controller=None) -> list[tuple]:
+    """``count`` wooden trials seeded ``seed``, ``seed + 1``, ..., under the
+    given planner and controller protections."""
+    return [("wooden", seed + index, planner, controller) for index in range(count)]
 
 
 class TestInsight1PlannerVsController:
@@ -122,11 +123,10 @@ class TestAutonomyAdaptiveVoltageScaling:
             voltage_scaling=VoltageScalingConfig(policy=policy, entropy_source="oracle"))
         constant_protection = ProtectionConfig(voltage=policy.max_voltage(),
                                                anomaly_detection=True)
-        trials = _wooden(6, seed=10)
-        vs_trials = executor.run_trial_group(trials,
-                                             controller_protection=vs_protection)
+        vs_trials = executor.run_trial_group(
+            _wooden(6, seed=10, controller=vs_protection))
         const_trials = executor.run_trial_group(
-            trials, controller_protection=constant_protection)
+            _wooden(6, seed=10, controller=constant_protection))
         vs_summary = summarize_trials(vs_trials)
         const_summary = summarize_trials(const_trials)
         assert vs_summary.success_rate >= const_summary.success_rate - 0.2
@@ -140,8 +140,8 @@ class TestAutonomyAdaptiveVoltageScaling:
             protection = ProtectionConfig(
                 anomaly_detection=True,
                 voltage_scaling=VoltageScalingConfig(policy=policy, entropy_source=source))
-            trials = executor.run_trial_group(_wooden(5, seed=11),
-                                              controller_protection=protection)
+            trials = executor.run_trial_group(
+                _wooden(5, seed=11, controller=protection))
             summaries[source] = summarize_trials(trials)
         assert summaries["predictor"].success_rate >= summaries["oracle"].success_rate - 0.25
 
@@ -160,9 +160,8 @@ class TestEndToEndCreate:
                               vs_entropy_source="oracle", planner_voltage=0.78)
         create_exec = jarvis_system_rotated.executor()
         create_trials = create_exec.run_trial_group(
-            _wooden(6, seed=12),
-            planner_protection=config.planner_protection(),
-            controller_protection=config.controller_protection())
+            _wooden(6, seed=12, planner=config.planner_protection(),
+                    controller=config.controller_protection()))
         create_summary = summarize_trials(create_trials)
 
         assert create_summary.success_rate >= baseline.success_rate - 0.2
@@ -173,7 +172,6 @@ class TestEndToEndCreate:
     def test_unprotected_low_voltage_fails(self, jarvis_system):
         executor = jarvis_system.executor()
         protection = ProtectionConfig(voltage=0.72)
-        trials = executor.run_trial_group(_wooden(5, seed=13),
-                                          planner_protection=protection,
-                                          controller_protection=protection)
+        trials = executor.run_trial_group(
+            _wooden(5, seed=13, planner=protection, controller=protection))
         assert summarize_trials(trials).success_rate <= 0.4

@@ -16,6 +16,7 @@ Covers the guarantees the versioned scenario subsystem makes:
 from __future__ import annotations
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -202,7 +203,7 @@ class TestGenerators:
         result = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True,
             check=True, cwd=REPO_ROOT,
-            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"})
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
         lines = dict()
         for line in result.stdout.splitlines():
             name, suite_fp, vocab_fp = line.split()

@@ -273,21 +273,34 @@ class TestWorkQueue:
             self._queue(tmp_path).enqueue(CampaignPlan(name="demo",
                                                        specs=[spec]))
 
-    def test_tasks_never_straddle_specs(self, tmp_path):
+    def test_tasks_never_straddle_systems_or_fleet_specs(self, tmp_path):
         """Task files are cut like pool chunks: at most ``batch`` cells of
-        one spec, so each task stays one vectorizable group."""
+        one system, a fleet spec's cells in tasks of their own, so each
+        task is one executor's stack; its ``specs`` hold every spec its
+        cells use."""
         queue = self._queue(tmp_path)
-        plan = CampaignPlan(name="demo", specs=_specs(4))
+        clean, faulty = _specs(4)
+        specs = [clean, faulty,
+                 TrialSpec(condition="fleet", system="jarvis", task="wooden",
+                           num_trials=4, seed=10, fleet=2),
+                 TrialSpec(condition="rotated", system="jarvis-rotated",
+                           task="wooden", num_trials=4, seed=0)]
+        plan = CampaignPlan(name="demo", specs=specs)
         report = queue.enqueue(plan, batch=3)
-        assert report.new_tasks == 4 and report.enqueued_cells == 8
-        sizes = []
+        assert report.new_tasks == 7 and report.enqueued_cells == 16
+        by_key = {spec.key(): spec for spec in specs}
+        sizes, shapes = [], []
         for path in sorted(queue.tasks_dir.glob("*.json")):
             data = json.loads(path.read_text())
-            assert len(data["specs"]) == 1
             assert {key for key, _, _ in data["cells"]} == set(data["specs"])
-            assert "-s3-" in data["task_id"]
+            assert "-g3-" in data["task_id"]
+            held = [by_key[key] for key in data["specs"]]
+            assert len({spec.system for spec in held}) == 1
             sizes.append(len(data["cells"]))
-        assert sizes == [3, 1, 3, 1]
+            shapes.append(tuple(spec.condition for spec in held))
+        assert sizes == [3, 3, 2, 3, 1, 3, 1]
+        assert shapes == [("clean",), ("clean", "faulty"), ("faulty",),
+                          ("fleet",), ("fleet",), ("rotated",), ("rotated",)]
 
     def test_reenqueue_with_different_batch_never_drops_cells(self, tmp_path):
         """Batch size is part of the task id: after an interrupted enqueue,
@@ -304,6 +317,32 @@ class TestWorkQueue:
             data = json.loads(path.read_text())
             covered.update((key, seed) for key, seed, _ in data["cells"])
         assert covered == {(c.spec_key, c.seed) for c in plan.cells()}
+
+    def test_enqueue_over_an_older_queue_covers_every_cell(self, tmp_path):
+        """Older versions cut tasks at every spec and tagged their ids
+        ``-s<size>``; a queue holding such a done task of the same plan
+        gets every cell under fresh ``-g`` ids, so no older id that covers
+        other cells hides one, and the drained queue merges complete."""
+        specs = _specs(2)
+        serial = run_campaign(specs, out=tmp_path / "serial", name="demo")
+        queue = self._queue(tmp_path)
+        plan = CampaignPlan(name="demo", specs=specs)
+        plan.save(queue.plans_dir)
+        clean = specs[0]
+        older = f"{plan.plan_hash()[:8]}-s4-00000"  # held "clean" only
+        (queue.done_dir / f"{older}.json").write_text(json.dumps({
+            "format": "repro-create-task-v1", "plan": "demo",
+            "plan_hash": plan.plan_hash(), "task_id": older,
+            "specs": {clean.key(): spec_to_dict(clean)},
+            "cells": [[clean.key(), seed, seed] for seed in clean.seeds()]}))
+        report = queue.enqueue(plan, batch=4)
+        assert (report.new_tasks, report.skipped_tasks,
+                report.enqueued_cells) == (1, 0, 4)
+        assert queue.pending_ids() == [f"{plan.plan_hash()[:8]}-g4-00000"]
+        WorkerDaemon(queue, worker_id="w").run()
+        merge_run_tables(tmp_path / "merged", [queue.root])
+        assert (tmp_path / "merged" / "demo.csv").read_bytes() == \
+            serial.csv_path.read_bytes()
 
     def test_claim_long_after_enqueue_is_not_instantly_reclaimable(self, tmp_path):
         """Claiming must refresh the heartbeat clock: a task enqueued more
@@ -417,10 +456,14 @@ class TestWorkerDaemon:
         serial = run_campaign(specs, out=tmp_path / "serial", name="demo")
         queue = WorkQueue(tmp_path / "q")
         queue.enqueue(CampaignPlan(name="demo", specs=specs), batch=2)
+        tasks = [json.loads(path.read_text())
+                 for path in sorted(queue.tasks_dir.glob("*.json"))]
+        # batch=2 cuts the system's six cells into three tasks, the middle
+        # one holding a cell of each spec.
+        assert [len(task["specs"]) for task in tasks] == [1, 2, 1]
         stats = WorkerDaemon(queue, jobs=1, worker_id="w1").run()
-        # batch=2 cuts each 3-cell spec into tasks of 2 and 1 cells.
-        assert stats.tasks_completed == 4 and stats.cells_executed == 6
-        assert queue.counts() == {"pending": 0, "leased": 0, "done": 4,
+        assert stats.tasks_completed == 3 and stats.cells_executed == 6
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 3,
                                   "failed": 0}
         merge_run_tables(tmp_path / "merged", [queue.root])
         assert (tmp_path / "merged" / "demo.csv").read_bytes() == \

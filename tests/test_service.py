@@ -384,7 +384,7 @@ class TestOneEngine:
                            params=(("ber", "1e-4"),))]
         plan = CampaignPlan(name="demo", specs=specs)
         serial = run_campaign(specs, out=tmp_path / "serial", name="demo")
-        run_campaign(specs, jobs=2, batch=4, out=tmp_path / "pool",
+        run_campaign(specs, jobs=2, batch=8, out=tmp_path / "pool",
                      name="demo")
         tables = {"pool": tmp_path / "pool"}
         sidecars = {"serial": tmp_path / "serial" / "profiles",
@@ -392,12 +392,12 @@ class TestOneEngine:
         queues = {}
         for jobs in (1, 2):
             queue = WorkQueue(tmp_path / f"queue-{jobs}")
-            queue.enqueue(plan, batch=4)
+            queue.enqueue(plan, batch=8)
             WorkerDaemon(queue, jobs=jobs, worker_id="w").run()
             queues[f"file-{jobs}"] = queue
         with CampaignService(tmp_path / "http") as service:
             client = QueueClient(service.url)
-            client.enqueue(plan, batch=4)
+            client.enqueue(plan, batch=8)
             WorkerDaemon(client, worker_id="w").run()  # closes the client
         queues["http"] = service.queue
         for path, queue in queues.items():
@@ -409,8 +409,10 @@ class TestOneEngine:
             for suffix in (".csv", ".json"):
                 assert (directory / f"demo{suffix}").read_bytes() == \
                     serial.csv_path.with_suffix(suffix).read_bytes(), path
+        # Fleet specs run as groups of their own; fleet-1 specs of one
+        # system share one lane group.
         expected = {("fleet", "4", "4")} if fleet > 1 else \
-            {("batched", "4", "1")}
+            {("batched", "8", "1")}
         for path, directory in sidecars.items():
             with open(directory / "demo.csv", newline="") as handle:
                 rows = list(csv.DictReader(handle))
@@ -493,10 +495,12 @@ class TestWorkStealing:
     def test_daemon_counts_stolen_tasks_over_http(self, service, client):
         client.enqueue(CampaignPlan(name="mine", specs=_specs(1)[:1]),
                        batch=1)
-        client.enqueue(CampaignPlan(name="other", specs=_specs(1)), batch=2)
+        clean, faulty = _specs(1)
+        client.enqueue(CampaignPlan(name="other", specs=[
+            clean, replace(faulty, fleet=2)]), batch=2)
         daemon = WorkerDaemon(client, worker_id="w", plan_affinity="mine")
         stats = daemon.run()
-        # "other" holds one task per spec: tasks never straddle specs.
+        # "other" holds one task per spec: a fleet spec never shares a task.
         assert stats.tasks_completed == 3  # 1 owned + 2 stolen
         assert stats.tasks_stolen == 2
         assert stats.cells_executed == 3
